@@ -14,6 +14,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .errors import SyncError
 from .geo import Geofence
@@ -109,6 +110,14 @@ class ParticipantRecord:
 
 @dataclass(frozen=True)
 class Activity:
+    """An activity value.
+
+    Participant lookups go through an id->position index and the accepted
+    roster is cached; both are built at most once per instance and live
+    outside the dataclass fields, so equality, hashing and every encoding
+    see only the fields.
+    """
+
     id: str
     title: str
     kind: ActivityKind
@@ -120,17 +129,23 @@ class Activity:
     batch_threshold: int
     calendar_uid: str | None = None
 
-    def participant(self, participant_id: str) -> ParticipantRecord | None:
-        for p in self.participants:
-            if p.id == participant_id:
-                return p
-        return None
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {p.id: i for i, p in enumerate(self.participants)}
 
-    def accepted_ids(self) -> tuple[str, ...]:
+    @cached_property
+    def _accepted(self) -> tuple[str, ...]:
         return tuple(
             p.id for p in self.participants
             if p.status is ParticipantStatus.ACCEPTED
         )
+
+    def participant(self, participant_id: str) -> ParticipantRecord | None:
+        i = self._positions.get(participant_id)
+        return None if i is None else self.participants[i]
+
+    def accepted_ids(self) -> tuple[str, ...]:
+        return self._accepted
 
 
 def new_activity(
@@ -192,9 +207,10 @@ def respond_invitation(
     activity: Activity, participant_id: str, answer: InviteAnswer
 ) -> Activity:
     """Record a participant's accept/decline. Each participant answers once."""
-    record = activity.participant(participant_id)
-    if record is None:
+    i = activity._positions.get(participant_id)
+    if i is None:
         raise UnknownParticipant(f"{participant_id!r} is not a participant of {activity.id}")
+    record = activity.participants[i]
     if record.status is not ParticipantStatus.INVITED:
         raise AlreadyResponded(
             f"{participant_id!r} already responded ({record.status.value})"
@@ -204,11 +220,13 @@ def respond_invitation(
         if answer is InviteAnswer.ACCEPT
         else ParticipantStatus.DECLINED
     )
-    updated = tuple(
-        ParticipantRecord(p.id, status) if p.id == participant_id else p
-        for p in activity.participants
+    ps = activity.participants
+    updated = replace(
+        activity, participants=ps[:i] + (ParticipantRecord(participant_id, status),) + ps[i + 1:]
     )
-    return replace(activity, participants=updated)
+    # The order is unchanged, so the position index carries over as is.
+    updated.__dict__["_positions"] = activity._positions
+    return updated
 
 
 def phase_at(activity: Activity, now: int) -> ActivityPhase:

@@ -8,6 +8,10 @@ field for field. ``handle`` is deterministic in (state, message, sender,
 now) — "now" is always injected, never read from a clock, so a simulator
 can drive virtual time.
 
+The FIX path looks the sender up once and classifies the fix once, in
+``apply(FixAccepted)``; whether that fix is the arrival is decided by
+``presence.arrives``, the same rule ``presence.ingest_fix`` applies.
+
 Notification queues are part of the state: every queued ``Notify`` carries
 a per-recipient sequence number, assigned at enqueue time, and is also
 returned as an immediate push. Delivery cursors are session bookkeeping
@@ -196,19 +200,16 @@ def _activity(state: ServerState, activity_id: str) -> Activity:
     return act
 
 
-def _presence_of(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
+def _presence_of(
+    state: ServerState, act: Activity, who: str, accepted: bool = False
+) -> ParticipantPresence:
+    """The presence of a participant of ``act``; with ``accepted``, of one who accepted."""
     record = act.participant(who)
     if record is None:
         raise UnknownParticipant(f"{who!r} is not a participant of {act.id}")
-    return state.presence[(act.id, who)]
-
-
-def _require_accepted(act: Activity, who: str) -> None:
-    record = act.participant(who)
-    if record is None:
-        raise UnknownParticipant(f"{who!r} is not a participant of {act.id}")
-    if record.status is not ParticipantStatus.ACCEPTED:
+    if accepted and record.status is not ParticipantStatus.ACCEPTED:
         raise prs.NotAccepted(f"{who!r} has not accepted {act.id}")
+    return state.presence[(act.id, who)]
 
 
 def pending(
@@ -217,10 +218,10 @@ def pending(
     """Queued notifications with sequence > cursor, and the new cursor.
 
     Pure read; the stored queue is never mutated here. Re-polling with the
-    same cursor returns the same messages.
+    same cursor returns the same messages. Sequence numbers are dense from
+    1, so the messages above the cursor are the queue from index ``cursor``.
     """
-    queue = state.queues.get(participant, [])
-    out = [m for m in queue if m.seq > cursor]
+    out = state.queues.get(participant, [])[max(cursor, 0):]
     return out, (out[-1].seq if out else cursor)
 
 
@@ -275,8 +276,7 @@ def _dispatch(
 
     if isinstance(msg, Arm):
         act = _activity(state, msg.activity)
-        _require_accepted(act, from_)
-        pp = _presence_of(state, act, from_)
+        pp = _presence_of(state, act, from_, accepted=True)
         prs.arm(pp.alarm, pp.zone)  # validation only
         records = [
             EventRecord(state.record_count, now, ArmSet(act.id, from_, pp.zone))
@@ -296,8 +296,7 @@ def _dispatch(
 
     if isinstance(msg, Fix):
         act = _activity(state, msg.activity)
-        _require_accepted(act, from_)
-        pp = _presence_of(state, act, from_)
+        pp = _presence_of(state, act, from_, accepted=True)
         if pp.last_fix_at is not None and msg.at <= pp.last_fix_at:
             raise StaleFix(
                 f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
@@ -305,27 +304,23 @@ def _dispatch(
         if phase_at(act, msg.at) is not ActivityPhase.ACTIVE:
             # Outside the window the fix is ignored: no state, no record.
             return [(from_, Ack("FIX"))], []
-        fix = prs.LocationFix(from_, msg.point, msg.at)
-        _, events = prs.ingest_fix(act, pp.alarm, fix)
+        alarm = pp.alarm
         records = [
             EventRecord(
                 state.record_count, now, FixAccepted(act.id, from_, msg.point, msg.at)
             )
         ]
-        if events:
-            records.append(
-                EventRecord(
-                    state.record_count + 1,
-                    now,
-                    ArrivalRecorded(act.id, from_, events[0].at),
-                )
-            )
-        pushes = [p for r in records for p in apply(state, r)]
-        return [(from_, Ack("FIX"))] + pushes, records
+        apply(state, records[0])  # classifies the fix into pp.zone; no pushes
+        if not prs.arrives(alarm, pp.zone):
+            return [(from_, Ack("FIX"))], records
+        records.append(
+            EventRecord(state.record_count, now, ArrivalRecorded(act.id, from_, msg.at))
+        )
+        return [(from_, Ack("FIX"))] + apply(state, records[1]), records
 
     if isinstance(msg, TaskDone):
         act = _activity(state, msg.activity)
-        _require_accepted(act, from_)
+        _presence_of(state, act, from_, accepted=True)
         if act.kind is not ActivityKind.TASK:
             raise KindMismatch(f"{act.id} is {act.kind.value}, not TASK")
         records = [
@@ -340,8 +335,7 @@ def _dispatch(
 
     if isinstance(msg, Status):
         act = _activity(state, msg.activity)
-        if act.participant(from_) is None:
-            raise UnknownParticipant(f"{from_!r} is not a participant of {act.id}")
+        _presence_of(state, act, from_)
         return [(from_, status_view(state, act.id, now))], []
 
     raise TypeError(f"not a client message: {msg!r}")
@@ -444,9 +438,8 @@ class Engine:
         with self._lock:
             outbound, records = handle(self.state, msg, from_, now)
             self._persist(records)
-            if isinstance(msg, Poll) and not any(
-                isinstance(m, Err) for _, m in outbound
-            ):
+            # An errored command answers with exactly one Err.
+            if isinstance(msg, Poll) and not isinstance(outbound[0][1], Err):
                 # The echoed cursor acknowledges everything at or below it.
                 self.cursors[from_] = max(self.cursors.get(from_, 0), msg.cursor)
             return outbound

@@ -16,15 +16,7 @@ import time
 
 from .engine import Engine
 from .errors import SyncError
-from .wire import (
-    CLIENT_TYPES,
-    Err,
-    FrameBuffer,
-    Hello,
-    decode,
-    encode,
-    message_fields,
-)
+from .wire import CLIENT_MESSAGES, Err, FrameBuffer, Hello, decode, encode
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +76,7 @@ class SyncServer:
                     except SyncError as e:
                         await self._send(writer, Err(e.code, e.detail))
                         continue
-                    if message_fields(msg)["type"] not in CLIENT_TYPES:
+                    if not isinstance(msg, CLIENT_MESSAGES):
                         await self._send(
                             writer,
                             Err("NOT_A_CLIENT_MESSAGE", "server frames are not accepted"),

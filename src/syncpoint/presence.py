@@ -7,6 +7,10 @@ never counts as arriving — someone standing at the meeting point when they
 switch the alarm on must physically leave and come back before the system
 will announce them.
 
+The transition test itself is ``arrives``, the one place the rule lives:
+``ingest_fix`` uses it here, and the engine's FIX path uses it on the zone
+its ``FixAccepted`` record classified, so each fix is classified once.
+
 State layout:
 
     Disarmed --arm(zone)--> Armed{zone} --Outside->Inside fix--> Arrived{at}
@@ -86,6 +90,15 @@ def disarm(state: AlarmState) -> AlarmState:
     return state
 
 
+def arrives(state: AlarmState, zone: Zone) -> bool:
+    """Whether a fix classified into ``zone`` is the arrival.
+
+    Only an Armed state last seen Outside arrives, and only on a fix now
+    classified Inside; Disarmed and Arrived never do.
+    """
+    return isinstance(state, Armed) and state.zone is Zone.OUTSIDE and zone is Zone.INSIDE
+
+
 def ingest_fix(
     activity: Activity, state: AlarmState, fix: LocationFix
 ) -> tuple[AlarmState, list[Arrival]]:
@@ -103,7 +116,7 @@ def ingest_fix(
         return state, []
     if isinstance(state, Armed):
         zone = classify_zone(activity.fence, state.zone, fix.point)
-        if state.zone is Zone.OUTSIDE and zone is Zone.INSIDE:
+        if arrives(state, zone):
             return Arrived(fix.at), [Arrival(fix.who, fix.at)]
         return Armed(zone), []
     return state, []

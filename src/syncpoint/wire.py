@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from typing import get_args
 
 from .activities import ActivityKind, ActivityPhase, InviteAnswer, ParticipantStatus
 from .errors import SyncError
@@ -106,6 +107,8 @@ class Status:
 
 
 ClientMessage = Hello | RespondInvite | Arm | Disarm | Fix | TaskDone | Poll | Status
+# The client/server split, for ``isinstance`` checks on decoded frames.
+CLIENT_MESSAGES: tuple[type, ...] = get_args(ClientMessage)
 
 
 # --- server messages -------------------------------------------------------
@@ -243,9 +246,12 @@ def message_fields(msg: Message) -> dict:
     raise TypeError(f"not a wire message: {msg!r}")
 
 
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
 def dumps_canonical(obj) -> str:
     """Serialize an already-ordered object with the canonical JSON dialect."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def encode(msg: Message) -> str:
@@ -438,10 +444,6 @@ _DECODERS = {
     "ACK": (_decode_ack, {"of"}),
     "ERR": (_decode_err, {"code", "detail"}),
 }
-
-CLIENT_TYPES = frozenset(
-    {"HELLO", "RESPOND_INVITE", "ARM", "DISARM", "FIX", "TASK_DONE", "POLL", "STATUS"}
-)
 
 
 def decode(frame: str) -> Message:

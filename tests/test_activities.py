@@ -1,5 +1,7 @@
 """Activity domain types and lifecycle operations."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +116,14 @@ class TestRespondInvitation:
         assert after.fence == before.fence
         assert after.id == before.id
         assert before.participant("bruno").status is ParticipantStatus.INVITED
+
+    def test_indexed_activity_equals_a_fresh_one(self):
+        indexed = respond_invitation(make(activity_id="a1"), "bruno", InviteAnswer.ACCEPT)
+        assert indexed.participant("carla").status is ParticipantStatus.INVITED
+        assert indexed.accepted_ids() == ("bruno",)
+        fresh = replace(indexed, participants=tuple(indexed.participants))
+        assert indexed == fresh and hash(indexed) == hash(fresh)
+        assert repr(indexed) == repr(fresh)
 
     @pytest.mark.parametrize("first", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     @pytest.mark.parametrize("second", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])

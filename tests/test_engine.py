@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from syncpoint.activities import ActivityKind, InviteAnswer, PrivacyPolicy, TimeWindow
+import syncpoint.engine
+import syncpoint.presence
+from syncpoint.activities import (
+    Activity,
+    ActivityKind,
+    InviteAnswer,
+    ParticipantStatus,
+    PrivacyPolicy,
+    TimeWindow,
+)
 from syncpoint.engine import (
     Engine,
     ServerState,
@@ -26,7 +35,7 @@ from syncpoint.eventlog import (
     load_log,
     read_records,
 )
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
+from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zone
 from syncpoint.ics import parse_ics
 from syncpoint.notify import ArrivalNotice, Invitation, SelfArrivalAck, TaskDoneNotice
 from syncpoint.presence import Armed, Arrived
@@ -249,6 +258,41 @@ class TestFix:
             assert not any(isinstance(m, Notify) for _, m in outbound)
         assert state.arrivals[act.id] == ("bruno",)
 
+    def test_one_lookup_and_one_classification_per_fix(self, monkeypatch):
+        calls = {"classify_zone": 0, "participant": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for mod in (syncpoint.engine, syncpoint.presence):
+            monkeypatch.setattr(mod, "classify_zone", counted("classify_zone", classify_zone))
+        monkeypatch.setattr(Activity, "participant", counted("participant", Activity.participant))
+
+        state, act = self.arm_bruno()
+        # carla has a fix inside the fence before she arms, so she arms Inside.
+        handle(state, Fix(act.id, at_distance(10), 1500), "carla", 1500)
+        handle(state, Arm(act.id), "carla", 1501)
+        steps = [
+            ("bruno", 500, False),   # armed, still Outside
+            ("bruno", 50, True),     # Outside -> Inside: the arrival
+            ("bruno", 400, False),   # Arrived is terminal: leaving ...
+            ("bruno", 10, False),    # ... and coming back announce nothing
+            ("carla", 20, False),    # armed while Inside: no transition
+        ]
+        for i, (who, meters, arrives) in enumerate(steps):
+            calls.update(classify_zone=0, participant=0)
+            at = 2000 + i
+            _, records = handle(state, Fix(act.id, at_distance(meters), at), who, at)
+            assert calls["classify_zone"] == 1, (who, meters)
+            assert calls["participant"] <= 1, (who, meters)
+            kinds = [type(r.event).__name__ for r in records]
+            assert kinds == ["FixAccepted"] + (["ArrivalRecorded"] if arrives else [])
+        assert state.arrivals[act.id] == ("bruno",)
+        assert state.presence[(act.id, "carla")].alarm == Armed(Zone.INSIDE)
+
     def test_fix_from_declined_participant(self):
         state, act, _, _ = fresh()
         handle(state, RespondInvite(act.id, InviteAnswer.DECLINE), "bruno", 10)
@@ -333,6 +377,8 @@ class TestHelloStatusPoll:
         assert again == [] and cur2 == 2
         partial, cur3 = pending(state, "bruno", 1)
         assert [m.seq for m in partial] == [2] and cur3 == 2
+        beyond, cur4 = pending(state, "bruno", 7)
+        assert beyond == [] and cur4 == 7
 
     def test_poll_returns_notifies_then_ack(self):
         state, act, _, _ = fresh()
@@ -500,6 +546,27 @@ class TestDeterminismAndReplay:
         lines = [encode_record(r) for r in scripted_run(state)]
         with pytest.raises(CorruptRecord):
             list(read_records([lines[0], lines[2]]))
+
+
+class TestLargeRoster:
+    def test_reverse_order_acceptance_of_a_thousand(self):
+        ids = [f"p{i:04d}" for i in range(1000)]
+        state = ServerState()
+        act, _, records = create_activity(
+            state, now=0, title="Crowd", kind=ActivityKind.GATHERING,
+            window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+            organizer=ids[0], participant_ids=ids,
+            policy=PrivacyPolicy.ANONYMOUS_COUNT,
+        )
+        for pid in reversed(ids):
+            outbound, new = handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), pid, 10)
+            assert outbound == [(pid, Ack("RESPOND_INVITE"))]
+            records += new
+        live = state.activities[act.id]
+        assert [p.id for p in live.participants] == ids
+        assert all(live.participant(pid).status is ParticipantStatus.ACCEPTED for pid in ids)
+        assert live.accepted_ids() == tuple(ids)
+        assert replay(records) == state
 
 
 class TestEngineWrapper:
