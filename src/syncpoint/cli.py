@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 import time
 from pathlib import Path
 
 from .engine import Engine, replay, status_view
 from .errors import SyncError
-from .eventlog import CorruptRecord, load_log, read_records
+from .eventlog import load_prefix, split_lines
 from .ics import parse_ics
 from .net import serve_forever
 from .sim import (
@@ -44,35 +45,27 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 def _recover_state(log_path: str):
     """Replay a log, keeping the good prefix when the tail is corrupt."""
-    try:
-        records = load_log(log_path)
-    except CorruptRecord as e:
-        print(f"warning: {e.detail}; keeping state up to record {e.index}",
+    records, error = load_prefix(log_path)
+    if error is not None:
+        print(f"warning: {error.detail}; keeping state up to record {error.index}",
               file=sys.stderr)
-        records = []
-        try:
-            for record in read_records(_log_lines(log_path)):
-                records.append(record)
-        except CorruptRecord:
-            pass
     return replay(records)
 
 
-def _log_lines(log_path: str) -> list[str]:
-    text = Path(log_path).read_text(encoding="utf-8")
-    raw = text.split("\n")
-    lines = [r + "\n" for r in raw[:-1]]
-    if raw[-1]:
-        lines.append(raw[-1])
-    return lines
+async def _serve(engine: Engine, host: str, port: int) -> None:
+    # SIGTERM cancels the server as Ctrl-C does, so both shut down cleanly.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
+    await serve_forever(engine, host, port)
 
 
 def cmd_serve(args) -> int:
     host, port = args.listen
     engine = Engine(log_path=args.log)
     try:
-        asyncio.run(serve_forever(engine, host, port))
-    except KeyboardInterrupt:
+        asyncio.run(_serve(engine, host, port))
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
         engine.close()
@@ -122,10 +115,7 @@ def cmd_simulate(args) -> int:
     result = run_scenario(scenario)
     if args.check:
         actual = transcript_lines(result.transcript)
-        expected_text = Path(args.golden).read_text(encoding="utf-8")
-        expected = [ln + "\n" for ln in expected_text.split("\n")[:-1]]
-        if expected_text and not expected_text.endswith("\n"):
-            expected.append(expected_text.split("\n")[-1])
+        expected = split_lines(Path(args.golden).read_text(encoding="utf-8"))
         line = first_divergence(actual, expected)
         if line is None:
             print(f"transcript matches {args.golden} ({len(actual)} lines)")

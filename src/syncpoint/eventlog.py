@@ -4,7 +4,13 @@ Every server state mutation is mirrored by exactly one record; replaying
 the log through the same transition logic reproduces the live state. One
 record per line, canonical JSON (same dialect as the wire format), indices
 dense from 0. A malformed or out-of-sequence line stops replay with
-``CorruptRecord`` naming the index; everything before it is recoverable.
+``CorruptRecord`` naming the index; everything before it is recoverable
+(``load_prefix``).
+
+The schema table below (``_EVENTS``, one entry per record type) is the one
+place where each record's fields and order live: a record is its event's
+fields beside ``at`` and ``index``, tagged with ``type``. Records are read
+loosely: this codec wrote them, so only the constructors check them.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .activities import (
 )
 from .errors import SyncError
 from .geo import Geofence, GeoPoint, Zone
-from .wire import dumps_canonical
+from .schema import COUNT, FLOAT, INT, STR, TEXT, Inline, ListOf, Nested, Optional, Schema, choice
+from .wire import POINT
 
 
 class CorruptRecord(SyncError):
@@ -102,124 +109,59 @@ class EventRecord:
     event: Event
 
 
-def _activity_fields(a: Activity) -> dict:
-    fields = {
-        "batch_threshold": a.batch_threshold,
-    }
-    if a.calendar_uid is not None:
-        fields["calendar_uid"] = a.calendar_uid
-    fields.update(
-        {
-            "fence": {
-                "center": {"lat": a.fence.center.lat, "lon": a.fence.center.lon},
-                "hysteresis_m": a.fence.hysteresis_m,
-                "radius_m": a.fence.radius_m,
-            },
-            "id": a.id,
-            "kind": a.kind.value,
-            "organizer": a.organizer,
-            "participants": [
-                {"id": p.id, "status": p.status.value} for p in a.participants
-            ],
-            "policy": a.policy.value,
-            "title": a.title,
-            "window": {"end": a.window.end, "start": a.window.start},
-        }
-    )
-    return fields
+_ACTIVITY = Schema(
+    Activity,
+    ("id", STR),
+    ("title", TEXT),
+    ("kind", choice(ActivityKind)),
+    ("window", Nested(Schema(TimeWindow, ("start", INT), ("end", INT)))),
+    ("fence", Nested(Schema(
+        Geofence, ("center", Nested(POINT)), ("radius_m", FLOAT), ("hysteresis_m", FLOAT),
+    ))),
+    ("organizer", STR),
+    ("participants", ListOf(Schema(
+        ParticipantRecord, ("id", STR), ("status", choice(ParticipantStatus)),
+    ))),
+    ("policy", choice(PrivacyPolicy)),
+    ("batch_threshold", COUNT),
+    ("calendar_uid", Optional(STR)),
+)
 
+_EVENTS = {
+    "ACTIVITY_CREATED": (ActivityCreated, ("activity", Nested(_ACTIVITY))),
+    "INVITE_RESPONDED": (
+        InviteResponded, ("activity", STR), ("who", STR), ("answer", choice(InviteAnswer)),
+    ),
+    "ARMED": (ArmSet, ("activity", STR), ("who", STR), ("zone", choice(Zone))),
+    "DISARMED": (ArmCleared, ("activity", STR), ("who", STR)),
+    "FIX_ACCEPTED": (
+        FixAccepted, ("activity", STR), ("who", STR), ("point", Inline(POINT)),
+        ("fix_at", INT),
+    ),
+    "ARRIVAL_RECORDED": (ArrivalRecorded, ("activity", STR), ("who", STR), ("arrived_at", INT)),
+    "TASK_COMPLETED": (TaskCompleted, ("activity", STR), ("who", STR), ("done_at", INT)),
+}
 
-def _activity_from_fields(obj: dict) -> Activity:
-    fence = obj["fence"]
-    return Activity(
-        id=obj["id"],
-        title=obj["title"],
-        kind=ActivityKind(obj["kind"]),
-        window=TimeWindow(obj["window"]["start"], obj["window"]["end"]),
-        fence=Geofence(
-            GeoPoint(fence["center"]["lat"], fence["center"]["lon"]),
-            fence["radius_m"],
-            fence["hysteresis_m"],
-        ),
-        organizer=obj["organizer"],
-        participants=tuple(
-            ParticipantRecord(p["id"], ParticipantStatus(p["status"]))
-            for p in obj["participants"]
-        ),
-        policy=PrivacyPolicy(obj["policy"]),
-        batch_threshold=obj["batch_threshold"],
-        calendar_uid=obj.get("calendar_uid"),
+# One record schema per event: the event's fields sit beside the record's
+# index and time, under the event's type tag.
+_RECORDS = {
+    cls: Schema(
+        EventRecord, ("index", INT), ("at", INT), ("event", Inline(Schema(cls, *fields))),
+        tag=("type", tag),
     )
+    for tag, (cls, *fields) in _EVENTS.items()
+}
+_ENCODERS = {cls: s.encode for cls, s in _RECORDS.items()}
+_DECODERS = {s.tag[1]: s.decoder(strict=False) for s in _RECORDS.values()}
 
 
 def encode_record(record: EventRecord) -> str:
     """One canonical line, newline-terminated."""
-    e = record.event
-    if isinstance(e, ActivityCreated):
-        fields = {
-            "type": "ACTIVITY_CREATED",
-            "activity": _activity_fields(e.activity),
-            "at": record.at,
-            "index": record.index,
-        }
-    elif isinstance(e, InviteResponded):
-        fields = {
-            "type": "INVITE_RESPONDED",
-            "activity": e.activity,
-            "answer": e.answer.value,
-            "at": record.at,
-            "index": record.index,
-            "who": e.who,
-        }
-    elif isinstance(e, ArmSet):
-        fields = {
-            "type": "ARMED",
-            "activity": e.activity,
-            "at": record.at,
-            "index": record.index,
-            "who": e.who,
-            "zone": e.zone.value,
-        }
-    elif isinstance(e, ArmCleared):
-        fields = {
-            "type": "DISARMED",
-            "activity": e.activity,
-            "at": record.at,
-            "index": record.index,
-            "who": e.who,
-        }
-    elif isinstance(e, FixAccepted):
-        fields = {
-            "type": "FIX_ACCEPTED",
-            "activity": e.activity,
-            "at": record.at,
-            "fix_at": e.fix_at,
-            "index": record.index,
-            "lat": e.point.lat,
-            "lon": e.point.lon,
-            "who": e.who,
-        }
-    elif isinstance(e, ArrivalRecorded):
-        fields = {
-            "type": "ARRIVAL_RECORDED",
-            "activity": e.activity,
-            "arrived_at": e.arrived_at,
-            "at": record.at,
-            "index": record.index,
-            "who": e.who,
-        }
-    elif isinstance(e, TaskCompleted):
-        fields = {
-            "type": "TASK_COMPLETED",
-            "activity": e.activity,
-            "at": record.at,
-            "done_at": e.done_at,
-            "index": record.index,
-            "who": e.who,
-        }
-    else:
-        raise TypeError(f"not an event: {e!r}")
-    return dumps_canonical(fields) + "\n"
+    try:
+        encode = _ENCODERS[type(record.event)]
+    except KeyError:
+        raise TypeError(f"not an event: {record.event!r}") from None
+    return encode(record) + "\n"
 
 
 def decode_record(line: str, expected_index: int) -> EventRecord:
@@ -231,41 +173,16 @@ def decode_record(line: str, expected_index: int) -> EventRecord:
     if not isinstance(obj, dict):
         raise CorruptRecord(expected_index, "line is not a JSON object")
     try:
-        index = obj["index"]
-        at = obj["at"]
-        t = obj["type"]
-        if index != expected_index:
-            raise CorruptRecord(
-                expected_index, f"index {index} breaks dense sequence"
-            )
-        if t == "ACTIVITY_CREATED":
-            event: Event = ActivityCreated(_activity_from_fields(obj["activity"]))
-        elif t == "INVITE_RESPONDED":
-            event = InviteResponded(
-                obj["activity"], obj["who"], InviteAnswer(obj["answer"])
-            )
-        elif t == "ARMED":
-            event = ArmSet(obj["activity"], obj["who"], Zone(obj["zone"]))
-        elif t == "DISARMED":
-            event = ArmCleared(obj["activity"], obj["who"])
-        elif t == "FIX_ACCEPTED":
-            event = FixAccepted(
-                obj["activity"],
-                obj["who"],
-                GeoPoint(obj["lat"], obj["lon"]),
-                obj["fix_at"],
-            )
-        elif t == "ARRIVAL_RECORDED":
-            event = ArrivalRecorded(obj["activity"], obj["who"], obj["arrived_at"])
-        elif t == "TASK_COMPLETED":
-            event = TaskCompleted(obj["activity"], obj["who"], obj["done_at"])
-        else:
-            raise CorruptRecord(expected_index, f"unknown record type {t!r}")
-    except CorruptRecord:
-        raise
+        decode = _DECODERS[obj["type"]]
+    except (KeyError, TypeError):
+        raise CorruptRecord(expected_index, f"unknown record type {obj.get('type')!r}") from None
+    try:
+        record = decode(obj)
     except (KeyError, TypeError, ValueError, SyncError) as e:
         raise CorruptRecord(expected_index, f"bad record payload: {e}") from None
-    return EventRecord(index, at, event)
+    if record.index != expected_index:
+        raise CorruptRecord(expected_index, f"index {record.index} breaks dense sequence")
+    return record
 
 
 def read_records(lines: Iterable[str]) -> Iterator[EventRecord]:
@@ -282,17 +199,37 @@ def read_records(lines: Iterable[str]) -> Iterator[EventRecord]:
         index += 1
 
 
-def load_log(path: str | Path) -> list[EventRecord]:
-    """Read a whole log file; CorruptRecord on the first bad line."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
-        return []
-    # Preserve the missing-final-newline signal for read_records.
+def split_lines(text: str) -> list[str]:
+    """Split on ``\\n`` only, keeping each terminator.
+
+    A final line without its newline stays unterminated, so that
+    ``read_records`` sees the torn write.
+    """
     raw = text.split("\n")
     lines = [r + "\n" for r in raw[:-1]]
     if raw[-1]:
         lines.append(raw[-1])
-    return list(read_records(lines))
+    return lines
+
+
+def load_prefix(path: str | Path) -> tuple[list[EventRecord], CorruptRecord | None]:
+    """Read a log file once: the records before its first bad line, and the
+    ``CorruptRecord`` that line raised (None when every line is good)."""
+    records: list[EventRecord] = []
+    try:
+        for record in read_records(split_lines(Path(path).read_text(encoding="utf-8"))):
+            records.append(record)
+    except CorruptRecord as e:
+        return records, e
+    return records, None
+
+
+def load_log(path: str | Path) -> list[EventRecord]:
+    """Read a whole log file; CorruptRecord on the first bad line."""
+    records, error = load_prefix(path)
+    if error is not None:
+        raise error
+    return records
 
 
 class LogWriter:

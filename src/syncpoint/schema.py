@@ -1,0 +1,309 @@
+"""Schema-driven JSON codec for wire frames, log records and transcripts.
+
+A ``Schema`` describes one dataclass: its tag and its fields with their
+kinds. It alone sets the canonical form: compact separators, no ASCII
+escaping, the tag first, the other keys sorted, and an optional key left
+out when its value is None. That is ``json.dumps(..., ensure_ascii=False,
+separators=(",", ":"), allow_nan=False)`` of the ordered object.
+
+Each schema is compiled once, as ``dataclasses`` compiles ``__init__``,
+into an encoder that fills one ``%`` template straight from the instance
+(``encode_basestring``, ``int.__repr__``, ``float.__repr__``; NaN and
+infinity raise ``ValueError``) and into decoders: one constructor
+expression over the parsed object, in which a missing key raises
+``KeyError``. Strict decoders check untrusted frames field by field;
+loose ones, for the log only this codec writes, leave that to the
+constructors.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from functools import cached_property
+from json.encoder import encode_basestring
+from operator import itemgetter
+
+from .errors import SyncError
+
+
+class FieldMissing(SyncError):
+    code = "FIELD_MISSING"
+
+    def __init__(self, name: str):
+        super().__init__(f"missing field {name!r}")
+        self.name = name
+
+
+class FieldInvalid(SyncError):
+    code = "FIELD_INVALID"
+
+    def __init__(self, name: str, detail: str = ""):
+        super().__init__(f"invalid field {name!r}" + (f": {detail}" if detail else ""))
+        self.name = name
+
+
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if -_INF < x < _INF:
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+# --- strict checks: (parsed value, key, *args) -> value ------------------------
+
+def _str(v, key: str, empty: bool = False) -> str:
+    if not isinstance(v, str):
+        raise FieldInvalid(key, "expected a string")
+    if not (v or empty):
+        raise FieldInvalid(key, "must be non-empty")
+    return v
+
+
+def _int(v, key: str, minimum: int = 0) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise FieldInvalid(key, "expected an integer")
+    if v < minimum:
+        raise FieldInvalid(key, f"must be >= {minimum}")
+    return v
+
+
+def _number(v, key: str):
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise FieldInvalid(key, "expected a number")
+    return v
+
+
+def _bool(v, key: str) -> bool:
+    if not isinstance(v, bool):
+        raise FieldInvalid(key, "expected a boolean")
+    return v
+
+
+def _choice(v, key: str, enum_cls):
+    try:
+        return enum_cls(_str(v, key))
+    except ValueError:
+        raise FieldInvalid(key, f"not one of {[e.value for e in enum_cls]}") from None
+
+
+def _object(v, key: str) -> dict:
+    if not isinstance(v, dict):
+        raise FieldInvalid(key, "expected an object")
+    return v
+
+
+def _objects(v, key: str) -> list:
+    if not isinstance(v, list):
+        raise FieldInvalid(key, "expected a list")
+    if not all(isinstance(e, dict) for e in v):
+        raise FieldInvalid(key, "expected objects")
+    return v
+
+
+# --- kinds --------------------------------------------------------------------
+
+class _Names(dict):
+    """The globals of generated code; each object gets a fresh name."""
+
+    def add(self, obj) -> str:
+        name = f"_{len(self)}"
+        self[name] = obj
+        return name
+
+
+def _fill(template: str, values: list[str]) -> str:
+    """The expression that fills a ``%`` template with the expressions ``values``."""
+    return values[0] if template == "%s" else f"({template!r} % ({', '.join(values)},))"
+
+
+class Kind:
+    """How a field is written to JSON and read back.
+
+    A scalar is written by ``encode``. A strict reader passes the parsed
+    value through ``check(value, key, *args)``; a loose one applies only
+    ``convert`` (an enum class). The subclasses are the composite kinds.
+    """
+
+    optional = False
+
+    def __init__(self, encode=None, check=None, *args, convert=None):
+        self.encode, self.check, self.args, self.convert = encode, check, args, convert
+
+    def template(self, value: str, names: _Names) -> tuple[str, list[str]]:
+        """The JSON of the value expression ``value``: a template and its fillers."""
+        return "%s", [f"{names.add(self.encode)}({value})"]
+
+    def parse(self, got: str, key: str, strict: bool, names: _Names) -> str:
+        """The expression that turns the parsed value ``got`` into the field value."""
+        if strict and self.check:
+            args = "".join(f", {names.add(a)}" for a in self.args)
+            return f"{names.add(self.check)}({got}, {key!r}{args})"
+        return f"{names.add(self.convert)}({got})" if self.convert else got
+
+
+STR = Kind(encode_basestring, _str)  # non-empty
+TEXT = Kind(encode_basestring, _str, True)
+INT = Kind(int.__repr__, _int)  # >= 0
+COUNT = Kind(int.__repr__, _int, 1)  # >= 1
+FLOAT = Kind(_float, _number)
+BOOL = Kind({True: "true", False: "false"}.__getitem__, _bool)
+
+
+def choice(enum_cls) -> Kind:
+    """A str enum. A member is a str equal to its value, so it encodes as one."""
+    assert issubclass(enum_cls, str), enum_cls
+    return Kind(encode_basestring, _choice, enum_cls, convert=enum_cls)
+
+
+class Optional(Kind):
+    """A field whose key is left out when its value is None."""
+
+    optional = True
+
+    def __init__(self, inner: Kind):
+        self.inner = inner
+
+    def template(self, value, names):
+        return self.inner.template(value, names)
+
+    def parse(self, got, key, strict, names):
+        return self.inner.parse(got, key, strict, names)
+
+
+class Nested(Kind):
+    """A JSON object inside the enclosing one."""
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+
+    def template(self, value, names):
+        return self.schema.template(value, names)
+
+    def parse(self, got, key, strict, names):
+        if strict:
+            got = f"{names.add(_object)}({got}, {key!r})"
+        return f"{names.add(self.schema.decoder(strict))}({got})"
+
+
+class Inline(Nested):
+    """A nested value whose keys sit in the enclosing object (a fix's lat and lon)."""
+
+
+class ListOf(Nested):
+    """A JSON list of objects; the value is a tuple."""
+
+    def template(self, value, names):
+        return "[%s]", [f"','.join(map({names.add(self.schema.encode)}, {value}))"]
+
+    def parse(self, got, key, strict, names):
+        if strict:
+            got = f"{names.add(_objects)}({got}, {key!r})"
+        return f"tuple(map({names.add(self.schema.decoder(strict))}, {got}))"
+
+
+def _no_schema(value):
+    raise TypeError(f"no schema for {value!r}")
+
+
+class OneOf(Kind):
+    """Any of several tagged schemas, chosen by the value's class or by its tag."""
+
+    def __init__(self, *schemas: Schema):
+        self.schemas = schemas
+        self.encoders = {s.cls: s.encode for s in schemas}
+
+    def encode(self, value) -> str:
+        return self.encoders.get(type(value), _no_schema)(value)
+
+    def template(self, value, names):
+        dispatch = f"{names.add(self.encoders)}.get(type({value}), {names.add(_no_schema)})"
+        return "%s", [f"{dispatch}({value})"]
+
+    def parse(self, got, key, strict, names):
+        tag_key = self.schemas[0].tag[0]
+        decoders = {s.tag[1]: s.decoder(strict) for s in self.schemas}
+
+        def decode(obj):
+            tag = obj[tag_key]
+            decoder = decoders.get(tag) if isinstance(tag, str) else None
+            if decoder is None:
+                raise FieldInvalid(tag_key, f"unknown {key} {tag_key} {tag!r}")
+            return decoder(obj)
+        if strict:
+            got = f"{names.add(_object)}({got}, {key!r})"
+        return f"{names.add(decode)}({got})"
+
+
+# --- schemas ------------------------------------------------------------------
+
+class Schema:
+    """One frame, record or nested object: its class, tag and fields.
+
+    ``fields`` are (attribute, kind) pairs in constructor order; each
+    attribute is also the JSON key. ``tag`` is the (key, value) pair that
+    names the variant.
+    """
+
+    def __init__(self, cls, *fields: tuple[str, Kind], tag: tuple[str, str] | None = None):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert names == tuple(name for name, _ in fields), (cls, names)
+        self.cls, self.fields, self.tag = cls, fields, tag
+
+    def slots(self, value: str) -> list[tuple[str, str, Kind]]:
+        """(JSON key, value expression, kind) of each key, inline fields expanded."""
+        out = []
+        for name, kind in self.fields:
+            if isinstance(kind, Inline):
+                out.extend(kind.schema.slots(f"{value}.{name}"))
+            else:
+                out.append((name, f"{value}.{name}", kind))
+        return out
+
+    def keys(self) -> frozenset[str]:
+        """Every key of the object, the tag's included."""
+        keys = [key for key, _, _ in self.slots("")]
+        return frozenset(keys + [self.tag[0]] if self.tag else keys)
+
+    def template(self, value: str, names: _Names) -> tuple[str, list[str]]:
+        """The canonical JSON of the value expression ``value``, as in ``Kind``."""
+        template, values = "{", []
+        if self.tag:
+            template += ":".join(map(encode_basestring, self.tag)).replace("%", "%%")
+        for i, (key, got, kind) in enumerate(sorted(self.slots(value), key=itemgetter(0))):
+            head = ("," if self.tag or i else "") + encode_basestring(key) + ":"
+            part, fillers = kind.template(got, names)
+            if kind.optional:
+                assert self.tag or i, "an untagged object cannot start with an optional key"
+                template += "%s"
+                values.append(f"('' if {got} is None else {head!r} + {_fill(part, fillers)})")
+            else:
+                template += head.replace("%", "%%") + part
+                values.extend(fillers)
+        return template + "}", values
+
+    @cached_property
+    def encode(self):
+        """The canonical JSON text of an instance."""
+        names = _Names()
+        return eval(f"lambda obj: {_fill(*self.template('obj', names))}", dict(names))
+
+    def construct(self, obj: str, strict: bool, names: _Names) -> str:
+        """The expression that builds an instance from the parsed object ``obj``."""
+        args = []
+        for key, kind in self.fields:
+            if isinstance(kind, Inline):
+                args.append(kind.schema.construct(obj, strict, names))
+            elif kind.optional:
+                var = f"opt{len(names)}"
+                parsed = kind.parse(var, key, strict, names)
+                args.append(f"(None if ({var} := {obj}.get({key!r})) is None else {parsed})")
+            else:
+                args.append(kind.parse(f"{obj}[{key!r}]", key, strict, names))
+        return f"{names.add(self.cls)}({', '.join(args)})"
+
+    def decoder(self, strict: bool):
+        """An instance from a parsed JSON object; a missing key raises KeyError."""
+        names = _Names()
+        return eval(f"lambda obj: {self.construct('obj', strict, names)}", dict(names))

@@ -37,16 +37,8 @@ from .eventlog import EventRecord, encode_record
 from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, GeoPoint
 from .ics import parse_ics
 from .presence import Armed
-from .wire import (
-    Arm,
-    Disarm,
-    Fix,
-    RespondInvite,
-    ServerMessage,
-    TaskDone,
-    dumps_canonical,
-    message_fields,
-)
+from .schema import INT, STR, Schema
+from .wire import MESSAGES, Arm, Disarm, Fix, RespondInvite, ServerMessage, TaskDone
 
 M_PER_DEG_LAT = 111_320.0
 
@@ -419,12 +411,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
 # --- transcript files ---------------------------------------------------------
 
 
+# A transcript line is {"at":...,"msg":<the frame's object>,"to":...}.
+_ENTRY = Schema(TranscriptEntry, ("at", INT), ("to", STR), ("msg", MESSAGES))
+
+
 def transcript_lines(entries: list[TranscriptEntry]) -> list[str]:
     """Canonical one-line-per-entry encoding, newline-terminated lines."""
-    return [
-        dumps_canonical({"at": e.at, "msg": message_fields(e.msg), "to": e.to}) + "\n"
-        for e in entries
-    ]
+    encode = _ENTRY.encode
+    return [encode(e) + "\n" for e in entries]
 
 
 def write_transcript(path: str | Path, entries: list[TranscriptEntry]) -> None:

@@ -1,6 +1,12 @@
-"""CLI surface: ingest, status, replay, simulate, simulate --check."""
+"""CLI surface: ingest, status, replay, simulate, simulate --check, serve."""
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 from syncpoint.cli import main
@@ -126,3 +132,34 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--check",
                            SCENARIOS / "s4_task.json")
         assert code == 2
+
+
+class TestServe:
+    def test_sigterm_shuts_down_cleanly(self, tmp_path):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "syncpoint.cli", "serve",
+             "--listen", f"127.0.0.1:{port}", "--log", str(tmp_path / "events.log")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    conn = socket.create_connection(("127.0.0.1", port), timeout=1)
+                    break
+                except OSError:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+            with conn, conn.makefile() as replies:
+                conn.sendall(b'{"type":"HELLO","participant":"ana"}\n')
+                assert json.loads(replies.readline())["type"] == "WELCOME"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()

@@ -1,6 +1,7 @@
 """Engine: command handling, event sourcing, queues, and replay."""
 
 import copy
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from syncpoint.activities import (
     Activity,
     ActivityKind,
     InviteAnswer,
+    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
@@ -28,11 +30,18 @@ from syncpoint.engine import (
 )
 from syncpoint.eventlog import (
     ActivityCreated,
+    ArmCleared,
+    ArmSet,
     ArrivalRecorded,
     CorruptRecord,
+    EventRecord,
     FixAccepted,
+    InviteResponded,
+    TaskCompleted,
+    decode_record,
     encode_record,
     load_log,
+    load_prefix,
     read_records,
 )
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zone
@@ -541,11 +550,98 @@ class TestDeterminismAndReplay:
         assert len(good) == len(lines) - 1
         replay(good)  # prefix state recovers fine
 
+    def test_load_prefix_keeps_the_good_records(self, tmp_path):
+        state = ServerState()
+        records = scripted_run(state)
+        text = "".join(encode_record(r) for r in records)
+        log = tmp_path / "events.log"
+        log.write_text(text, encoding="utf-8")
+        assert load_prefix(log) == (records, None)
+        log.write_text(text[:-7], encoding="utf-8")
+        good, error = load_prefix(log)
+        assert good == records[:-1]
+        assert error.index == len(records) - 1
+
     def test_non_dense_indices_rejected(self):
         state = ServerState()
         lines = [encode_record(r) for r in scripted_run(state)]
         with pytest.raises(CorruptRecord):
             list(read_records([lines[0], lines[2]]))
+
+
+# Strings and floats that exercise every escaping and formatting rule of the
+# canonical dialect.
+AWKWARD_TEXT = [
+    'say "hi"', "back\\slash", "".join(chr(c) for c in range(0x20)), "\u2028\x7f\x85",
+    "caf\u00e9 \u5bb6", "\U0001F600 \U00010348", "%s %(x)s %%",
+]
+AWKWARD_FLOATS = [-0.0, 1e-07, 89.99999999999999, 180.0]
+
+
+def awkward_activity(text: str, calendar_uid) -> Activity:
+    return Activity(
+        id=text, title=text, kind=ActivityKind.PICKUP,
+        window=TimeWindow(0, 2**53),
+        fence=Geofence(GeoPoint(AWKWARD_FLOATS[2], AWKWARD_FLOATS[3]), 1e-07, -0.0),
+        organizer=text,
+        participants=(ParticipantRecord(text), ParticipantRecord("b", ParticipantStatus.DECLINED)),
+        policy=PrivacyPolicy.ANONYMOUS_COUNT, batch_threshold=3, calendar_uid=calendar_uid,
+    )
+
+
+def every_record() -> list[EventRecord]:
+    state = ServerState()
+    events = [record.event for record in scripted_run(state)]
+    for text in AWKWARD_TEXT:
+        events += [
+            ActivityCreated(awkward_activity(text, None)),
+            ActivityCreated(awkward_activity(text, text)),
+            InviteResponded(text, text, InviteAnswer.DECLINE),
+            ArmSet(text, text, Zone.INSIDE),
+            ArmCleared(text, text),
+            ArrivalRecorded(text, text, 2**40),
+            TaskCompleted(text, text, 0),
+        ]
+        events += [
+            FixAccepted(text, text, GeoPoint(lat, lon), 7)
+            for lat in AWKWARD_FLOATS[:3] for lon in AWKWARD_FLOATS
+        ]
+    return [EventRecord(i, i * 3, e) for i, e in enumerate(events)]
+
+
+class TestRecordCodec:
+    """The compiled record codec agrees with the standard library, byte for byte."""
+
+    def test_every_record_type_matches_the_standard_library(self):
+        records = every_record()
+        assert {type(r.event) for r in records} == {
+            ActivityCreated, InviteResponded, ArmSet, ArmCleared, FixAccepted,
+            ArrivalRecorded, TaskCompleted,
+        }
+        for record in records:
+            line = encode_record(record)
+            obj = json.loads(line)
+            assert line == json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+            assert list(obj)[0] == "type"
+            for nested in [obj] + [v for v in obj.values() if isinstance(v, dict)]:
+                keys = [k for k in nested if k != "type"]
+                assert keys == sorted(keys), line
+            assert decode_record(line, record.index) == record
+
+    def test_calendar_uid_is_left_out_when_none(self):
+        without = encode_record(EventRecord(0, 0, ActivityCreated(awkward_activity("a", None))))
+        assert "calendar_uid" not in without
+        with_uid = encode_record(EventRecord(0, 0, ActivityCreated(awkward_activity("a", "u@v"))))
+        assert json.loads(with_uid)["activity"]["calendar_uid"] == "u@v"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_raise(self, bad):
+        fence = Geofence(CENTER, 100.0)
+        object.__setattr__(fence, "hysteresis_m", bad)  # Geofence refuses some of them
+        act = awkward_activity("a", None)
+        object.__setattr__(act, "fence", fence)
+        with pytest.raises(ValueError):
+            encode_record(EventRecord(0, 0, ActivityCreated(act)))
 
 
 class TestLargeRoster:

@@ -1,5 +1,6 @@
 """Simulator: interpolation, noise, poll schedule, scenario runs."""
 
+import hashlib
 import json
 import random
 import statistics
@@ -255,3 +256,45 @@ class TestRunScenario:
         arrivals = [r for r in result.records
                     if type(r.event).__name__ == "ArrivalRecorded"]
         assert len(arrivals) == 1 and arrivals[0].event.who == "g1@example.org"
+
+
+def generated_crowd(seed: int, gathering: int, meetup: int, horizon: int = 1800) -> dict:
+    """An anonymous gathering and an identity meetup; everyone accepts and
+    arms at t=0 one to two kilometres out, and all but one in twenty walk
+    to the centre."""
+    rng = random.Random(seed)
+    activities, actors = [], []
+    for title, kind, policy, size, prefix in (
+        ('Crowd "gathering" \\ ü 家', "GATHERING", "ANONYMOUS", gathering, "g"),
+        ("Crowd meetup \U0001F600", "MEETUP", "IDENTITY", meetup, "mé"),
+    ):
+        lat, lon = 41.0 + rng.random(), -8.0 - rng.random()
+        people = [f"{prefix}{i:03d}" for i in range(size)]
+        activities.append({
+            "title": title, "kind": kind, "policy": policy, "start": 0, "end": 2 * horizon,
+            "lat": lat, "lon": lon, "organizer": people[0], "participants": people,
+        })
+        for i, who in enumerate(people):
+            start = [0, round(lat + rng.uniform(0.008, 0.018) * rng.choice((-1, 1)), 6),
+                     round(lon + rng.uniform(0.008, 0.018) * rng.choice((-1, 1)), 6)]
+            leave = rng.randrange(1, 600)
+            arrive = leave + rng.randrange(60, 300)
+            trace = [start] if i % 20 == 19 else [start, [leave, *start[1:]], [arrive, lat, lon]]
+            actors.append({"id": who, "trace": trace, "actions": [[0, "ACCEPT"], [0, "ARM"]]})
+    return {"seed": seed, "noise_sigma_m": 10.0, "fix_period_s": 30, "horizon": horizon,
+            "activities": activities, "actors": actors}
+
+
+class TestByteIdentity:
+    # SHA-256 of the transcript lines, then the log lines, of the crowd below,
+    # pinned from the encoder that built them with ``json.JSONEncoder``.
+    PINNED = "654652e9626f7802d9c72005c34f002dba853c5121551fd51dbf9aab588a2ec0"
+
+    def test_generated_crowd_transcript_and_log(self):
+        result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
+        transcript, log = transcript_lines(result.transcript), result.log_lines
+        digest = hashlib.sha256()
+        for line in transcript + log:
+            digest.update(line.encode("utf-8"))
+        assert (len(transcript), len(log)) == (2972, 1875)
+        assert digest.hexdigest() == self.PINNED

@@ -2,6 +2,7 @@
 
 import json
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from syncpoint.notify import (
 from syncpoint.wire import (
     Ack,
     Arm,
+    ClientMessage,
     Disarm,
     Err,
     FieldInvalid,
@@ -33,6 +35,7 @@ from syncpoint.wire import (
     ParticipantView,
     Poll,
     RespondInvite,
+    ServerMessage,
     Status,
     StatusView,
     TaskDone,
@@ -201,3 +204,86 @@ class TestFraming:
         buf = FrameBuffer()
         assert buf.feed(b'{"type":"ARM","ac') == []
         assert buf.feed(b'tivity":"a1"}\n') == ['{"type":"ARM","activity":"a1"}']
+
+
+# Strings and floats that exercise every escaping and formatting rule of the
+# canonical dialect.
+AWKWARD_TEXT = [
+    'say "hi"', "back\\slash", "".join(chr(c) for c in range(0x20)), "\u2028\u2029\x7f\x85",
+    "caf\u00e9 \u5bb6", "\U0001F600 \U00010348", "%s %(x)s %%", "",
+]
+AWKWARD_FLOATS = [-0.0, 1e-07, 89.99999999999999, 180.0, -89.5, 0.1 + 0.2]
+
+
+def reference_line(line: str) -> str:
+    """The same object written by the standard library in the canonical dialect."""
+    return json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def assert_canonical_order(obj, tag: str | None):
+    """The tag key first, then every key sorted, in this object and every nested one."""
+    keys = list(obj)
+    if tag is not None:
+        assert keys[0] == tag, keys
+        keys = keys[1:]
+    assert keys == sorted(keys), keys
+    for key, value in obj.items():
+        children = value if isinstance(value, list) else [value]
+        for child in children:
+            if isinstance(child, dict):
+                assert_canonical_order(child, "kind" if key == "notification" else None)
+
+
+def awkward_messages():
+    text = AWKWARD_TEXT
+    point = GeoPoint(AWKWARD_FLOATS[2], AWKWARD_FLOATS[3])
+    summary = ActivitySummary(text[0] or "a", text[6], ActivityKind.GATHERING, 0, 2**53)
+    msgs = [Fix(t or "a", GeoPoint(lat, lon), 0)
+            for t in text for lat in AWKWARD_FLOATS[:3] for lon in AWKWARD_FLOATS[1:]]
+    msgs += [Err(t or "X", t) for t in text]
+    msgs += [Notify(seq, cls(t or "a", 5, identity))
+             for seq, cls in enumerate((ArrivalNotice, TaskDoneNotice), start=1)
+             for t in text for identity in (None, t)]
+    msgs += [Invite(summary), Notify(3, Invitation(summary)), Fix("a", point, 1)]
+    msgs.append(StatusView(text[1], tuple(
+        ParticipantView(t or "p", ParticipantStatus.DECLINED, bool(i % 2))
+        for i, t in enumerate(text)
+    ), 0, ActivityPhase.ENDED))
+    return msgs
+
+
+class TestCanonicalJson:
+    """The compiled encoders agree with the standard library, byte for byte."""
+
+    def test_every_variant_matches_the_standard_library(self):
+        from genmsg import random_message
+
+        rng = random.Random(0x5C4E)
+        msgs = [random_message(rng) for _ in range(3_000)] + awkward_messages()
+        assert {type(m) for m in msgs} >= set(
+            get_args(ClientMessage) + get_args(ServerMessage)
+        )
+        for msg in msgs:
+            line = encode(msg)
+            assert line == reference_line(line), msg
+            assert_canonical_order(json.loads(line), "type")
+            assert decode(line) == msg
+
+    def test_optional_identity_is_left_out(self):
+        for cls in (ArrivalNotice, TaskDoneNotice):
+            assert "identity" not in encode(Notify(1, cls("a1", 3, None)))
+            frame = json.loads(encode(Notify(1, cls("a1", 3, ""))))
+            assert frame["notification"]["identity"] == ""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_raise(self, bad):
+        point = GeoPoint(0.0, 0.0)
+        object.__setattr__(point, "lon", bad)  # GeoPoint itself refuses them
+        with pytest.raises(ValueError):
+            encode(Fix("a", point, 1))
+
+    def test_non_messages_raise(self):
+        with pytest.raises(TypeError):
+            encode(ParticipantView("a", ParticipantStatus.INVITED, True))
+        with pytest.raises(TypeError):
+            encode(Notify(1, "not a notification"))
