@@ -14,8 +14,13 @@ The FIX path looks the sender up once and classifies the fix once, in
 
 Notification queues are part of the state: every queued ``Notify`` carries
 a per-recipient sequence number, assigned at enqueue time, and is also
-returned as an immediate push. Delivery cursors are session bookkeeping
-(the ``Engine`` wrapper), not event-sourced state: polls append no records.
+returned as an immediate push. Polls append no records: the cursor travels
+with each POLL, and the queue is never trimmed.
+
+Durability is the ``Engine`` wrapper's: it appends each command's records
+to the log, and ``Engine.commit`` writes and flushes all records appended
+since the last commit at once. A caller commits before any reply or push
+for those commands leaves (the server does so once per read).
 
 Privacy stance: fixes come in, facts go out. The latest fix per
 (activity, participant) is all the location the state retains, and no
@@ -413,15 +418,16 @@ def materialize_draft(
 
 
 class Engine:
-    """State + optional durable log + session-layer delivery cursors.
+    """State + optional durable log.
 
     Thread-safe: all commands serialize through one lock, establishing the
-    total order the determinism guarantees depend on.
+    total order the determinism guarantees depend on. Records are appended
+    to the log as commands run and reach the file at the next ``commit``
+    (or ``close``); reply to no command before the commit that follows it.
     """
 
     def __init__(self, log_path: str | Path | None = None):
         self.state = ServerState()
-        self.cursors: dict[str, int] = {}
         self._lock = threading.Lock()
         self._writer: LogWriter | None = None
         if log_path is not None:
@@ -438,11 +444,13 @@ class Engine:
         with self._lock:
             outbound, records = handle(self.state, msg, from_, now)
             self._persist(records)
-            # An errored command answers with exactly one Err.
-            if isinstance(msg, Poll) and not isinstance(outbound[0][1], Err):
-                # The echoed cursor acknowledges everything at or below it.
-                self.cursors[from_] = max(self.cursors.get(from_, 0), msg.cursor)
             return outbound
+
+    def commit(self) -> None:
+        """Write and flush every record appended since the last commit."""
+        with self._lock:
+            if self._writer is not None:
+                self._writer.commit()
 
     def create_activity(self, *, now: int, **spec) -> tuple[Activity, Outbound]:
         with self._lock:

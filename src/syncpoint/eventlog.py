@@ -7,6 +7,10 @@ dense from 0. A malformed or out-of-sequence line stops replay with
 ``CorruptRecord`` naming the index; everything before it is recoverable
 (``load_prefix``).
 
+``LogWriter`` group-commits: appended records are buffered and written
+together, with one write and one flush, at ``commit``. The server commits
+once per read, before any reply or push for that read's frames leaves.
+
 The schema table below (``_EVENTS``, one entry per record type) is the one
 place where each record's fields and order live: a record is its event's
 fields beside ``at`` and ``index``, tagged with ``type``. Records are read
@@ -233,21 +237,35 @@ def load_log(path: str | Path) -> list[EventRecord]:
 
 
 class LogWriter:
-    """Appends records to a log file, one canonical line each."""
+    """Appends records to a log file, one canonical line each.
+
+    ``append`` checks the index and buffers the line; ``commit`` writes
+    every buffered line with one write and flushes, so the records of one
+    batch reach the file together. ``close`` commits first.
+    """
 
     def __init__(self, path: str | Path, start_index: int = 0):
         self.path = Path(path)
         self.next_index = start_index
         self._fh = open(self.path, "a", encoding="utf-8")
+        self._lines: list[str] = []
 
     def append(self, record: EventRecord) -> None:
         if record.index != self.next_index:
             raise CorruptRecord(
                 self.next_index, f"attempted append with index {record.index}"
             )
-        self._fh.write(encode_record(record))
-        self._fh.flush()
+        self._lines.append(encode_record(record))
         self.next_index += 1
 
+    def commit(self) -> None:
+        if self._lines:
+            lines, self._lines = self._lines, []
+            self._fh.write("".join(lines))
+            self._fh.flush()
+
     def close(self) -> None:
-        self._fh.close()
+        try:
+            self.commit()
+        finally:
+            self._fh.close()

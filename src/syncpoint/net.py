@@ -6,6 +6,13 @@ message goes through the engine with the wall clock injected. Direct
 responses return on the handling connection; Notify pushes go to every
 live connection registered for the recipient. Participants without a live
 connection simply poll later — the queues keep everything.
+
+Each read is handled as one batch. Every frame it completes goes through
+the engine in order; then the records of the whole read are committed to
+the log with one write and one flush, and only then does any reply or push
+for them leave. Pushes to other connections are written first, then the
+sender's replies, each connection's share in one write and in request
+order, with an ERR in place of each frame that could not be handled.
 """
 
 from __future__ import annotations
@@ -16,9 +23,16 @@ import time
 
 from .engine import Engine
 from .errors import SyncError
-from .wire import CLIENT_MESSAGES, Err, FrameBuffer, Hello, decode, encode
+from .wire import CLIENT_MESSAGES, MAX_FRAME_BYTES, Err, FrameBuffer, Hello, decode, encode
 
 log = logging.getLogger(__name__)
+
+
+async def _drain(writer: asyncio.StreamWriter) -> None:
+    try:
+        await writer.drain()
+    except ConnectionError:
+        pass
 
 
 class SyncServer:
@@ -43,21 +57,6 @@ class SyncServer:
         if not writers:
             self._conns.pop(participant, None)
 
-    async def _send(self, writer: asyncio.StreamWriter, msg) -> None:
-        writer.write(encode(msg).encode("utf-8"))
-        try:
-            await writer.drain()
-        except ConnectionError:
-            pass
-
-    async def _route(self, outbound, sender: str, sender_writer) -> None:
-        for to, msg in outbound:
-            if to == sender:
-                await self._send(sender_writer, msg)
-            else:
-                for w in self._conns.get(to, []):
-                    await self._send(w, msg)
-
     async def _client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -68,30 +67,58 @@ class SyncServer:
                 data = await reader.read(4096)
                 if not data:
                     break
+                replies: list[str] = []  # to this connection, in request order
+                pushes: dict[asyncio.StreamWriter, list[str]] = {}
                 for frame in buf.feed(data):
                     if not frame.strip():
                         continue
                     try:
                         msg = decode(frame)
                     except SyncError as e:
-                        await self._send(writer, Err(e.code, e.detail))
+                        replies.append(encode(Err(e.code, e.detail)))
                         continue
                     if not isinstance(msg, CLIENT_MESSAGES):
-                        await self._send(
-                            writer,
-                            Err("NOT_A_CLIENT_MESSAGE", "server frames are not accepted"),
-                        )
+                        replies.append(encode(
+                            Err("NOT_A_CLIENT_MESSAGE", "server frames are not accepted")
+                        ))
                         continue
                     if participant is None:
                         if not isinstance(msg, Hello):
-                            await self._send(
-                                writer, Err("HELLO_REQUIRED", "introduce yourself first")
-                            )
+                            replies.append(encode(
+                                Err("HELLO_REQUIRED", "introduce yourself first")
+                            ))
                             continue
                         participant = msg.participant
                         self._register(participant, writer)
-                    outbound = self.engine.handle(msg, participant, self.clock())
-                    await self._route(outbound, participant, writer)
+                    for to, out in self.engine.handle(msg, participant, self.clock()):
+                        if to == participant:
+                            replies.append(encode(out))
+                        elif to in self._conns:
+                            line = encode(out)
+                            for w in self._conns[to]:
+                                pushes.setdefault(w, []).append(line)
+                oversized = len(buf.pending) > MAX_FRAME_BYTES
+                if oversized:
+                    replies.append(encode(Err(
+                        "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"
+                    )))
+                self.engine.commit()
+                for w, lines in pushes.items():
+                    w.write("".join(lines).encode("utf-8"))
+                if replies:
+                    writer.write("".join(replies).encode("utf-8"))
+                for w in pushes:
+                    await _drain(w)
+                if replies:
+                    await _drain(writer)
+                if oversized:
+                    break
+        except asyncio.CancelledError:
+            # Only the loop's shutdown cancels a connection. Returning
+            # instead of re-raising keeps asyncio's stream protocol, whose
+            # done-callback asks the task for its exception, from logging a
+            # CancelledError traceback for every open connection.
+            pass
         finally:
             if participant is not None:
                 self._unregister(participant, writer)

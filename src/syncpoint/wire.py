@@ -284,6 +284,11 @@ def decode(frame: str) -> Message:
         raise FieldInvalid("lon", e.detail) from None
 
 
+# The longest unterminated frame a connection may hold, far above any
+# client frame; a longer tail is refused with FRAME_TOO_LARGE.
+MAX_FRAME_BYTES = 64 * 1024
+
+
 class FrameBuffer:
     """Reassembles newline-delimited frames from arbitrarily split chunks."""
 
@@ -292,16 +297,10 @@ class FrameBuffer:
 
     def feed(self, data: bytes) -> list[str]:
         """Absorb a chunk; return every frame completed by it, in order."""
-        self._buf += data
-        frames = []
-        while True:
-            line, sep, rest = self._buf.partition(b"\n")
-            if not sep:
-                break
-            self._buf = rest
-            frames.append(line.decode("utf-8").rstrip("\r"))
-        return frames
+        *lines, self._buf = (self._buf + data).split(b"\n")
+        return [line.decode("utf-8").rstrip("\r") for line in lines]
 
     @property
     def pending(self) -> bytes:
+        """The unterminated tail, held until its newline arrives."""
         return self._buf

@@ -135,7 +135,11 @@ class TestSimulate:
 
 
 class TestServe:
-    def test_sigterm_shuts_down_cleanly(self, tmp_path):
+    @staticmethod
+    def _signal_with_a_connection(tmp_path, keep_open: bool) -> tuple[int, str]:
+        """Start ``serve``, say HELLO on one connection, then send SIGTERM;
+        the connection is closed first unless ``keep_open``. Returns the
+        exit code and stderr."""
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
@@ -157,9 +161,22 @@ class TestServe:
             with conn, conn.makefile() as replies:
                 conn.sendall(b'{"type":"HELLO","participant":"ana"}\n')
                 assert json.loads(replies.readline())["type"] == "WELCOME"
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+                if not keep_open:
+                    conn.close()
+                    time.sleep(0.1)
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=10)
+            return code, proc.stderr.read().decode()
         finally:
             proc.kill()
             proc.wait()
             proc.stderr.close()
+
+    def test_sigterm_shuts_down_cleanly(self, tmp_path):
+        code, err = self._signal_with_a_connection(tmp_path, keep_open=False)
+        assert code == 0, err
+
+    def test_sigterm_with_an_open_connection_is_quiet(self, tmp_path):
+        code, err = self._signal_with_a_connection(tmp_path, keep_open=True)
+        assert code == 0, err
+        assert "Traceback" not in err, err

@@ -687,17 +687,24 @@ class TestEngineWrapper:
         records = load_log(log)
         assert [r.index for r in records] == list(range(len(records)))
 
-    def test_poll_advances_session_cursor(self):
-        eng = Engine()
+    def test_records_reach_the_log_at_commit(self, tmp_path):
+        log = tmp_path / "events.log"
+        eng = Engine(log_path=log)
         act, _ = eng.create_activity(
             now=0, title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
             organizer="ana", participant_ids=["ana", "bruno"],
         )
-        eng.handle(Poll(0), "bruno", 1)
-        assert eng.cursors["bruno"] == 0
-        eng.handle(Poll(1), "bruno", 2)
-        assert eng.cursors["bruno"] == 1
+        eng.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 5)
+        eng.handle(Poll(0), "bruno", 6)  # polls append no record
+        assert log.read_text() == ""
+        eng.commit()
+        assert [type(r.event) for r in load_log(log)] == [ActivityCreated, InviteResponded]
+        eng.commit()  # nothing new: nothing written
+        eng.handle(Arm(act.id), "bruno", 7)
+        eng.close()  # closing commits
+        assert [r.index for r in load_log(log)] == [0, 1, 2]
+        assert replay(load_log(log)) == eng.state
 
 
 class TestDraftEquivalence:

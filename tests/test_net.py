@@ -4,10 +4,14 @@ import asyncio
 import math
 
 from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
-from syncpoint.engine import Engine
+from syncpoint.engine import Engine, replay
+from syncpoint.eventlog import FixAccepted, load_log
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint
 from syncpoint.net import SyncServer
-from syncpoint.wire import encode, decode, Fix, Hello, Notify, Poll, RespondInvite, Arm
+from syncpoint.wire import (
+    MAX_FRAME_BYTES, Ack, Arm, Err, Fix, Hello, Notify, Poll, RespondInvite, Welcome, decode,
+    encode,
+)
 
 CENTER = GeoPoint(41.5606, -8.3970)
 
@@ -140,3 +144,160 @@ def test_server_frame_errors():
     malformed, not_client = asyncio.run(run())
     assert malformed.code == "MALFORMED"
     assert not_client.code == "NOT_A_CLIENT_MESSAGE"
+
+
+async def _start(engine, clock):
+    server = await SyncServer(engine, clock=clock).start("127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+def _fair(engine):
+    """A meetup of ana (organizer) and bruno, both accepted."""
+    act, _ = engine.create_activity(
+        now=0, title="Fair", kind=ActivityKind.MEETUP,
+        window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+        organizer="ana", participant_ids=["ana", "bruno"],
+    )
+    for who in ("ana", "bruno"):
+        engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
+    return act
+
+
+def _summary(msg):
+    if isinstance(msg, Ack):
+        return ("ACK", msg.of)
+    if isinstance(msg, Err):
+        return ("ERR", msg.code)
+    if isinstance(msg, Notify):
+        return ("NOTIFY", msg.seq, type(msg.notification).__name__)
+    if isinstance(msg, Welcome):
+        return ("WELCOME",)
+    raise AssertionError(f"unexpected reply {msg!r}")
+
+
+def test_one_write_of_mixed_frames_gets_its_replies_in_order():
+    async def run():
+        engine = Engine()
+        server, port = await _start(engine, lambda: 2000)
+        act = _fair(engine)
+        ana, bruno = Client(), Client()
+        await ana.connect(port)
+        await bruno.connect(port)
+        await ana.send(Hello("ana"))
+        await ana.recv()
+        frames = [
+            encode(Hello("bruno")),
+            "this is not json\n",
+            '{"type":"WELCOME","server_time":1}\n',
+            encode(Arm(act.id)),
+            encode(Fix(act.id, at_distance(500), 2001)),
+            encode(Fix(act.id, at_distance(300), 2002)),
+            encode(Fix(act.id, at_distance(50), 2003)),  # the arrival
+            encode(Fix(act.id, at_distance(40), 2004)),
+            encode(Poll(0)),
+        ]
+        await bruno.send_raw("".join(frames).encode())
+        replies = [await bruno.recv()]
+        while replies[-1] != Ack("POLL"):
+            replies.append(await bruno.recv())
+        push = await ana.recv()
+        await ana.close()
+        await bruno.close()
+        server.close()
+        await server.wait_closed()
+        return replies, push
+
+    replies, push = asyncio.run(run())
+    assert [_summary(m) for m in replies] == [
+        ("WELCOME",),
+        ("ERR", "MALFORMED"),
+        ("ERR", "NOT_A_CLIENT_MESSAGE"),
+        ("ACK", "ARM"),
+        ("ACK", "FIX"),
+        ("ACK", "FIX"),
+        ("ACK", "FIX"),
+        ("NOTIFY", 2, "SelfArrivalAck"),
+        ("ACK", "FIX"),
+        ("NOTIFY", 1, "Invitation"),
+        ("NOTIFY", 2, "SelfArrivalAck"),
+        ("ACK", "POLL"),
+    ]
+    assert _summary(push) == ("NOTIFY", 1, "ArrivalNotice")
+    assert push.notification.identity == "bruno"
+
+
+def test_records_are_flushed_before_pushes_and_replies_leave(tmp_path, monkeypatch):
+    log = tmp_path / "events.log"
+    server_writes = []  # (frames written by the server, records on disk at that moment)
+    write = asyncio.StreamWriter.write
+
+    def watching_write(self, data):
+        if b'"type":"ACK"' in data or b'"type":"NOTIFY"' in data:
+            server_writes.append(
+                ([_summary(decode(line)) for line in data.decode().splitlines()], load_log(log))
+            )
+        write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", watching_write)
+
+    async def run():
+        engine = Engine(log_path=log)
+        server, port = await _start(engine, lambda: 2000)
+        act = _fair(engine)
+        ana, bruno = Client(), Client()
+        for who, c in (("ana", ana), ("bruno", bruno)):
+            await c.connect(port)
+            await c.send(Hello(who))
+            await c.recv()
+        await bruno.send(Arm(act.id))
+        await bruno.recv()
+        await bruno.send(Fix(act.id, at_distance(500), 2001))
+        ack = await bruno.recv()
+        on_disk_at_ack = load_log(log)
+        await bruno.send(Fix(act.id, at_distance(50), 2002))  # the arrival
+        for c in (bruno, bruno, ana):  # ack, self-ack; the push
+            await c.recv()
+        await ana.close()
+        await bruno.close()
+        server.close()
+        await server.wait_closed()
+        engine.close()
+        return act, ack, on_disk_at_ack, engine.state
+
+    act, ack, on_disk_at_ack, state = asyncio.run(run())
+    assert ack == Ack("FIX")
+    assert on_disk_at_ack[-1].event == FixAccepted(act.id, "bruno", at_distance(500), 2001)
+    # Each write leaves after its records are on disk; the arrival's push
+    # to ana goes before bruno's own replies, which leave in one write.
+    assert [(frames, len(on_disk)) for frames, on_disk in server_writes] == [
+        ([("ACK", "ARM")], 4),
+        ([("ACK", "FIX")], 5),
+        ([("NOTIFY", 1, "ArrivalNotice")], 7),
+        ([("ACK", "FIX"), ("NOTIFY", 2, "SelfArrivalAck")], 7),
+    ]
+    assert replay(server_writes[-1][1]) == state
+
+
+def test_endless_frame_is_refused():
+    async def run():
+        engine = Engine()
+        server, port = await _start(engine, lambda: 1)
+        c = Client()
+        await c.connect(port)
+        await c.send(Hello("ana"))
+        await c.recv()
+        # A tail of exactly the limit is still read to its newline.
+        await c.send_raw(b"x" * MAX_FRAME_BYTES + b"\n")
+        at_limit = await c.recv()
+        await c.send_raw(b"x" * (MAX_FRAME_BYTES + 1))
+        refused = await c.recv()
+        rest = await asyncio.wait_for(c.reader.read(), timeout=5)
+        await c.close()
+        server.close()
+        await server.wait_closed()
+        return at_limit, refused, rest
+
+    at_limit, refused, rest = asyncio.run(run())
+    assert at_limit.code == "MALFORMED"
+    assert refused.code == "FRAME_TOO_LARGE"
+    assert rest == b""  # and the server hung up

@@ -205,6 +205,32 @@ class TestFraming:
         assert buf.feed(b'{"type":"ARM","ac') == []
         assert buf.feed(b'tivity":"a1"}\n') == ['{"type":"ARM","activity":"a1"}']
 
+    def test_many_frames_and_a_partial_tail_in_one_chunk(self):
+        frames = [encode(Arm(f"a{i}")) for i in range(50)]
+        tail = encode(Arm("a50"))
+        buf = FrameBuffer()
+        chunk = "".join(frames).encode("utf-8") + tail[:7].encode("utf-8")
+        assert buf.feed(chunk) == [f.rstrip("\n") for f in frames]
+        assert buf.pending == tail[:7].encode("utf-8")
+        assert buf.feed(tail[7:].encode("utf-8")) == [tail.rstrip("\n")]
+        assert buf.pending == b""
+
+    def test_crlf_endings_and_empty_lines(self):
+        buf = FrameBuffer()
+        assert buf.feed(b'{"type":"POLL","cursor":0}\r\n\r\n{"type":"ARM"') == [
+            '{"type":"POLL","cursor":0}', "",
+        ]
+        assert buf.feed(b',"activity":"a1"}\r\n') == ['{"type":"ARM","activity":"a1"}']
+
+    def test_multibyte_character_split_across_chunks(self):
+        frame = encode(Err("X", "café 家 \U0001F600")).encode("utf-8")
+        for cut in range(frame.index(b"\xc3") + 1, len(frame) - 1):
+            buf = FrameBuffer()
+            assert buf.feed(frame[:cut]) == []
+            assert [decode(f) for f in buf.feed(frame[cut:])] == [
+                Err("X", "café 家 \U0001F600")
+            ]
+
 
 # Strings and floats that exercise every escaping and formatting rule of the
 # canonical dialect.
