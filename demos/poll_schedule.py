@@ -13,7 +13,7 @@ from syncpoint.sim import next_poll_interval
 
 START = 200_000
 act = new_activity(
-    title="Dinner", kind=ActivityKind.GATHERING,
+    activity_id="a1", title="Dinner", kind=ActivityKind.GATHERING,
     window=TimeWindow(START, START + 7_200),
     fence=Geofence(GeoPoint(41.5454, -8.4265), 100.0),
     organizer="dora", participant_ids=["dora", "emil"],

@@ -11,7 +11,6 @@ from (window, now) — it is never stored.
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -150,6 +149,7 @@ class Activity:
 
 def new_activity(
     *,
+    activity_id: str,
     title: str,
     kind: ActivityKind,
     window: TimeWindow,
@@ -158,16 +158,14 @@ def new_activity(
     participant_ids: list[str] | tuple[str, ...],
     policy: PrivacyPolicy = PrivacyPolicy.DISCLOSE_IDENTITY,
     batch_threshold: int | None = None,
-    activity_id: str | None = None,
     calendar_uid: str | None = None,
 ) -> Activity:
     """Validate an activity spec and build the activity.
 
     All participants (organizer included) start as Invited. A missing
     batch threshold defaults to 5 for Gathering activities and 1 for every
-    other kind. When ``activity_id`` is not supplied a random opaque id is
-    generated; callers that need reproducible ids (the server does) pass
-    their own.
+    other kind. The caller names the activity: the server allocates ids
+    from its state, so that logs and transcripts are reproducible.
     """
     ids = list(participant_ids)
     seen = set()
@@ -190,7 +188,7 @@ def new_activity(
             f"batch threshold must be an integer >= 1, got {batch_threshold!r}"
         )
     return Activity(
-        id=activity_id if activity_id is not None else f"act-{uuid.uuid4().hex[:12]}",
+        id=activity_id,
         title=title,
         kind=kind,
         window=window,

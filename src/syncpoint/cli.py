@@ -8,8 +8,10 @@
     syncpoint simulate --check SCENARIO.json GOLDEN.jsonl
 
 `status` and `replay` are offline tools: they rebuild state from the event
-log and print status views as canonical wire frames. `simulate --check`
-exits non-zero on the first diverging transcript line.
+log, keeping the records before a corrupt line with a warning, and print
+status views as canonical wire frames. `serve` and `ingest` cut a torn final
+line off the log with the same warning; any other corrupt line stops them.
+`simulate --check` exits non-zero on the first diverging transcript line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from .engine import Engine, replay, status_view
 from .errors import SyncError
-from .eventlog import load_prefix, split_lines
+from .eventlog import CorruptRecord, load_prefix, split_lines
 from .ics import parse_ics
 from .net import serve_forever
 from .sim import (
@@ -43,12 +45,16 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-def _recover_state(log_path: str):
-    """Replay a log, keeping the good prefix when the tail is corrupt."""
-    records, error = load_prefix(log_path)
+def _warn_kept_prefix(error: CorruptRecord | None) -> None:
     if error is not None:
         print(f"warning: {error.detail}; keeping state up to record {error.index}",
               file=sys.stderr)
+
+
+def _recover_state(log_path: str):
+    """Replay a log, keeping the good prefix when the tail is corrupt."""
+    records, error = load_prefix(log_path)
+    _warn_kept_prefix(error)
     return replay(records)
 
 
@@ -63,6 +69,7 @@ async def _serve(engine: Engine, host: str, port: int) -> None:
 def cmd_serve(args) -> int:
     host, port = args.listen
     engine = Engine(log_path=args.log)
+    _warn_kept_prefix(engine.torn_tail)
     try:
         asyncio.run(_serve(engine, host, port))
     except (KeyboardInterrupt, asyncio.CancelledError):
@@ -74,6 +81,7 @@ def cmd_serve(args) -> int:
 
 def cmd_ingest(args) -> int:
     engine = Engine(log_path=args.log)
+    _warn_kept_prefix(engine.torn_tail)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
         result = parse_ics(text, args.system_address)

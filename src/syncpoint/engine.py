@@ -10,12 +10,12 @@ can drive virtual time.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``apply(FixAccepted)``; whether that fix is the arrival is decided by
-``presence.arrives``, the same rule ``presence.ingest_fix`` applies.
+``presence.ingest_fix``, the one place that rule lives.
 
 Notification queues are part of the state: every queued ``Notify`` carries
-a per-recipient sequence number, assigned at enqueue time, and is also
-returned as an immediate push. Polls append no records: the cursor travels
-with each POLL, and the queue is never trimmed.
+a per-recipient sequence number, dense from 1 (its position in the queue),
+and is also returned as an immediate push. Polls append no records: the
+cursor travels with each POLL, and the queue is never trimmed.
 
 Durability is the ``Engine`` wrapper's: it appends each command's records
 to the log, and ``Engine.commit`` writes and flushes all records appended
@@ -57,11 +57,12 @@ from .eventlog import (
     InviteResponded,
     LogWriter,
     TaskCompleted,
+    TornTail,
     load_log,
 )
 from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, Zone, classify_zone
 from .ics import ActivityDraft
-from .notify import KindMismatch, Notification, on_arrival, on_invite, on_task_done
+from .notify import Notification, on_arrival, on_invite, on_task_done
 from .wire import (
     Ack,
     Arm,
@@ -94,6 +95,10 @@ class PhaseViolation(SyncError):
     code = "PHASE_VIOLATION"
 
 
+class KindMismatch(SyncError):
+    code = "KIND_MISMATCH"
+
+
 @dataclass
 class ParticipantPresence:
     """Per-(activity, participant) server-side presence bookkeeping."""
@@ -111,7 +116,6 @@ class ServerState:
     presence: dict[tuple[str, str], ParticipantPresence] = field(default_factory=dict)
     arrivals: dict[str, tuple[str, ...]] = field(default_factory=dict)
     queues: dict[str, list[Notify]] = field(default_factory=dict)
-    next_seq: dict[str, int] = field(default_factory=dict)
     record_count: int = 0
 
 
@@ -119,10 +123,9 @@ Outbound = list[tuple[str, ServerMessage]]
 
 
 def _enqueue(state: ServerState, recipient: str, n: Notification) -> tuple[str, Notify]:
-    seq = state.next_seq.get(recipient, 1)
-    state.next_seq[recipient] = seq + 1
-    msg = Notify(seq, n)
-    state.queues.setdefault(recipient, []).append(msg)
+    queue = state.queues.setdefault(recipient, [])
+    msg = Notify(len(queue) + 1, n)
+    queue.append(msg)
     return recipient, msg
 
 
@@ -185,6 +188,12 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
             _enqueue(state, r, n) for r, n in on_task_done(act, e.who, e.done_at)
         ]
     raise TypeError(f"not an event: {e!r}")
+
+
+def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]:
+    """The next record, carrying ``event``, applied to the state; and its pushes."""
+    record = EventRecord(state.record_count, now, event)
+    return record, apply(state, record)
 
 
 def replay(records) -> ServerState:
@@ -271,33 +280,23 @@ def _dispatch(
         if phase_at(act, now) is ActivityPhase.ENDED:
             raise PhaseViolation(f"{act.id} has already ended")
         respond_invitation(act, from_, msg.answer)  # validation only
-        records = [
-            EventRecord(
-                state.record_count, now, InviteResponded(act.id, from_, msg.answer)
-            )
-        ]
-        pushes = [p for r in records for p in apply(state, r)]
-        return [(from_, Ack("RESPOND_INVITE"))] + pushes, records
+        record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
+        return [(from_, Ack("RESPOND_INVITE"))] + pushes, [record]
 
     if isinstance(msg, Arm):
         act = _activity(state, msg.activity)
         pp = _presence_of(state, act, from_, accepted=True)
         prs.arm(pp.alarm, pp.zone)  # validation only
-        records = [
-            EventRecord(state.record_count, now, ArmSet(act.id, from_, pp.zone))
-        ]
-        pushes = [p for r in records for p in apply(state, r)]
-        return [(from_, Ack("ARM"))] + pushes, records
+        record, _ = _record(state, now, ArmSet(act.id, from_, pp.zone))
+        return [(from_, Ack("ARM"))], [record]
 
     if isinstance(msg, Disarm):
         act = _activity(state, msg.activity)
         pp = _presence_of(state, act, from_)
-        records = []
-        if isinstance(pp.alarm, prs.Armed):
-            records = [EventRecord(state.record_count, now, ArmCleared(act.id, from_))]
-            for r in records:
-                apply(state, r)
-        return [(from_, Ack("DISARM"))], records
+        if not isinstance(pp.alarm, prs.Armed):
+            return [(from_, Ack("DISARM"))], []
+        record, _ = _record(state, now, ArmCleared(act.id, from_))
+        return [(from_, Ack("DISARM"))], [record]
 
     if isinstance(msg, Fix):
         act = _activity(state, msg.activity)
@@ -310,29 +309,20 @@ def _dispatch(
             # Outside the window the fix is ignored: no state, no record.
             return [(from_, Ack("FIX"))], []
         alarm = pp.alarm
-        records = [
-            EventRecord(
-                state.record_count, now, FixAccepted(act.id, from_, msg.point, msg.at)
-            )
-        ]
-        apply(state, records[0])  # classifies the fix into pp.zone; no pushes
-        if not prs.arrives(alarm, pp.zone):
-            return [(from_, Ack("FIX"))], records
-        records.append(
-            EventRecord(state.record_count, now, ArrivalRecorded(act.id, from_, msg.at))
-        )
-        return [(from_, Ack("FIX"))] + apply(state, records[1]), records
+        # Classifies the fix into pp.zone; a FixAccepted pushes nothing.
+        fixed, _ = _record(state, now, FixAccepted(act.id, from_, msg.point, msg.at))
+        if not prs.ingest_fix(alarm, pp.zone):
+            return [(from_, Ack("FIX"))], [fixed]
+        arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
+        return [(from_, Ack("FIX"))] + pushes, [fixed, arrival]
 
     if isinstance(msg, TaskDone):
         act = _activity(state, msg.activity)
         _presence_of(state, act, from_, accepted=True)
         if act.kind is not ActivityKind.TASK:
             raise KindMismatch(f"{act.id} is {act.kind.value}, not TASK")
-        records = [
-            EventRecord(state.record_count, now, TaskCompleted(act.id, from_, msg.at))
-        ]
-        pushes = [p for r in records for p in apply(state, r)]
-        return [(from_, Ack("TASK_DONE"))] + pushes, records
+        record, pushes = _record(state, now, TaskCompleted(act.id, from_, msg.at))
+        return [(from_, Ack("TASK_DONE"))] + pushes, [record]
 
     if isinstance(msg, Poll):
         msgs, _ = pending(state, from_, msg.cursor)
@@ -377,8 +367,7 @@ def create_activity(
         activity_id=f"a{len(state.activities) + 1}",
         calendar_uid=calendar_uid,
     )
-    record = EventRecord(state.record_count, now, ActivityCreated(act))
-    pushes = apply(state, record)
+    record, pushes = _record(state, now, ActivityCreated(act))
     return act, pushes, [record]
 
 
@@ -424,14 +413,23 @@ class Engine:
     total order the determinism guarantees depend on. Records are appended
     to the log as commands run and reach the file at the next ``commit``
     (or ``close``); reply to no command before the commit that follows it.
+
+    Opening a log replays it; a torn final line is cut off and kept in
+    ``torn_tail``, and any other corrupt line raises ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
         self.state = ServerState()
         self._lock = threading.Lock()
         self._writer: LogWriter | None = None
+        self.torn_tail: TornTail | None = None
         if log_path is not None:
-            existing = load_log(log_path) if Path(log_path).exists() else []
+            try:
+                existing = load_log(log_path) if Path(log_path).exists() else []
+            except TornTail as torn:
+                with open(log_path, "rb+") as fh:  # appends then start on a fresh line
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+                existing, self.torn_tail = load_log(log_path), torn
             self.state = replay(existing)
             self._writer = LogWriter(log_path, start_index=len(existing))
 
@@ -470,9 +468,6 @@ class Engine:
             for a in self.state.activities.values()
             if a.calendar_uid is not None
         }
-
-    def pending(self, participant: str, cursor: int) -> tuple[list[Notify], int]:
-        return pending(self.state, participant, cursor)
 
     def status_view(self, activity_id: str, now: int) -> StatusView:
         return status_view(self.state, activity_id, now)

@@ -5,7 +5,7 @@ the log through the same transition logic reproduces the live state. One
 record per line, canonical JSON (same dialect as the wire format), indices
 dense from 0. A malformed or out-of-sequence line stops replay with
 ``CorruptRecord`` naming the index; everything before it is recoverable
-(``load_prefix``).
+(``load_prefix``); a final line without its newline is a ``TornTail``.
 
 ``LogWriter`` group-commits: appended records are buffered and written
 together, with one write and one flush, at ``commit``. The server commits
@@ -46,6 +46,10 @@ class CorruptRecord(SyncError):
         super().__init__(f"record {index}: {reason}")
         self.index = index
         self.reason = reason
+
+
+class TornTail(CorruptRecord):
+    """The final line lacks its newline: the last write was cut short."""
 
 
 @dataclass(frozen=True)
@@ -192,13 +196,13 @@ def decode_record(line: str, expected_index: int) -> EventRecord:
 def read_records(lines: Iterable[str]) -> Iterator[EventRecord]:
     """Decode log lines in order; raises CorruptRecord at the first bad one.
 
-    A final line lacking its newline terminator counts as truncated and
-    therefore corrupt — a torn write must not be silently absorbed.
+    A final line lacking its newline terminator is a ``TornTail``, corrupt
+    too — a torn write must not be silently absorbed.
     """
     index = 0
     for line in lines:
         if not line.endswith("\n"):
-            raise CorruptRecord(index, "truncated line (missing newline)")
+            raise TornTail(index, "truncated line (missing newline)")
         yield decode_record(line, index)
         index += 1
 

@@ -185,6 +185,8 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             warnings.append(f"line {idx}: ignored malformed line")
             continue
         name, value = prop
+        if name not in _SUPPORTED and name not in _IGNORED:
+            warnings.append(f"line {idx}: ignored unknown property {name}")
         if name == "BEGIN" and value.strip().upper() == "VEVENT":
             current = []
         elif name == "END" and value.strip().upper() == "VEVENT":
@@ -192,12 +194,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
                 events.append(current)
             current = None
         elif current is not None:
-            if name not in _SUPPORTED and name not in _IGNORED:
-                warnings.append(f"line {idx}: ignored unknown property {name}")
             current.append((name, value))
-        else:
-            if name not in _SUPPORTED and name not in _IGNORED:
-                warnings.append(f"line {idx}: ignored unknown property {name}")
 
     for props in events:
         first = {}

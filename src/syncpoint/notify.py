@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .activities import Activity, ActivityKind, ParticipantStatus, PrivacyPolicy
-from .errors import SyncError
-from .presence import NotAccepted
-
-
-class KindMismatch(SyncError):
-    code = "KIND_MISMATCH"
+from .activities import Activity, ActivityKind, PrivacyPolicy
 
 
 @dataclass(frozen=True)
@@ -143,15 +137,9 @@ def on_arrival(
 def on_task_done(activity: Activity, doer: str, at: int) -> Fanout:
     """Tell the other accepted participants the task is handled.
 
-    No self-ack: reporting completion is explicit, it needs no echo.
+    No self-ack: reporting completion is explicit, it needs no echo. The
+    engine has checked the activity's kind and the doer's acceptance.
     """
-    if activity.kind is not ActivityKind.TASK:
-        raise KindMismatch(
-            f"{activity.id} is {activity.kind.value}, not TASK"
-        )
-    record = activity.participant(doer)
-    if record is None or record.status is not ParticipantStatus.ACCEPTED:
-        raise NotAccepted(f"{doer!r} has not accepted {activity.id}")
     notice = TaskDoneNotice(
         activity.id, at, render_identity(activity.policy, doer)
     )

@@ -258,11 +258,11 @@ _DECODERS = {
 }
 
 
-def decode(frame: str) -> Message:
-    """Decode one frame (trailing newline tolerated)."""
+def decode(frame: str | bytes) -> Message:
+    """Decode one frame (trailing newline tolerated); bytes must be UTF-8."""
     try:
-        obj = json.loads(frame)
-    except ValueError as e:
+        obj = json.loads(frame.decode("utf-8") if isinstance(frame, bytes) else frame)
+    except ValueError as e:  # UnicodeDecodeError included
         raise MalformedFrame(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise MalformedFrame("frame is not a JSON object")
@@ -295,10 +295,10 @@ class FrameBuffer:
     def __init__(self):
         self._buf = b""
 
-    def feed(self, data: bytes) -> list[str]:
-        """Absorb a chunk; return every frame completed by it, in order."""
+    def feed(self, data: bytes) -> list[bytes]:
+        """Absorb a chunk; return every frame it completes, in order, as bytes."""
         *lines, self._buf = (self._buf + data).split(b"\n")
-        return [line.decode("utf-8").rstrip("\r") for line in lines]
+        return [line.rstrip(b"\r") for line in lines]
 
     @property
     def pending(self) -> bytes:

@@ -14,24 +14,15 @@ from pathlib import Path
 
 from genmsg import random_message
 
-from syncpoint.engine import replay
+from syncpoint.engine import ServerState, create_activity, handle, replay
 from syncpoint.errors import SyncError
-from syncpoint.eventlog import read_records
+from syncpoint.eventlog import ArrivalRecorded, read_records
 from syncpoint.geo import GeoPoint, haversine_m
 from syncpoint.ics import parse_ics, ParseResult
 from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow, new_activity
 from syncpoint.geo import Geofence
-from syncpoint.presence import (
-    DISARMED,
-    AlreadyArmed,
-    Armed,
-    LocationFix,
-    arm,
-    disarm,
-    ingest_fix,
-)
-from syncpoint.geo import EARTH_RADIUS_M, Zone, classify_zone
-from syncpoint.activities import respond_invitation
+from syncpoint.presence import Armed
+from syncpoint.geo import EARTH_RADIUS_M, Zone
 from syncpoint.sim import (
     M_PER_DEG_LAT,
     load_scenario,
@@ -40,7 +31,7 @@ from syncpoint.sim import (
     scenario_from_dict,
     transcript_lines,
 )
-from syncpoint.wire import Notify, decode, encode, message_fields
+from syncpoint.wire import Arm, Disarm, Err, Fix, Notify, RespondInvite, decode, encode, message_fields
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -221,65 +212,81 @@ def test_c05_hysteresis_no_flap_hundred_seeds():
 
 
 def _presence_fixture():
-    act = new_activity(
-        title="x", kind=ActivityKind.MEETUP, window=TimeWindow(1000, 5000),
+    """A server state holding one activity that bruno has accepted."""
+    state = ServerState()
+    act, _, _ = create_activity(
+        state, now=0, title="x", kind=ActivityKind.MEETUP, window=TimeWindow(1000, 5000),
         fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
         organizer="ana", participant_ids=["ana", "bruno"],
     )
-    return respond_invitation(act, "bruno", InviteAnswer.ACCEPT)
+    handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 0)
+    return state, act
+
+
+def _bruno(state, msg, now):
+    """One command from bruno through ``engine.handle``: the reply, and the
+    arrivals it recorded. An errored command records nothing."""
+    outbound, records = handle(state, msg, "bruno", now)
+    reply = outbound[0][1]
+    assert records == [] or not isinstance(reply, Err)
+    return reply, [r.event for r in records if isinstance(r.event, ArrivalRecorded)]
 
 
 def test_c06_presence_safety_over_randomized_traces():
-    act = _presence_fixture()
-    center = act.fence.center
     rng = random.Random(0x5AFE)
     cases = 10_000
     for case in range(cases):
-        state, zone = DISARMED, Zone.OUTSIDE
-        arrivals = []
+        state, act = _presence_fixture()
+        center = act.fence.center
+        steps = []
         for _ in range(rng.randint(1, 25)):
             roll = rng.random()
             if roll < 0.15:
-                try:
-                    state = arm(state, zone)
-                except AlreadyArmed:
-                    pass
+                steps.append(("arm",))
             elif roll < 0.25:
-                state = disarm(state)
+                steps.append(("disarm",))
             else:
-                t = rng.randint(0, 6000)
-                d = rng.uniform(0, 400)
+                steps.append(("fix", rng.randint(0, 6000), rng.uniform(0, 400)))
+        # The server takes each participant's fixes in time order: send the
+        # drawn fixes sorted by time, ARM and DISARM where they were drawn.
+        fixes = iter(sorted(s for s in steps if s[0] == "fix"))
+        now, arrivals = 0, []
+        for step in (next(fixes) if s[0] == "fix" else s for s in steps):
+            if step[0] == "arm":
+                _bruno(state, Arm(act.id), now)
+            elif step[0] == "disarm":
+                _bruno(state, Disarm(act.id), now)
+            else:
+                _, now, d = step
                 point = GeoPoint(
                     center.lat + math.degrees(d / EARTH_RADIUS_M), center.lon
                 )
-                in_window = act.window.start <= t < act.window.end
-                before = state
-                state, events = ingest_fix(
-                    act, state, LocationFix("bruno", point, t)
-                )
+                in_window = act.window.start <= now < act.window.end
+                before = state.presence[(act.id, "bruno")].alarm
+                reply, events = _bruno(state, Fix(act.id, point, now), now)
+                if isinstance(reply, Err):
+                    # A fix at the time of the last accepted one is inert.
+                    assert reply.code == "STALE_FIX" and events == []
                 assert not events or in_window  # fixes outside Active are inert
                 if events:
                     # Arrivals are transition-born, never presence-born.
                     assert before == Armed(Zone.OUTSIDE)
-                if in_window:
-                    zone = classify_zone(act.fence, zone, point)
                 arrivals.extend(events)
         assert len(arrivals) <= 1, case
 
     # Arming while inside: the immediate and following inside fixes are
     # silent; only leaving and re-entering may announce an arrival.
     for case in range(500):
+        state, act = _presence_fixture()
+        center = act.fence.center
         d_inside = rng.uniform(0, 95)
         point = GeoPoint(center.lat + math.degrees(d_inside / EARTH_RADIUS_M),
                          center.lon)
-        state, _ = ingest_fix(act, DISARMED, LocationFix("bruno", point, 1500))
-        zone = classify_zone(act.fence, Zone.OUTSIDE, point)
-        assert zone is Zone.INSIDE
-        state = arm(DISARMED, zone)
+        _bruno(state, Fix(act.id, point, 1500), 1500)
+        assert state.presence[(act.id, "bruno")].zone is Zone.INSIDE
+        _bruno(state, Arm(act.id), 1500)
         for step in range(5):
-            state, events = ingest_fix(
-                act, state, LocationFix("bruno", point, 1501 + step)
-            )
+            _, events = _bruno(state, Fix(act.id, point, 1501 + step), 1501 + step)
             assert events == [], case
     print(f"\n[acceptance] C6 presence safety over {cases} traces: PASS")
 
@@ -459,7 +466,7 @@ def test_c10_mediator_no_coordinates_leave_the_server():
 
 def test_c11_poll_scheduler_table_and_monotonicity():
     act = new_activity(
-        title="x", kind=ActivityKind.MEETUP,
+        activity_id="a1", title="x", kind=ActivityKind.MEETUP,
         window=TimeWindow(1_000_000, 1_010_000),
         fence=Geofence(GeoPoint(0, 0), 100.0), organizer="a",
         participant_ids=["a", "b"],

@@ -9,7 +9,11 @@ import sys
 import time
 from pathlib import Path
 
+from syncpoint.activities import ActivityKind, ParticipantStatus, TimeWindow
 from syncpoint.cli import main
+from syncpoint.engine import Engine, replay
+from syncpoint.eventlog import load_log
+from syncpoint.geo import Geofence, GeoPoint
 
 REPO = Path(__file__).parents[1]
 CORPUS = REPO / "data" / "calendar"
@@ -136,17 +140,17 @@ class TestSimulate:
 
 class TestServe:
     @staticmethod
-    def _signal_with_a_connection(tmp_path, keep_open: bool) -> tuple[int, str]:
-        """Start ``serve``, say HELLO on one connection, then send SIGTERM;
-        the connection is closed first unless ``keep_open``. Returns the
-        exit code and stderr."""
+    def _session(log: Path, frames: list[bytes], keep_open: bool) -> tuple[list, int, str]:
+        """Start ``serve`` on ``log``, send each frame on one connection and
+        read its reply, then send SIGTERM; the connection is closed first
+        unless ``keep_open``. Returns the replies, the exit code and stderr."""
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         proc = subprocess.Popen(
             [sys.executable, "-m", "syncpoint.cli", "serve",
-             "--listen", f"127.0.0.1:{port}", "--log", str(tmp_path / "events.log")],
+             "--listen", f"127.0.0.1:{port}", "--log", str(log)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
         try:
@@ -159,24 +163,69 @@ class TestServe:
                     assert proc.poll() is None and time.monotonic() < deadline
                     time.sleep(0.05)
             with conn, conn.makefile() as replies:
-                conn.sendall(b'{"type":"HELLO","participant":"ana"}\n')
-                assert json.loads(replies.readline())["type"] == "WELCOME"
+                got = []
+                for frame in frames:
+                    conn.sendall(frame)
+                    got.append(json.loads(replies.readline()))
                 if not keep_open:
                     conn.close()
                     time.sleep(0.1)
                 proc.send_signal(signal.SIGTERM)
                 code = proc.wait(timeout=10)
-            return code, proc.stderr.read().decode()
+            return got, code, proc.stderr.read().decode()
         finally:
             proc.kill()
             proc.wait()
             proc.stderr.close()
 
+    HELLO = b'{"type":"HELLO","participant":"ana"}\n'
+
     def test_sigterm_shuts_down_cleanly(self, tmp_path):
-        code, err = self._signal_with_a_connection(tmp_path, keep_open=False)
+        replies, code, err = self._session(tmp_path / "events.log", [self.HELLO], keep_open=False)
+        assert replies[0]["type"] == "WELCOME"
         assert code == 0, err
 
     def test_sigterm_with_an_open_connection_is_quiet(self, tmp_path):
-        code, err = self._signal_with_a_connection(tmp_path, keep_open=True)
+        replies, code, err = self._session(tmp_path / "events.log", [self.HELLO], keep_open=True)
+        assert replies[0]["type"] == "WELCOME"
         assert code == 0, err
         assert "Traceback" not in err, err
+
+    def test_torn_tail_is_cut_and_serve_starts(self, tmp_path):
+        log = tmp_path / "events.log"
+        engine = Engine(log_path=log)
+        engine.create_activity(  # far enough ahead that the server clock allows answers
+            now=0, title="Fair", kind=ActivityKind.MEETUP,
+            window=TimeWindow(4_000_000_000, 4_000_003_600),
+            fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
+            organizer="ana", participant_ids=["ana", "bruno"],
+        )
+        engine.close()
+        text = log.read_text()
+        log.write_text(text + '{"type":"ARMED","activity":"a1"')  # torn write
+        replies, code, err = self._session(log, [
+            b'{"type":"HELLO","participant":"bruno"}\n',
+            b'{"type":"RESPOND_INVITE","activity":"a1","answer":"ACCEPT"}\n',
+        ], keep_open=False)
+        assert [r["type"] for r in replies] == ["WELCOME", "ACK"], replies
+        assert code == 0, err
+        assert "warning" in err and "record 1" in err, err
+        # The torn line is gone and the new record starts on a fresh line.
+        records = load_log(log)
+        assert [type(r.event).__name__ for r in records] == ["ActivityCreated", "InviteResponded"]
+        assert log.read_text().startswith(text)
+        bruno = replay(records).activities["a1"].participant("bruno")
+        assert bruno.status is ParticipantStatus.ACCEPTED
+
+    def test_other_corrupt_lines_still_refuse_to_start(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        run(capsys, "ingest", CORPUS / "meetup_fair.ics",
+            "--system-address", SYSTEM, "--log", log, "--now", 0)
+        log.write_text("not a record\n" + log.read_text())
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncpoint.cli", "serve", "--listen", "127.0.0.1:0",
+             "--log", str(log)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1 and "CORRUPT_RECORD: record 0" in proc.stderr

@@ -8,7 +8,6 @@ import random
 import pytest
 
 import syncpoint.engine
-import syncpoint.presence
 from syncpoint.activities import (
     Activity,
     ActivityKind,
@@ -276,8 +275,7 @@ class TestFix:
                 return fn(*args)
             return wrapper
 
-        for mod in (syncpoint.engine, syncpoint.presence):
-            monkeypatch.setattr(mod, "classify_zone", counted("classify_zone", classify_zone))
+        monkeypatch.setattr(syncpoint.engine, "classify_zone", counted("classify_zone", classify_zone))
         monkeypatch.setattr(Activity, "participant", counted("participant", Activity.participant))
 
         state, act = self.arm_bruno()
@@ -332,6 +330,12 @@ class TestTaskDone:
         accept_all(state, act, ["bruno"])
         outbound, records = handle(state, TaskDone(act.id, 2400), "bruno", 2400)
         assert outbound[0][1].code == "KIND_MISMATCH"
+        assert records == []
+
+    def test_doer_must_have_accepted(self):
+        state, act, _, _ = fresh(kind=ActivityKind.TASK, participants=("dana", "eli"))
+        outbound, records = handle(state, TaskDone(act.id, 2400), "dana", 2400)
+        assert outbound == [("dana", Err("NOT_ACCEPTED", outbound[0][1].detail))]
         assert records == []
 
 
@@ -686,6 +690,31 @@ class TestEngineWrapper:
         revived.close()
         records = load_log(log)
         assert [r.index for r in records] == list(range(len(records)))
+
+    def test_torn_tail_is_cut_and_appends_start_on_a_fresh_line(self, tmp_path):
+        log = tmp_path / "events.log"
+        state = ServerState()
+        records = scripted_run(state)
+        text = "".join(encode_record(r) for r in records)
+        log.write_text(text[:-7], encoding="utf-8")  # the last write was cut short
+        eng = Engine(log_path=log)
+        assert eng.torn_tail.index == len(records) - 1
+        assert eng.state == replay(records[:-1])
+        assert log.read_text() == text[: text.rindex("\n", 0, -1) + 1]
+        eng.handle(Fix(records[0].event.activity.id, at_distance(30), 1500), "ana", 1500)
+        eng.close()
+        assert [r.index for r in load_log(log)] == list(range(len(records)))
+        assert replay(load_log(log)) == eng.state
+
+    def test_other_corrupt_lines_refuse_to_open(self, tmp_path):
+        log = tmp_path / "events.log"
+        lines = [encode_record(r) for r in scripted_run(ServerState())]
+        lines[2] = lines[2].replace('"index":2', '"index":7')
+        log.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptRecord) as e:
+            Engine(log_path=log)
+        assert e.value.index == 2
+        assert log.read_text() == "".join(lines)  # left as it was
 
     def test_records_reach_the_log_at_commit(self, tmp_path):
         log = tmp_path / "events.log"

@@ -301,3 +301,27 @@ def test_endless_frame_is_refused():
     assert at_limit.code == "MALFORMED"
     assert refused.code == "FRAME_TOO_LARGE"
     assert rest == b""  # and the server hung up
+
+
+def test_invalid_utf8_frame_gets_an_err_in_its_place():
+    async def run():
+        engine = Engine()
+        server, port = await _start(engine, lambda: 1)
+        c = Client()
+        await c.connect(port)
+        await c.send_raw(
+            encode(Hello("ana")).encode() + encode(Poll(0)).encode()
+            + b'{"type":"HELLO","participant":"an\xffa"}\n'
+        )
+        replies = [await c.recv() for _ in range(3)]
+        await c.send(Poll(0))  # the connection is still open
+        replies.append(await c.recv())
+        await c.close()
+        server.close()
+        await server.wait_closed()
+        return replies
+
+    replies = asyncio.run(run())
+    assert [_summary(m) for m in replies] == [
+        ("WELCOME",), ("ACK", "POLL"), ("ERR", "MALFORMED"), ("ACK", "POLL"),
+    ]

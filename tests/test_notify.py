@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 from hypothesis import given, strategies as st
 
 from syncpoint.activities import (
@@ -19,7 +18,6 @@ from syncpoint.notify import (
     ArrivalNotice,
     GatheringUpdate,
     Invitation,
-    KindMismatch,
     SelfArrivalAck,
     TaskDoneNotice,
     on_arrival,
@@ -27,7 +25,6 @@ from syncpoint.notify import (
     on_task_done,
     render_identity,
 )
-from syncpoint.presence import NotAccepted
 from syncpoint.wire import dumps_canonical, notification_fields
 
 FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0)
@@ -37,6 +34,7 @@ def make(kind=ActivityKind.MEETUP, participants=("ana", "bruno", "carla"),
          organizer="ana", accepted=(), policy=PrivacyPolicy.DISCLOSE_IDENTITY,
          batch=None):
     act = new_activity(
+        activity_id="a1",
         title="Fair",
         kind=kind,
         window=TimeWindow(1000, 5000),
@@ -153,16 +151,6 @@ class TestOnTaskDone:
                    policy=PrivacyPolicy.ANONYMOUS_COUNT)
         fanout = on_task_done(act, "p1", at=2400)
         assert fanout[0][1].identity is None
-
-    def test_kind_mismatch(self):
-        act = make(accepted=("ana", "bruno"))
-        with pytest.raises(KindMismatch):
-            on_task_done(act, "ana", at=2400)
-
-    def test_doer_must_have_accepted(self):
-        act = make(kind=ActivityKind.TASK, participants=("p1", "p2"), organizer="p1")
-        with pytest.raises(NotAccepted):
-            on_task_done(act, "p1", at=2400)
 
 
 roster = st.lists(

@@ -1,4 +1,8 @@
-"""Alarm state machine: arming, disarming, and arrival detection."""
+"""Alarm state machine: arming, disarming, and arrival detection.
+
+The arrival rule is checked where it runs: ARM, DISARM and FIX commands go
+through ``engine.handle``, and arrivals are read from the records it appends.
+"""
 
 import math
 import random
@@ -6,27 +10,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from syncpoint.activities import (
-    ActivityKind,
-    InviteAnswer,
-    TimeWindow,
-    new_activity,
-    respond_invitation,
-)
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zone
+from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
+from syncpoint.engine import ServerState, create_activity, handle
+from syncpoint.eventlog import ArrivalRecorded
+from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint.presence import (
     DISARMED,
     AlreadyArmed,
     Armed,
-    Arrival,
     Arrived,
     Disarmed,
-    LocationFix,
-    NotAccepted,
     arm,
     disarm,
-    ingest_fix,
 )
+from syncpoint.wire import Arm, Disarm, Err, Fix, RespondInvite
 
 CENTER = GeoPoint(41.5606, -8.3970)
 FENCE = Geofence(CENTER, 100.0, 25.0)
@@ -36,8 +33,13 @@ def at_distance(meters: float) -> GeoPoint:
     return GeoPoint(CENTER.lat + math.degrees(meters / EARTH_RADIUS_M), CENTER.lon)
 
 
-def activity(accepted=("bruno",)):
-    act = new_activity(
+def server():
+    """A server state holding one activity that bruno has accepted; returns
+    the state and the activity id."""
+    state = ServerState()
+    act, _, _ = create_activity(
+        state,
+        now=0,
         title="Fair",
         kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000),
@@ -45,9 +47,31 @@ def activity(accepted=("bruno",)):
         organizer="ana",
         participant_ids=["ana", "bruno", "carla"],
     )
-    for pid in accepted:
-        act = respond_invitation(act, pid, InviteAnswer.ACCEPT)
-    return act
+    handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 0)
+    return state, act.id
+
+
+def send(state, msg, who="bruno", now=0):
+    """One command through ``engine.handle``: the reply to the sender, and the
+    arrivals it recorded. An errored command records nothing."""
+    outbound, records = handle(state, msg, who, now)
+    reply = outbound[0][1]
+    assert records == [] or not isinstance(reply, Err)
+    return reply, [r.event for r in records if isinstance(r.event, ArrivalRecorded)]
+
+
+def alarm(state, aid, who="bruno"):
+    return state.presence[(aid, who)].alarm
+
+
+def armed(zone):
+    """bruno armed in ``zone``: a fix at 10 m before arming seeds Inside."""
+    state, aid = server()
+    if zone is Zone.INSIDE:
+        send(state, Fix(aid, at_distance(10), 1500), now=1500)
+    send(state, Arm(aid))
+    assert alarm(state, aid) == Armed(zone)
+    return state, aid
 
 
 class TestArm:
@@ -80,75 +104,85 @@ class TestDisarm:
 
 
 class TestIngestFix:
-    def fix(self, d, t=2000, who="bruno"):
-        return LocationFix(who, at_distance(d), t)
+    """One FIX through the engine, against each alarm state."""
+
+    def fix(self, state, aid, d, t=2000, who="bruno"):
+        return send(state, Fix(aid, at_distance(d), t), who, t)
 
     def test_entry_while_armed_outside(self):
-        state, events = ingest_fix(activity(), Armed(Zone.OUTSIDE), self.fix(50))
-        assert state == Arrived(2000)
-        assert events == [Arrival("bruno", 2000)]
+        state, aid = armed(Zone.OUTSIDE)
+        _, events = self.fix(state, aid, 50)
+        assert alarm(state, aid) == Arrived(2000)
+        assert events == [ArrivalRecorded(aid, "bruno", 2000)]
 
     def test_armed_inside_absorbs_inside_fixes(self):
-        state, events = ingest_fix(activity(), Armed(Zone.INSIDE), self.fix(50))
-        assert state == Armed(Zone.INSIDE)
+        state, aid = armed(Zone.INSIDE)
+        _, events = self.fix(state, aid, 50)
+        assert alarm(state, aid) == Armed(Zone.INSIDE)
         assert events == []
 
     def test_fix_before_window_ignored(self):
-        state, events = ingest_fix(activity(), Armed(Zone.OUTSIDE), self.fix(50, t=999))
-        assert state == Armed(Zone.OUTSIDE)
+        state, aid = armed(Zone.OUTSIDE)
+        _, events = self.fix(state, aid, 50, t=999)
+        assert alarm(state, aid) == Armed(Zone.OUTSIDE)
         assert events == []
 
     def test_fix_after_window_ignored(self):
-        state, events = ingest_fix(activity(), Armed(Zone.OUTSIDE), self.fix(50, t=5000))
-        assert state == Armed(Zone.OUTSIDE)
+        state, aid = armed(Zone.OUTSIDE)
+        _, events = self.fix(state, aid, 50, t=5000)
+        assert alarm(state, aid) == Armed(Zone.OUTSIDE)
         assert events == []
 
     def test_not_accepted_rejected(self):
-        with pytest.raises(NotAccepted):
-            ingest_fix(activity(), Armed(Zone.OUTSIDE), self.fix(50, who="carla"))
-        with pytest.raises(NotAccepted):
-            ingest_fix(activity(), DISARMED, self.fix(50, who="nobody"))
+        state, aid = armed(Zone.OUTSIDE)
+        reply, _ = self.fix(state, aid, 50, who="carla")
+        assert reply.code == "NOT_ACCEPTED"
+        reply, _ = self.fix(state, aid, 50, who="nobody")
+        assert reply.code == "NOT_A_PARTICIPANT"
 
     def test_disarmed_and_arrived_absorb(self):
-        assert ingest_fix(activity(), DISARMED, self.fix(50)) == (DISARMED, [])
-        assert ingest_fix(activity(), Arrived(1500), self.fix(50)) == (Arrived(1500), [])
+        state, aid = server()
+        assert self.fix(state, aid, 50)[1] == []
+        assert alarm(state, aid) == DISARMED
+        state, aid = armed(Zone.OUTSIDE)
+        self.fix(state, aid, 50, t=1500)
+        assert alarm(state, aid) == Arrived(1500)
+        assert self.fix(state, aid, 50)[1] == []
+        assert alarm(state, aid) == Arrived(1500)
 
     def test_exit_updates_zone_without_event(self):
-        state, events = ingest_fix(activity(), Armed(Zone.INSIDE), self.fix(200))
-        assert state == Armed(Zone.OUTSIDE)
+        state, aid = armed(Zone.INSIDE)
+        _, events = self.fix(state, aid, 200)
+        assert alarm(state, aid) == Armed(Zone.OUTSIDE)
         assert events == []
 
     def test_arrival_timestamp_is_fix_timestamp(self):
-        state, events = ingest_fix(activity(), Armed(Zone.OUTSIDE), self.fix(10, t=3333))
-        assert events[0].at == 3333
-        assert state == Arrived(3333)
+        state, aid = armed(Zone.OUTSIDE)
+        _, events = self.fix(state, aid, 10, t=3333)
+        assert events[0].arrived_at == 3333
+        assert alarm(state, aid) == Arrived(3333)
 
 
-def drive(act, trace):
-    """Feed a (time, distance, action) trace through the machine.
-
-    Mirrors the server's bookkeeping: the zone fed to arm() is classified
-    from the latest fix accepted during the Active window (Outside before
-    any fix), whatever the alarm state was at the time.
+def run_trace(trace):
+    """Send a (time, distance, action) trace as bruno's ARM, DISARM and FIX
+    commands, each at its time; returns bruno's alarm and the arrivals
+    recorded. A fix not after bruno's last accepted one is stale and must
+    be inert.
     """
-    state = DISARMED
-    events = []
-    zone = Zone.OUTSIDE
+    state, aid = server()
+    arrivals = []
     for t, d, action in trace:
         if action == "arm":
-            try:
-                state = arm(state, zone)
-            except AlreadyArmed:
-                pass
+            msg = Arm(aid)
         elif action == "disarm":
-            state = disarm(state)
+            msg = Disarm(aid)
         else:
-            point = at_distance(d)
-            state, evs = ingest_fix(act, state, LocationFix("bruno", point, t))
-            if act.window.start <= t < act.window.end:
-                zone = classify_zone(act.fence, zone, point)
-            events.extend(evs)
-    return state, events
+            msg = Fix(aid, at_distance(d), t)
+        reply, events = send(state, msg, now=t)
+        if isinstance(reply, Err) and action == "fix":
+            assert reply.code == "STALE_FIX" and events == []
+        arrivals.extend(events)
+    return alarm(state, aid), arrivals
 
 
 class TestTraceProperties:
@@ -164,12 +198,11 @@ class TestTraceProperties:
     )
     def test_at_most_one_arrival(self, steps):
         trace = sorted(steps, key=lambda s: s[0])
-        _, events = drive(activity(), trace)
+        _, events = run_trace(trace)
         assert len(events) <= 1
 
     def test_ten_thousand_random_traces_single_arrival(self):
         rng = random.Random(20260811)
-        act = activity()
         for _ in range(2000):
             trace = sorted(
                 (
@@ -179,7 +212,7 @@ class TestTraceProperties:
                 )
                 for _ in range(rng.randint(1, 30))
             )
-            _, events = drive(act, trace)
+            _, events = run_trace(trace)
             assert len(events) <= 1
 
     def test_armed_inside_never_leaving_never_arrives(self):
@@ -187,7 +220,7 @@ class TestTraceProperties:
         trace = [(1000, 20, "fix"), (1001, 30, "arm")] + [
             (1000 + i, 40, "fix") for i in range(2, 30)
         ]
-        state, events = drive(activity(), trace)
+        state, events = run_trace(trace)
         assert events == []
         assert state == Armed(Zone.INSIDE)
 
@@ -198,6 +231,6 @@ class TestTraceProperties:
         trace += [
             (1200 + 10 * i, 100 + rng.uniform(-20, 20), "fix") for i in range(50)
         ]
-        _, events = drive(activity(), trace)
+        _, events = run_trace(trace)
         assert len(events) == 1
-        assert events[0].at == 1160
+        assert events[0].arrived_at == 1160

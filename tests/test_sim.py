@@ -111,7 +111,7 @@ class TestPerturb:
 class TestPollSchedule:
     def make(self, start=100_000, end=200_000):
         return new_activity(
-            title="x", kind=ActivityKind.MEETUP, window=TimeWindow(start, end),
+            activity_id="a1", title="x", kind=ActivityKind.MEETUP, window=TimeWindow(start, end),
             fence=Geofence(GeoPoint(0, 0), 100.0), organizer="a",
             participant_ids=["a", "b"],
         )
@@ -298,3 +298,7 @@ class TestByteIdentity:
             digest.update(line.encode("utf-8"))
         assert (len(transcript), len(log)) == (2972, 1875)
         assert digest.hexdigest() == self.PINNED
+        # Sequence numbers are dense from 1 in every queue, live and replayed.
+        for state in (result.state, replay(result.records)):
+            for recipient, queue in state.queues.items():
+                assert [m.seq for m in queue] == list(range(1, len(queue) + 1)), recipient

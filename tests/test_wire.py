@@ -203,24 +203,33 @@ class TestFraming:
     def test_partial_frame_stays_buffered(self):
         buf = FrameBuffer()
         assert buf.feed(b'{"type":"ARM","ac') == []
-        assert buf.feed(b'tivity":"a1"}\n') == ['{"type":"ARM","activity":"a1"}']
+        assert buf.feed(b'tivity":"a1"}\n') == [b'{"type":"ARM","activity":"a1"}']
 
     def test_many_frames_and_a_partial_tail_in_one_chunk(self):
         frames = [encode(Arm(f"a{i}")) for i in range(50)]
         tail = encode(Arm("a50"))
         buf = FrameBuffer()
         chunk = "".join(frames).encode("utf-8") + tail[:7].encode("utf-8")
-        assert buf.feed(chunk) == [f.rstrip("\n") for f in frames]
+        assert buf.feed(chunk) == [f.rstrip("\n").encode("utf-8") for f in frames]
         assert buf.pending == tail[:7].encode("utf-8")
-        assert buf.feed(tail[7:].encode("utf-8")) == [tail.rstrip("\n")]
+        assert buf.feed(tail[7:].encode("utf-8")) == [tail.rstrip("\n").encode("utf-8")]
         assert buf.pending == b""
 
     def test_crlf_endings_and_empty_lines(self):
         buf = FrameBuffer()
         assert buf.feed(b'{"type":"POLL","cursor":0}\r\n\r\n{"type":"ARM"') == [
-            '{"type":"POLL","cursor":0}', "",
+            b'{"type":"POLL","cursor":0}', b"",
         ]
-        assert buf.feed(b',"activity":"a1"}\r\n') == ['{"type":"ARM","activity":"a1"}']
+        assert buf.feed(b',"activity":"a1"}\r\n') == [b'{"type":"ARM","activity":"a1"}']
+
+    def test_invalid_utf8_spoils_only_its_own_frame(self):
+        buf = FrameBuffer()
+        frames = buf.feed(b'{"type":"POLL","cursor":0}\n{"type":"HELLO","participant":"\xff"}\n'
+                          b'{"type":"ARM","activity":"a1"}\n')
+        assert decode(frames[0]) == Poll(0)
+        with pytest.raises(MalformedFrame):
+            decode(frames[1])
+        assert decode(frames[2]) == Arm("a1")
 
     def test_multibyte_character_split_across_chunks(self):
         frame = encode(Err("X", "café 家 \U0001F600")).encode("utf-8")
