@@ -2,8 +2,7 @@
 
 An activity is a planned social event with a time window, a geofence, and a
 participant list. Everything here is a pure value: operations return new
-``Activity`` instances and never mutate their inputs, so they are safe to
-call from any number of threads.
+``Activity`` instances and never mutate their inputs.
 
 Time is integer Unix seconds, UTC. The activity phase is always derived
 from (window, now) — it is never stored.
@@ -11,7 +10,7 @@ from (window, now) — it is never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -87,7 +86,7 @@ def validate_timestamp(seconds: int, what: str = "timestamp") -> int:
     return seconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     """Half-open activity window: start inclusive, end exclusive."""
 
@@ -101,7 +100,7 @@ class TimeWindow:
             raise WindowInvalid(f"start {self.start} must be < end {self.end}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticipantRecord:
     id: str
     status: ParticipantStatus = ParticipantStatus.INVITED
@@ -115,6 +114,11 @@ class Activity:
     roster is cached; both are built at most once per instance and live
     outside the dataclass fields, so equality, hashing and every encoding
     see only the fields.
+
+    Every other dataclass of the package declares ``slots=True``, so its
+    instances carry no ``__dict__``. ``Activity`` is the one exception: its
+    cached index and roster, and the index that ``respond_invitation``
+    hands to the updated value, live in its ``__dict__``.
     """
 
     id: str
@@ -201,26 +205,37 @@ def new_activity(
     )
 
 
-def respond_invitation(
-    activity: Activity, participant_id: str, answer: InviteAnswer
-) -> Activity:
-    """Record a participant's accept/decline. Each participant answers once."""
+def check_response(activity: Activity, participant_id: str) -> int:
+    """The position of a participant who may still answer the invitation.
+
+    Raises ``UnknownParticipant`` for a stranger and ``AlreadyResponded``
+    once the participant has answered: each participant answers once.
+    """
     i = activity._positions.get(participant_id)
     if i is None:
         raise UnknownParticipant(f"{participant_id!r} is not a participant of {activity.id}")
-    record = activity.participants[i]
-    if record.status is not ParticipantStatus.INVITED:
-        raise AlreadyResponded(
-            f"{participant_id!r} already responded ({record.status.value})"
-        )
+    status = activity.participants[i].status
+    if status is not ParticipantStatus.INVITED:
+        raise AlreadyResponded(f"{participant_id!r} already responded ({status.value})")
+    return i
+
+
+def respond_invitation(
+    activity: Activity, participant_id: str, answer: InviteAnswer
+) -> Activity:
+    """Record a participant's accept/decline, checked by ``check_response``."""
+    i = check_response(activity, participant_id)
     status = (
         ParticipantStatus.ACCEPTED
         if answer is InviteAnswer.ACCEPT
         else ParticipantStatus.DECLINED
     )
     ps = activity.participants
-    updated = replace(
-        activity, participants=ps[:i] + (ParticipantRecord(participant_id, status),) + ps[i + 1:]
+    updated = Activity(
+        activity.id, activity.title, activity.kind, activity.window, activity.fence,
+        activity.organizer,
+        ps[:i] + (ParticipantRecord(participant_id, status),) + ps[i + 1:],
+        activity.policy, activity.batch_threshold, activity.calendar_uid,
     )
     # The order is unchanged, so the position index carries over as is.
     updated.__dict__["_positions"] = activity._positions

@@ -10,7 +10,9 @@ can drive virtual time.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``apply(FixAccepted)``; whether that fix is the arrival is decided by
-``presence.ingest_fix``, the one place that rule lives.
+``presence.ingest_fix`` from the zones before and after it, the one place
+that rule lives. Each participant's zone is kept once, in its
+``ParticipantPresence``; the alarm state holds none.
 
 Notification queues are part of the state: every queued ``Notify`` carries
 a per-recipient sequence number, dense from 1 (its position in the queue),
@@ -22,6 +24,15 @@ to the log, and ``Engine.commit`` writes and flushes all records appended
 since the last commit at once. A caller commits before any reply or push
 for those commands leaves (the server does so once per read).
 
+The engine is single-threaded: the server drives it from one asyncio
+loop, which gives commands the total order the determinism guarantees
+depend on.
+
+Every dataclass of the package declares ``slots=True``, so the state's
+many small values (queued ``Notify`` frames, presences, records) carry no
+per-instance ``__dict__``. ``Activity`` is the one exception; its
+docstring says why.
+
 Privacy stance: fixes come in, facts go out. The latest fix per
 (activity, participant) is all the location the state retains, and no
 outbound message ever carries a coordinate.
@@ -29,7 +40,6 @@ outbound message ever carries a coordinate.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +52,7 @@ from .activities import (
     PrivacyPolicy,
     TimeWindow,
     UnknownParticipant,
+    check_response,
     new_activity,
     phase_at,
     respond_invitation,
@@ -99,16 +110,16 @@ class KindMismatch(SyncError):
     code = "KIND_MISMATCH"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticipantPresence:
     """Per-(activity, participant) server-side presence bookkeeping."""
 
     alarm: prs.AlarmState = prs.DISARMED
-    zone: Zone = Zone.OUTSIDE  # last classified zone; seeds arm()
+    zone: Zone = Zone.OUTSIDE  # last classified zone; the arrival rule reads it
     last_fix_at: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerState:
     """Everything the event log determines."""
 
@@ -155,8 +166,9 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         )
         return []
     if isinstance(e, ArmSet):
+        # The record's zone is the presence's zone when it was written.
         pp = state.presence[(e.activity, e.who)]
-        pp.alarm = prs.arm(pp.alarm, e.zone)
+        pp.alarm = prs.arm(pp.alarm)
         return []
     if isinstance(e, ArmCleared):
         pp = state.presence[(e.activity, e.who)]
@@ -165,12 +177,9 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
     if isinstance(e, FixAccepted):
         act = state.activities[e.activity]
         pp = state.presence[(e.activity, e.who)]
-        zone = classify_zone(act.fence, pp.zone, e.point)
-        pp.zone = zone
+        pp.zone = classify_zone(act.fence, pp.zone, e.point)
         pp.last_fix_at = e.fix_at
-        if isinstance(pp.alarm, prs.Armed):
-            # The arrival itself, when due, is its own record applied next.
-            pp.alarm = prs.Armed(zone)
+        # The arrival itself, when due, is its own record applied next.
         return []
     if isinstance(e, ArrivalRecorded):
         act = state.activities[e.activity]
@@ -279,14 +288,14 @@ def _dispatch(
         act = _activity(state, msg.activity)
         if phase_at(act, now) is ActivityPhase.ENDED:
             raise PhaseViolation(f"{act.id} has already ended")
-        respond_invitation(act, from_, msg.answer)  # validation only
+        check_response(act, from_)
         record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
         return [(from_, Ack("RESPOND_INVITE"))] + pushes, [record]
 
     if isinstance(msg, Arm):
         act = _activity(state, msg.activity)
         pp = _presence_of(state, act, from_, accepted=True)
-        prs.arm(pp.alarm, pp.zone)  # validation only
+        prs.arm(pp.alarm)  # validation only
         record, _ = _record(state, now, ArmSet(act.id, from_, pp.zone))
         return [(from_, Ack("ARM"))], [record]
 
@@ -308,10 +317,10 @@ def _dispatch(
         if phase_at(act, msg.at) is not ActivityPhase.ACTIVE:
             # Outside the window the fix is ignored: no state, no record.
             return [(from_, Ack("FIX"))], []
-        alarm = pp.alarm
+        alarm, previous_zone = pp.alarm, pp.zone
         # Classifies the fix into pp.zone; a FixAccepted pushes nothing.
         fixed, _ = _record(state, now, FixAccepted(act.id, from_, msg.point, msg.at))
-        if not prs.ingest_fix(alarm, pp.zone):
+        if not prs.ingest_fix(alarm, previous_zone, pp.zone):
             return [(from_, Ack("FIX"))], [fixed]
         arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
         return [(from_, Ack("FIX"))] + pushes, [fixed, arrival]
@@ -409,10 +418,9 @@ def materialize_draft(
 class Engine:
     """State + optional durable log.
 
-    Thread-safe: all commands serialize through one lock, establishing the
-    total order the determinism guarantees depend on. Records are appended
-    to the log as commands run and reach the file at the next ``commit``
-    (or ``close``); reply to no command before the commit that follows it.
+    Records are appended to the log as commands run and reach the file at
+    the next ``commit`` (or ``close``); reply to no command before the
+    commit that follows it.
 
     Opening a log replays it; a torn final line is cut off and kept in
     ``torn_tail``, and any other corrupt line raises ``CorruptRecord``.
@@ -420,7 +428,6 @@ class Engine:
 
     def __init__(self, log_path: str | Path | None = None):
         self.state = ServerState()
-        self._lock = threading.Lock()
         self._writer: LogWriter | None = None
         self.torn_tail: TornTail | None = None
         if log_path is not None:
@@ -439,28 +446,24 @@ class Engine:
                 self._writer.append(record)
 
     def handle(self, msg: ClientMessage, from_: str, now: int) -> Outbound:
-        with self._lock:
-            outbound, records = handle(self.state, msg, from_, now)
-            self._persist(records)
-            return outbound
+        outbound, records = handle(self.state, msg, from_, now)
+        self._persist(records)
+        return outbound
 
     def commit(self) -> None:
         """Write and flush every record appended since the last commit."""
-        with self._lock:
-            if self._writer is not None:
-                self._writer.commit()
+        if self._writer is not None:
+            self._writer.commit()
 
     def create_activity(self, *, now: int, **spec) -> tuple[Activity, Outbound]:
-        with self._lock:
-            act, outbound, records = create_activity(self.state, now=now, **spec)
-            self._persist(records)
-            return act, outbound
+        act, outbound, records = create_activity(self.state, now=now, **spec)
+        self._persist(records)
+        return act, outbound
 
     def materialize_draft(self, draft: ActivityDraft, now: int) -> tuple[Activity, Outbound]:
-        with self._lock:
-            act, outbound, records = materialize_draft(self.state, draft, now)
-            self._persist(records)
-            return act, outbound
+        act, outbound, records = materialize_draft(self.state, draft, now)
+        self._persist(records)
+        return act, outbound
 
     def known_calendar_uids(self) -> set[str]:
         return {

@@ -52,32 +52,32 @@ class TornTail(CorruptRecord):
     """The final line lacks its newline: the last write was cut short."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivityCreated:
     activity: Activity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InviteResponded:
     activity: str
     who: str
     answer: InviteAnswer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmSet:
     activity: str
     who: str
     zone: Zone
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmCleared:
     activity: str
     who: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixAccepted:
     activity: str
     who: str
@@ -85,14 +85,14 @@ class FixAccepted:
     fix_at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalRecorded:
     activity: str
     who: str
     arrived_at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskCompleted:
     activity: str
     who: str
@@ -110,7 +110,7 @@ Event = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     index: int
     at: int
@@ -172,11 +172,11 @@ def encode_record(record: EventRecord) -> str:
     return encode(record) + "\n"
 
 
-def decode_record(line: str, expected_index: int) -> EventRecord:
-    """Decode one log line, enforcing dense indices."""
+def decode_record(line: str | bytes, expected_index: int) -> EventRecord:
+    """Decode one log line (text, or bytes in strict UTF-8), enforcing dense indices."""
     try:
-        obj = json.loads(line)
-    except ValueError as e:
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError as e:  # UnicodeDecodeError included
         raise CorruptRecord(expected_index, f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise CorruptRecord(expected_index, "line is not a JSON object")
@@ -193,7 +193,7 @@ def decode_record(line: str, expected_index: int) -> EventRecord:
     return record
 
 
-def read_records(lines: Iterable[str]) -> Iterator[EventRecord]:
+def read_records(lines: Iterable[str] | Iterable[bytes]) -> Iterator[EventRecord]:
     """Decode log lines in order; raises CorruptRecord at the first bad one.
 
     A final line lacking its newline terminator is a ``TornTail``, corrupt
@@ -201,20 +201,21 @@ def read_records(lines: Iterable[str]) -> Iterator[EventRecord]:
     """
     index = 0
     for line in lines:
-        if not line.endswith("\n"):
+        if not line.endswith(b"\n" if isinstance(line, bytes) else "\n"):
             raise TornTail(index, "truncated line (missing newline)")
         yield decode_record(line, index)
         index += 1
 
 
-def split_lines(text: str) -> list[str]:
-    """Split on ``\\n`` only, keeping each terminator.
+def split_lines(text: str | bytes) -> list[str] | list[bytes]:
+    """Split text or bytes on ``\\n`` only, keeping each terminator.
 
     A final line without its newline stays unterminated, so that
     ``read_records`` sees the torn write.
     """
-    raw = text.split("\n")
-    lines = [r + "\n" for r in raw[:-1]]
+    newline = "\n" if isinstance(text, str) else b"\n"
+    raw = text.split(newline)
+    lines = [r + newline for r in raw[:-1]]
     if raw[-1]:
         lines.append(raw[-1])
     return lines
@@ -222,10 +223,14 @@ def split_lines(text: str) -> list[str]:
 
 def load_prefix(path: str | Path) -> tuple[list[EventRecord], CorruptRecord | None]:
     """Read a log file once: the records before its first bad line, and the
-    ``CorruptRecord`` that line raised (None when every line is good)."""
+    ``CorruptRecord`` that line raised (None when every line is good).
+
+    The file is split into lines as bytes and each line decoded on its own,
+    so a write torn inside a multi-byte character is a ``TornTail`` too.
+    """
     records: list[EventRecord] = []
     try:
-        for record in read_records(split_lines(Path(path).read_text(encoding="utf-8"))):
+        for record in read_records(split_lines(Path(path).read_bytes())):
             records.append(record)
     except CorruptRecord as e:
         return records, e

@@ -41,7 +41,7 @@ class Zone(str, Enum):
     OUTSIDE = "OUTSIDE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS-ish coordinate pair: lat in [-90, 90], lon in (-180, 180]."""
 
@@ -57,7 +57,7 @@ class GeoPoint:
             raise LonOutOfRange(f"longitude {self.lon!r} outside (-180, 180]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Geofence:
     """Circular geographic scope: center, radius, and exit dead band."""
 

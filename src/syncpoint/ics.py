@@ -45,7 +45,7 @@ class EventInvalid(SyncError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivityDraft:
     """What one enrolled VEVENT contributes before defaults are applied."""
 
@@ -61,7 +61,7 @@ class ActivityDraft:
     organizer: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseResult:
     drafts: tuple[ActivityDraft, ...]
     skipped: int

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .activities import Activity, ActivityKind, PrivacyPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivitySummary:
     """The slice of an activity shown to invitees: no fence, no roster."""
 
@@ -28,37 +28,37 @@ class ActivitySummary:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invitation:
     summary: ActivitySummary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfArrivalAck:
     activity: str
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalNotice:
     activity: str
     at: int
     identity: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatheringUpdate:
     activity: str
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllArrived:
     activity: str
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskDoneNotice:
     activity: str
     at: int

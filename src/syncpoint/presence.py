@@ -8,14 +8,16 @@ when they switch the alarm on must physically leave and come back before
 the system will announce them.
 
 The transition test itself is ``ingest_fix``, the one place the rule
-lives; the engine's FIX path applies it to the zone its ``FixAccepted``
-record classified, so each fix is classified once.
+lives; the engine's FIX path applies it to the zone the participant was
+last seen in and the zone its ``FixAccepted`` record classified, so each
+fix is classified once. The alarm holds no zone: the participant's one
+zone lives beside it, in the engine's presence bookkeeping.
 
 State layout:
 
-    Disarmed --arm(zone)--> Armed{zone} --Outside->Inside fix--> Arrived{at}
-       ^                        |
-       +-------disarm-----------+          Arrived is terminal.
+    Disarmed --arm--> Armed --Outside->Inside fix--> Arrived{at}
+       ^                |
+       +----disarm------+          Arrived is terminal.
 
 Fixes are assumed to arrive in per-participant timestamp order, and only
 fixes inside the activity's Active window count; the engine rejects stale
@@ -38,17 +40,17 @@ class NotAccepted(SyncError):
     code = "NOT_ACCEPTED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disarmed:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Armed:
-    zone: Zone
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrived:
     at: int
 
@@ -56,18 +58,18 @@ class Arrived:
 AlarmState = Disarmed | Armed | Arrived
 
 DISARMED = Disarmed()
+ARMED = Armed()
 
 
-def arm(state: AlarmState, zone_now: Zone) -> AlarmState:
-    """Arm arrival detection, seeding the zone from the latest known fix.
+def arm(state: AlarmState) -> AlarmState:
+    """Arm arrival detection.
 
-    ``zone_now`` is Outside when the participant has never produced an
-    accepted fix. Arming while Inside emits no event: arrival requires a
-    later Outside->Inside transition.
+    Arming while Inside emits no event: arrival requires a later
+    Outside->Inside transition.
     """
     if not isinstance(state, Disarmed):
         raise AlreadyArmed("alarm is already armed or the participant has arrived")
-    return Armed(zone_now)
+    return ARMED
 
 
 def disarm(state: AlarmState) -> AlarmState:
@@ -77,11 +79,12 @@ def disarm(state: AlarmState) -> AlarmState:
     return state
 
 
-def ingest_fix(state: AlarmState, zone: Zone) -> bool:
+def ingest_fix(state: AlarmState, previous_zone: Zone, zone: Zone) -> bool:
     """Whether an accepted fix, classified into ``zone``, is the arrival.
 
-    Only an Armed state last seen Outside arrives, and only on a fix now
+    Only an Armed participant last seen Outside (``previous_zone``, which
+    is Outside before any accepted fix) arrives, and only on a fix now
     classified Inside; Disarmed and Arrived never do.
     """
-    return isinstance(state, Armed) and state.zone is Zone.OUTSIDE and zone is Zone.INSIDE
+    return isinstance(state, Armed) and previous_zone is Zone.OUTSIDE and zone is Zone.INSIDE
 

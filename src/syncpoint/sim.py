@@ -49,7 +49,7 @@ class ScenarioInvalid(SyncError):
     code = "SCENARIO_INVALID"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """Ordered movement waypoints: ((at, point), ...), times strictly increasing."""
 
@@ -123,21 +123,21 @@ def next_poll_interval(now: int, activity: Activity) -> int:
 # --- scenario definition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptedAction:
     at: int
     verb: str
     activity: str | None = None  # None: every activity the actor belongs to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorScript:
     id: str
     trace: Trace
     actions: tuple[ScriptedAction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivitySpec:
     title: str
     kind: ActivityKind
@@ -151,7 +151,7 @@ class ActivitySpec:
     batch_threshold: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     seed: int
     noise_sigma_m: float
@@ -163,14 +163,14 @@ class Scenario:
     base_dir: Path | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     at: int
     to: str
     msg: ServerMessage
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     transcript: list[TranscriptEntry]
     state: ServerState

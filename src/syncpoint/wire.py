@@ -68,46 +68,46 @@ class UnknownType(SyncError):
 
 # --- client messages -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hello:
     participant: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RespondInvite:
     activity: str
     answer: InviteAnswer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arm:
     activity: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disarm:
     activity: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fix:
     activity: str
     point: GeoPoint
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskDone:
     activity: str
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poll:
     cursor: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Status:
     activity: str
 
@@ -119,30 +119,30 @@ CLIENT_MESSAGES: tuple[type, ...] = get_args(ClientMessage)
 
 # --- server messages -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Welcome:
     server_time: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invite:
     summary: ActivitySummary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Notify:
     seq: int
     notification: Notification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticipantView:
     id: str
     status: ParticipantStatus
     arrived: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatusView:
     activity: str
     participants: tuple[ParticipantView, ...]
@@ -150,12 +150,12 @@ class StatusView:
     phase: ActivityPhase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack:
     of: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Err:
     code: str
     detail: str

@@ -21,7 +21,7 @@ from syncpoint.geo import GeoPoint, haversine_m
 from syncpoint.ics import parse_ics, ParseResult
 from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow, new_activity
 from syncpoint.geo import Geofence
-from syncpoint.presence import Armed
+from syncpoint.presence import ARMED
 from syncpoint.geo import EARTH_RADIUS_M, Zone
 from syncpoint.sim import (
     M_PER_DEG_LAT,
@@ -262,7 +262,8 @@ def test_c06_presence_safety_over_randomized_traces():
                     center.lat + math.degrees(d / EARTH_RADIUS_M), center.lon
                 )
                 in_window = act.window.start <= now < act.window.end
-                before = state.presence[(act.id, "bruno")].alarm
+                pp = state.presence[(act.id, "bruno")]
+                before = (pp.alarm, pp.zone)
                 reply, events = _bruno(state, Fix(act.id, point, now), now)
                 if isinstance(reply, Err):
                     # A fix at the time of the last accepted one is inert.
@@ -270,7 +271,7 @@ def test_c06_presence_safety_over_randomized_traces():
                 assert not events or in_window  # fixes outside Active are inert
                 if events:
                     # Arrivals are transition-born, never presence-born.
-                    assert before == Armed(Zone.OUTSIDE)
+                    assert before == (ARMED, Zone.OUTSIDE)
                 arrivals.extend(events)
         assert len(arrivals) <= 1, case
 

@@ -37,6 +37,7 @@ from syncpoint.eventlog import (
     FixAccepted,
     InviteResponded,
     TaskCompleted,
+    TornTail,
     decode_record,
     encode_record,
     load_log,
@@ -46,7 +47,7 @@ from syncpoint.eventlog import (
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zone
 from syncpoint.ics import parse_ics
 from syncpoint.notify import ArrivalNotice, Invitation, SelfArrivalAck, TaskDoneNotice
-from syncpoint.presence import Armed, Arrived
+from syncpoint.presence import ARMED, Arrived
 from syncpoint.wire import (
     Ack,
     Arm,
@@ -170,7 +171,8 @@ class TestArmDisarm:
         accept_all(state, act, ["bruno"])
         outbound, records = handle(state, Arm(act.id), "bruno", 20)
         assert outbound == [("bruno", Ack("ARM"))]
-        assert state.presence[(act.id, "bruno")].alarm == Armed(Zone.OUTSIDE)
+        pp = state.presence[(act.id, "bruno")]
+        assert (pp.alarm, pp.zone) == (ARMED, Zone.OUTSIDE)
         assert records[0].event.zone is Zone.OUTSIDE
 
     def test_arm_requires_acceptance(self):
@@ -204,7 +206,8 @@ class TestArmDisarm:
         accept_all(state, act, ["bruno"])
         handle(state, Fix(act.id, at_distance(10), 1500), "bruno", 1500)
         outbound, records = handle(state, Arm(act.id), "bruno", 1510)
-        assert state.presence[(act.id, "bruno")].alarm == Armed(Zone.INSIDE)
+        pp = state.presence[(act.id, "bruno")]
+        assert (pp.alarm, pp.zone) == (ARMED, Zone.INSIDE)
         outbound, records = handle(state, Fix(act.id, at_distance(20), 1520), "bruno", 1520)
         assert records and isinstance(records[0].event, FixAccepted)
         assert len(records) == 1  # no ArrivalRecorded
@@ -298,7 +301,8 @@ class TestFix:
             kinds = [type(r.event).__name__ for r in records]
             assert kinds == ["FixAccepted"] + (["ArrivalRecorded"] if arrives else [])
         assert state.arrivals[act.id] == ("bruno",)
-        assert state.presence[(act.id, "carla")].alarm == Armed(Zone.INSIDE)
+        pp = state.presence[(act.id, "carla")]
+        assert (pp.alarm, pp.zone) == (ARMED, Zone.INSIDE)
 
     def test_fix_from_declined_participant(self):
         state, act, _, _ = fresh()
@@ -705,6 +709,44 @@ class TestEngineWrapper:
         eng.close()
         assert [r.index for r in load_log(log)] == list(range(len(records)))
         assert replay(load_log(log)) == eng.state
+
+    def test_a_cut_anywhere_in_a_multibyte_last_record_opens_on_the_prefix(self, tmp_path):
+        # A write torn inside a multi-byte character is a torn tail like
+        # any other: every cut opens on the records before the torn line.
+        state = ServerState()
+        records = scripted_run(state)
+        records += create_activity(
+            state, now=1500, title="Caf\u00e9 \u5bb6 \U0001F600", kind=ActivityKind.MEETUP,
+            window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+            organizer="ana", participant_ids=["ana", "bruno"],
+        )[2]
+        data = "".join(encode_record(r) for r in records).encode("utf-8")
+        start = data.rindex(b"\n", 0, -1) + 1  # where the last record begins
+        assert "\u00e9".encode("utf-8") in data[start:]
+        log = tmp_path / "events.log"
+        for cut in range(start, len(data) + 1):
+            log.write_bytes(data[:cut])
+            eng = Engine(log_path=log)
+            eng.close()
+            if cut in (start, len(data)):  # at a line boundary
+                assert eng.torn_tail is None, cut
+                kept = records if cut == len(data) else records[:-1]
+            else:
+                assert eng.torn_tail.index == len(records) - 1, cut
+                kept = records[:-1]
+            assert eng.state == replay(kept), cut
+            assert log.read_bytes() == data[: len(data) if kept is records else start], cut
+
+    def test_invalid_utf8_inside_the_log_is_corrupt(self, tmp_path):
+        lines = [encode_record(r).encode("utf-8") for r in scripted_run(ServerState())]
+        lines[2] = lines[2].replace(b'"index":2', b'"index":2,"x":"\xff"')
+        log = tmp_path / "events.log"
+        log.write_bytes(b"".join(lines))
+        good, error = load_prefix(log)
+        assert len(good) == 2 and error.index == 2
+        assert not isinstance(error, TornTail)
+        with pytest.raises(CorruptRecord):
+            Engine(log_path=log)
 
     def test_other_corrupt_lines_refuse_to_open(self, tmp_path):
         log = tmp_path / "events.log"

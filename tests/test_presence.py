@@ -15,9 +15,9 @@ from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.eventlog import ArrivalRecorded
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint.presence import (
+    ARMED,
     DISARMED,
     AlreadyArmed,
-    Armed,
     Arrived,
     Disarmed,
     arm,
@@ -64,37 +64,47 @@ def alarm(state, aid, who="bruno"):
     return state.presence[(aid, who)].alarm
 
 
+def seen(state, aid, who="bruno"):
+    """The participant's alarm and the zone they were last seen in."""
+    pp = state.presence[(aid, who)]
+    return pp.alarm, pp.zone
+
+
 def armed(zone):
     """bruno armed in ``zone``: a fix at 10 m before arming seeds Inside."""
     state, aid = server()
     if zone is Zone.INSIDE:
         send(state, Fix(aid, at_distance(10), 1500), now=1500)
     send(state, Arm(aid))
-    assert alarm(state, aid) == Armed(zone)
+    assert seen(state, aid) == (ARMED, zone)
     return state, aid
 
 
 class TestArm:
     def test_arm_outside(self):
-        assert arm(DISARMED, Zone.OUTSIDE) == Armed(Zone.OUTSIDE)
+        assert arm(DISARMED) == ARMED
+        armed(Zone.OUTSIDE)  # checks bruno's alarm and zone after an ARM
 
     def test_arm_inside_emits_nothing(self):
-        # Arming on site must not become an arrival; the state just
+        # Arming on site must not become an arrival; the presence just
         # remembers the zone so only a later exit/re-entry can trigger.
-        assert arm(DISARMED, Zone.INSIDE) == Armed(Zone.INSIDE)
+        state, aid = server()
+        send(state, Fix(aid, at_distance(10), 1500), now=1500)
+        assert send(state, Arm(aid))[1] == []
+        assert seen(state, aid) == (ARMED, Zone.INSIDE)
 
     def test_arm_twice(self):
         with pytest.raises(AlreadyArmed):
-            arm(Armed(Zone.OUTSIDE), Zone.OUTSIDE)
+            arm(ARMED)
 
     def test_arm_after_arrival(self):
         with pytest.raises(AlreadyArmed):
-            arm(Arrived(1234), Zone.OUTSIDE)
+            arm(Arrived(1234))
 
 
 class TestDisarm:
     def test_disarm_armed(self):
-        assert disarm(Armed(Zone.INSIDE)) == Disarmed()
+        assert disarm(ARMED) == Disarmed()
 
     def test_disarm_idempotent(self):
         assert disarm(DISARMED) == Disarmed()
@@ -118,19 +128,19 @@ class TestIngestFix:
     def test_armed_inside_absorbs_inside_fixes(self):
         state, aid = armed(Zone.INSIDE)
         _, events = self.fix(state, aid, 50)
-        assert alarm(state, aid) == Armed(Zone.INSIDE)
+        assert seen(state, aid) == (ARMED, Zone.INSIDE)
         assert events == []
 
     def test_fix_before_window_ignored(self):
         state, aid = armed(Zone.OUTSIDE)
         _, events = self.fix(state, aid, 50, t=999)
-        assert alarm(state, aid) == Armed(Zone.OUTSIDE)
+        assert seen(state, aid) == (ARMED, Zone.OUTSIDE)
         assert events == []
 
     def test_fix_after_window_ignored(self):
         state, aid = armed(Zone.OUTSIDE)
         _, events = self.fix(state, aid, 50, t=5000)
-        assert alarm(state, aid) == Armed(Zone.OUTSIDE)
+        assert seen(state, aid) == (ARMED, Zone.OUTSIDE)
         assert events == []
 
     def test_not_accepted_rejected(self):
@@ -153,7 +163,7 @@ class TestIngestFix:
     def test_exit_updates_zone_without_event(self):
         state, aid = armed(Zone.INSIDE)
         _, events = self.fix(state, aid, 200)
-        assert alarm(state, aid) == Armed(Zone.OUTSIDE)
+        assert seen(state, aid) == (ARMED, Zone.OUTSIDE)
         assert events == []
 
     def test_arrival_timestamp_is_fix_timestamp(self):
@@ -165,8 +175,8 @@ class TestIngestFix:
 
 def run_trace(trace):
     """Send a (time, distance, action) trace as bruno's ARM, DISARM and FIX
-    commands, each at its time; returns bruno's alarm and the arrivals
-    recorded. A fix not after bruno's last accepted one is stale and must
+    commands, each at its time; returns bruno's alarm and zone, and the
+    arrivals recorded. A fix not after bruno's last accepted one is stale and must
     be inert.
     """
     state, aid = server()
@@ -182,7 +192,7 @@ def run_trace(trace):
         if isinstance(reply, Err) and action == "fix":
             assert reply.code == "STALE_FIX" and events == []
         arrivals.extend(events)
-    return alarm(state, aid), arrivals
+    return seen(state, aid), arrivals
 
 
 class TestTraceProperties:
@@ -222,7 +232,7 @@ class TestTraceProperties:
         ]
         state, events = run_trace(trace)
         assert events == []
-        assert state == Armed(Zone.INSIDE)
+        assert state == (ARMED, Zone.INSIDE)
 
     def test_noise_within_hysteresis_after_entry_single_arrival(self):
         rng = random.Random(7)
