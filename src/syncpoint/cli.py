@@ -11,6 +11,8 @@
 log, keeping the records before a corrupt line with a warning, and print
 status views as canonical wire frames. `serve` and `ingest` cut a torn final
 line off the log with the same warning; any other corrupt line stops them.
+A log write that fails stops `serve` (and `ingest`) with exit status 1 and
+one line on stderr; the log then holds exactly the committed records.
 `simulate --check` exits non-zero on the first diverging transcript line.
 """
 
@@ -74,8 +76,9 @@ def cmd_serve(args) -> int:
         asyncio.run(_serve(engine, host, port))
     except (KeyboardInterrupt, asyncio.CancelledError):
         pass
-    finally:
-        engine.close()
+    # A LogWriteFailed skips the close: the records past the last commit
+    # die with the process, since none of their replies left.
+    engine.close()
     return 0
 
 

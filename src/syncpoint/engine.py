@@ -9,9 +9,10 @@ now) — "now" is always injected, never read from a clock, so a simulator
 can drive virtual time.
 
 The FIX path looks the sender up once and classifies the fix once, in
-``apply(FixAccepted)``; whether that fix is the arrival is decided by
+``_dispatch``; whether that fix is the arrival is decided by
 ``presence.ingest_fix`` from the zones before and after it, the one place
-that rule lives. Each participant's zone is kept once, in its
+that rule lives. Its ``FixAccepted`` record carries the zone, so ``apply``
+runs no geometry. Each participant's zone is kept once, in its
 ``ParticipantPresence``; the alarm state holds none.
 
 Notification queues are part of the state: every queued ``Notify`` carries
@@ -22,7 +23,9 @@ cursor travels with each POLL, and the queue is never trimmed.
 Durability is the ``Engine`` wrapper's: it appends each command's records
 to the log, and ``Engine.commit`` writes and flushes all records appended
 since the last commit at once. A caller commits before any reply or push
-for those commands leaves (the server does so once per read).
+for those commands leaves (the server does so once per read). A failed
+commit raises ``LogWriteFailed`` with the log cut back to the last commit;
+the server then stops, so state ahead of the log dies with the process.
 
 The engine is single-threaded: the server drives it from one asyncio
 loop, which gives commands the total order the determinism guarantees
@@ -33,13 +36,17 @@ many small values (queued ``Notify`` frames, presences, records) carry no
 per-instance ``__dict__``. ``Activity`` is the one exception; its
 docstring says why.
 
-Privacy stance: fixes come in, facts go out. The latest fix per
-(activity, participant) is all the location the state retains, and no
-outbound message ever carries a coordinate.
+Privacy stance: fixes come in, facts go out. A fix is classified into a
+zone on arrival and then dropped: the state keeps each participant's zone
+and the time of the latest fix, the log records the same zone (see
+``eventlog``), and no outbound message ever carries a coordinate. The
+point-bearing fix records of older logs are classified once, by
+``replay``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,9 +74,10 @@ from .eventlog import (
     FixAccepted,
     InviteResponded,
     LogWriter,
+    PointFix,
     TaskCompleted,
     TornTail,
-    load_log,
+    load_prefix,
 )
 from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, Zone, classify_zone
 from .ics import ActivityDraft
@@ -166,7 +174,6 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         )
         return []
     if isinstance(e, ArmSet):
-        # The record's zone is the presence's zone when it was written.
         pp = state.presence[(e.activity, e.who)]
         pp.alarm = prs.arm(pp.alarm)
         return []
@@ -175,9 +182,8 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         pp.alarm = prs.disarm(pp.alarm)
         return []
     if isinstance(e, FixAccepted):
-        act = state.activities[e.activity]
         pp = state.presence[(e.activity, e.who)]
-        pp.zone = classify_zone(act.fence, pp.zone, e.point)
+        pp.zone = e.zone
         pp.last_fix_at = e.fix_at
         # The arrival itself, when due, is its own record applied next.
         return []
@@ -206,9 +212,23 @@ def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]
 
 
 def replay(records) -> ServerState:
-    """Rebuild state by folding records through the live transition logic."""
+    """Rebuild state by folding records through the live transition logic.
+
+    A ``PointFix`` (a fix record of an older log) is classified here, once,
+    against the fence and the participant's zone so far, into the
+    ``FixAccepted`` the FIX path records today; ``apply`` never sees one.
+    """
     state = ServerState()
     for record in records:
+        e = record.event
+        if type(e) is PointFix:
+            zone = classify_zone(
+                state.activities[e.activity].fence, state.presence[(e.activity, e.who)].zone,
+                e.point,
+            )
+            record = EventRecord(
+                record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
+            )
         apply(state, record)
     return state
 
@@ -296,7 +316,7 @@ def _dispatch(
         act = _activity(state, msg.activity)
         pp = _presence_of(state, act, from_, accepted=True)
         prs.arm(pp.alarm)  # validation only
-        record, _ = _record(state, now, ArmSet(act.id, from_, pp.zone))
+        record, _ = _record(state, now, ArmSet(act.id, from_))
         return [(from_, Ack("ARM"))], [record]
 
     if isinstance(msg, Disarm):
@@ -318,9 +338,9 @@ def _dispatch(
             # Outside the window the fix is ignored: no state, no record.
             return [(from_, Ack("FIX"))], []
         alarm, previous_zone = pp.alarm, pp.zone
-        # Classifies the fix into pp.zone; a FixAccepted pushes nothing.
-        fixed, _ = _record(state, now, FixAccepted(act.id, from_, msg.point, msg.at))
-        if not prs.ingest_fix(alarm, previous_zone, pp.zone):
+        zone = classify_zone(act.fence, previous_zone, msg.point)
+        fixed, _ = _record(state, now, FixAccepted(act.id, from_, zone, msg.at))
+        if not prs.ingest_fix(alarm, previous_zone, zone):
             return [(from_, Ack("FIX"))], [fixed]
         arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
         return [(from_, Ack("FIX"))] + pushes, [fixed, arrival]
@@ -422,8 +442,9 @@ class Engine:
     the next ``commit`` (or ``close``); reply to no command before the
     commit that follows it.
 
-    Opening a log replays it; a torn final line is cut off and kept in
-    ``torn_tail``, and any other corrupt line raises ``CorruptRecord``.
+    Opening a log reads and replays it once; a torn final line is cut off
+    and kept in ``torn_tail``, and any other corrupt line raises
+    ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
@@ -431,14 +452,14 @@ class Engine:
         self._writer: LogWriter | None = None
         self.torn_tail: TornTail | None = None
         if log_path is not None:
-            try:
-                existing = load_log(log_path) if Path(log_path).exists() else []
-            except TornTail as torn:
-                with open(log_path, "rb+") as fh:  # appends then start on a fresh line
-                    fh.truncate(fh.read().rfind(b"\n") + 1)
-                existing, self.torn_tail = load_log(log_path), torn
-            self.state = replay(existing)
-            self._writer = LogWriter(log_path, start_index=len(existing))
+            records, error = load_prefix(log_path) if Path(log_path).exists() else ([], None)
+            if error is not None:
+                if not isinstance(error, TornTail):
+                    raise error
+                os.truncate(log_path, error.offset)  # appends then start on a fresh line
+                self.torn_tail = error
+            self.state = replay(records)
+            self._writer = LogWriter(log_path, start_index=len(records))
 
     def _persist(self, records: list[EventRecord]) -> None:
         if self._writer is not None:
@@ -451,7 +472,11 @@ class Engine:
         return outbound
 
     def commit(self) -> None:
-        """Write and flush every record appended since the last commit."""
+        """Write and flush every record appended since the last commit.
+
+        Raises ``LogWriteFailed`` if they cannot all be written: the log
+        then ends at the last commit, and the state runs ahead of it.
+        """
         if self._writer is not None:
             self._writer.commit()
 

@@ -9,17 +9,28 @@ dense from 0. A malformed or out-of-sequence line stops replay with
 
 ``LogWriter`` group-commits: appended records are buffered and written
 together, with one write and one flush, at ``commit``. The server commits
-once per read, before any reply or push for that read's frames leaves.
+once per read, before any reply or push for that read's frames leaves. A
+commit is all or nothing: a failed write or flush cuts the file back to
+the last commit, keeps the buffer and raises ``LogWriteFailed``.
 
 The schema table below (``_EVENTS``, one entry per record type) is the one
 place where each record's fields and order live: a record is its event's
 fields beside ``at`` and ``index``, tagged with ``type``. Records are read
 loosely: this codec wrote them, so only the constructors check them.
+
+Privacy stance: the log holds no coordinate but the fence centre of each
+``ACTIVITY_CREATED``. A ``FIX_ACCEPTED`` records the zone its fix was
+classified into, not the fix; an ``ARMED`` records who armed. Logs written
+before that format hold a fix's ``lat``/``lon`` in place of its ``zone``,
+and an ``ARMED`` zone that nothing reads. Such a ``FIX_ACCEPTED`` decodes to
+a ``PointFix`` (its one reader is ``engine.replay``, which classifies it as
+the FIX path would have); nothing writes one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -49,7 +60,19 @@ class CorruptRecord(SyncError):
 
 
 class TornTail(CorruptRecord):
-    """The final line lacks its newline: the last write was cut short."""
+    """The final line lacks its newline: the last write was cut short.
+
+    ``offset`` is where that line starts in the file, when ``load_prefix``
+    read it from one: the length to cut the file back to.
+    """
+
+    offset: int | None = None
+
+
+class LogWriteFailed(SyncError):
+    """A commit could not write or flush: the log is cut back to the last commit."""
+
+    code = "LOG_WRITE_FAILED"
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +91,6 @@ class InviteResponded:
 class ArmSet:
     activity: str
     who: str
-    zone: Zone
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +101,16 @@ class ArmCleared:
 
 @dataclass(frozen=True, slots=True)
 class FixAccepted:
+    activity: str
+    who: str
+    zone: Zone  # the fix classified against the fence; the point is not kept
+    fix_at: int
+
+
+@dataclass(frozen=True, slots=True)
+class PointFix:
+    """A ``FIX_ACCEPTED`` of an older log, which held the point, not the zone."""
+
     activity: str
     who: str
     point: GeoPoint
@@ -140,11 +172,10 @@ _EVENTS = {
     "INVITE_RESPONDED": (
         InviteResponded, ("activity", STR), ("who", STR), ("answer", choice(InviteAnswer)),
     ),
-    "ARMED": (ArmSet, ("activity", STR), ("who", STR), ("zone", choice(Zone))),
+    "ARMED": (ArmSet, ("activity", STR), ("who", STR)),
     "DISARMED": (ArmCleared, ("activity", STR), ("who", STR)),
     "FIX_ACCEPTED": (
-        FixAccepted, ("activity", STR), ("who", STR), ("point", Inline(POINT)),
-        ("fix_at", INT),
+        FixAccepted, ("activity", STR), ("who", STR), ("zone", choice(Zone)), ("fix_at", INT),
     ),
     "ARRIVAL_RECORDED": (ArrivalRecorded, ("activity", STR), ("who", STR), ("arrived_at", INT)),
     "TASK_COMPLETED": (TaskCompleted, ("activity", STR), ("who", STR), ("done_at", INT)),
@@ -161,6 +192,19 @@ _RECORDS = {
 }
 _ENCODERS = {cls: s.encode for cls, s in _RECORDS.items()}
 _DECODERS = {s.tag[1]: s.decoder(strict=False) for s in _RECORDS.values()}
+
+
+# The one reader of a point-bearing FIX_ACCEPTED: an older line has the
+# fix's lat and lon where a current one has its zone.
+_decode_zone_fix = _DECODERS["FIX_ACCEPTED"]
+_decode_point_fix = Schema(
+    EventRecord, ("index", INT), ("at", INT), ("event", Inline(Schema(
+        PointFix, ("activity", STR), ("who", STR), ("point", Inline(POINT)), ("fix_at", INT),
+    ))),
+).decoder(strict=False)
+_DECODERS["FIX_ACCEPTED"] = (
+    lambda obj: _decode_zone_fix(obj) if "zone" in obj else _decode_point_fix(obj)
+)
 
 
 def encode_record(record: EventRecord) -> str:
@@ -228,11 +272,14 @@ def load_prefix(path: str | Path) -> tuple[list[EventRecord], CorruptRecord | No
     The file is split into lines as bytes and each line decoded on its own,
     so a write torn inside a multi-byte character is a ``TornTail`` too.
     """
+    lines = split_lines(Path(path).read_bytes())
     records: list[EventRecord] = []
     try:
-        for record in read_records(split_lines(Path(path).read_bytes())):
+        for record in read_records(lines):
             records.append(record)
     except CorruptRecord as e:
+        if isinstance(e, TornTail):
+            e.offset = sum(map(len, lines)) - len(lines[-1])
         return records, e
     return records, None
 
@@ -249,14 +296,19 @@ class LogWriter:
     """Appends records to a log file, one canonical line each.
 
     ``append`` checks the index and buffers the line; ``commit`` writes
-    every buffered line with one write and flushes, so the records of one
-    batch reach the file together. ``close`` commits first.
+    every buffered line and flushes, so the records of one batch reach the
+    file together. ``close`` commits first.
+
+    The file is unbuffered, so no bytes of a failed commit linger in a
+    buffer to reach the file later: the file holds exactly the committed
+    records, and the uncommitted ones stay in ``LogWriter`` alone.
     """
 
     def __init__(self, path: str | Path, start_index: int = 0):
         self.path = Path(path)
         self.next_index = start_index
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab", buffering=0)
+        self._committed = self._fh.seek(0, os.SEEK_END)  # bytes of the committed records
         self._lines: list[str] = []
 
     def append(self, record: EventRecord) -> None:
@@ -268,10 +320,28 @@ class LogWriter:
         self.next_index += 1
 
     def commit(self) -> None:
-        if self._lines:
-            lines, self._lines = self._lines, []
-            self._fh.write("".join(lines))
+        """Write and flush the buffered lines, or raise ``LogWriteFailed``.
+
+        On a failed (or short, then failed) write or flush the file is cut
+        back to the end of the last commit and the lines stay buffered.
+        """
+        if not self._lines:
+            return
+        data = memoryview("".join(self._lines).encode("utf-8"))
+        try:
+            rest = data
+            while rest:  # a write may take only part of the bytes
+                rest = rest[self._fh.write(rest):]
             self._fh.flush()
+        except OSError as e:
+            detail = f"{e}; the log is cut back to its last commit ({self._committed} bytes)"
+            try:
+                self._fh.truncate(self._committed)
+            except OSError as cut:
+                detail = f"{e}; cutting the log back to its last commit failed too: {cut}"
+            raise LogWriteFailed(detail) from e
+        self._committed += len(data)
+        self._lines.clear()
 
     def close(self) -> None:
         try:

@@ -13,6 +13,12 @@ the log with one write and one flush, and only then does any reply or push
 for them leave. Pushes to other connections are written first, then the
 sender's replies, each connection's share in one write and in request
 order, with an ERR in place of each frame that could not be handled.
+
+A commit that fails (``LogWriteFailed``) stops the whole server: nothing
+of that read leaves, no connection is served again, and ``stopped``
+(which ``serve_forever`` awaits) raises the error. The engine's state is
+then ahead of its log and must not answer anyone; a restart replays the
+committed records.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import time
 
 from .engine import Engine
 from .errors import SyncError
+from .eventlog import LogWriteFailed
 from .wire import CLIENT_MESSAGES, MAX_FRAME_BYTES, Err, FrameBuffer, Hello, decode, encode
 
 log = logging.getLogger(__name__)
@@ -40,8 +47,10 @@ class SyncServer:
         self.engine = engine
         self.clock = clock or (lambda: int(time.time()))
         self._conns: dict[str, list[asyncio.StreamWriter]] = {}
+        self.stopped: asyncio.Future | None = None  # set by ``start``
 
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
+        self.stopped = asyncio.get_running_loop().create_future()
         server = await asyncio.start_server(self._client, host, port)
         addrs = ", ".join(str(s.getsockname()) for s in server.sockets)
         log.info("listening on %s", addrs)
@@ -65,7 +74,7 @@ class SyncServer:
         try:
             while True:
                 data = await reader.read(4096)
-                if not data:
+                if not data or self.stopped.done():
                     break
                 replies: list[str] = []  # to this connection, in request order
                 pushes: dict[asyncio.StreamWriter, list[str]] = {}
@@ -102,7 +111,12 @@ class SyncServer:
                     replies.append(encode(Err(
                         "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"
                     )))
-                self.engine.commit()
+                try:
+                    self.engine.commit()
+                except LogWriteFailed as e:
+                    if not self.stopped.done():
+                        self.stopped.set_exception(e)
+                    break
                 for w, lines in pushes.items():
                     w.write("".join(lines).encode("utf-8"))
                 if replies:
@@ -126,6 +140,8 @@ class SyncServer:
 
 
 async def serve_forever(engine: Engine, host: str, port: int) -> None:
-    server = await SyncServer(engine, clock=None).start(host, port)
+    """Serve until cancelled; raises the ``LogWriteFailed`` that stops the server."""
+    sync = SyncServer(engine, clock=None)
+    server = await sync.start(host, port)
     async with server:
-        await server.serve_forever()
+        await sync.stopped

@@ -8,10 +8,13 @@ when they switch the alarm on must physically leave and come back before
 the system will announce them.
 
 The transition test itself is ``ingest_fix``, the one place the rule
-lives; the engine's FIX path applies it to the zone the participant was
-last seen in and the zone its ``FixAccepted`` record classified, so each
-fix is classified once. The alarm holds no zone: the participant's one
-zone lives beside it, in the engine's presence bookkeeping.
+lives; the engine's FIX path classifies each fix once and applies the
+rule to the zone the participant was last seen in and the new zone. The
+alarm holds no zone: the participant's one zone lives beside it, in the
+engine's presence bookkeeping.
+
+Privacy stance: this module sees zones only, never a point. The new zone
+is also all that the fix's ``FixAccepted`` record keeps of it.
 
 State layout:
 

@@ -422,7 +422,10 @@ def transcript_lines(entries: list[TranscriptEntry]) -> list[str]:
 
 
 def write_transcript(path: str | Path, entries: list[TranscriptEntry]) -> None:
-    Path(path).write_text("".join(transcript_lines(entries)), encoding="utf-8")
+    """The lines of ``transcript_lines``, each written as it is encoded."""
+    encode = _ENTRY.encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(encode(e) + "\n" for e in entries)
 
 
 def first_divergence(actual: list[str], expected: list[str]) -> int | None:

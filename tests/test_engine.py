@@ -173,7 +173,7 @@ class TestArmDisarm:
         assert outbound == [("bruno", Ack("ARM"))]
         pp = state.presence[(act.id, "bruno")]
         assert (pp.alarm, pp.zone) == (ARMED, Zone.OUTSIDE)
-        assert records[0].event.zone is Zone.OUTSIDE
+        assert records[0].event == ArmSet(act.id, "bruno")
 
     def test_arm_requires_acceptance(self):
         state, act, _, _ = fresh()
@@ -605,15 +605,12 @@ def every_record() -> list[EventRecord]:
             ActivityCreated(awkward_activity(text, None)),
             ActivityCreated(awkward_activity(text, text)),
             InviteResponded(text, text, InviteAnswer.DECLINE),
-            ArmSet(text, text, Zone.INSIDE),
+            ArmSet(text, text),
             ArmCleared(text, text),
             ArrivalRecorded(text, text, 2**40),
             TaskCompleted(text, text, 0),
         ]
-        events += [
-            FixAccepted(text, text, GeoPoint(lat, lon), 7)
-            for lat in AWKWARD_FLOATS[:3] for lon in AWKWARD_FLOATS
-        ]
+        events += [FixAccepted(text, text, zone, 7) for zone in Zone]
     return [EventRecord(i, i * 3, e) for i, e in enumerate(events)]
 
 

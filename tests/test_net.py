@@ -6,7 +6,7 @@ import math
 from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, replay
 from syncpoint.eventlog import FixAccepted, load_log
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint
+from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint.net import SyncServer
 from syncpoint.wire import (
     MAX_FRAME_BYTES, Ack, Arm, Err, Fix, Hello, Notify, Poll, RespondInvite, Welcome, decode,
@@ -266,7 +266,7 @@ def test_records_are_flushed_before_pushes_and_replies_leave(tmp_path, monkeypat
 
     act, ack, on_disk_at_ack, state = asyncio.run(run())
     assert ack == Ack("FIX")
-    assert on_disk_at_ack[-1].event == FixAccepted(act.id, "bruno", at_distance(500), 2001)
+    assert on_disk_at_ack[-1].event == FixAccepted(act.id, "bruno", Zone.OUTSIDE, 2001)
     # Each write leaves after its records are on disk; the arrival's push
     # to ana goes before bruno's own replies, which leave in one write.
     assert [(frames, len(on_disk)) for frames, on_disk in server_writes] == [
