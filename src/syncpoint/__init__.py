@@ -25,7 +25,7 @@ from .errors import SyncError
 from .geo import GeoPoint, Geofence, Zone, classify_zone, haversine_m
 from .ics import ActivityDraft, parse_geo, parse_ics, unfold_lines
 from .notify import on_arrival, on_invite, on_task_done, render_identity
-from .presence import AlarmState, Armed, Arrived, Disarmed, arm, disarm, ingest_fix
+from .presence import Alarm, ingest_fix
 from .sim import (
     Scenario,
     Trace,

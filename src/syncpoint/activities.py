@@ -40,15 +40,6 @@ class BatchThresholdInvalid(SyncError):
     code = "BATCH_THRESHOLD_INVALID"
 
 
-class UnknownParticipant(SyncError):
-    # Same meaning as the server-level "not a participant" error; one code.
-    code = "NOT_A_PARTICIPANT"
-
-
-class AlreadyResponded(SyncError):
-    code = "ALREADY_RESPONDED"
-
-
 class ActivityKind(str, Enum):
     MEETUP = "MEETUP"
     GATHERING = "GATHERING"
@@ -205,26 +196,15 @@ def new_activity(
     )
 
 
-def check_response(activity: Activity, participant_id: str) -> int:
-    """The position of a participant who may still answer the invitation.
-
-    Raises ``UnknownParticipant`` for a stranger and ``AlreadyResponded``
-    once the participant has answered: each participant answers once.
-    """
-    i = activity._positions.get(participant_id)
-    if i is None:
-        raise UnknownParticipant(f"{participant_id!r} is not a participant of {activity.id}")
-    status = activity.participants[i].status
-    if status is not ParticipantStatus.INVITED:
-        raise AlreadyResponded(f"{participant_id!r} already responded ({status.value})")
-    return i
-
-
 def respond_invitation(
     activity: Activity, participant_id: str, answer: InviteAnswer
 ) -> Activity:
-    """Record a participant's accept/decline, checked by ``check_response``."""
-    i = check_response(activity, participant_id)
+    """The activity with a participant's accept/decline recorded.
+
+    The engine's command dispatch has already checked that the participant
+    is still Invited; this only rebuilds the value.
+    """
+    i = activity._positions[participant_id]
     status = (
         ParticipantStatus.ACCEPTED
         if answer is InviteAnswer.ACCEPT

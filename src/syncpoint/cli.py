@@ -12,7 +12,8 @@ log, keeping the records before a corrupt line with a warning, and print
 status views as canonical wire frames. `serve` and `ingest` cut a torn final
 line off the log with the same warning; any other corrupt line stops them.
 A log write that fails stops `serve` (and `ingest`) with exit status 1 and
-one line on stderr; the log then holds exactly the committed records.
+one line on stderr; the log then holds exactly the committed records. An
+`OSError`, such as a missing file or a port in use, exits the same way.
 `simulate --check` exits non-zero on the first diverging transcript line.
 """
 
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     except SyncError as e:
         print(f"error: {e.code}: {e.detail}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

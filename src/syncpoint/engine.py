@@ -8,12 +8,20 @@ field for field. ``handle`` is deterministic in (state, message, sender,
 now) — "now" is always injected, never read from a clock, so a simulator
 can drive virtual time.
 
+Every command check runs once, in ``_dispatch``, before any record exists:
+the participant lookup (``_member``, one ``Activity.participant`` call per
+command), the invitation status (``_invited``, ``_accepted``) and the
+alarm state (``_disarmed``, and DISARM's no-op test). ``apply`` checks
+only that records come in index order and are records; it assigns, and
+``respond_invitation`` only rebuilds the activity.
+
 The FIX path looks the sender up once and classifies the fix once, in
 ``_dispatch``; whether that fix is the arrival is decided by
 ``presence.ingest_fix`` from the zones before and after it, the one place
 that rule lives. Its ``FixAccepted`` record carries the zone, so ``apply``
 runs no geometry. Each participant's zone is kept once, in its
-``ParticipantPresence``; the alarm state holds none.
+``ParticipantPresence``, beside its ``Alarm`` (DISARMED, ARMED or
+ARRIVED), which holds none.
 
 Notification queues are part of the state: every queued ``Notify`` carries
 a per-recipient sequence number, dense from 1 (its position in the queue),
@@ -50,16 +58,14 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import presence as prs
 from .activities import (
     Activity,
     ActivityKind,
     ActivityPhase,
+    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
-    UnknownParticipant,
-    check_response,
     new_activity,
     phase_at,
     respond_invitation,
@@ -82,6 +88,7 @@ from .eventlog import (
 from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, Zone, classify_zone
 from .ics import ActivityDraft
 from .notify import Notification, on_arrival, on_invite, on_task_done
+from .presence import Alarm, ingest_fix
 from .wire import (
     Ack,
     Arm,
@@ -118,11 +125,27 @@ class KindMismatch(SyncError):
     code = "KIND_MISMATCH"
 
 
+class UnknownParticipant(SyncError):
+    code = "NOT_A_PARTICIPANT"
+
+
+class AlreadyResponded(SyncError):
+    code = "ALREADY_RESPONDED"
+
+
+class NotAccepted(SyncError):
+    code = "NOT_ACCEPTED"
+
+
+class AlreadyArmed(SyncError):
+    code = "ALREADY_ARMED"
+
+
 @dataclass(slots=True)
 class ParticipantPresence:
     """Per-(activity, participant) server-side presence bookkeeping."""
 
-    alarm: prs.AlarmState = prs.DISARMED
+    alarm: Alarm = Alarm.DISARMED
     zone: Zone = Zone.OUTSIDE  # last classified zone; the arrival rule reads it
     last_fix_at: int | None = None
 
@@ -153,6 +176,8 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
 
     This is the single mutation path for live handling and replay alike.
     Records are applied exactly in log order (dense indices enforced).
+    Each record has passed its command's checks in ``_dispatch`` before it
+    was logged, so the fold checks nothing else: it only assigns.
     """
     if record.index != state.record_count:
         raise SyncError(
@@ -174,12 +199,10 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         )
         return []
     if isinstance(e, ArmSet):
-        pp = state.presence[(e.activity, e.who)]
-        pp.alarm = prs.arm(pp.alarm)
+        state.presence[(e.activity, e.who)].alarm = Alarm.ARMED
         return []
     if isinstance(e, ArmCleared):
-        pp = state.presence[(e.activity, e.who)]
-        pp.alarm = prs.disarm(pp.alarm)
+        state.presence[(e.activity, e.who)].alarm = Alarm.DISARMED
         return []
     if isinstance(e, FixAccepted):
         pp = state.presence[(e.activity, e.who)]
@@ -189,8 +212,7 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         return []
     if isinstance(e, ArrivalRecorded):
         act = state.activities[e.activity]
-        pp = state.presence[(e.activity, e.who)]
-        pp.alarm = prs.Arrived(e.arrived_at)
+        state.presence[(e.activity, e.who)].alarm = Alarm.ARRIVED
         state.arrivals[e.activity] = state.arrivals[e.activity] + (e.who,)
         total = len(state.arrivals[e.activity])
         return [
@@ -243,16 +265,32 @@ def _activity(state: ServerState, activity_id: str) -> Activity:
     return act
 
 
-def _presence_of(
-    state: ServerState, act: Activity, who: str, accepted: bool = False
-) -> ParticipantPresence:
-    """The presence of a participant of ``act``; with ``accepted``, of one who accepted."""
+def _member(act: Activity, who: str) -> ParticipantRecord:
+    """The participant record of ``who``, who must be a participant of ``act``."""
     record = act.participant(who)
     if record is None:
         raise UnknownParticipant(f"{who!r} is not a participant of {act.id}")
-    if accepted and record.status is not ParticipantStatus.ACCEPTED:
-        raise prs.NotAccepted(f"{who!r} has not accepted {act.id}")
+    return record
+
+
+def _invited(act: Activity, who: str) -> None:
+    """``who`` may still answer the invitation: each participant answers once."""
+    status = _member(act, who).status
+    if status is not ParticipantStatus.INVITED:
+        raise AlreadyResponded(f"{who!r} already responded ({status.value})")
+
+
+def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
+    """The presence of ``who``, who must have accepted ``act``."""
+    if _member(act, who).status is not ParticipantStatus.ACCEPTED:
+        raise NotAccepted(f"{who!r} has not accepted {act.id}")
     return state.presence[(act.id, who)]
+
+
+def _disarmed(pp: ParticipantPresence) -> None:
+    """ARM needs a disarmed alarm: not one already armed, nor one that arrived."""
+    if pp.alarm is not Alarm.DISARMED:
+        raise AlreadyArmed("alarm is already armed or the participant has arrived")
 
 
 def pending(
@@ -308,28 +346,28 @@ def _dispatch(
         act = _activity(state, msg.activity)
         if phase_at(act, now) is ActivityPhase.ENDED:
             raise PhaseViolation(f"{act.id} has already ended")
-        check_response(act, from_)
+        _invited(act, from_)
         record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
         return [(from_, Ack("RESPOND_INVITE"))] + pushes, [record]
 
     if isinstance(msg, Arm):
         act = _activity(state, msg.activity)
-        pp = _presence_of(state, act, from_, accepted=True)
-        prs.arm(pp.alarm)  # validation only
+        _disarmed(_accepted(state, act, from_))
         record, _ = _record(state, now, ArmSet(act.id, from_))
         return [(from_, Ack("ARM"))], [record]
 
     if isinstance(msg, Disarm):
         act = _activity(state, msg.activity)
-        pp = _presence_of(state, act, from_)
-        if not isinstance(pp.alarm, prs.Armed):
+        _member(act, from_)
+        if state.presence[(act.id, from_)].alarm is not Alarm.ARMED:
+            # Disarming an alarm that is not armed is a no-op: no record.
             return [(from_, Ack("DISARM"))], []
         record, _ = _record(state, now, ArmCleared(act.id, from_))
         return [(from_, Ack("DISARM"))], [record]
 
     if isinstance(msg, Fix):
         act = _activity(state, msg.activity)
-        pp = _presence_of(state, act, from_, accepted=True)
+        pp = _accepted(state, act, from_)
         if pp.last_fix_at is not None and msg.at <= pp.last_fix_at:
             raise StaleFix(
                 f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
@@ -340,14 +378,14 @@ def _dispatch(
         alarm, previous_zone = pp.alarm, pp.zone
         zone = classify_zone(act.fence, previous_zone, msg.point)
         fixed, _ = _record(state, now, FixAccepted(act.id, from_, zone, msg.at))
-        if not prs.ingest_fix(alarm, previous_zone, zone):
+        if not ingest_fix(alarm, previous_zone, zone):
             return [(from_, Ack("FIX"))], [fixed]
         arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
         return [(from_, Ack("FIX"))] + pushes, [fixed, arrival]
 
     if isinstance(msg, TaskDone):
         act = _activity(state, msg.activity)
-        _presence_of(state, act, from_, accepted=True)
+        _accepted(state, act, from_)
         if act.kind is not ActivityKind.TASK:
             raise KindMismatch(f"{act.id} is {act.kind.value}, not TASK")
         record, pushes = _record(state, now, TaskCompleted(act.id, from_, msg.at))
@@ -359,7 +397,7 @@ def _dispatch(
 
     if isinstance(msg, Status):
         act = _activity(state, msg.activity)
-        _presence_of(state, act, from_)
+        _member(act, from_)
         return [(from_, status_view(state, act.id, now))], []
 
     raise TypeError(f"not a client message: {msg!r}")

@@ -1,4 +1,4 @@
-"""Per-(activity, participant) alarm state machine.
+"""Per-(activity, participant) alarm and the arrival rule.
 
 Decides which raw location fix, if any, is a participant's one arrival. The
 crucial rule: an arrival is an Outside-to-Inside fence transition observed
@@ -16,78 +16,37 @@ engine's presence bookkeeping.
 Privacy stance: this module sees zones only, never a point. The new zone
 is also all that the fix's ``FixAccepted`` record keeps of it.
 
-State layout:
+The alarm is one of three values:
 
-    Disarmed --arm--> Armed --Outside->Inside fix--> Arrived{at}
+    DISARMED --ARM--> ARMED --Outside->Inside fix--> ARRIVED
        ^                |
-       +----disarm------+          Arrived is terminal.
+       +----DISARM------+          ARRIVED is terminal.
 
-Fixes are assumed to arrive in per-participant timestamp order, and only
-fixes inside the activity's Active window count; the engine rejects stale
-fixes and ignores the others before they get here.
+The engine's command dispatch checks each move (ARM only from DISARMED;
+DISARM records nothing unless ARMED) and ``engine.apply`` only assigns
+the new value. Fixes are assumed to arrive in per-participant timestamp
+order, and only fixes inside the activity's Active window count; the
+engine rejects stale fixes and ignores the others before they get here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
 
-from .errors import SyncError
 from .geo import Zone
 
 
-class AlreadyArmed(SyncError):
-    code = "ALREADY_ARMED"
+class Alarm(Enum):
+    DISARMED = "DISARMED"
+    ARMED = "ARMED"
+    ARRIVED = "ARRIVED"
 
 
-class NotAccepted(SyncError):
-    code = "NOT_ACCEPTED"
-
-
-@dataclass(frozen=True, slots=True)
-class Disarmed:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Armed:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Arrived:
-    at: int
-
-
-AlarmState = Disarmed | Armed | Arrived
-
-DISARMED = Disarmed()
-ARMED = Armed()
-
-
-def arm(state: AlarmState) -> AlarmState:
-    """Arm arrival detection.
-
-    Arming while Inside emits no event: arrival requires a later
-    Outside->Inside transition.
-    """
-    if not isinstance(state, Disarmed):
-        raise AlreadyArmed("alarm is already armed or the participant has arrived")
-    return ARMED
-
-
-def disarm(state: AlarmState) -> AlarmState:
-    """Disarm. Idempotent; an Arrived state is terminal and stays Arrived."""
-    if isinstance(state, Armed):
-        return DISARMED
-    return state
-
-
-def ingest_fix(state: AlarmState, previous_zone: Zone, zone: Zone) -> bool:
+def ingest_fix(alarm: Alarm, previous_zone: Zone, zone: Zone) -> bool:
     """Whether an accepted fix, classified into ``zone``, is the arrival.
 
-    Only an Armed participant last seen Outside (``previous_zone``, which
+    Only an armed participant last seen Outside (``previous_zone``, which
     is Outside before any accepted fix) arrives, and only on a fix now
-    classified Inside; Disarmed and Arrived never do.
+    classified Inside; a disarmed or arrived one never does.
     """
-    return isinstance(state, Armed) and previous_zone is Zone.OUTSIDE and zone is Zone.INSIDE
-
+    return alarm is Alarm.ARMED and previous_zone is Zone.OUTSIDE and zone is Zone.INSIDE

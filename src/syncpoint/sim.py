@@ -36,13 +36,20 @@ from .errors import SyncError
 from .eventlog import EventRecord, encode_record
 from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, GeoPoint
 from .ics import parse_ics
-from .presence import Armed
+from .presence import Alarm
 from .schema import INT, STR, Schema
 from .wire import MESSAGES, Arm, Disarm, Fix, RespondInvite, ServerMessage, TaskDone
 
 M_PER_DEG_LAT = 111_320.0
 
-VERBS = ("ACCEPT", "DECLINE", "ARM", "DISARM", "TASK_DONE")
+# Each scripted verb and the message it sends, built from (activity id, now).
+ACTIONS = {
+    "ACCEPT": lambda activity_id, now: RespondInvite(activity_id, InviteAnswer.ACCEPT),
+    "DECLINE": lambda activity_id, now: RespondInvite(activity_id, InviteAnswer.DECLINE),
+    "ARM": lambda activity_id, now: Arm(activity_id),
+    "DISARM": lambda activity_id, now: Disarm(activity_id),
+    "TASK_DONE": TaskDone,
+}
 
 
 class ScenarioInvalid(SyncError):
@@ -249,7 +256,7 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
                     at, verb, target = entry
                 else:
                     raise ScenarioInvalid(f"bad action entry {entry!r}")
-                if verb not in VERBS:
+                if verb not in ACTIONS:
                     raise ScenarioInvalid(f"unknown action verb {verb!r}")
                 actions.append(ScriptedAction(int(at), verb, target))
         except (KeyError, TypeError, ValueError) as e:
@@ -315,20 +322,6 @@ def _create_activities(scenario: Scenario, state: ServerState):
     return created, outbound, records
 
 
-def _action_message(action: ScriptedAction, activity_id: str, now: int):
-    if action.verb == "ACCEPT":
-        return RespondInvite(activity_id, InviteAnswer.ACCEPT)
-    if action.verb == "DECLINE":
-        return RespondInvite(activity_id, InviteAnswer.DECLINE)
-    if action.verb == "ARM":
-        return Arm(activity_id)
-    if action.verb == "DISARM":
-        return Disarm(activity_id)
-    if action.verb == "TASK_DONE":
-        return TaskDone(activity_id, now)
-    raise ScenarioInvalid(f"unknown action verb {action.verb!r}")
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute a scenario against a fresh in-process engine.
 
@@ -386,15 +379,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 else member_of[actor_id]
             )
             for aid in targets:
-                msg = _action_message(action, aid, t)
-                outbound, records = handle(state, msg, actor_id, t)
+                outbound, records = handle(state, ACTIONS[action.verb](aid, t), actor_id, t)
                 transcript.extend(TranscriptEntry(t, to, m) for to, m in outbound)
                 all_records.extend(records)
 
         for actor in actors_sorted:
             for aid in member_of[actor.id]:
                 pp = state.presence.get((aid, actor.id))
-                if pp is None or not isinstance(pp.alarm, Armed):
+                if pp is None or pp.alarm is not Alarm.ARMED:
                     continue
                 point = perturb(
                     interpolate(traces[actor.id], t), scenario.noise_sigma_m, rng

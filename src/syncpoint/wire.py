@@ -125,11 +125,6 @@ class Welcome:
 
 
 @dataclass(frozen=True, slots=True)
-class Invite:
-    summary: ActivitySummary
-
-
-@dataclass(frozen=True, slots=True)
 class Notify:
     seq: int
     notification: Notification
@@ -161,7 +156,7 @@ class Err:
     detail: str
 
 
-ServerMessage = Welcome | Invite | Notify | StatusView | Ack | Err
+ServerMessage = Welcome | Notify | StatusView | Ack | Err
 
 Message = ClientMessage | ServerMessage
 
@@ -209,7 +204,6 @@ MESSAGES = OneOf(
     _frame(Poll, "POLL", ("cursor", INT)),
     _frame(Status, "STATUS", ("activity", STR)),
     _frame(Welcome, "WELCOME", ("server_time", INT)),
-    _frame(Invite, "INVITE", ("summary", Nested(_SUMMARY))),
     _frame(Notify, "NOTIFY", ("seq", COUNT), ("notification", _NOTIFICATION)),
     _frame(
         StatusView, "STATUS_VIEW",

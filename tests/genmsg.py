@@ -24,7 +24,6 @@ from syncpoint.wire import (
     Err,
     Fix,
     Hello,
-    Invite,
     Notify,
     ParticipantView,
     Poll,
@@ -76,7 +75,7 @@ def _notification(rng: random.Random):
 
 
 def random_message(rng: random.Random):
-    k = rng.randrange(14)
+    k = rng.randrange(13)
     aid = _id(rng)
     t = rng.randint(0, 2**40)
     if k == 0:
@@ -98,15 +97,13 @@ def random_message(rng: random.Random):
     if k == 8:
         return Welcome(t)
     if k == 9:
-        return Invite(_summary(rng))
-    if k == 10:
         return Notify(rng.randint(1, 10**6), _notification(rng))
-    if k == 11:
+    if k == 10:
         views = tuple(
             ParticipantView(_id(rng), rng.choice(list(ParticipantStatus)), rng.random() < 0.5)
             for _ in range(rng.randrange(5))
         )
         return StatusView(aid, views, rng.randint(0, 50), rng.choice(list(ActivityPhase)))
-    if k == 12:
+    if k == 11:
         return Ack(rng.choice(["ARM", "FIX", "POLL", "DISARM"]))
     return Err(rng.choice(["STALE_FIX", "UNKNOWN_ACTIVITY"]), rng.choice(["", "why", "ü"]))

@@ -21,7 +21,7 @@ from syncpoint.geo import GeoPoint, haversine_m
 from syncpoint.ics import parse_ics, ParseResult
 from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow, new_activity
 from syncpoint.geo import Geofence
-from syncpoint.presence import ARMED
+from syncpoint.presence import Alarm
 from syncpoint.geo import EARTH_RADIUS_M, Zone
 from syncpoint.sim import (
     M_PER_DEG_LAT,
@@ -271,7 +271,7 @@ def test_c06_presence_safety_over_randomized_traces():
                 assert not events or in_window  # fixes outside Active are inert
                 if events:
                     # Arrivals are transition-born, never presence-born.
-                    assert before == (ARMED, Zone.OUTSIDE)
+                    assert before == (Alarm.ARMED, Zone.OUTSIDE)
                 arrivals.extend(events)
         assert len(arrivals) <= 1, case
 
@@ -309,7 +309,7 @@ def _expected_wire_vectors():
         Invitation, SelfArrivalAck, TaskDoneNotice,
     )
     from syncpoint.wire import (
-        Ack, Arm, Disarm, Err, Fix, Hello, Invite, ParticipantView, Poll,
+        Ack, Arm, Disarm, Err, Fix, Hello, ParticipantView, Poll,
         RespondInvite, Status, StatusView, TaskDone, Welcome,
     )
 
@@ -327,7 +327,6 @@ def _expected_wire_vectors():
         Poll(7),
         Status("a1"),
         Welcome(1755000000),
-        Invite(summary),
         Notify(1, Invitation(summary)),
         Notify(2, SelfArrivalAck("a1", 3300)),
         Notify(3, ArrivalNotice("a1", 3300, "ana")),

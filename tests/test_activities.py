@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from syncpoint.activities import (
     ActivityKind,
     ActivityPhase,
-    AlreadyResponded,
     BatchThresholdInvalid,
     DuplicateParticipant,
     InviteAnswer,
@@ -17,14 +16,15 @@ from syncpoint.activities import (
     PrivacyPolicy,
     TimeWindow,
     TooFewParticipants,
-    UnknownParticipant,
     WindowInvalid,
     new_activity,
     phase_at,
     respond_invitation,
 )
+from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.errors import SyncError
 from syncpoint.geo import FenceInvalid, Geofence, GeoPoint, LatOutOfRange
+from syncpoint.wire import Err, RespondInvite
 
 FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0)
 
@@ -103,9 +103,23 @@ class TestRespondInvitation:
         act = respond_invitation(make(), "bruno", InviteAnswer.DECLINE)
         assert act.participant("bruno").status is ParticipantStatus.DECLINED
 
+    # Who may answer is checked once, by the engine's command dispatch;
+    # respond_invitation only folds an answer that passed that check.
+
+    def served(self):
+        state = ServerState()
+        act, _, _ = create_activity(
+            state, now=0, title="Fair", kind=ActivityKind.MEETUP,
+            window=TimeWindow(1000, 5000), fence=FENCE, organizer="ana",
+            participant_ids=["ana", "bruno", "carla"],
+        )
+        return state, act.id
+
     def test_unknown_participant(self):
-        with pytest.raises(UnknownParticipant):
-            respond_invitation(make(), "zz", InviteAnswer.ACCEPT)
+        state, aid = self.served()
+        assert handle(state, RespondInvite(aid, InviteAnswer.ACCEPT), "zz", 10) == (
+            [("zz", Err("NOT_A_PARTICIPANT", f"'zz' is not a participant of {aid}"))], []
+        )
 
     def test_everything_else_unchanged(self):
         before = make()
@@ -126,9 +140,12 @@ class TestRespondInvitation:
     @pytest.mark.parametrize("first", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     @pytest.mark.parametrize("second", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     def test_second_response_always_rejected(self, first, second):
-        act = respond_invitation(make(), "bruno", first)
-        with pytest.raises(AlreadyResponded):
-            respond_invitation(act, "bruno", second)
+        state, aid = self.served()
+        handle(state, RespondInvite(aid, first), "bruno", 10)
+        status = "ACCEPTED" if first is InviteAnswer.ACCEPT else "DECLINED"
+        assert handle(state, RespondInvite(aid, second), "bruno", 11) == (
+            [("bruno", Err("ALREADY_RESPONDED", f"'bruno' already responded ({status})"))], []
+        )
 
 
 class TestPhase:

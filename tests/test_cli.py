@@ -217,6 +217,23 @@ class TestServe:
         bruno = replay(records).activities["a1"].participant("bruno")
         assert bruno.status is ParticipantStatus.ACCEPTED
 
+    def test_port_in_use_is_one_error_line(self, tmp_path):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "syncpoint.cli", "serve",
+                 "--listen", f"127.0.0.1:{port}", "--log", str(tmp_path / "events.log")],
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                capture_output=True, text=True, timeout=10,
+            )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "address already in use" in lines[0]
+
     def test_other_corrupt_lines_still_refuse_to_start(self, tmp_path, capsys):
         log = tmp_path / "events.log"
         run(capsys, "ingest", CORPUS / "meetup_fair.ics",

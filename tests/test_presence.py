@@ -1,29 +1,20 @@
 """Alarm state machine: arming, disarming, and arrival detection.
 
-The arrival rule is checked where it runs: ARM, DISARM and FIX commands go
-through ``engine.handle``, and arrivals are read from the records it appends.
+Each rule is checked where it runs: ARM, DISARM and FIX commands go through
+``engine.handle``, and arrivals are read from the records it appends.
 """
 
 import math
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
 from syncpoint.engine import ServerState, create_activity, handle
-from syncpoint.eventlog import ArrivalRecorded
+from syncpoint.eventlog import ArmCleared, ArrivalRecorded
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
-from syncpoint.presence import (
-    ARMED,
-    DISARMED,
-    AlreadyArmed,
-    Arrived,
-    Disarmed,
-    arm,
-    disarm,
-)
-from syncpoint.wire import Arm, Disarm, Err, Fix, RespondInvite
+from syncpoint.presence import Alarm
+from syncpoint.wire import Ack, Arm, Disarm, Err, Fix, RespondInvite
 
 CENTER = GeoPoint(41.5606, -8.3970)
 FENCE = Geofence(CENTER, 100.0, 25.0)
@@ -76,13 +67,22 @@ def armed(zone):
     if zone is Zone.INSIDE:
         send(state, Fix(aid, at_distance(10), 1500), now=1500)
     send(state, Arm(aid))
-    assert seen(state, aid) == (ARMED, zone)
+    assert seen(state, aid) == (Alarm.ARMED, zone)
     return state, aid
+
+
+def arrived():
+    """bruno armed Outside, then arrived on a fix at 50 m."""
+    state, aid = armed(Zone.OUTSIDE)
+    assert send(state, Fix(aid, at_distance(50), 2000), now=2000)[1] != []
+    return state, aid
+
+
+ALREADY_ARMED = Err("ALREADY_ARMED", "alarm is already armed or the participant has arrived")
 
 
 class TestArm:
     def test_arm_outside(self):
-        assert arm(DISARMED) == ARMED
         armed(Zone.OUTSIDE)  # checks bruno's alarm and zone after an ARM
 
     def test_arm_inside_emits_nothing(self):
@@ -91,26 +91,36 @@ class TestArm:
         state, aid = server()
         send(state, Fix(aid, at_distance(10), 1500), now=1500)
         assert send(state, Arm(aid))[1] == []
-        assert seen(state, aid) == (ARMED, Zone.INSIDE)
+        assert seen(state, aid) == (Alarm.ARMED, Zone.INSIDE)
 
     def test_arm_twice(self):
-        with pytest.raises(AlreadyArmed):
-            arm(ARMED)
+        state, aid = armed(Zone.OUTSIDE)
+        assert handle(state, Arm(aid), "bruno", 1) == ([("bruno", ALREADY_ARMED)], [])
+        assert alarm(state, aid) is Alarm.ARMED
 
     def test_arm_after_arrival(self):
-        with pytest.raises(AlreadyArmed):
-            arm(Arrived(1234))
+        state, aid = arrived()
+        assert handle(state, Arm(aid), "bruno", 2001) == ([("bruno", ALREADY_ARMED)], [])
+        assert alarm(state, aid) is Alarm.ARRIVED
 
 
 class TestDisarm:
     def test_disarm_armed(self):
-        assert disarm(ARMED) == Disarmed()
+        state, aid = armed(Zone.OUTSIDE)
+        outbound, records = handle(state, Disarm(aid), "bruno", 1)
+        assert outbound == [("bruno", Ack("DISARM"))]
+        assert [r.event for r in records] == [ArmCleared(aid, "bruno")]
+        assert alarm(state, aid) is Alarm.DISARMED
 
     def test_disarm_idempotent(self):
-        assert disarm(DISARMED) == Disarmed()
+        state, aid = server()
+        assert handle(state, Disarm(aid), "bruno", 1) == ([("bruno", Ack("DISARM"))], [])
+        assert alarm(state, aid) is Alarm.DISARMED
 
     def test_arrived_is_terminal(self):
-        assert disarm(Arrived(42)) == Arrived(42)
+        state, aid = arrived()
+        assert handle(state, Disarm(aid), "bruno", 2001) == ([("bruno", Ack("DISARM"))], [])
+        assert alarm(state, aid) is Alarm.ARRIVED
 
 
 class TestIngestFix:
@@ -122,25 +132,25 @@ class TestIngestFix:
     def test_entry_while_armed_outside(self):
         state, aid = armed(Zone.OUTSIDE)
         _, events = self.fix(state, aid, 50)
-        assert alarm(state, aid) == Arrived(2000)
+        assert alarm(state, aid) == Alarm.ARRIVED
         assert events == [ArrivalRecorded(aid, "bruno", 2000)]
 
     def test_armed_inside_absorbs_inside_fixes(self):
         state, aid = armed(Zone.INSIDE)
         _, events = self.fix(state, aid, 50)
-        assert seen(state, aid) == (ARMED, Zone.INSIDE)
+        assert seen(state, aid) == (Alarm.ARMED, Zone.INSIDE)
         assert events == []
 
     def test_fix_before_window_ignored(self):
         state, aid = armed(Zone.OUTSIDE)
         _, events = self.fix(state, aid, 50, t=999)
-        assert seen(state, aid) == (ARMED, Zone.OUTSIDE)
+        assert seen(state, aid) == (Alarm.ARMED, Zone.OUTSIDE)
         assert events == []
 
     def test_fix_after_window_ignored(self):
         state, aid = armed(Zone.OUTSIDE)
         _, events = self.fix(state, aid, 50, t=5000)
-        assert seen(state, aid) == (ARMED, Zone.OUTSIDE)
+        assert seen(state, aid) == (Alarm.ARMED, Zone.OUTSIDE)
         assert events == []
 
     def test_not_accepted_rejected(self):
@@ -153,24 +163,24 @@ class TestIngestFix:
     def test_disarmed_and_arrived_absorb(self):
         state, aid = server()
         assert self.fix(state, aid, 50)[1] == []
-        assert alarm(state, aid) == DISARMED
+        assert alarm(state, aid) == Alarm.DISARMED
         state, aid = armed(Zone.OUTSIDE)
         self.fix(state, aid, 50, t=1500)
-        assert alarm(state, aid) == Arrived(1500)
+        assert alarm(state, aid) == Alarm.ARRIVED
         assert self.fix(state, aid, 50)[1] == []
-        assert alarm(state, aid) == Arrived(1500)
+        assert alarm(state, aid) == Alarm.ARRIVED
 
     def test_exit_updates_zone_without_event(self):
         state, aid = armed(Zone.INSIDE)
         _, events = self.fix(state, aid, 200)
-        assert seen(state, aid) == (ARMED, Zone.OUTSIDE)
+        assert seen(state, aid) == (Alarm.ARMED, Zone.OUTSIDE)
         assert events == []
 
     def test_arrival_timestamp_is_fix_timestamp(self):
         state, aid = armed(Zone.OUTSIDE)
         _, events = self.fix(state, aid, 10, t=3333)
         assert events[0].arrived_at == 3333
-        assert alarm(state, aid) == Arrived(3333)
+        assert alarm(state, aid) == Alarm.ARRIVED
 
 
 def run_trace(trace):
@@ -232,7 +242,7 @@ class TestTraceProperties:
         ]
         state, events = run_trace(trace)
         assert events == []
-        assert state == (ARMED, Zone.INSIDE)
+        assert state == (Alarm.ARMED, Zone.INSIDE)
 
     def test_noise_within_hysteresis_after_entry_single_arrival(self):
         rng = random.Random(7)

@@ -28,7 +28,7 @@ def test_the_walk_finds_the_dataclasses_of_every_layer():
     names = {cls.__qualname__ for cls in package_dataclasses()}
     assert {
         "Activity", "ParticipantPresence", "ServerState", "EventRecord", "FixAccepted",
-        "GeoPoint", "ActivityDraft", "GatheringUpdate", "Armed", "TranscriptEntry",
+        "GeoPoint", "ActivityDraft", "GatheringUpdate", "ArmSet", "TranscriptEntry",
         "RunResult", "Notify", "Fix",
     } <= names
 

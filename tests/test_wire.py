@@ -29,7 +29,6 @@ from syncpoint.wire import (
     Fix,
     FrameBuffer,
     Hello,
-    Invite,
     MalformedFrame,
     Notify,
     ParticipantView,
@@ -80,7 +79,6 @@ messages = st.one_of(
     st.builds(Poll, st.integers(min_value=0, max_value=10**6)),
     st.builds(Status, ids),
     st.builds(Welcome, times),
-    st.builds(Invite, summaries),
     st.builds(Notify, st.integers(min_value=1, max_value=10**6), notifications),
     st.builds(
         StatusView,
@@ -134,6 +132,8 @@ class TestDecode:
     def test_unknown_type(self):
         with pytest.raises(UnknownType):
             decode('{"type":"NOPE"}')
+        with pytest.raises(UnknownType):  # invitations travel as NOTIFY/INVITATION
+            decode('{"type":"INVITE","summary":{}}')
 
     def test_field_missing(self):
         with pytest.raises(FieldMissing) as e:
@@ -279,7 +279,7 @@ def awkward_messages():
     msgs += [Notify(seq, cls(t or "a", 5, identity))
              for seq, cls in enumerate((ArrivalNotice, TaskDoneNotice), start=1)
              for t in text for identity in (None, t)]
-    msgs += [Invite(summary), Notify(3, Invitation(summary)), Fix("a", point, 1)]
+    msgs += [Notify(3, Invitation(summary)), Fix("a", point, 1)]
     msgs.append(StatusView(text[1], tuple(
         ParticipantView(t or "p", ParticipantStatus.DECLINED, bool(i % 2))
         for i, t in enumerate(text)
