@@ -108,8 +108,8 @@ class Activity:
 
     Every other dataclass of the package declares ``slots=True``, so its
     instances carry no ``__dict__``. ``Activity`` is the one exception: its
-    cached index and roster, and the index that ``respond_invitation``
-    hands to the updated value, live in its ``__dict__``.
+    cached index and roster live in its ``__dict__``, which
+    ``respond_invitation`` copies to build the updated value.
     """
 
     id: str
@@ -211,14 +211,14 @@ def respond_invitation(
         else ParticipantStatus.DECLINED
     )
     ps = activity.participants
-    updated = Activity(
-        activity.id, activity.title, activity.kind, activity.window, activity.fence,
-        activity.organizer,
-        ps[:i] + (ParticipantRecord(participant_id, status),) + ps[i + 1:],
-        activity.policy, activity.batch_threshold, activity.calendar_uid,
-    )
-    # The order is unchanged, so the position index carries over as is.
-    updated.__dict__["_positions"] = activity._positions
+    # A copy of the instance dict, not a call of the frozen ``__init__``: the
+    # fields but ``participants`` carry over, and so does the position index,
+    # since the order is unchanged; the accepted roster is rebuilt on demand.
+    updated = object.__new__(Activity)
+    values = updated.__dict__
+    values.update(activity.__dict__)
+    values["participants"] = ps[:i] + (ParticipantRecord(participant_id, status),) + ps[i + 1:]
+    values.pop("_accepted", None)
     return updated
 
 

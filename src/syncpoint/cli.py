@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .engine import Engine, replay, status_view
 from .errors import SyncError
-from .eventlog import CorruptRecord, load_prefix, split_lines
+from .eventlog import CorruptRecord, LogPrefix, split_lines
 from .ics import parse_ics
 from .net import serve_forever
 from .sim import (
@@ -55,10 +55,11 @@ def _warn_kept_prefix(error: CorruptRecord | None) -> None:
 
 
 def _recover_state(log_path: str):
-    """Replay a log, keeping the good prefix when the tail is corrupt."""
-    records, error = load_prefix(log_path)
-    _warn_kept_prefix(error)
-    return replay(records)
+    """Replay a log as it is read, keeping the good prefix when the tail is corrupt."""
+    prefix = LogPrefix(log_path)
+    state = replay(prefix)
+    _warn_kept_prefix(prefix.error)
+    return state
 
 
 async def _serve(engine: Engine, host: str, port: int) -> None:

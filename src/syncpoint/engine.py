@@ -23,10 +23,12 @@ runs no geometry. Each participant's zone is kept once, in its
 ``ParticipantPresence``, beside its ``Alarm`` (DISARMED, ARMED or
 ARRIVED), which holds none.
 
-Notification queues are part of the state: every queued ``Notify`` carries
-a per-recipient sequence number, dense from 1 (its position in the queue),
-and is also returned as an immediate push. Polls append no records: the
-cursor travels with each POLL, and the queue is never trimmed.
+Notification queues are part of the state: a queue holds each recipient's
+notifications, each stored once, and an entry's sequence number is its
+position, dense from 1. A ``Notify`` frame is built only where one leaves:
+for the pushes that ``handle`` and ``create_activity`` return, and for the
+slice that ``pending`` returns. Polls append no records: the cursor travels
+with each POLL, and the queue is never trimmed.
 
 Durability is the ``Engine`` wrapper's: it appends each command's records
 to the log, and ``Engine.commit`` writes and flushes all records appended
@@ -40,7 +42,7 @@ loop, which gives commands the total order the determinism guarantees
 depend on.
 
 Every dataclass of the package declares ``slots=True``, so the state's
-many small values (queued ``Notify`` frames, presences, records) carry no
+many small values (queued notifications, presences, records) carry no
 per-instance ``__dict__``. ``Activity`` is the one exception; its
 docstring says why.
 
@@ -79,15 +81,15 @@ from .eventlog import (
     EventRecord,
     FixAccepted,
     InviteResponded,
+    LogPrefix,
     LogWriter,
     PointFix,
     TaskCompleted,
     TornTail,
-    load_prefix,
 )
 from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, Zone, classify_zone
 from .ics import ActivityDraft
-from .notify import Notification, on_arrival, on_invite, on_task_done
+from .notify import Fanout, Notification, on_arrival, on_invite, on_task_done
 from .presence import Alarm, ingest_fix
 from .wire import (
     Ack,
@@ -157,22 +159,26 @@ class ServerState:
     activities: dict[str, Activity] = field(default_factory=dict)
     presence: dict[tuple[str, str], ParticipantPresence] = field(default_factory=dict)
     arrivals: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    queues: dict[str, list[Notify]] = field(default_factory=dict)
+    # Entry i of a recipient's queue is the notification with seq i + 1.
+    queues: dict[str, list[Notification]] = field(default_factory=dict)
     record_count: int = 0
 
 
 Outbound = list[tuple[str, ServerMessage]]
+Queued = list[tuple[str, int, Notification]]  # (recipient, seq, notification)
 
 
-def _enqueue(state: ServerState, recipient: str, n: Notification) -> tuple[str, Notify]:
-    queue = state.queues.setdefault(recipient, [])
-    msg = Notify(len(queue) + 1, n)
-    queue.append(msg)
-    return recipient, msg
+def _enqueue(state: ServerState, fanout: Fanout) -> Queued:
+    queued = []
+    for recipient, n in fanout:
+        queue = state.queues.setdefault(recipient, [])
+        queue.append(n)
+        queued.append((recipient, len(queue), n))
+    return queued
 
 
-def apply(state: ServerState, record: EventRecord) -> Outbound:
-    """Fold one record into the state; returns the pushes it generates.
+def apply(state: ServerState, record: EventRecord) -> Queued:
+    """Fold one record into the state; returns what it queued, with each seq.
 
     This is the single mutation path for live handling and replay alike.
     Records are applied exactly in log order (dense indices enforced).
@@ -186,13 +192,19 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         )
     state.record_count += 1
     e = record.event
+    if isinstance(e, FixAccepted):  # the commonest record, so tested first
+        pp = state.presence[(e.activity, e.who)]
+        pp.zone = e.zone
+        pp.last_fix_at = e.fix_at
+        # The arrival itself, when due, is its own record applied next.
+        return []
     if isinstance(e, ActivityCreated):
         a = e.activity
         state.activities[a.id] = a
         for p in a.participants:
             state.presence[(a.id, p.id)] = ParticipantPresence()
         state.arrivals[a.id] = ()
-        return [_enqueue(state, r, n) for r, n in on_invite(a)]
+        return _enqueue(state, on_invite(a))
     if isinstance(e, InviteResponded):
         state.activities[e.activity] = respond_invitation(
             state.activities[e.activity], e.who, e.answer
@@ -204,37 +216,29 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
     if isinstance(e, ArmCleared):
         state.presence[(e.activity, e.who)].alarm = Alarm.DISARMED
         return []
-    if isinstance(e, FixAccepted):
-        pp = state.presence[(e.activity, e.who)]
-        pp.zone = e.zone
-        pp.last_fix_at = e.fix_at
-        # The arrival itself, when due, is its own record applied next.
-        return []
     if isinstance(e, ArrivalRecorded):
         act = state.activities[e.activity]
         state.presence[(e.activity, e.who)].alarm = Alarm.ARRIVED
         state.arrivals[e.activity] = state.arrivals[e.activity] + (e.who,)
         total = len(state.arrivals[e.activity])
-        return [
-            _enqueue(state, r, n)
-            for r, n in on_arrival(act, e.who, total, e.arrived_at)
-        ]
+        return _enqueue(state, on_arrival(act, e.who, total, e.arrived_at))
     if isinstance(e, TaskCompleted):
         act = state.activities[e.activity]
-        return [
-            _enqueue(state, r, n) for r, n in on_task_done(act, e.who, e.done_at)
-        ]
+        return _enqueue(state, on_task_done(act, e.who, e.done_at))
     raise TypeError(f"not an event: {e!r}")
 
 
 def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]:
     """The next record, carrying ``event``, applied to the state; and its pushes."""
     record = EventRecord(state.record_count, now, event)
-    return record, apply(state, record)
+    return record, [(r, Notify(seq, n)) for r, seq, n in apply(state, record)]
 
 
 def replay(records) -> ServerState:
     """Rebuild state by folding records through the live transition logic.
+
+    ``records`` may be any iterable, such as a ``LogPrefix``: each record is
+    folded as it comes, and none is kept. Replay builds no ``Notify``.
 
     A ``PointFix`` (a fix record of an older log) is classified here, once,
     against the fence and the participant's zone so far, into the
@@ -296,13 +300,17 @@ def _disarmed(pp: ParticipantPresence) -> None:
 def pending(
     state: ServerState, participant: str, cursor: int
 ) -> tuple[list[Notify], int]:
-    """Queued notifications with sequence > cursor, and the new cursor.
+    """Queued notifications with sequence > cursor, as frames, and the new cursor.
 
     Pure read; the stored queue is never mutated here. Re-polling with the
     same cursor returns the same messages. Sequence numbers are dense from
     1, so the messages above the cursor are the queue from index ``cursor``.
     """
-    out = state.queues.get(participant, [])[max(cursor, 0):]
+    start = max(cursor, 0)
+    out = [
+        Notify(seq, n)
+        for seq, n in enumerate(state.queues.get(participant, ())[start:], start + 1)
+    ]
     return out, (out[-1].seq if out else cursor)
 
 
@@ -480,9 +488,9 @@ class Engine:
     the next ``commit`` (or ``close``); reply to no command before the
     commit that follows it.
 
-    Opening a log reads and replays it once; a torn final line is cut off
-    and kept in ``torn_tail``, and any other corrupt line raises
-    ``CorruptRecord``.
+    Opening a log reads it once, folding each record as it is decoded; a
+    torn final line is cut off and kept in ``torn_tail``, and any other
+    corrupt line raises ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
@@ -490,14 +498,16 @@ class Engine:
         self._writer: LogWriter | None = None
         self.torn_tail: TornTail | None = None
         if log_path is not None:
-            records, error = load_prefix(log_path) if Path(log_path).exists() else ([], None)
-            if error is not None:
-                if not isinstance(error, TornTail):
-                    raise error
-                os.truncate(log_path, error.offset)  # appends then start on a fresh line
-                self.torn_tail = error
-            self.state = replay(records)
-            self._writer = LogWriter(log_path, start_index=len(records))
+            if Path(log_path).exists():
+                prefix = LogPrefix(log_path)
+                self.state = replay(prefix)
+                if prefix.error is not None:
+                    if not isinstance(prefix.error, TornTail):
+                        raise prefix.error
+                    # Appends then start on a fresh line.
+                    os.truncate(log_path, prefix.error.offset)
+                    self.torn_tail = prefix.error
+            self._writer = LogWriter(log_path, start_index=self.state.record_count)
 
     def _persist(self, records: list[EventRecord]) -> None:
         if self._writer is not None:

@@ -5,7 +5,12 @@ the log through the same transition logic reproduces the live state. One
 record per line, canonical JSON (same dialect as the wire format), indices
 dense from 0. A malformed or out-of-sequence line stops replay with
 ``CorruptRecord`` naming the index; everything before it is recoverable
-(``load_prefix``); a final line without its newline is a ``TornTail``.
+(``LogPrefix``); a final line without its newline is a ``TornTail``.
+
+A log file is read in one streaming pass: ``LogPrefix`` yields each record
+as its line is read and decoded, so a caller folds it at once and no list
+of records is held. Each line is parsed by ``schema.loads_line``, the same
+one JSON line parse as a wire frame.
 
 ``LogWriter`` group-commits: appended records are buffered and written
 together, with one write and one flush, at ``commit``. The server commits
@@ -16,7 +21,8 @@ the last commit, keeps the buffer and raises ``LogWriteFailed``.
 The schema table below (``_EVENTS``, one entry per record type) is the one
 place where each record's fields and order live: a record is its event's
 fields beside ``at`` and ``index``, tagged with ``type``. Records are read
-loosely: this codec wrote them, so only the constructors check them.
+loosely: this codec wrote them, so only the constructors check them, and
+an enum field is found by its value.
 
 Privacy stance: the log holds no coordinate but the fence centre of each
 ``ACTIVITY_CREATED``. A ``FIX_ACCEPTED`` records the zone its fix was
@@ -29,7 +35,6 @@ the FIX path would have); nothing writes one.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +51,9 @@ from .activities import (
 )
 from .errors import SyncError
 from .geo import Geofence, GeoPoint, Zone
-from .schema import COUNT, FLOAT, INT, STR, TEXT, Inline, ListOf, Nested, Optional, Schema, choice
+from .schema import (
+    COUNT, FLOAT, INT, STR, TEXT, Inline, ListOf, Nested, Optional, Schema, choice, loads_line,
+)
 from .wire import POINT
 
 
@@ -62,11 +69,16 @@ class CorruptRecord(SyncError):
 class TornTail(CorruptRecord):
     """The final line lacks its newline: the last write was cut short.
 
-    ``offset`` is where that line starts in the file, when ``load_prefix``
-    read it from one: the length to cut the file back to.
+    ``length`` is that line's length. ``offset`` is where it starts in the
+    file, when ``LogPrefix`` read it from one: the length to cut the file
+    back to.
     """
 
     offset: int | None = None
+
+    def __init__(self, index: int, length: int):
+        super().__init__(index, "truncated line (missing newline)")
+        self.length = length
 
 
 class LogWriteFailed(SyncError):
@@ -219,7 +231,7 @@ def encode_record(record: EventRecord) -> str:
 def decode_record(line: str | bytes, expected_index: int) -> EventRecord:
     """Decode one log line (text, or bytes in strict UTF-8), enforcing dense indices."""
     try:
-        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        obj = loads_line(line.decode("utf-8") if isinstance(line, bytes) else line)
     except ValueError as e:  # UnicodeDecodeError included
         raise CorruptRecord(expected_index, f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
@@ -246,7 +258,7 @@ def read_records(lines: Iterable[str] | Iterable[bytes]) -> Iterator[EventRecord
     index = 0
     for line in lines:
         if not line.endswith(b"\n" if isinstance(line, bytes) else "\n"):
-            raise TornTail(index, "truncated line (missing newline)")
+            raise TornTail(index, len(line))
         yield decode_record(line, index)
         index += 1
 
@@ -265,23 +277,36 @@ def split_lines(text: str | bytes) -> list[str] | list[bytes]:
     return lines
 
 
+class LogPrefix:
+    """The records of a log file before its first bad line, read as they are iterated.
+
+    Iterating reads the file once, a line at a time, and yields each record
+    as soon as its line is decoded. It stops at the first bad line and
+    keeps the ``CorruptRecord`` that line raised in ``error`` (None when
+    every line is good); a ``TornTail`` there also gets its ``offset``.
+    Decoding bytes line by line makes a write torn inside a multi-byte
+    character a ``TornTail`` too.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.error: CorruptRecord | None = None
+
+    def __iter__(self) -> Iterator[EventRecord]:
+        with open(self.path, "rb") as fh:
+            try:
+                yield from read_records(fh)
+            except CorruptRecord as e:
+                if isinstance(e, TornTail):  # the torn line ends the file
+                    e.offset = fh.seek(0, os.SEEK_END) - e.length
+                self.error = e
+
+
 def load_prefix(path: str | Path) -> tuple[list[EventRecord], CorruptRecord | None]:
     """Read a log file once: the records before its first bad line, and the
-    ``CorruptRecord`` that line raised (None when every line is good).
-
-    The file is split into lines as bytes and each line decoded on its own,
-    so a write torn inside a multi-byte character is a ``TornTail`` too.
-    """
-    lines = split_lines(Path(path).read_bytes())
-    records: list[EventRecord] = []
-    try:
-        for record in read_records(lines):
-            records.append(record)
-    except CorruptRecord as e:
-        if isinstance(e, TornTail):
-            e.offset = sum(map(len, lines)) - len(lines[-1])
-        return records, e
-    return records, None
+    ``CorruptRecord`` that line raised (None when every line is good)."""
+    prefix = LogPrefix(path)
+    return list(prefix), prefix.error
 
 
 def load_log(path: str | Path) -> list[EventRecord]:

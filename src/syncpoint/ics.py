@@ -19,6 +19,7 @@ anything but its own named errors, no matter the input bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
@@ -112,23 +113,24 @@ def parse_geo(value: str) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
+# The name (up to the first ';' or ':' outside quotes), any parameters
+# (quoted values may hold ':' and ';'), then the first ':' outside quotes.
+# Each part is a run of plain characters, then quoted strings each followed
+# by such a run, so a line that does not match fails in linear time.
+_PROPERTY = re.compile(r'([^";:]*(?:"[^"]*"[^";:]*)*)(?:;[^":]*(?:"[^"]*"[^":]*)*)?:')
+
+
 def _split_property(line: str) -> tuple[str, str] | None:
     """Split one content line into (NAME, value), skipping parameters.
 
-    Parameter values may be quoted and contain ':' or ';', so the scan is
-    quote-aware. Returns None for lines with no ':' outside quotes.
+    Parameter values may be quoted and contain ':' or ';', so the match is
+    quote-aware. Returns None for lines with no ':' outside quotes, an
+    unclosed quote included.
     """
-    in_quotes = False
-    name_end = None
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_quotes = not in_quotes
-        elif not in_quotes and ch in (";", ":") and name_end is None:
-            name_end = i
-        if ch == ":" and not in_quotes:
-            name = line[:name_end if name_end is not None else i]
-            return name.strip().upper(), line[i + 1:]
-    return None
+    m = _PROPERTY.match(line)
+    if m is None:
+        return None
+    return m[1].strip().upper(), line[m.end():]
 
 
 def _strip_mailto(value: str) -> str:

@@ -13,12 +13,16 @@ infinity raise ``ValueError``) and into decoders: one constructor
 expression over the parsed object, in which a missing key raises
 ``KeyError``. Strict decoders check untrusted frames field by field;
 loose ones, for the log only this codec writes, leave that to the
-constructors.
+constructors, and find an enum member by its value with one dict lookup.
+
+``loads_line`` is the one JSON parse of a line, for wire frames and log
+records alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from functools import cached_property
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -49,6 +53,26 @@ def _float(x: float) -> str:
     if -_INF < x < _INF:
         return float.__repr__(x)
     raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def loads_line(line: str):
+    """``json.loads(line)``: the value of one line, or the same ``JSONDecodeError``.
+
+    A line that is one JSON value, then JSON whitespace only, is scanned
+    once by the C scanner; any other line, such as one with leading
+    whitespace or extra data, goes through ``json.loads`` for its result
+    or its error message.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    if not line[end:].strip(" \t\n\r"):
+        return value
+    return json.loads(line)
 
 
 # --- strict checks: (parsed value, key, *args) -> value ------------------------
@@ -123,7 +147,8 @@ class Kind:
 
     A scalar is written by ``encode``. A strict reader passes the parsed
     value through ``check(value, key, *args)``; a loose one applies only
-    ``convert`` (an enum class). The subclasses are the composite kinds.
+    ``convert`` (an enum's member by value). The subclasses are the
+    composite kinds.
     """
 
     optional = False
@@ -151,10 +176,22 @@ FLOAT = Kind(_float, _number)
 BOOL = Kind({True: "true", False: "false"}.__getitem__, _bool)
 
 
+def _by_value(enum_cls):
+    """``enum_cls(value)``, with a member found by one lookup of its value."""
+    members = enum_cls._value2member_map_
+
+    def member(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):  # not a value: the class raises its error
+            return enum_cls(value)
+    return member
+
+
 def choice(enum_cls) -> Kind:
     """A str enum. A member is a str equal to its value, so it encodes as one."""
     assert issubclass(enum_cls, str), enum_cls
-    return Kind(encode_basestring, _choice, enum_cls, convert=enum_cls)
+    return Kind(encode_basestring, _choice, enum_cls, convert=_by_value(enum_cls))
 
 
 class Optional(Kind):

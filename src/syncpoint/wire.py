@@ -14,7 +14,9 @@ and their order live; ``syncpoint.schema`` compiles the encoders, the
 decoders and the known-field sets from it.
 
 ``decode`` is the inverse of ``encode`` on valid frames and tolerates
-unknown extra fields (ignored with a logged warning).
+unknown extra fields (ignored with a logged warning). It parses a frame
+with ``schema.loads_line``, the one JSON line parse, which the event log
+uses too.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .schema import (
     Optional,
     Schema,
     choice,
+    loads_line,
 )
 
 log = logging.getLogger(__name__)
@@ -255,7 +258,7 @@ _DECODERS = {
 def decode(frame: str | bytes) -> Message:
     """Decode one frame (trailing newline tolerated); bytes must be UTF-8."""
     try:
-        obj = json.loads(frame.decode("utf-8") if isinstance(frame, bytes) else frame)
+        obj = loads_line(frame.decode("utf-8") if isinstance(frame, bytes) else frame)
     except ValueError as e:  # UnicodeDecodeError included
         raise MalformedFrame(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):

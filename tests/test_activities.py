@@ -137,6 +137,17 @@ class TestRespondInvitation:
         assert indexed == fresh and hash(indexed) == hash(fresh)
         assert repr(indexed) == repr(fresh)
 
+    def test_rebuilt_value_keeps_the_index_and_drops_the_roster(self):
+        before = respond_invitation(make(), "bruno", InviteAnswer.ACCEPT)
+        assert before.accepted_ids() == ("bruno",)  # cached on ``before``
+        after = respond_invitation(before, "carla", InviteAnswer.ACCEPT)
+        assert after.__dict__["_positions"] is before.__dict__["_positions"]
+        assert "_accepted" not in after.__dict__
+        assert after.accepted_ids() == ("bruno", "carla")
+        assert before.accepted_ids() == ("bruno",)
+        fresh = replace(after, participants=tuple(after.participants))
+        assert after == fresh and hash(after) == hash(fresh) and repr(after) == repr(fresh)
+
     @pytest.mark.parametrize("first", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     @pytest.mark.parametrize("second", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     def test_second_response_always_rejected(self, first, second):

@@ -9,11 +9,15 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from syncpoint.activities import ActivityKind, ParticipantStatus, TimeWindow
 from syncpoint.cli import main
-from syncpoint.engine import Engine, replay
-from syncpoint.eventlog import load_log
+from syncpoint.engine import Engine, replay, status_view
+from syncpoint.eventlog import CorruptRecord, load_log
 from syncpoint.geo import Geofence, GeoPoint
+from syncpoint.sim import load_scenario, run_scenario
+from syncpoint.wire import encode
 
 REPO = Path(__file__).parents[1]
 CORPUS = REPO / "data" / "calendar"
@@ -90,6 +94,27 @@ class TestIngestStatusReplay:
         assert code == 0
         assert "warning" in err and "record 1" in err
         assert json.loads(out.splitlines()[0])["activity"] == "a1"
+
+    def test_corrupt_line_in_the_middle(self, tmp_path, capsys):
+        result = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json"))
+        lines = result.log_lines
+        k = len(lines) // 2
+        log = tmp_path / "events.log"
+        text = "".join(lines[:k] + ["not a record\n"] + lines[k + 1:])
+        log.write_text(text, encoding="utf-8")
+        with pytest.raises(CorruptRecord) as e:
+            Engine(log_path=log)
+        assert e.value.index == k
+        assert log.read_text(encoding="utf-8") == text  # left as it was
+        kept = replay(result.records[:k])
+        warning = (f"warning: record {k}: not valid JSON: Expecting value: line 1 column 1 "
+                   f"(char 0); keeping state up to record {k}\n")
+        code, out, err = run(capsys, "status", "a1", "--log", log, "--now", 0)
+        assert (code, err) == (0, warning)
+        assert out == encode(status_view(kept, "a1", 0))
+        code, out, err = run(capsys, "replay", "--log", log, "--now", 0)
+        assert (code, err) == (0, warning)
+        assert out == "".join(encode(status_view(kept, a, 0)) for a in kept.activities)
 
     def test_status_unknown_activity(self, tmp_path, capsys):
         log = tmp_path / "events.log"

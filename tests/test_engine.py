@@ -105,7 +105,7 @@ class TestCreateActivity:
             for _, m in outbound
         )
         assert [m.seq for _, m in outbound] == [1, 1]
-        assert state.queues["bruno"] == [outbound[0][1]]
+        assert state.queues["bruno"] == [outbound[0][1].notification]
         assert len(records) == 1 and isinstance(records[0].event, ActivityCreated)
 
     def test_invalid_spec_is_atomic(self):
@@ -438,9 +438,9 @@ class TestHelloStatusPoll:
                 for m in rest:
                     assert m.seq not in seen[pid], "duplicate delivery"
                     seen[pid].add(m.seq)
-                assert sorted(seen[pid]) == [
-                    m.seq for m in state.queues.get(pid, [])
-                ]
+                assert sorted(seen[pid]) == list(
+                    range(1, len(state.queues.get(pid, [])) + 1)
+                )
 
 
 class TestAtomicity:

@@ -20,6 +20,7 @@ from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, ServerState, apply, handle, replay
 from syncpoint.eventlog import (
     ArmSet,
+    CorruptRecord,
     EventRecord,
     FixAccepted,
     LogWriteFailed,
@@ -134,6 +135,17 @@ class TestCoordinateFreeFormat:
         assert decode_record(line, 3) == EventRecord(3, 8, ArmSet("a1", "bruno"))
         assert encode_record(decode_record(line, 3)) == (
             '{"type":"ARMED","activity":"a1","at":8,"index":3,"who":"bruno"}\n'
+        )
+
+    @pytest.mark.parametrize("zone", ['"NEARBY"', '["INSIDE"]', "3", "null"])
+    def test_an_unknown_zone_is_corrupt_and_named(self, zone):
+        line = ('{"type":"FIX_ACCEPTED","activity":"a1","at":9,"fix_at":9,"index":4,'
+                f'"who":"bruno","zone":{zone}}}\n')
+        with pytest.raises(CorruptRecord) as e:
+            decode_record(line, 4)
+        value = {"null": "None", '["INSIDE"]': "['INSIDE']"}.get(zone, zone.replace('"', "'"))
+        assert (e.value.index, e.value.reason) == (
+            4, f"bad record payload: {value} is not a valid Zone"
         )
 
     def test_a_point_bearing_fix_line_decodes_to_a_point_fix(self):

@@ -1,5 +1,6 @@
 """Calendar ingestion: unfolding, GEO parsing, VEVENT extraction."""
 
+import random
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from syncpoint.ics import (
     EventInvalid,
     MalformedGeo,
     NotACalendar,
+    _split_property,
     parse_geo,
     parse_ics,
     unfold_lines,
@@ -211,3 +213,41 @@ def test_parser_never_panics_on_structured_soup(lines):
         parse_ics("\r\n".join(lines) + "\r\n", SYSTEM)
     except SyncError:
         pass
+
+
+def split_property_reference(line: str) -> tuple[str, str] | None:
+    """The character-by-character scan ``_split_property`` once was."""
+    in_quotes = False
+    name_end = None
+    for i, ch in enumerate(line):
+        if ch == '"':
+            in_quotes = not in_quotes
+        elif not in_quotes and ch in (";", ":") and name_end is None:
+            name_end = i
+        if ch == ":" and not in_quotes:
+            name = line[:name_end if name_end is not None else i]
+            return name.strip().upper(), line[i + 1:]
+    return None
+
+
+class TestSplitProperty:
+    @pytest.mark.parametrize("line, expected", [
+        ("SUMMARY:Dinner", ("SUMMARY", "Dinner")),
+        ("dtstart:100", ("DTSTART", "100")),
+        ('ATTENDEE;CN="Ana: the host";ROLE=CHAIR:mailto:ana@x', ("ATTENDEE", "mailto:ana@x")),
+        ('ATTENDEE;CN="a;b":mailto:b@x', ("ATTENDEE", "mailto:b@x")),
+        ('X"a;b"Y:v', ('X"A;B"Y', "v")),
+        (":value", ("", "value")),
+        ("NO-COLON-LINE", None),
+        ('ATTENDEE;CN="unclosed:mailto:c@x', None),
+        ("", None),
+    ])
+    def test_cases(self, line, expected):
+        assert _split_property(line) == expected
+        assert split_property_reference(line) == expected
+
+    def test_equals_the_reference_scan_on_random_lines(self):
+        rng = random.Random(5545)
+        for _ in range(20_000):
+            line = "".join(rng.choice(';:"ab ') for _ in range(rng.randrange(0, 16)))
+            assert _split_property(line) == split_property_reference(line), line

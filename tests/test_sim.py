@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from syncpoint.activities import ActivityKind, TimeWindow, new_activity
-from syncpoint.engine import replay
+import syncpoint.engine as engine
+from syncpoint.engine import Engine, pending, replay
 from syncpoint.eventlog import read_records
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.sim import (
@@ -303,7 +304,40 @@ class TestByteIdentity:
             for line in lines:
                 digest.update(line.encode("utf-8"))
             assert digest.hexdigest() == pinned
-        # Sequence numbers are dense from 1 in every queue, live and replayed.
+        # Sequence numbers are dense from 1 in every queue, live and replayed:
+        # a poll from cursor 0 numbers each queued notification by its position.
         for state in (result.state, replay(result.records)):
             for recipient, queue in state.queues.items():
-                assert [m.seq for m in queue] == list(range(1, len(queue) + 1)), recipient
+                frames, cursor = pending(state, recipient, 0)
+                assert [m.seq for m in frames] == list(range(1, len(queue) + 1)), recipient
+                assert [m.notification for m in frames] == queue and cursor == len(queue)
+
+
+class TestRestartQueues:
+    def test_replay_builds_no_frame_and_a_restart_polls_what_was_pushed(
+        self, tmp_path, monkeypatch
+    ):
+        result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
+        pushed: dict[str, list[Notify]] = {}
+        for e in result.transcript:  # the crowd never polls: every Notify is a push
+            if isinstance(e.msg, Notify):
+                pushed.setdefault(e.to, []).append(e.msg)
+        assert sum(map(len, pushed.values())) > 1000
+
+        built = []
+        monkeypatch.setattr(engine, "Notify", lambda *args: built.append(args) or Notify(*args))
+        replayed = replay(read_records(result.log_lines))
+        assert built == []
+        pending(replayed, next(iter(pushed)), 0)
+        assert built  # the counter sees the frames a poll builds
+        monkeypatch.undo()
+
+        log = tmp_path / "events.log"
+        log.write_text("".join(result.log_lines), encoding="utf-8")
+        restarted = Engine(log_path=log)
+        restarted.close()
+        assert restarted.state == result.state
+        assert sorted(restarted.state.queues) == sorted(pushed)
+        for who, frames in pushed.items():
+            assert pending(restarted.state, who, 0) == (frames, len(frames)), who
+            assert pending(result.state, who, 0) == (frames, len(frames)), who

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 from typing import get_args
 
 import pytest
@@ -18,6 +19,8 @@ from syncpoint.notify import (
     SelfArrivalAck,
     TaskDoneNotice,
 )
+from syncpoint.schema import loads_line
+from syncpoint.sim import load_scenario, run_scenario
 from syncpoint.wire import (
     Ack,
     Arm,
@@ -43,6 +46,10 @@ from syncpoint.wire import (
     decode,
     encode,
 )
+
+REPO = Path(__file__).parents[1]
+GOLDEN = REPO / "golden"
+SCENARIOS = REPO / "scenarios"
 
 ids = st.text(alphabet="abcdefgh-0123", min_size=1, max_size=8)
 times = st.integers(min_value=0, max_value=2**40)
@@ -322,3 +329,63 @@ class TestCanonicalJson:
             encode(ParticipantView("a", ParticipantStatus.INVITED, True))
         with pytest.raises(TypeError):
             encode(Notify(1, "not a notification"))
+
+
+def parsed(parse, line):
+    """What ``parse(line)`` gives: ("ok", value) or (error class, message)."""
+    try:
+        return "ok", parse(line)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def malformed_variants(line: str) -> list[str]:
+    body = line.rstrip("\n")
+    return [
+        " " + line, body + " \n", "\t" + body + "\r\n", body + " \t\r\n",
+        body + "\x0c", body + "\x0c\n", body + "\u00a0", body + "\u00a0\n",
+        "\ufeff" + line, body + body, body + ' {"type":"ARM"}', body + " x\n",
+        body[:-1], body + "}", "[]", "[]\n", "", "\n", " ", "1", "null\n", '"s"',
+    ]
+
+
+class TestLineParse:
+    """``loads_line`` equals ``json.loads``: the same value, or the same error."""
+
+    def lines(self):
+        lines = (GOLDEN / "wire_vectors.jsonl").read_text(encoding="utf-8").splitlines(True)
+        for path in sorted(SCENARIOS.glob("*.json")):
+            lines += run_scenario(load_scenario(path)).log_lines
+        return lines
+
+    def test_equals_json_loads(self):
+        lines = self.lines()
+        assert len(lines) > 100
+        for line in lines:
+            for text in [line, line.rstrip("\n"), *malformed_variants(line)]:
+                assert parsed(loads_line, text) == parsed(json.loads, text), repr(text)
+
+    def test_accepted_lines_parse_once(self, monkeypatch):
+        import syncpoint.schema as schema
+
+        lines, calls = self.lines(), []
+        monkeypatch.setattr(schema.json, "loads", lambda s: calls.append(s))
+        for line in lines:
+            loads_line(line)
+            loads_line(line.rstrip("\n") + " \t\r\n")
+        assert calls == []
+
+    def test_errors_keep_their_text(self):
+        with pytest.raises(MalformedFrame) as e:
+            decode('{"type":"ARM","activity":"a1"} x')
+        assert e.value.detail == "not valid JSON: Extra data: line 1 column 32 (char 31)"
+        with pytest.raises(MalformedFrame) as e:
+            decode('\ufeff{"type":"ARM","activity":"a1"}')
+        assert e.value.detail == (
+            "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"
+        )
+        with pytest.raises(MalformedFrame) as e:
+            decode('{"type":"ARM","activity":"a1"}\u00a0')
+        assert e.value.detail == "not valid JSON: Extra data: line 1 column 31 (char 30)"
+        assert decode(' {"type":"ARM","activity":"a1"}\t') == Arm("a1")
