@@ -8,9 +8,10 @@
     syncpoint simulate --check SCENARIO.json GOLDEN.jsonl
 
 `status` and `replay` are offline tools: they rebuild state from the event
-log, keeping the records before a corrupt line with a warning, and print
-status views as canonical wire frames. `serve` and `ingest` cut a torn final
-line off the log with the same warning; any other corrupt line stops them.
+log, keeping the records before a corrupt one (a bad line, or a record that
+names an unknown activity or participant) with a warning, and print status
+views as canonical wire frames. `serve` and `ingest` cut a torn final line
+off the log with the same warning; any other corrupt record stops them.
 A log write that fails stops `serve` (and `ingest`) with exit status 1 and
 one line on stderr; the log then holds exactly the committed records. An
 `OSError`, such as a missing file or a port in use, exits the same way.
@@ -24,6 +25,7 @@ import asyncio
 import signal
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from .engine import Engine, replay, status_view
@@ -57,7 +59,10 @@ def _warn_kept_prefix(error: CorruptRecord | None) -> None:
 def _recover_state(log_path: str):
     """Replay a log as it is read, keeping the good prefix when the tail is corrupt."""
     prefix = LogPrefix(log_path)
-    state = replay(prefix)
+    try:
+        state = replay(prefix)
+    except CorruptRecord as e:  # a record naming an unknown id: replay the ones before it
+        state, prefix.error = replay(islice(LogPrefix(log_path), e.index)), e
     _warn_kept_prefix(prefix.error)
     return state
 

@@ -26,9 +26,10 @@ ARRIVED), which holds none.
 Notification queues are part of the state: a queue holds each recipient's
 notifications, each stored once, and an entry's sequence number is its
 position, dense from 1. A ``Notify`` frame is built only where one leaves:
-for the pushes that ``handle`` and ``create_activity`` return, and for the
-slice that ``pending`` returns. Polls append no records: the cursor travels
-with each POLL, and the queue is never trimmed.
+for the pushes that ``handle`` and ``create_activity`` return, where a
+fan-out's recipients with one seq share one frame (which the codec then
+encodes once), and for the slice that ``pending`` returns. Polls append no
+records: the cursor travels with each POLL, and the queue is never trimmed.
 
 Durability is the ``Engine`` wrapper's: it appends each command's records
 to the log, and ``Engine.commit`` writes and flushes all records appended
@@ -78,6 +79,7 @@ from .eventlog import (
     ArmCleared,
     ArmSet,
     ArrivalRecorded,
+    CorruptRecord,
     EventRecord,
     FixAccepted,
     InviteResponded,
@@ -183,7 +185,8 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
     This is the single mutation path for live handling and replay alike.
     Records are applied exactly in log order (dense indices enforced).
     Each record has passed its command's checks in ``_dispatch`` before it
-    was logged, so the fold checks nothing else: it only assigns.
+    was logged, so the fold checks nothing else: it only assigns. An unknown
+    activity or participant id raises ``KeyError``.
     """
     if record.index != state.record_count:
         raise SyncError(
@@ -224,14 +227,27 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
         return _enqueue(state, on_arrival(act, e.who, total, e.arrived_at))
     if isinstance(e, TaskCompleted):
         act = state.activities[e.activity]
+        state.presence[(e.activity, e.who)]  # KeyError if the doer is no participant
         return _enqueue(state, on_task_done(act, e.who, e.done_at))
     raise TypeError(f"not an event: {e!r}")
 
 
 def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]:
-    """The next record, carrying ``event``, applied to the state; and its pushes."""
+    """The next record, carrying ``event``, applied to the state; and its pushes.
+
+    Recipients of one notification with one seq share one ``Notify`` frame;
+    ``apply`` queues a fan-out grouped by notification.
+    """
     record = EventRecord(state.record_count, now, event)
-    return record, [(r, Notify(seq, n)) for r, seq, n in apply(state, record)]
+    pushes, last, frames = [], None, {}
+    for r, seq, n in apply(state, record):
+        if n is not last:
+            last, frames = n, {}
+        frame = frames.get(seq)
+        if frame is None:
+            frame = frames[seq] = Notify(seq, n)
+        pushes.append((r, frame))
+    return record, pushes
 
 
 def replay(records) -> ServerState:
@@ -243,19 +259,25 @@ def replay(records) -> ServerState:
     A ``PointFix`` (a fix record of an older log) is classified here, once,
     against the fence and the participant's zone so far, into the
     ``FixAccepted`` the FIX path records today; ``apply`` never sees one.
+
+    A record that names an unknown activity or participant raises
+    ``CorruptRecord`` at its index.
     """
     state = ServerState()
     for record in records:
         e = record.event
-        if type(e) is PointFix:
-            zone = classify_zone(
-                state.activities[e.activity].fence, state.presence[(e.activity, e.who)].zone,
-                e.point,
-            )
-            record = EventRecord(
-                record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
-            )
-        apply(state, record)
+        try:
+            if type(e) is PointFix:
+                zone = classify_zone(
+                    state.activities[e.activity].fence,
+                    state.presence[(e.activity, e.who)].zone, e.point,
+                )
+                record = EventRecord(
+                    record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
+                )
+            apply(state, record)
+        except KeyError as k:
+            raise CorruptRecord(record.index, f"unknown activity or participant {k}") from None
     return state
 
 

@@ -302,18 +302,12 @@ class LogPrefix:
                 self.error = e
 
 
-def load_prefix(path: str | Path) -> tuple[list[EventRecord], CorruptRecord | None]:
-    """Read a log file once: the records before its first bad line, and the
-    ``CorruptRecord`` that line raised (None when every line is good)."""
-    prefix = LogPrefix(path)
-    return list(prefix), prefix.error
-
-
 def load_log(path: str | Path) -> list[EventRecord]:
     """Read a whole log file; CorruptRecord on the first bad line."""
-    records, error = load_prefix(path)
-    if error is not None:
-        raise error
+    prefix = LogPrefix(path)
+    records = list(prefix)
+    if prefix.error is not None:
+        raise prefix.error
     return records
 
 

@@ -77,16 +77,6 @@ Notification = (
 Fanout = list[tuple[str, Notification]]
 
 
-def summarize(activity: Activity) -> ActivitySummary:
-    return ActivitySummary(
-        activity=activity.id,
-        title=activity.title,
-        kind=activity.kind,
-        start=activity.window.start,
-        end=activity.window.end,
-    )
-
-
 def render_identity(policy: PrivacyPolicy, who: str) -> str | None:
     """The identity a notification may carry: the id, or nothing."""
     if policy is PrivacyPolicy.DISCLOSE_IDENTITY:
@@ -96,7 +86,10 @@ def render_identity(policy: PrivacyPolicy, who: str) -> str | None:
 
 def on_invite(activity: Activity) -> Fanout:
     """One invitation per participant, except the organizer."""
-    invitation = Invitation(summarize(activity))
+    w = activity.window
+    invitation = Invitation(
+        ActivitySummary(activity.id, activity.title, activity.kind, w.start, w.end)
+    )
     return [
         (p.id, invitation)
         for p in activity.participants

@@ -15,8 +15,9 @@ expression over the parsed object, in which a missing key raises
 loose ones, for the log only this codec writes, leave that to the
 constructors, and find an enum member by its value with one dict lookup.
 
-``loads_line`` is the one JSON parse of a line, for wire frames and log
-records alike.
+A ``OneOf`` (any frame, any notification) encodes the same object given
+twice in a row once: the shared frame of a fan-out. ``loads_line`` is the
+one JSON parse of a line, for wire frames and log records alike.
 """
 
 from __future__ import annotations
@@ -245,18 +246,28 @@ def _no_schema(value):
 
 
 class OneOf(Kind):
-    """Any of several tagged schemas, chosen by the value's class or by its tag."""
+    """Any of several tagged schemas, chosen by the value's class or by its tag.
+
+    ``encode`` keeps the last value and its text, and returns that text when
+    the very same object comes again, as the shared frame of a fan-out does.
+    Every ``OneOf`` value is a frozen frame or notification: its text is fixed.
+    """
 
     def __init__(self, *schemas: Schema):
         self.schemas = schemas
         self.encoders = {s.cls: s.encode for s in schemas}
+        self._last = (_no_schema, "")  # (value, its text); no value is _no_schema
 
     def encode(self, value) -> str:
-        return self.encoders.get(type(value), _no_schema)(value)
+        last, text = self._last
+        if value is last:
+            return text
+        text = self.encoders.get(type(value), _no_schema)(value)
+        self._last = (value, text)
+        return text
 
     def template(self, value, names):
-        dispatch = f"{names.add(self.encoders)}.get(type({value}), {names.add(_no_schema)})"
-        return "%s", [f"{dispatch}({value})"]
+        return "%s", [f"{names.add(self.encode)}({value})"]
 
     def parse(self, got, key, strict, names):
         tag_key = self.schemas[0].tag[0]

@@ -5,7 +5,8 @@ global randomness. A scenario file pins a seed, a fix cadence, movement
 traces, and scripted actions; running it yields a transcript — the ordered
 list of every server-to-participant message with its virtual timestamp.
 Equal (scenario, seed) always produce byte-identical transcripts and event
-logs, which is what makes golden-file assertions possible.
+logs, which is what makes golden-file assertions possible. The recipients
+of one fan-out share its frame, and a shared frame is encoded once.
 
 Each step of the loop executes the scripted actions that have come due
 (ties ordered by participant id, then script order), then submits one
@@ -20,6 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import cos, nextafter, radians
+from operator import itemgetter
 from pathlib import Path
 
 from .activities import (
@@ -82,8 +84,7 @@ def interpolate(trace: Trace, t: int) -> GeoPoint:
         return wps[0][1]
     if t >= wps[-1][0]:
         return wps[-1][1]
-    times = [at for at, _ in wps]
-    i = bisect_right(times, t)
+    i = bisect_right(wps, t, key=itemgetter(0))
     t0, p0 = wps[i - 1]
     t1, p1 = wps[i]
     f = (t - t0) / (t1 - t0)
@@ -288,23 +289,17 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _create_activities(scenario: Scenario, state: ServerState):
-    """Create all scenario activities at virtual t=0."""
-    created: list[Activity] = []
-    outbound = []
-    records: list[EventRecord] = []
+    """Create all scenario activities at virtual t=0: the activities, pushes and records."""
+    made = []  # (activity, pushes, records) of each
     if scenario.ics is not None:
         ics_path, system_address = scenario.ics
         path = Path(ics_path)
         if not path.is_absolute() and scenario.base_dir is not None:
             path = scenario.base_dir / path
         result = parse_ics(path.read_text(encoding="utf-8"), system_address)
-        for draft in result.drafts:
-            act, pushes, recs = materialize_draft(state, draft, now=0)
-            created.append(act)
-            outbound.extend(pushes)
-            records.extend(recs)
+        made += [materialize_draft(state, draft, now=0) for draft in result.drafts]
     for spec in scenario.activities:
-        act, pushes, recs = create_activity(
+        made.append(create_activity(
             state,
             now=0,
             title=spec.title,
@@ -315,11 +310,12 @@ def _create_activities(scenario: Scenario, state: ServerState):
             participant_ids=list(spec.participants),
             policy=spec.policy,
             batch_threshold=spec.batch_threshold,
-        )
-        created.append(act)
-        outbound.extend(pushes)
-        records.extend(recs)
-    return created, outbound, records
+        ))
+    return (
+        [act for act, _, _ in made],
+        [push for _, pushes, _ in made for push in pushes],
+        [record for _, _, records in made for record in records],
+    )
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

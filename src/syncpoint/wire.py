@@ -21,7 +21,6 @@ uses too.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import get_args
@@ -229,23 +228,6 @@ MESSAGES = OneOf(
 def encode(msg: Message) -> str:
     """One canonical frame, newline-terminated."""
     return MESSAGES.encode(msg) + "\n"
-
-
-def message_fields(msg: Message) -> dict:
-    """The canonical JSON object for a message, keys in wire order."""
-    return json.loads(MESSAGES.encode(msg))
-
-
-def notification_fields(n: Notification) -> dict:
-    return json.loads(_NOTIFICATION.encode(n))
-
-
-_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
-
-
-def dumps_canonical(obj) -> str:
-    """Serialize an already-ordered object with the canonical JSON dialect."""
-    return _CANONICAL.encode(obj)
 
 
 # --- decoding ---------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Seeded random wire-message generator for volume round-trip checks.
 
 Covers every message variant and every notification kind, independent of
-hypothesis so tens of thousands of cases stay fast.
+hypothesis so tens of thousands of cases stay fast. Also the reference
+views the tests read frames through: a frame's canonical JSON object, and
+the canonical JSON dialect applied to an already-ordered object.
 """
 
+import json
 import random
 
 from syncpoint.activities import ActivityKind, ActivityPhase, InviteAnswer, ParticipantStatus
@@ -32,7 +35,25 @@ from syncpoint.wire import (
     StatusView,
     TaskDone,
     Welcome,
+    encode,
 )
+
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
+def dumps_canonical(obj) -> str:
+    """Serialize an already-ordered object with the canonical JSON dialect."""
+    return _CANONICAL.encode(obj)
+
+
+def message_fields(msg) -> dict:
+    """The canonical JSON object for a message, keys in wire order."""
+    return json.loads(encode(msg))
+
+
+def notification_fields(n) -> dict:
+    """The canonical JSON object for a notification, as a NOTIFY frame carries it."""
+    return message_fields(Notify(1, n))["notification"]
 
 _WORDS = ["ana", "bruno", "carla", "g01", "driver", "rider", "p-1", "café", "家"]
 

@@ -12,7 +12,7 @@ import random
 import time
 from pathlib import Path
 
-from genmsg import random_message
+from genmsg import message_fields, random_message
 
 from syncpoint.engine import ServerState, create_activity, handle, replay
 from syncpoint.errors import SyncError
@@ -31,7 +31,7 @@ from syncpoint.sim import (
     scenario_from_dict,
     transcript_lines,
 )
-from syncpoint.wire import Arm, Disarm, Err, Fix, Notify, RespondInvite, decode, encode, message_fields
+from syncpoint.wire import Arm, Disarm, Err, Fix, Notify, RespondInvite, decode, encode
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"

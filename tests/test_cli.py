@@ -14,7 +14,7 @@ import pytest
 from syncpoint.activities import ActivityKind, ParticipantStatus, TimeWindow
 from syncpoint.cli import main
 from syncpoint.engine import Engine, replay, status_view
-from syncpoint.eventlog import CorruptRecord, load_log
+from syncpoint.eventlog import ArmSet, CorruptRecord, EventRecord, encode_record, load_log
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.sim import load_scenario, run_scenario
 from syncpoint.wire import encode
@@ -115,6 +115,45 @@ class TestIngestStatusReplay:
         code, out, err = run(capsys, "replay", "--log", log, "--now", 0)
         assert (code, err) == (0, warning)
         assert out == "".join(encode(status_view(kept, a, 0)) for a in kept.activities)
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_record_naming_an_unknown_id(self, tmp_path, capsys, alone):
+        # A well-formed record naming an unknown activity or participant: serve
+        # and ingest refuse the log; status and replay keep the state before it.
+        if alone:
+            k, kept = 0, replay([])
+            lines = ['{"type":"ARMED","activity":"a9","at":8,"index":0,"who":"bruno"}\n']
+        else:
+            result = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json"))
+            lines, k = result.log_lines, len(result.log_lines) // 2
+            lines[k] = encode_record(EventRecord(k, 8, ArmSet("a1", "zed")))
+            kept = replay(result.records[:k])
+        log = tmp_path / "events.log"
+        text = "".join(lines)
+        log.write_text(text, encoding="utf-8")
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncpoint.cli", "serve", "--listen", "127.0.0.1:0",
+             "--log", str(log)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=10,
+        )
+        code, out, err = run(capsys, "ingest", CORPUS / "meetup_fair.ics",
+                             "--system-address", SYSTEM, "--log", log, "--now", 0)
+        for code, err in ((proc.returncode, proc.stderr), (code, err)):
+            assert code == 1, err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(f"error: CORRUPT_RECORD: record {k}: unknown activity"), err
+        assert log.read_text(encoding="utf-8") == text  # left as it was
+
+        code, out, err = run(capsys, "replay", "--log", log, "--now", 0)
+        assert code == 0 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"warning: record {k}: unknown activity or participant"), err
+        assert err.endswith(f"; keeping state up to record {k}\n"), err
+        assert out == "".join(encode(status_view(kept, a, 0)) for a in kept.activities)
+        for a in kept.activities:
+            code, out, status_err = run(capsys, "status", a, "--log", log, "--now", 0)
+            assert (code, out, status_err) == (0, encode(status_view(kept, a, 0)), err)
 
     def test_status_unknown_activity(self, tmp_path, capsys):
         log = tmp_path / "events.log"

@@ -36,12 +36,13 @@ from syncpoint.eventlog import (
     EventRecord,
     FixAccepted,
     InviteResponded,
+    LogPrefix,
+    PointFix,
     TaskCompleted,
     TornTail,
     decode_record,
     encode_record,
     load_log,
-    load_prefix,
     read_records,
 )
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zone
@@ -543,17 +544,33 @@ class TestDeterminismAndReplay:
         text = "".join(encode_record(r) for r in records)
         log = tmp_path / "events.log"
         log.write_text(text, encoding="utf-8")
-        assert load_prefix(log) == (records, None)
+        prefix = LogPrefix(log)
+        assert list(prefix) == records and prefix.error is None
         log.write_text(text[:-7], encoding="utf-8")
-        good, error = load_prefix(log)
-        assert good == records[:-1]
-        assert error.index == len(records) - 1
+        prefix = LogPrefix(log)
+        assert list(prefix) == records[:-1]
+        assert prefix.error.index == len(records) - 1
 
     def test_non_dense_indices_rejected(self):
         state = ServerState()
         lines = [encode_record(r) for r in scripted_run(state)]
         with pytest.raises(CorruptRecord):
             list(read_records([lines[0], lines[2]]))
+
+    @pytest.mark.parametrize("activity, who", [("a9", "bruno"), ("a1", "zed")])
+    def test_a_record_naming_an_unknown_id_is_corrupt(self, activity, who):
+        records = scripted_run(ServerState())
+        k = len(records)
+        for event in (
+            InviteResponded(activity, who, InviteAnswer.ACCEPT), ArmSet(activity, who),
+            ArmCleared(activity, who), FixAccepted(activity, who, Zone.INSIDE, 1500),
+            PointFix(activity, who, CENTER, 1500), ArrivalRecorded(activity, who, 1500),
+            TaskCompleted(activity, who, 1500),
+        ):
+            with pytest.raises(CorruptRecord) as e:
+                replay(records + [EventRecord(k, 1500, event)])
+            assert e.value.index == k, event
+            assert "unknown activity or participant" in e.value.reason, event
 
 
 # Strings and floats that exercise every escaping and formatting rule of the
@@ -718,9 +735,9 @@ class TestEngineWrapper:
         lines[2] = lines[2].replace(b'"index":2', b'"index":2,"x":"\xff"')
         log = tmp_path / "events.log"
         log.write_bytes(b"".join(lines))
-        good, error = load_prefix(log)
-        assert len(good) == 2 and error.index == 2
-        assert not isinstance(error, TornTail)
+        prefix = LogPrefix(log)
+        assert len(list(prefix)) == 2 and prefix.error.index == 2
+        assert not isinstance(prefix.error, TornTail)
         with pytest.raises(CorruptRecord):
             Engine(log_path=log)
 

@@ -2,6 +2,7 @@
 
 import json
 
+from genmsg import dumps_canonical, notification_fields
 from hypothesis import given, strategies as st
 
 from syncpoint.activities import (
@@ -25,7 +26,6 @@ from syncpoint.notify import (
     on_task_done,
     render_identity,
 )
-from syncpoint.wire import dumps_canonical, notification_fields
 
 FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0)
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import statistics
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,28 @@ class TestInterpolate:
     def test_multi_segment(self):
         tr = trace((0, 0, 0), (10, 0, 1), (30, 10, 1))
         assert interpolate(tr, 20) == GeoPoint(5, 1)
+
+    def test_matches_the_list_formula_on_a_long_trace(self):
+        rng = random.Random(17)
+        at, waypoints = 0, []
+        for _ in range(400):
+            at += rng.randint(1, 90)
+            waypoints.append((at, GeoPoint(rng.uniform(-80, 80), rng.uniform(-179, 179))))
+        times = [t for t, _ in waypoints]
+
+        def reference(t):  # the formula that built a list of times on every call
+            if t <= times[0]:
+                return waypoints[0][1]
+            if t >= times[-1]:
+                return waypoints[-1][1]
+            i = bisect_right(times, t)
+            (t0, p0), (t1, p1) = waypoints[i - 1], waypoints[i]
+            f = (t - t0) / (t1 - t0)
+            return GeoPoint(p0.lat + f * (p1.lat - p0.lat), p0.lon + f * (p1.lon - p0.lon))
+
+        tr = Trace(tuple(waypoints))
+        for t in range(-10, at + 10):
+            assert interpolate(tr, t) == reference(t), t
 
 
 class TestPerturb:
@@ -311,6 +334,30 @@ class TestByteIdentity:
                 frames, cursor = pending(state, recipient, 0)
                 assert [m.seq for m in frames] == list(range(1, len(queue) + 1)), recipient
                 assert [m.notification for m in frames] == queue and cursor == len(queue)
+
+
+class TestSharedFrames:
+    def test_a_fanout_builds_one_frame_per_notification_and_seq(self, monkeypatch):
+        fanouts = []
+        record = engine._record
+
+        def spy(state, now, event):
+            made = record(state, now, event)
+            fanouts.append(made[1])
+            return made
+        monkeypatch.setattr(engine, "_record", spy)
+        result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
+        monkeypatch.undo()
+        shared = 0
+        for pushes in fanouts:
+            frames = {id(frame) for _, frame in pushes}
+            assert len(frames) <= len({(m.notification, m.seq) for _, m in pushes}), pushes
+            shared += len(pushes) - len(frames)
+        assert shared > 1000  # the crowd's pushes do share frames
+        pushed = [e.msg for e in result.transcript if isinstance(e.msg, Notify)]
+        assert len(pushed) == sum(map(len, fanouts))
+        digest = hashlib.sha256("".join(transcript_lines(result.transcript)).encode("utf-8"))
+        assert digest.hexdigest() == TestByteIdentity.PINNED_TRANSCRIPT
 
 
 class TestRestartQueues:

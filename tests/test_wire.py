@@ -20,8 +20,9 @@ from syncpoint.notify import (
     TaskDoneNotice,
 )
 from syncpoint.schema import loads_line
-from syncpoint.sim import load_scenario, run_scenario
+from syncpoint.sim import TranscriptEntry, load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import (
+    MESSAGES,
     Ack,
     Arm,
     ClientMessage,
@@ -329,6 +330,25 @@ class TestCanonicalJson:
             encode(ParticipantView("a", ParticipantStatus.INVITED, True))
         with pytest.raises(TypeError):
             encode(Notify(1, "not a notification"))
+
+    def test_a_repeated_object_is_encoded_as_the_first_time(self):
+        # An encoder keeps the text of the last object it encoded: a, b, a, a
+        # copy of a, then b again must each give the reference fields' JSON.
+        notice = ArrivalNotice("a1", 1200, "ana")
+        a, b = Notify(3, notice), Notify(4, notice)  # one notification, two frames
+        a_copy = Notify(3, ArrivalNotice("a1", 1200, "ana"))
+        assert a_copy == a and a_copy is not a
+
+        def fields(seq):
+            return {"type": "NOTIFY", "notification": {
+                "kind": "ARRIVAL_NOTICE", "activity": "a1", "at": 1200, "identity": "ana",
+            }, "seq": seq}
+        for msg, seq in ((a, 3), (b, 4), (a, 3), (a_copy, 3), (b, 4)):
+            reference = json.dumps(fields(seq), ensure_ascii=False, separators=(",", ":"))
+            assert MESSAGES.encode(msg) == reference
+            assert encode(msg) == reference + "\n"
+            entry = transcript_lines([TranscriptEntry(7, "bruno", msg)])
+            assert entry == [f'{{"at":7,"msg":{reference},"to":"bruno"}}\n']
 
 
 def parsed(parse, line):
