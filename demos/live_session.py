@@ -11,7 +11,7 @@ Run:  python demos/live_session.py
 import asyncio
 import math
 
-from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
+from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint
 from syncpoint.net import SyncServer
@@ -48,11 +48,11 @@ async def main():
     engine = Engine()
     server = await SyncServer(engine, clock=lambda: CLOCK["t"]).start("127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
-    act, _ = engine.create_activity(
-        now=0, title="Ride to work", kind=ActivityKind.PICKUP,
-        window=TimeWindow(1000, 9000), fence=Geofence(CENTER, 500.0, 25.0),
-        organizer="rider", participant_ids=["rider", "driver"],
-    )
+    act, _ = engine.create_activity(ActivitySpec(
+        title="Ride to work", kind=ActivityKind.PICKUP,
+        window=TimeWindow(1000, 9000), fence=Geofence(CENTER, 500.0),
+        organizer="rider", participants=("rider", "driver"),
+    ), now=0)
     print(f"server on port {port}, activity {act.id}\n")
 
     rider = await Shell("rider ").connect(port)

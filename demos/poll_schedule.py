@@ -7,17 +7,17 @@ never increases as the start gets closer.
 Run:  python demos/poll_schedule.py
 """
 
-from syncpoint.activities import ActivityKind, TimeWindow, new_activity
+from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, new_activity
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.sim import next_poll_interval
 
 START = 200_000
-act = new_activity(
-    activity_id="a1", title="Dinner", kind=ActivityKind.GATHERING,
+act = new_activity(ActivitySpec(
+    title="Dinner", kind=ActivityKind.GATHERING,
     window=TimeWindow(START, START + 7_200),
-    fence=Geofence(GeoPoint(41.5454, -8.4265), 100.0),
-    organizer="dora", participant_ids=["dora", "emil"],
-)
+    fence=Geofence(GeoPoint(41.5454, -8.4265)),
+    organizer="dora", participants=("dora", "emil"),
+), "a1")
 
 if __name__ == "__main__":
     print(f"{'time to start':>16}  {'poll every':>10}")

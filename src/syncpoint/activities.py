@@ -142,19 +142,27 @@ class Activity:
         return self._accepted
 
 
-def new_activity(
-    *,
-    activity_id: str,
-    title: str,
-    kind: ActivityKind,
-    window: TimeWindow,
-    fence: Geofence,
-    organizer: str,
-    participant_ids: list[str] | tuple[str, ...],
-    policy: PrivacyPolicy = PrivacyPolicy.DISCLOSE_IDENTITY,
-    batch_threshold: int | None = None,
-    calendar_uid: str | None = None,
-) -> Activity:
+@dataclass(frozen=True, slots=True)
+class ActivitySpec:
+    """An activity as its organiser describes it, before the server names it.
+
+    ``participants`` is the roster in order, organizer included. Kind and
+    policy default here, radius and hysteresis on ``Geofence``, and the
+    batch threshold in ``new_activity``, by kind.
+    """
+
+    title: str
+    window: TimeWindow
+    fence: Geofence
+    organizer: str
+    participants: tuple[str, ...]
+    kind: ActivityKind = ActivityKind.MEETUP
+    policy: PrivacyPolicy = PrivacyPolicy.DISCLOSE_IDENTITY
+    batch_threshold: int | None = None
+    calendar_uid: str | None = None
+
+
+def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     """Validate an activity spec and build the activity.
 
     All participants (organizer included) start as Invited. A missing
@@ -162,7 +170,7 @@ def new_activity(
     other kind. The caller names the activity: the server allocates ids
     from its state, so that logs and transcripts are reproducible.
     """
-    ids = list(participant_ids)
+    ids = list(spec.participants)
     seen = set()
     for pid in ids:
         if not isinstance(pid, str) or not pid:
@@ -172,11 +180,12 @@ def new_activity(
         seen.add(pid)
     if len(ids) < 2:
         raise TooFewParticipants(f"need at least 2 participants, got {len(ids)}")
-    if organizer not in seen:
-        raise OrganizerNotParticipant(f"organizer {organizer!r} not in participant list")
+    if spec.organizer not in seen:
+        raise OrganizerNotParticipant(f"organizer {spec.organizer!r} not in participant list")
+    batch_threshold = spec.batch_threshold
     if batch_threshold is None:
         batch_threshold = (
-            DEFAULT_GATHERING_BATCH if kind is ActivityKind.GATHERING else 1
+            DEFAULT_GATHERING_BATCH if spec.kind is ActivityKind.GATHERING else 1
         )
     if not isinstance(batch_threshold, int) or batch_threshold < 1:
         raise BatchThresholdInvalid(
@@ -184,15 +193,15 @@ def new_activity(
         )
     return Activity(
         id=activity_id,
-        title=title,
-        kind=kind,
-        window=window,
-        fence=fence,
-        organizer=organizer,
+        title=spec.title,
+        kind=spec.kind,
+        window=spec.window,
+        fence=spec.fence,
+        organizer=spec.organizer,
         participants=tuple(ParticipantRecord(pid) for pid in ids),
-        policy=policy,
+        policy=spec.policy,
         batch_threshold=batch_threshold,
-        calendar_uid=calendar_uid,
+        calendar_uid=spec.calendar_uid,
     )
 
 

@@ -30,13 +30,14 @@ from pathlib import Path
 
 from .engine import Engine, replay, status_view
 from .errors import SyncError
-from .eventlog import CorruptRecord, LogPrefix, split_lines
+from .eventlog import CorruptRecord, LogPrefix
 from .ics import parse_ics
 from .net import serve_forever
 from .sim import (
     first_divergence,
     load_scenario,
     run_scenario,
+    split_lines,
     transcript_lines,
     write_transcript,
 )
@@ -105,6 +106,7 @@ def cmd_ingest(args) -> int:
                       file=sys.stderr)
                 continue
             act, _ = engine.materialize_draft(draft, now=args.now)
+            known.add(draft.uid)
             created += 1
             print(f"created {act.id} ({act.kind.value}) from event {draft.uid}")
         print(f"ingested {created} activities, skipped {result.skipped} "

@@ -49,10 +49,8 @@ docstring says why.
 
 Privacy stance: fixes come in, facts go out. A fix is classified into a
 zone on arrival and then dropped: the state keeps each participant's zone
-and the time of the latest fix, the log records the same zone (see
-``eventlog``), and no outbound message ever carries a coordinate. The
-point-bearing fix records of older logs are classified once, by
-``replay``.
+and the time of the latest fix, and no outbound message ever carries a
+coordinate. What the log keeps is ``eventlog``'s to say.
 """
 
 from __future__ import annotations
@@ -65,10 +63,9 @@ from .activities import (
     Activity,
     ActivityKind,
     ActivityPhase,
+    ActivitySpec,
     ParticipantRecord,
     ParticipantStatus,
-    PrivacyPolicy,
-    TimeWindow,
     new_activity,
     phase_at,
     respond_invitation,
@@ -89,7 +86,7 @@ from .eventlog import (
     TaskCompleted,
     TornTail,
 )
-from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, Zone, classify_zone
+from .geo import Geofence, Zone, classify_zone
 from .ics import ActivityDraft
 from .notify import Fanout, Notification, on_arrival, on_invite, on_task_done
 from .presence import Alarm, ingest_fix
@@ -434,36 +431,14 @@ def _dispatch(
 
 
 def create_activity(
-    state: ServerState,
-    *,
-    now: int,
-    title: str,
-    kind: ActivityKind,
-    window: TimeWindow,
-    fence: Geofence,
-    organizer: str,
-    participant_ids,
-    policy: PrivacyPolicy = PrivacyPolicy.DISCLOSE_IDENTITY,
-    batch_threshold: int | None = None,
-    calendar_uid: str | None = None,
+    state: ServerState, spec: ActivitySpec, now: int
 ) -> tuple[Activity, Outbound, list[EventRecord]]:
     """Validate, store, and fan out invitations for a new activity.
 
     Activity ids are allocated deterministically from the state ("a1",
     "a2", ... in creation order) so logs and transcripts are reproducible.
     """
-    act = new_activity(
-        title=title,
-        kind=kind,
-        window=window,
-        fence=fence,
-        organizer=organizer,
-        participant_ids=participant_ids,
-        policy=policy,
-        batch_threshold=batch_threshold,
-        activity_id=f"a{len(state.activities) + 1}",
-        calendar_uid=calendar_uid,
-    )
+    act = new_activity(spec, f"a{len(state.activities) + 1}")
     record, pushes = _record(state, now, ActivityCreated(act))
     return act, pushes, [record]
 
@@ -471,33 +446,28 @@ def create_activity(
 def materialize_draft(
     state: ServerState, draft: ActivityDraft, now: int
 ) -> tuple[Activity, Outbound, list[EventRecord]]:
-    """Create an activity from a calendar draft, applying defaults.
+    """Create an activity from a calendar draft.
 
-    Missing optional fields default to: MEETUP kind, identity disclosure,
-    100 m radius, 25 m hysteresis, batch threshold per kind. Attendee
-    addresses are used verbatim as participant ids; the calendar UID is
-    preserved on the activity.
+    The organizer leads the roster, attendee addresses are used verbatim as
+    participant ids, and the calendar UID is kept on the activity. Only the
+    properties the event states are passed on; ``ActivitySpec`` and
+    ``Geofence`` default the rest.
     """
-    participant_ids = [draft.organizer] + [
-        a for a in draft.attendees if a != draft.organizer
-    ]
-    return create_activity(
-        state,
-        now=now,
+    stated = {
+        name: value for name in ("kind", "policy", "batch_threshold")
+        if (value := getattr(draft, name)) is not None
+    }
+    spec = ActivitySpec(
         title=draft.title,
-        kind=draft.kind if draft.kind is not None else ActivityKind.MEETUP,
         window=draft.window,
-        fence=Geofence(
-            draft.center,
-            draft.radius_m if draft.radius_m is not None else DEFAULT_RADIUS_M,
-            DEFAULT_HYSTERESIS_M,
-        ),
+        fence=Geofence(draft.center) if draft.radius_m is None
+        else Geofence(draft.center, draft.radius_m),
         organizer=draft.organizer,
-        participant_ids=participant_ids,
-        policy=draft.policy if draft.policy is not None else PrivacyPolicy.DISCLOSE_IDENTITY,
-        batch_threshold=draft.batch_threshold,
+        participants=(draft.organizer, *(a for a in draft.attendees if a != draft.organizer)),
         calendar_uid=draft.uid,
+        **stated,
     )
+    return create_activity(state, spec, now)
 
 
 # --- stateful wrapper ---------------------------------------------------------
@@ -550,8 +520,8 @@ class Engine:
         if self._writer is not None:
             self._writer.commit()
 
-    def create_activity(self, *, now: int, **spec) -> tuple[Activity, Outbound]:
-        act, outbound, records = create_activity(self.state, now=now, **spec)
+    def create_activity(self, spec: ActivitySpec, now: int) -> tuple[Activity, Outbound]:
+        act, outbound, records = create_activity(self.state, spec, now)
         self._persist(records)
         return act, outbound
 

@@ -24,13 +24,12 @@ fields beside ``at`` and ``index``, tagged with ``type``. Records are read
 loosely: this codec wrote them, so only the constructors check them, and
 an enum field is found by its value.
 
-Privacy stance: the log holds no coordinate but the fence centre of each
-``ACTIVITY_CREATED``. A ``FIX_ACCEPTED`` records the zone its fix was
-classified into, not the fix; an ``ARMED`` records who armed. Logs written
-before that format hold a fix's ``lat``/``lon`` in place of its ``zone``,
-and an ``ARMED`` zone that nothing reads. Such a ``FIX_ACCEPTED`` decodes to
-a ``PointFix`` (its one reader is ``engine.replay``, which classifies it as
-the FIX path would have); nothing writes one.
+The log holds no coordinate but the fence centre of each ``ACTIVITY_CREATED``.
+A ``FIX_ACCEPTED`` records the zone its fix was classified into, not the
+fix; an ``ARMED`` records who armed. Logs written before that format hold
+a fix's ``lat``/``lon`` in place of its ``zone``, and an ``ARMED`` zone
+that nothing reads. Such a ``FIX_ACCEPTED`` decodes to a ``PointFix``,
+which only ``engine.replay`` reads; nothing writes one.
 """
 
 from __future__ import annotations
@@ -261,20 +260,6 @@ def read_records(lines: Iterable[str] | Iterable[bytes]) -> Iterator[EventRecord
             raise TornTail(index, len(line))
         yield decode_record(line, index)
         index += 1
-
-
-def split_lines(text: str | bytes) -> list[str] | list[bytes]:
-    """Split text or bytes on ``\\n`` only, keeping each terminator.
-
-    A final line without its newline stays unterminated, so that
-    ``read_records`` sees the torn write.
-    """
-    newline = "\n" if isinstance(text, str) else b"\n"
-    raw = text.split(newline)
-    lines = [r + newline for r in raw[:-1]]
-    if raw[-1]:
-        lines.append(raw[-1])
-    return lines
 
 
 class LogPrefix:

@@ -19,7 +19,7 @@ from .errors import SyncError
 
 EARTH_RADIUS_M = 6_371_000.0
 
-# Defaults applied when an ingested activity does not state its own values.
+# A fence's defaults, for an activity that does not state its own values.
 DEFAULT_RADIUS_M = 100.0
 DEFAULT_HYSTERESIS_M = 25.0
 
@@ -62,7 +62,7 @@ class Geofence:
     """Circular geographic scope: center, radius, and exit dead band."""
 
     center: GeoPoint
-    radius_m: float
+    radius_m: float = DEFAULT_RADIUS_M
     hysteresis_m: float = DEFAULT_HYSTERESIS_M
 
     def __post_init__(self):

@@ -90,10 +90,15 @@ def unfold_lines(text: str) -> list[str]:
     """Undo RFC 5545 line folding.
 
     A line starting with a single space or tab continues the previous line;
-    the leading whitespace character is dropped. Accepts CRLF or LF.
+    the leading whitespace character is dropped. Accepts CRLF or LF; lines
+    end at ``\\n`` only, so a value may hold U+2028 or a form feed.
     """
     out: list[str] = []
-    for raw in text.splitlines():
+    pieces = text.split("\n")
+    if not pieces[-1]:
+        pieces.pop()  # the empty piece after the final newline
+    for raw in pieces:
+        raw = raw.removesuffix("\r")
         if raw[:1] in (" ", "\t") and out:
             out[-1] += raw[1:]
         else:

@@ -7,26 +7,17 @@ the fence never counts as arriving — someone standing at the meeting point
 when they switch the alarm on must physically leave and come back before
 the system will announce them.
 
-The transition test itself is ``ingest_fix``, the one place the rule
-lives; the engine's FIX path classifies each fix once and applies the
-rule to the zone the participant was last seen in and the new zone. The
-alarm holds no zone: the participant's one zone lives beside it, in the
-engine's presence bookkeeping.
-
-Privacy stance: this module sees zones only, never a point. The new zone
-is also all that the fix's ``FixAccepted`` record keeps of it.
-
-The alarm is one of three values:
+The transition test is ``ingest_fix``, the one place the rule lives; the
+engine's FIX path (see ``engine``) calls it. It sees zones only, never a
+point. The alarm is one of three values:
 
     DISARMED --ARM--> ARMED --Outside->Inside fix--> ARRIVED
        ^                |
        +----DISARM------+          ARRIVED is terminal.
 
-The engine's command dispatch checks each move (ARM only from DISARMED;
-DISARM records nothing unless ARMED) and ``engine.apply`` only assigns
-the new value. Fixes are assumed to arrive in per-participant timestamp
-order, and only fixes inside the activity's Active window count; the
-engine rejects stale fixes and ignores the others before they get here.
+Fixes are assumed to arrive in per-participant timestamp order, and only
+fixes inside the activity's Active window count; the engine rejects stale
+fixes and ignores the others before they get here.
 """
 
 from __future__ import annotations

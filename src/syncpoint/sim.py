@@ -28,6 +28,7 @@ from .activities import (
     Activity,
     ActivityKind,
     ActivityPhase,
+    ActivitySpec,
     InviteAnswer,
     PrivacyPolicy,
     TimeWindow,
@@ -36,7 +37,7 @@ from .activities import (
 from .engine import ServerState, create_activity, handle, materialize_draft
 from .errors import SyncError
 from .eventlog import EventRecord, encode_record
-from .geo import DEFAULT_HYSTERESIS_M, DEFAULT_RADIUS_M, Geofence, GeoPoint
+from .geo import Geofence, GeoPoint
 from .ics import parse_ics
 from .presence import Alarm
 from .schema import INT, STR, Schema
@@ -146,20 +147,6 @@ class ActorScript:
 
 
 @dataclass(frozen=True, slots=True)
-class ActivitySpec:
-    title: str
-    kind: ActivityKind
-    window: TimeWindow
-    center: GeoPoint
-    radius_m: float
-    hysteresis_m: float
-    organizer: str
-    participants: tuple[str, ...]
-    policy: PrivacyPolicy
-    batch_threshold: int | None
-
-
-@dataclass(frozen=True, slots=True)
 class Scenario:
     seed: int
     noise_sigma_m: float
@@ -190,19 +177,23 @@ class RunResult:
         return [encode_record(r) for r in self.records]
 
 
+# The optional keys of a scenario activity, each with its conversion.
+_STATED = {"kind": ActivityKind, "policy": PrivacyPolicy, "batch_threshold": lambda v: v}
+
+
 def _spec_from_dict(d: dict) -> ActivitySpec:
+    """The activity a scenario describes; only the keys it states are passed."""
     try:
         return ActivitySpec(
             title=d["title"],
-            kind=ActivityKind(d.get("kind", "MEETUP")),
             window=TimeWindow(d["start"], d["end"]),
-            center=GeoPoint(d["lat"], d["lon"]),
-            radius_m=float(d.get("radius_m", DEFAULT_RADIUS_M)),
-            hysteresis_m=float(d.get("hysteresis_m", DEFAULT_HYSTERESIS_M)),
+            fence=Geofence(
+                GeoPoint(d["lat"], d["lon"]),
+                **{k: d[k] for k in ("radius_m", "hysteresis_m") if k in d},
+            ),
             organizer=d["organizer"],
             participants=tuple(d["participants"]),
-            policy=PrivacyPolicy(d.get("policy", "IDENTITY")),
-            batch_threshold=d.get("batch_threshold"),
+            **{k: convert(d[k]) for k, convert in _STATED.items() if k in d},
         )
     except KeyError as e:
         raise ScenarioInvalid(f"activity spec missing field {e.args[0]!r}") from None
@@ -298,19 +289,7 @@ def _create_activities(scenario: Scenario, state: ServerState):
             path = scenario.base_dir / path
         result = parse_ics(path.read_text(encoding="utf-8"), system_address)
         made += [materialize_draft(state, draft, now=0) for draft in result.drafts]
-    for spec in scenario.activities:
-        made.append(create_activity(
-            state,
-            now=0,
-            title=spec.title,
-            kind=spec.kind,
-            window=spec.window,
-            fence=Geofence(spec.center, spec.radius_m, spec.hysteresis_m),
-            organizer=spec.organizer,
-            participant_ids=list(spec.participants),
-            policy=spec.policy,
-            batch_threshold=spec.batch_threshold,
-        ))
+    made += [create_activity(state, spec, now=0) for spec in scenario.activities]
     return (
         [act for act, _, _ in made],
         [push for _, pushes, _ in made for push in pushes],
@@ -414,6 +393,15 @@ def write_transcript(path: str | Path, entries: list[TranscriptEntry]) -> None:
     encode = _ENTRY.encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(encode(e) + "\n" for e in entries)
+
+
+def split_lines(text: str) -> list[str]:
+    """Split text on ``\\n`` only, keeping each terminator.
+
+    A final line without its newline stays unterminated.
+    """
+    raw = text.split("\n")
+    return [r + "\n" for r in raw[:-1]] + ([raw[-1]] if raw[-1] else [])
 
 
 def first_divergence(actual: list[str], expected: list[str]) -> int | None:

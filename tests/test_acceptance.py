@@ -19,7 +19,7 @@ from syncpoint.errors import SyncError
 from syncpoint.eventlog import ArrivalRecorded, read_records
 from syncpoint.geo import GeoPoint, haversine_m
 from syncpoint.ics import parse_ics, ParseResult
-from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow, new_activity
+from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow, new_activity
 from syncpoint.geo import Geofence
 from syncpoint.presence import Alarm
 from syncpoint.geo import EARTH_RADIUS_M, Zone
@@ -214,11 +214,11 @@ def test_c05_hysteresis_no_flap_hundred_seeds():
 def _presence_fixture():
     """A server state holding one activity that bruno has accepted."""
     state = ServerState()
-    act, _, _ = create_activity(
-        state, now=0, title="x", kind=ActivityKind.MEETUP, window=TimeWindow(1000, 5000),
+    act, _, _ = create_activity(state, ActivitySpec(
+        title="x", kind=ActivityKind.MEETUP, window=TimeWindow(1000, 5000),
         fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
-        organizer="ana", participant_ids=["ana", "bruno"],
-    )
+        organizer="ana", participants=("ana", "bruno"),
+    ), now=0)
     handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 0)
     return state, act
 
@@ -465,12 +465,12 @@ def test_c10_mediator_no_coordinates_leave_the_server():
 
 
 def test_c11_poll_scheduler_table_and_monotonicity():
-    act = new_activity(
-        activity_id="a1", title="x", kind=ActivityKind.MEETUP,
+    act = new_activity(ActivitySpec(
+        title="x", kind=ActivityKind.MEETUP,
         window=TimeWindow(1_000_000, 1_010_000),
         fence=Geofence(GeoPoint(0, 0), 100.0), organizer="a",
-        participant_ids=["a", "b"],
-    )
+        participants=("a", "b"),
+    ), "a1")
     start = act.window.start
     assert next_poll_interval(start - 48 * 3600, act) == 21600
     assert next_poll_interval(start - 12 * 3600, act) == 1800

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from syncpoint.activities import (
     ActivityKind,
     ActivityPhase,
+    ActivitySpec,
     BatchThresholdInvalid,
     DuplicateParticipant,
     InviteAnswer,
@@ -29,18 +30,17 @@ from syncpoint.wire import Err, RespondInvite
 FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0)
 
 
-def make(**overrides):
+def make(activity_id="fair", **overrides):
     spec = dict(
-        activity_id="fair",
         title="Fair",
         kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000),
         fence=FENCE,
         organizer="ana",
-        participant_ids=["ana", "bruno", "carla"],
+        participants=("ana", "bruno", "carla"),
     )
     spec.update(overrides)
-    return new_activity(**spec)
+    return new_activity(ActivitySpec(**spec), activity_id)
 
 
 class TestNewActivity:
@@ -75,15 +75,15 @@ class TestNewActivity:
 
     def test_too_few_participants(self):
         with pytest.raises(TooFewParticipants):
-            make(participant_ids=["ana"], organizer="ana")
+            make(participants=("ana",), organizer="ana")
 
     def test_duplicate_participant(self):
         with pytest.raises(DuplicateParticipant):
-            make(participant_ids=["ana", "bruno", "ana"])
+            make(participants=("ana", "bruno", "ana"))
 
     def test_empty_participant_id(self):
         with pytest.raises(DuplicateParticipant):
-            make(participant_ids=["ana", ""])
+            make(participants=("ana", ""))
 
     def test_organizer_must_participate(self):
         with pytest.raises(OrganizerNotParticipant):
@@ -108,11 +108,11 @@ class TestRespondInvitation:
 
     def served(self):
         state = ServerState()
-        act, _, _ = create_activity(
-            state, now=0, title="Fair", kind=ActivityKind.MEETUP,
+        act, _, _ = create_activity(state, ActivitySpec(
+            title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=FENCE, organizer="ana",
-            participant_ids=["ana", "bruno", "carla"],
-        )
+            participants=("ana", "bruno", "carla"),
+        ), now=0)
         return state, act.id
 
     def test_unknown_participant(self):
@@ -204,16 +204,15 @@ def test_new_activity_total_validation(
     start, duration, lat, radius, kind, participants, organizer, batch
 ):
     try:
-        act = new_activity(
-            activity_id="t",
+        act = new_activity(ActivitySpec(
             title="t",
             kind=kind,
             window=TimeWindow(start, start + duration),
             fence=Geofence(GeoPoint(lat, 8.0), radius),
             organizer=organizer,
-            participant_ids=participants,
+            participants=tuple(participants),
             batch_threshold=batch,
-        )
+        ), "t")
     except (
         WindowInvalid,
         FenceInvalid,

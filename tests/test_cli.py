@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from syncpoint.activities import ActivityKind, ParticipantStatus, TimeWindow
+from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, TimeWindow
 from syncpoint.cli import main
 from syncpoint.engine import Engine, replay, status_view
 from syncpoint.eventlog import ArmSet, CorruptRecord, EventRecord, encode_record, load_log
@@ -62,6 +62,24 @@ class TestIngestStatusReplay:
         assert code == 0
         assert "already ingested" in err
         assert "ingested 0 activities" in out
+
+    def test_duplicate_uid_in_one_file_creates_one_activity(self, tmp_path, capsys):
+        event = (
+            "BEGIN:VEVENT\r\nUID:u1\r\nDTSTART:100\r\nDTEND:200\r\n"
+            "GEO:1.0;1.0\r\nORGANIZER:mailto:ana@x\r\nATTENDEE:mailto:ana@x\r\n"
+            f"ATTENDEE:mailto:bruno@x\r\nATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\n"
+        )
+        ics = tmp_path / "twice.ics"
+        ics.write_text(f"BEGIN:VCALENDAR\r\n{event}{event}END:VCALENDAR\r\n")
+        log = tmp_path / "events.log"
+        code, out, err = run(
+            capsys, "ingest", ics, "--system-address", SYSTEM, "--log", log, "--now", 0,
+        )
+        assert code == 0
+        assert "created a1" in out and "created a2" not in out
+        assert "event u1 already ingested" in err
+        assert "ingested 1 activities" in out
+        assert len(load_log(log)) == 1
 
     def test_ingest_invalid_event_fails(self, tmp_path, capsys):
         log = tmp_path / "events.log"
@@ -258,12 +276,12 @@ class TestServe:
     def test_torn_tail_is_cut_and_serve_starts(self, tmp_path):
         log = tmp_path / "events.log"
         engine = Engine(log_path=log)
-        engine.create_activity(  # far enough ahead that the server clock allows answers
-            now=0, title="Fair", kind=ActivityKind.MEETUP,
+        engine.create_activity(ActivitySpec(  # far enough ahead that the server clock allows answers
+            title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(4_000_000_000, 4_000_003_600),
             fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
-            organizer="ana", participant_ids=["ana", "bruno"],
-        )
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=0)
         engine.close()
         text = log.read_text()
         log.write_text(text + '{"type":"ARMED","activity":"a1"')  # torn write

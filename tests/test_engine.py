@@ -1,6 +1,7 @@
 """Engine: command handling, event sourcing, queues, and replay."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -11,6 +12,7 @@ import syncpoint.engine
 from syncpoint.activities import (
     Activity,
     ActivityKind,
+    ActivitySpec,
     InviteAnswer,
     ParticipantRecord,
     ParticipantStatus,
@@ -49,6 +51,7 @@ from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zon
 from syncpoint.ics import parse_ics
 from syncpoint.notify import ArrivalNotice, Invitation, SelfArrivalAck, TaskDoneNotice
 from syncpoint.presence import Alarm
+from syncpoint.sim import scenario_from_dict
 from syncpoint.wire import (
     Ack,
     Arm,
@@ -77,15 +80,17 @@ def fresh(kind=ActivityKind.MEETUP, policy=PrivacyPolicy.DISCLOSE_IDENTITY,
     state = ServerState()
     act, outbound, records = create_activity(
         state,
+        ActivitySpec(
+            title="Fair",
+            kind=kind,
+            window=TimeWindow(1000, 5000),
+            fence=Geofence(CENTER, 100.0, 25.0),
+            organizer=participants[0],
+            participants=tuple(participants),
+            policy=policy,
+            batch_threshold=batch,
+        ),
         now=0,
-        title="Fair",
-        kind=kind,
-        window=TimeWindow(1000, 5000),
-        fence=Geofence(CENTER, 100.0, 25.0),
-        organizer=participants[0],
-        participant_ids=list(participants),
-        policy=policy,
-        batch_threshold=batch,
     )
     return state, act, outbound, records
 
@@ -112,20 +117,20 @@ class TestCreateActivity:
     def test_invalid_spec_is_atomic(self):
         state = ServerState()
         with pytest.raises(Exception):
-            create_activity(
-                state, now=0, title="x", kind=ActivityKind.MEETUP,
+            create_activity(state, ActivitySpec(
+                title="x", kind=ActivityKind.MEETUP,
                 window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
-                organizer="solo", participant_ids=["solo"],
-            )
+                organizer="solo", participants=("solo",),
+            ), now=0)
         assert state == ServerState()
 
     def test_ids_allocated_in_order(self):
         state, act, _, _ = fresh()
-        act2, _, _ = create_activity(
-            state, now=0, title="Second", kind=ActivityKind.TASK,
+        act2, _, _ = create_activity(state, ActivitySpec(
+            title="Second", kind=ActivityKind.TASK,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
-            organizer="ana", participant_ids=["ana", "bruno"],
-        )
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=0)
         assert (act.id, act2.id) == ("a1", "a2")
 
 
@@ -472,11 +477,11 @@ class TestAtomicity:
 
 def scripted_run(state):
     """A fixed little session used by determinism/replay tests."""
-    act, outbound, records = create_activity(
-        state, now=0, title="Fair", kind=ActivityKind.MEETUP,
+    act, outbound, records = create_activity(state, ActivitySpec(
+        title="Fair", kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-        organizer="ana", participant_ids=["ana", "bruno", "carla"],
-    )
+        organizer="ana", participants=("ana", "bruno", "carla"),
+    ), now=0)
     all_records = list(records)
     script = [
         (RespondInvite(act.id, InviteAnswer.ACCEPT), "ana", 5),
@@ -649,12 +654,12 @@ class TestLargeRoster:
     def test_reverse_order_acceptance_of_a_thousand(self):
         ids = [f"p{i:04d}" for i in range(1000)]
         state = ServerState()
-        act, _, records = create_activity(
-            state, now=0, title="Crowd", kind=ActivityKind.GATHERING,
+        act, _, records = create_activity(state, ActivitySpec(
+            title="Crowd", kind=ActivityKind.GATHERING,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-            organizer=ids[0], participant_ids=ids,
+            organizer=ids[0], participants=tuple(ids),
             policy=PrivacyPolicy.ANONYMOUS_COUNT,
-        )
+        ), now=0)
         for pid in reversed(ids):
             outbound, new = handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), pid, 10)
             assert outbound == [(pid, Ack("RESPOND_INVITE"))]
@@ -670,11 +675,11 @@ class TestEngineWrapper:
     def test_log_persistence_and_recovery(self, tmp_path):
         log = tmp_path / "events.log"
         eng = Engine(log_path=log)
-        act, _ = eng.create_activity(
-            now=0, title="Fair", kind=ActivityKind.MEETUP,
+        act, _ = eng.create_activity(ActivitySpec(
+            title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-            organizer="ana", participant_ids=["ana", "bruno"],
-        )
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=0)
         eng.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 5)
         eng.handle(Arm(act.id), "bruno", 6)
         eng.handle(Fix(act.id, at_distance(50), 2000), "bruno", 2000)
@@ -708,11 +713,11 @@ class TestEngineWrapper:
         # any other: every cut opens on the records before the torn line.
         state = ServerState()
         records = scripted_run(state)
-        records += create_activity(
-            state, now=1500, title="Caf\u00e9 \u5bb6 \U0001F600", kind=ActivityKind.MEETUP,
+        records += create_activity(state, ActivitySpec(
+            title="Caf\u00e9 \u5bb6 \U0001F600", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-            organizer="ana", participant_ids=["ana", "bruno"],
-        )[2]
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=1500)[2]
         data = "".join(encode_record(r) for r in records).encode("utf-8")
         start = data.rindex(b"\n", 0, -1) + 1  # where the last record begins
         assert "\u00e9".encode("utf-8") in data[start:]
@@ -754,11 +759,11 @@ class TestEngineWrapper:
     def test_records_reach_the_log_at_commit(self, tmp_path):
         log = tmp_path / "events.log"
         eng = Engine(log_path=log)
-        act, _ = eng.create_activity(
-            now=0, title="Fair", kind=ActivityKind.MEETUP,
+        act, _ = eng.create_activity(ActivitySpec(
+            title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-            organizer="ana", participant_ids=["ana", "bruno"],
-        )
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=0)
         eng.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 5)
         eng.handle(Poll(0), "bruno", 6)  # polls append no record
         assert log.read_text() == ""
@@ -786,12 +791,12 @@ class TestDraftEquivalence:
         act_ics, _, _ = materialize_draft(s_ics, draft, now=0)
 
         s_direct = ServerState()
-        act_direct, _, _ = create_activity(
-            s_direct, now=0, title="Fair", kind=ActivityKind.MEETUP,
+        act_direct, _, _ = create_activity(s_direct, ActivitySpec(
+            title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000),
             fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
-            organizer="ana@x", participant_ids=["ana@x", "bruno@x"],
-        )
+            organizer="ana@x", participants=("ana@x", "bruno@x"),
+        ), now=0)
         assert act_ics.batch_threshold == act_direct.batch_threshold == 1
         assert act_ics.fence == act_direct.fence
         # Same downstream behaviour: drive both and diff the status views.
@@ -803,3 +808,37 @@ class TestDraftEquivalence:
         assert status_view(s_ics, act_ics.id, 2001) == status_view(
             s_direct, act_direct.id, 2001
         )
+
+    def test_calendar_scenario_and_bare_spec_build_equal_activities(self):
+        # None of the three states kind, policy, radius, hysteresis or batch.
+        text = (
+            "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\n"
+            "UID:epoch-1@example.org\r\nSUMMARY:Fair\r\n"
+            "DTSTART:1000\r\nDTEND:5000\r\nGEO:41.5606;-8.3970\r\n"
+            "ORGANIZER:mailto:ana@x\r\n"
+            "ATTENDEE:mailto:bruno@x\r\nATTENDEE:mailto:ana@x\r\n"
+            "ATTENDEE:mailto:sync@svc\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+        (draft,) = parse_ics(text, "mailto:sync@svc").drafts
+        act_ics, _, _ = materialize_draft(ServerState(), draft, now=0)
+        (from_scenario,) = scenario_from_dict({
+            "seed": 1, "fix_period_s": 10, "horizon": 0,
+            "activities": [{
+                "title": "Fair", "start": 1000, "end": 5000,
+                "lat": 41.5606, "lon": -8.3970,
+                "organizer": "ana@x", "participants": ["ana@x", "bruno@x"],
+            }],
+        }).activities
+        act_scenario, _, _ = create_activity(ServerState(), from_scenario, now=0)
+        act_bare, _, _ = create_activity(ServerState(), ActivitySpec(
+            title="Fair", window=TimeWindow(1000, 5000),
+            fence=Geofence(GeoPoint(41.5606, -8.3970)),
+            organizer="ana@x", participants=("ana@x", "bruno@x"),
+        ), now=0)
+
+        assert act_ics.calendar_uid == "epoch-1@example.org"
+        assert dataclasses.replace(act_ics, calendar_uid=None) == act_scenario == act_bare
+        assert (act_bare.kind, act_bare.policy, act_bare.batch_threshold) == (
+            ActivityKind.MEETUP, PrivacyPolicy.DISCLOSE_IDENTITY, 1,
+        )
+        assert act_bare.fence == Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0)

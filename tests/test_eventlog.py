@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
+from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, ServerState, apply, handle, replay
 from syncpoint.eventlog import (
     ArmSet,
@@ -46,11 +46,11 @@ def at_distance(meters: float) -> GeoPoint:
 
 def fair(engine: Engine, window=TimeWindow(1000, 5000)):
     """A meetup of ana (organizer), bruno and carla; ana and bruno accept."""
-    act, _ = engine.create_activity(
-        now=0, title="Fair", kind=ActivityKind.MEETUP, window=window,
+    act, _ = engine.create_activity(ActivitySpec(
+        title="Fair", kind=ActivityKind.MEETUP, window=window,
         fence=Geofence(CENTER, 100.0, 25.0), organizer="ana",
-        participant_ids=["ana", "bruno", "carla"],
-    )
+        participants=("ana", "bruno", "carla"),
+    ), now=0)
     for who in ("ana", "bruno"):
         engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 5)
     return act

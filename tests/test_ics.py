@@ -42,6 +42,22 @@ class TestUnfold:
     def test_lf_only_input(self):
         assert unfold_lines("SUMMARY:Din\n ner\n") == ["SUMMARY:Dinner"]
 
+    def test_lines_end_at_newline_only(self):
+        # U+2028, U+0085, form feed and \x1c are text inside a value, not line ends.
+        text = "SUMMARY:a\u2028b\x85c\x0cd\x1ce\r\nUID:u\r\n"
+        assert unfold_lines(text) == ["SUMMARY:a\u2028b\x85c\x0cd\x1ce", "UID:u"]
+
+    def test_title_with_a_line_separator_is_kept_whole(self):
+        text = (
+            "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:u1\r\n"
+            "SUMMARY:Meet at the fair\u2028now\r\n"
+            "DTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\nORGANIZER:mailto:ana@x\r\n"
+            f"ATTENDEE:mailto:ana@x\r\nATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+        result = parse_ics(text, SYSTEM)
+        assert [d.title for d in result.drafts] == ["Meet at the fair\u2028now"]
+        assert result.warnings == ()
+
 
 class TestParseGeo:
     def test_plain_pair(self):

@@ -3,7 +3,7 @@
 import asyncio
 import math
 
-from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
+from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, replay
 from syncpoint.eventlog import FixAccepted, load_log
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
@@ -52,11 +52,11 @@ async def _run_session():
     server = await server_obj.start("127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
 
-    act, _ = engine.create_activity(
-        now=0, title="Fair", kind=ActivityKind.MEETUP,
+    act, _ = engine.create_activity(ActivitySpec(
+        title="Fair", kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-        organizer="ana", participant_ids=["ana", "bruno"],
-    )
+        organizer="ana", participants=("ana", "bruno"),
+    ), now=0)
 
     ana, bruno = Client(), Client()
     await ana.connect(port)
@@ -153,11 +153,11 @@ async def _start(engine, clock):
 
 def _fair(engine):
     """A meetup of ana (organizer) and bruno, both accepted."""
-    act, _ = engine.create_activity(
-        now=0, title="Fair", kind=ActivityKind.MEETUP,
+    act, _ = engine.create_activity(ActivitySpec(
+        title="Fair", kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
-        organizer="ana", participant_ids=["ana", "bruno"],
-    )
+        organizer="ana", participants=("ana", "bruno"),
+    ), now=0)
     for who in ("ana", "bruno"):
         engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
     return act

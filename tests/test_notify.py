@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from syncpoint.activities import (
     ActivityKind,
+    ActivitySpec,
     InviteAnswer,
     PrivacyPolicy,
     TimeWindow,
@@ -33,17 +34,16 @@ FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0)
 def make(kind=ActivityKind.MEETUP, participants=("ana", "bruno", "carla"),
          organizer="ana", accepted=(), policy=PrivacyPolicy.DISCLOSE_IDENTITY,
          batch=None):
-    act = new_activity(
-        activity_id="a1",
+    act = new_activity(ActivitySpec(
         title="Fair",
         kind=kind,
         window=TimeWindow(1000, 5000),
         fence=FENCE,
         organizer=organizer,
-        participant_ids=list(participants),
+        participants=tuple(participants),
         policy=policy,
         batch_threshold=batch,
-    )
+    ), "a1")
     for pid in accepted:
         act = respond_invitation(act, pid, InviteAnswer.ACCEPT)
     return act

@@ -9,7 +9,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from syncpoint.activities import ActivityKind, InviteAnswer, TimeWindow
+from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.eventlog import ArmCleared, ArrivalRecorded
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
@@ -30,13 +30,15 @@ def server():
     state = ServerState()
     act, _, _ = create_activity(
         state,
+        ActivitySpec(
+            title="Fair",
+            kind=ActivityKind.MEETUP,
+            window=TimeWindow(1000, 5000),
+            fence=FENCE,
+            organizer="ana",
+            participants=("ana", "bruno", "carla"),
+        ),
         now=0,
-        title="Fair",
-        kind=ActivityKind.MEETUP,
-        window=TimeWindow(1000, 5000),
-        fence=FENCE,
-        organizer="ana",
-        participant_ids=["ana", "bruno", "carla"],
     )
     handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 0)
     return state, act.id

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from syncpoint.activities import ActivityKind, TimeWindow, new_activity
+from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, WindowInvalid, new_activity
 import syncpoint.engine as engine
 from syncpoint.engine import Engine, pending, replay
 from syncpoint.eventlog import read_records
-from syncpoint.geo import Geofence, GeoPoint
+from syncpoint.geo import FenceInvalid, Geofence, GeoPoint
 from syncpoint.sim import (
     M_PER_DEG_LAT,
     Scenario,
@@ -134,11 +134,11 @@ class TestPerturb:
 
 class TestPollSchedule:
     def make(self, start=100_000, end=200_000):
-        return new_activity(
-            activity_id="a1", title="x", kind=ActivityKind.MEETUP, window=TimeWindow(start, end),
+        return new_activity(ActivitySpec(
+            title="x", kind=ActivityKind.MEETUP, window=TimeWindow(start, end),
             fence=Geofence(GeoPoint(0, 0), 100.0), organizer="a",
-            participant_ids=["a", "b"],
-        )
+            participants=("a", "b"),
+        ), "a1")
 
     def test_anchor_points(self):
         act = self.make()
@@ -181,6 +181,22 @@ class TestScenarioLoading:
     def test_missing_field(self):
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict({"seed": 1, "horizon": 100})
+
+    @pytest.mark.parametrize("field, error", [
+        ({"radius_m": -5}, FenceInvalid),
+        ({"hysteresis_m": -1}, FenceInvalid),
+        ({"end": 10}, WindowInvalid),
+        ({"kind": "PARADE"}, ScenarioInvalid),
+    ])
+    def test_a_bad_activity_field_fails_at_load(self, field, error):
+        activity = {
+            "title": "x", "start": 10, "end": 20, "lat": 1.0, "lon": 1.0,
+            "organizer": "a", "participants": ["a", "b"], **field,
+        }
+        with pytest.raises(error):
+            scenario_from_dict(
+                {"seed": 1, "fix_period_s": 60, "horizon": 100, "activities": [activity]}
+            )
 
     def test_actor_must_belong_to_an_activity(self):
         sc = scenario_from_dict(

@@ -29,7 +29,7 @@ def test_the_walk_finds_the_dataclasses_of_every_layer():
     assert {
         "Activity", "ParticipantPresence", "ServerState", "EventRecord", "FixAccepted",
         "GeoPoint", "ActivityDraft", "GatheringUpdate", "ArmSet", "TranscriptEntry",
-        "RunResult", "Notify", "Fix",
+        "RunResult", "Notify", "Fix", "ActivitySpec",
     } <= names
 
 
