@@ -7,11 +7,11 @@
     syncpoint simulate SCENARIO.json [--out PATH]
     syncpoint simulate --check SCENARIO.json GOLDEN.jsonl
 
-`status` and `replay` are offline tools: they rebuild state from the event
-log, keeping the records before a corrupt one (a bad line, or a record that
-names an unknown activity or participant) with a warning, and print status
-views as canonical wire frames. `serve` and `ingest` cut a torn final line
-off the log with the same warning; any other corrupt record stops them.
+Every command opens a log as `replay(load_log(path))`, which stops at the
+first corrupt record (a bad line, or a record naming an unknown activity or
+participant) and hands back the state before it. `status` and `replay` keep
+that state with a warning and print status views as canonical wire frames;
+`serve` and `ingest` do so only for a torn final line, which they cut off.
 A log write that fails stops `serve` (and `ingest`) with exit status 1 and
 one line on stderr; the log then holds exactly the committed records. An
 `OSError`, such as a missing file or a port in use, exits the same way.
@@ -25,12 +25,11 @@ import asyncio
 import signal
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 
-from .engine import Engine, replay, status_view
+from .engine import AlreadyIngested, Engine, replay, status_view
 from .errors import SyncError
-from .eventlog import CorruptRecord, LogPrefix
+from .eventlog import CorruptRecord, load_log
 from .ics import parse_ics
 from .net import serve_forever
 from .sim import (
@@ -58,14 +57,12 @@ def _warn_kept_prefix(error: CorruptRecord | None) -> None:
 
 
 def _recover_state(log_path: str):
-    """Replay a log as it is read, keeping the good prefix when the tail is corrupt."""
-    prefix = LogPrefix(log_path)
+    """Replay a log as it is read; at a corrupt record, warn and keep the state before it."""
     try:
-        state = replay(prefix)
-    except CorruptRecord as e:  # a record naming an unknown id: replay the ones before it
-        state, prefix.error = replay(islice(LogPrefix(log_path), e.index)), e
-    _warn_kept_prefix(prefix.error)
-    return state
+        return replay(load_log(log_path))
+    except CorruptRecord as e:
+        _warn_kept_prefix(e)
+        return e.state
 
 
 async def _serve(engine: Engine, host: str, port: int) -> None:
@@ -98,15 +95,13 @@ def cmd_ingest(args) -> int:
         result = parse_ics(text, args.system_address)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        known = engine.known_calendar_uids()
         created = 0
         for draft in result.drafts:
-            if draft.uid in known:
-                print(f"warning: event {draft.uid} already ingested, skipping",
-                      file=sys.stderr)
+            try:
+                act, _ = engine.materialize_draft(draft, now=args.now)
+            except AlreadyIngested as e:
+                print(f"warning: {e.detail}, skipping", file=sys.stderr)
                 continue
-            act, _ = engine.materialize_draft(draft, now=args.now)
-            known.add(draft.uid)
             created += 1
             print(f"created {act.id} ({act.kind.value}) from event {draft.uid}")
         print(f"ingested {created} activities, skipped {result.skipped} "

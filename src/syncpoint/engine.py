@@ -80,11 +80,11 @@ from .eventlog import (
     EventRecord,
     FixAccepted,
     InviteResponded,
-    LogPrefix,
     LogWriter,
     PointFix,
     TaskCompleted,
     TornTail,
+    load_log,
 )
 from .geo import Geofence, Zone, classify_zone
 from .ics import ActivityDraft
@@ -142,6 +142,10 @@ class AlreadyArmed(SyncError):
     code = "ALREADY_ARMED"
 
 
+class AlreadyIngested(SyncError):
+    code = "ALREADY_INGESTED"
+
+
 @dataclass(slots=True)
 class ParticipantPresence:
     """Per-(activity, participant) server-side presence bookkeeping."""
@@ -160,6 +164,7 @@ class ServerState:
     arrivals: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # Entry i of a recipient's queue is the notification with seq i + 1.
     queues: dict[str, list[Notification]] = field(default_factory=dict)
+    calendar_uids: set[str] = field(default_factory=set)  # of the activities made from events
     record_count: int = 0
 
 
@@ -183,7 +188,7 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
     Records are applied exactly in log order (dense indices enforced).
     Each record has passed its command's checks in ``_dispatch`` before it
     was logged, so the fold checks nothing else: it only assigns. An unknown
-    activity or participant id raises ``KeyError``.
+    id raises ``KeyError`` before any assignment but ``record_count``.
     """
     if record.index != state.record_count:
         raise SyncError(
@@ -201,6 +206,8 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
     if isinstance(e, ActivityCreated):
         a = e.activity
         state.activities[a.id] = a
+        if a.calendar_uid is not None:
+            state.calendar_uids.add(a.calendar_uid)
         for p in a.participants:
             state.presence[(a.id, p.id)] = ParticipantPresence()
         state.arrivals[a.id] = ()
@@ -250,20 +257,21 @@ def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]
 def replay(records) -> ServerState:
     """Rebuild state by folding records through the live transition logic.
 
-    ``records`` may be any iterable, such as a ``LogPrefix``: each record is
+    ``records`` may be any iterable, such as ``load_log``: each record is
     folded as it comes, and none is kept. Replay builds no ``Notify``.
 
     A ``PointFix`` (a fix record of an older log) is classified here, once,
     against the fence and the participant's zone so far, into the
     ``FixAccepted`` the FIX path records today; ``apply`` never sees one.
 
-    A record that names an unknown activity or participant raises
-    ``CorruptRecord`` at its index.
+    Replay stops at the first corrupt record: a bad line, or a record that
+    names an unknown activity or participant. The ``CorruptRecord`` it
+    raises carries the state of the records before it in ``state``.
     """
     state = ServerState()
-    for record in records:
-        e = record.event
-        try:
+    try:
+        for record in records:
+            e = record.event
             if type(e) is PointFix:
                 zone = classify_zone(
                     state.activities[e.activity].fence,
@@ -273,8 +281,12 @@ def replay(records) -> ServerState:
                     record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
                 )
             apply(state, record)
-        except KeyError as k:
-            raise CorruptRecord(record.index, f"unknown activity or participant {k}") from None
+    except (KeyError, CorruptRecord) as error:
+        if isinstance(error, KeyError):  # ``apply`` moved only the count
+            state.record_count = record.index
+            error = CorruptRecord(record.index, f"unknown activity or participant {error}")
+        error.state = state
+        raise error from None
     return state
 
 
@@ -437,7 +449,11 @@ def create_activity(
 
     Activity ids are allocated deterministically from the state ("a1",
     "a2", ... in creation order) so logs and transcripts are reproducible.
+    A calendar event makes one activity: a second spec with its UID raises
+    ``AlreadyIngested``.
     """
+    if spec.calendar_uid in state.calendar_uids:
+        raise AlreadyIngested(f"event {spec.calendar_uid} already ingested")
     act = new_activity(spec, f"a{len(state.activities) + 1}")
     record, pushes = _record(state, now, ActivityCreated(act))
     return act, pushes, [record]
@@ -480,9 +496,9 @@ class Engine:
     the next ``commit`` (or ``close``); reply to no command before the
     commit that follows it.
 
-    Opening a log reads it once, folding each record as it is decoded; a
+    Opening a log replays it as it is read (``replay(load_log(path))``); a
     torn final line is cut off and kept in ``torn_tail``, and any other
-    corrupt line raises ``CorruptRecord``.
+    corrupt record raises ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
@@ -491,14 +507,11 @@ class Engine:
         self.torn_tail: TornTail | None = None
         if log_path is not None:
             if Path(log_path).exists():
-                prefix = LogPrefix(log_path)
-                self.state = replay(prefix)
-                if prefix.error is not None:
-                    if not isinstance(prefix.error, TornTail):
-                        raise prefix.error
-                    # Appends then start on a fresh line.
-                    os.truncate(log_path, prefix.error.offset)
-                    self.torn_tail = prefix.error
+                try:
+                    self.state = replay(load_log(log_path))
+                except TornTail as e:  # appends then start on a fresh line
+                    os.truncate(log_path, e.offset)
+                    self.state, self.torn_tail = e.state, e
             self._writer = LogWriter(log_path, start_index=self.state.record_count)
 
     def _persist(self, records: list[EventRecord]) -> None:
@@ -529,13 +542,6 @@ class Engine:
         act, outbound, records = materialize_draft(self.state, draft, now)
         self._persist(records)
         return act, outbound
-
-    def known_calendar_uids(self) -> set[str]:
-        return {
-            a.calendar_uid
-            for a in self.state.activities.values()
-            if a.calendar_uid is not None
-        }
 
     def status_view(self, activity_id: str, now: int) -> StatusView:
         return status_view(self.state, activity_id, now)

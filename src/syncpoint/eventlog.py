@@ -4,13 +4,13 @@ Every server state mutation is mirrored by exactly one record; replaying
 the log through the same transition logic reproduces the live state. One
 record per line, canonical JSON (same dialect as the wire format), indices
 dense from 0. A malformed or out-of-sequence line stops replay with
-``CorruptRecord`` naming the index; everything before it is recoverable
-(``LogPrefix``); a final line without its newline is a ``TornTail``.
+``CorruptRecord`` naming the index, and ``engine.replay`` hands back the
+state before it; a final line without its newline is a ``TornTail``.
 
-A log file is read in one streaming pass: ``LogPrefix`` yields each record
-as its line is read and decoded, so a caller folds it at once and no list
-of records is held. Each line is parsed by ``schema.loads_line``, the same
-one JSON line parse as a wire frame.
+``load_log`` is the one reader of a log file, in one streaming pass: it
+yields each record as its line is decoded, so a caller folds it at once
+and no list of records is held. Each line is parsed by
+``schema.loads_line``, the same one JSON line parse as a wire frame.
 
 ``LogWriter`` group-commits: appended records are buffered and written
 together, with one write and one flush, at ``commit``. The server commits
@@ -58,6 +58,7 @@ from .wire import POINT
 
 class CorruptRecord(SyncError):
     code = "CORRUPT_RECORD"
+    state = None  # set by engine.replay: the state of the records before this one
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"record {index}: {reason}")
@@ -68,16 +69,13 @@ class CorruptRecord(SyncError):
 class TornTail(CorruptRecord):
     """The final line lacks its newline: the last write was cut short.
 
-    ``length`` is that line's length. ``offset`` is where it starts in the
-    file, when ``LogPrefix`` read it from one: the length to cut the file
-    back to.
+    ``offset`` is where that line starts (in bytes, for a file): the length
+    to cut the file back to.
     """
 
-    offset: int | None = None
-
-    def __init__(self, index: int, length: int):
+    def __init__(self, index: int, offset: int):
         super().__init__(index, "truncated line (missing newline)")
-        self.length = length
+        self.offset = offset
 
 
 class LogWriteFailed(SyncError):
@@ -254,46 +252,23 @@ def read_records(lines: Iterable[str] | Iterable[bytes]) -> Iterator[EventRecord
     A final line lacking its newline terminator is a ``TornTail``, corrupt
     too — a torn write must not be silently absorbed.
     """
-    index = 0
+    index = offset = 0
     for line in lines:
         if not line.endswith(b"\n" if isinstance(line, bytes) else "\n"):
-            raise TornTail(index, len(line))
+            raise TornTail(index, offset)
         yield decode_record(line, index)
         index += 1
+        offset += len(line)
 
 
-class LogPrefix:
-    """The records of a log file before its first bad line, read as they are iterated.
+def load_log(path: str | Path) -> Iterator[EventRecord]:
+    """Yield the records of a log file as their lines are decoded, reading it once.
 
-    Iterating reads the file once, a line at a time, and yields each record
-    as soon as its line is decoded. It stops at the first bad line and
-    keeps the ``CorruptRecord`` that line raised in ``error`` (None when
-    every line is good); a ``TornTail`` there also gets its ``offset``.
-    Decoding bytes line by line makes a write torn inside a multi-byte
-    character a ``TornTail`` too.
+    ``CorruptRecord`` at the first bad line. Decoding bytes a line at a time
+    makes a write torn inside a multi-byte character a ``TornTail`` too.
     """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.error: CorruptRecord | None = None
-
-    def __iter__(self) -> Iterator[EventRecord]:
-        with open(self.path, "rb") as fh:
-            try:
-                yield from read_records(fh)
-            except CorruptRecord as e:
-                if isinstance(e, TornTail):  # the torn line ends the file
-                    e.offset = fh.seek(0, os.SEEK_END) - e.length
-                self.error = e
-
-
-def load_log(path: str | Path) -> list[EventRecord]:
-    """Read a whole log file; CorruptRecord on the first bad line."""
-    prefix = LogPrefix(path)
-    records = list(prefix)
-    if prefix.error is not None:
-        raise prefix.error
-    return records
+    with open(path, "rb") as fh:
+        yield from read_records(fh)
 
 
 class LogWriter:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import asin, cos, radians, sin, sqrt
+from math import asin, cos, inf, radians, sin, sqrt
 
 from .errors import SyncError
 
@@ -68,11 +68,11 @@ class Geofence:
     def __post_init__(self):
         object.__setattr__(self, "radius_m", float(self.radius_m))
         object.__setattr__(self, "hysteresis_m", float(self.hysteresis_m))
-        if not self.radius_m > 0:
-            raise FenceInvalid(f"radius_m must be > 0, got {self.radius_m!r}")
-        if self.hysteresis_m < 0:
+        if not 0 < self.radius_m < inf:  # NaN fails too
+            raise FenceInvalid(f"radius_m must be finite and > 0, got {self.radius_m!r}")
+        if not 0 <= self.hysteresis_m < inf:
             raise FenceInvalid(
-                f"hysteresis_m must be >= 0, got {self.hysteresis_m!r}"
+                f"hysteresis_m must be finite and >= 0, got {self.hysteresis_m!r}"
             )
 
 

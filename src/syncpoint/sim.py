@@ -20,7 +20,7 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import cos, nextafter, radians
+from math import cos, inf, nextafter, radians
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .activities import (
     TimeWindow,
     phase_at,
 )
-from .engine import ServerState, create_activity, handle, materialize_draft
+from .engine import AlreadyIngested, ServerState, create_activity, handle, materialize_draft
 from .errors import SyncError
 from .eventlog import EventRecord, encode_record
 from .geo import Geofence, GeoPoint
@@ -197,14 +197,16 @@ def _spec_from_dict(d: dict) -> ActivitySpec:
         )
     except KeyError as e:
         raise ScenarioInvalid(f"activity spec missing field {e.args[0]!r}") from None
-    except ValueError as e:
+    except (TypeError, ValueError) as e:  # TypeError: an entry that is not an object, say
         raise ScenarioInvalid(f"bad activity spec: {e}") from None
 
 
 def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
+    if not isinstance(d, dict):
+        raise ScenarioInvalid("a scenario must be a JSON object")
     try:
         seed = d["seed"]
-        sigma = float(d.get("noise_sigma_m", 0.0))
+        sigma = d.get("noise_sigma_m", 0.0)
         period = d["fix_period_s"]
         horizon = d["horizon"]
         raw_activities = d.get("activities", [])
@@ -213,8 +215,10 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
         raise ScenarioInvalid(f"scenario missing field {e.args[0]!r}") from None
     if not isinstance(period, int) or period <= 0:
         raise ScenarioInvalid("fix_period_s must be a positive integer")
-    if sigma < 0:
-        raise ScenarioInvalid("noise_sigma_m must be >= 0")
+    if not isinstance(seed, int):
+        raise ScenarioInvalid("seed must be an integer")
+    if not isinstance(sigma, (int, float)) or not 0 <= sigma < inf:  # NaN fails too
+        raise ScenarioInvalid("noise_sigma_m must be a finite number >= 0")
     if not isinstance(horizon, int) or horizon < 0:
         raise ScenarioInvalid("horizon must be a non-negative integer")
 
@@ -227,11 +231,15 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
             raise ScenarioInvalid(
                 f"ics activities need field {e.args[0]!r}"
             ) from None
+        if not all(isinstance(v, str) for v in ics_ref):
+            raise ScenarioInvalid("ics and system_address must be strings")
     elif isinstance(raw_activities, list):
         specs = tuple(_spec_from_dict(a) for a in raw_activities)
     else:
         raise ScenarioInvalid("activities must be a list or an ics reference")
 
+    if not isinstance(raw_actors, list):
+        raise ScenarioInvalid("actors must be a list")
     actors = []
     for a in raw_actors:
         try:
@@ -257,7 +265,7 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
 
     return Scenario(
         seed=seed,
-        noise_sigma_m=sigma,
+        noise_sigma_m=float(sigma),
         fix_period_s=period,
         horizon=horizon,
         activities=specs,
@@ -288,7 +296,11 @@ def _create_activities(scenario: Scenario, state: ServerState):
         if not path.is_absolute() and scenario.base_dir is not None:
             path = scenario.base_dir / path
         result = parse_ics(path.read_text(encoding="utf-8"), system_address)
-        made += [materialize_draft(state, draft, now=0) for draft in result.drafts]
+        for draft in result.drafts:
+            try:
+                made.append(materialize_draft(state, draft, now=0))
+            except AlreadyIngested:  # one activity per calendar event
+                pass
     made += [create_activity(state, spec, now=0) for spec in scenario.activities]
     return (
         [act for act, _, _ in made],

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import syncpoint.eventlog
 from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, TimeWindow
 from syncpoint.cli import main
 from syncpoint.engine import Engine, replay, status_view
@@ -79,7 +80,7 @@ class TestIngestStatusReplay:
         assert "created a1" in out and "created a2" not in out
         assert "event u1 already ingested" in err
         assert "ingested 1 activities" in out
-        assert len(load_log(log)) == 1
+        assert len(list(load_log(log))) == 1
 
     def test_ingest_invalid_event_fails(self, tmp_path, capsys):
         log = tmp_path / "events.log"
@@ -172,6 +173,24 @@ class TestIngestStatusReplay:
         for a in kept.activities:
             code, out, status_err = run(capsys, "status", a, "--log", log, "--now", 0)
             assert (code, out, status_err) == (0, encode(status_view(kept, a, 0)), err)
+
+    def test_status_and_replay_decode_each_line_once(self, tmp_path, capsys, monkeypatch):
+        # A record naming an unknown id ends the log: the state before it is
+        # kept from the one pass that found it, not from a second replay.
+        lines = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json")).log_lines
+        k = len(lines)
+        lines.append(encode_record(EventRecord(k, 8, ArmSet("a9", "bruno"))))
+        log = tmp_path / "events.log"
+        log.write_text("".join(lines), encoding="utf-8")
+        decoded = []
+        decode_record = syncpoint.eventlog.decode_record
+        monkeypatch.setattr(syncpoint.eventlog, "decode_record",
+                            lambda line, index: decoded.append(index) or decode_record(line, index))
+        for argv in (("status", "a1"), ("replay",)):
+            decoded.clear()
+            code, _, err = run(capsys, *argv, "--log", log, "--now", 0)
+            assert code == 0 and err.startswith(f"warning: record {k}: unknown activity"), err
+            assert decoded == list(range(k + 1))
 
     def test_status_unknown_activity(self, tmp_path, capsys):
         log = tmp_path / "events.log"
@@ -293,7 +312,7 @@ class TestServe:
         assert code == 0, err
         assert "warning" in err and "record 1" in err, err
         # The torn line is gone and the new record starts on a fresh line.
-        records = load_log(log)
+        records = list(load_log(log))
         assert [type(r.event).__name__ for r in records] == ["ActivityCreated", "InviteResponded"]
         assert log.read_text().startswith(text)
         bruno = replay(records).activities["a1"].participant("bruno")

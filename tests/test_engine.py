@@ -38,7 +38,6 @@ from syncpoint.eventlog import (
     EventRecord,
     FixAccepted,
     InviteResponded,
-    LogPrefix,
     PointFix,
     TaskCompleted,
     TornTail,
@@ -529,7 +528,7 @@ class TestDeterminismAndReplay:
         log = tmp_path / "events.log"
         log.write_text("".join(lines)[:-7], encoding="utf-8")
         with pytest.raises(CorruptRecord) as e:
-            load_log(log)
+            list(load_log(log))
         assert e.value.index == len(lines) - 1
         good = []
         try:
@@ -549,12 +548,13 @@ class TestDeterminismAndReplay:
         text = "".join(encode_record(r) for r in records)
         log = tmp_path / "events.log"
         log.write_text(text, encoding="utf-8")
-        prefix = LogPrefix(log)
-        assert list(prefix) == records and prefix.error is None
+        assert list(load_log(log)) == records
         log.write_text(text[:-7], encoding="utf-8")
-        prefix = LogPrefix(log)
-        assert list(prefix) == records[:-1]
-        assert prefix.error.index == len(records) - 1
+        good = []
+        with pytest.raises(TornTail) as e:
+            good.extend(load_log(log))
+        assert good == records[:-1]
+        assert e.value.index == len(records) - 1
 
     def test_non_dense_indices_rejected(self):
         state = ServerState()
@@ -576,6 +576,24 @@ class TestDeterminismAndReplay:
                 replay(records + [EventRecord(k, 1500, event)])
             assert e.value.index == k, event
             assert "unknown activity or participant" in e.value.reason, event
+            assert e.value.state == replay(records), event
+
+    @pytest.mark.parametrize("spoil", [
+        lambda line: line[:-7],
+        lambda line: line.replace(b"}", b""),
+        lambda line: line.replace(b'"index":', b'"index":9'),
+        lambda line: line.replace(b'"type":"', b'"type":"X'),
+        lambda line: line.replace(b'"at":', b'"x":"\xff","at":'),
+    ], ids=["torn tail", "not JSON", "out of sequence", "unknown type", "not UTF-8"])
+    def test_a_bad_line_hands_back_the_state_before_it(self, tmp_path, spoil):
+        lines = [encode_record(r).encode("utf-8") for r in scripted_run(ServerState())]
+        log = tmp_path / "events.log"
+        for k in (0, len(lines) // 2, len(lines) - 1):
+            log.write_bytes(b"".join(lines[:k] + [spoil(lines[k])]))
+            with pytest.raises(CorruptRecord) as e:
+                replay(load_log(log))
+            assert e.value.index == k
+            assert e.value.state == replay(read_records(lines[:k]))
 
 
 # Strings and floats that exercise every escaping and formatting rule of the
@@ -690,7 +708,7 @@ class TestEngineWrapper:
         # New commands continue the dense index sequence.
         revived.handle(Disarm(act.id), "bruno", 2100)
         revived.close()
-        records = load_log(log)
+        records = list(load_log(log))
         assert [r.index for r in records] == list(range(len(records)))
 
     def test_torn_tail_is_cut_and_appends_start_on_a_fresh_line(self, tmp_path):
@@ -740,9 +758,11 @@ class TestEngineWrapper:
         lines[2] = lines[2].replace(b'"index":2', b'"index":2,"x":"\xff"')
         log = tmp_path / "events.log"
         log.write_bytes(b"".join(lines))
-        prefix = LogPrefix(log)
-        assert len(list(prefix)) == 2 and prefix.error.index == 2
-        assert not isinstance(prefix.error, TornTail)
+        good = []
+        with pytest.raises(CorruptRecord) as e:
+            good.extend(load_log(log))
+        assert len(good) == 2 and e.value.index == 2
+        assert not isinstance(e.value, TornTail)
         with pytest.raises(CorruptRecord):
             Engine(log_path=log)
 

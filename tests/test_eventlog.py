@@ -359,7 +359,7 @@ def test_a_failed_commit_cuts_the_log_back_and_keeps_its_records(tmp_path, fault
     faulty.fault = None
     engine.handle(Fix(act.id, at_distance(20), 1200), "bruno", 1200)
     engine.close()
-    records = load_log(log)
+    records = list(load_log(log))
     assert [r.index for r in records] == list(range(7))
     assert replay(records) == engine.state
 

@@ -56,6 +56,13 @@ class TestGeofence:
         with pytest.raises(FenceInvalid):
             Geofence(GeoPoint(0, 0), 100.0, -1.0)
 
+    @pytest.mark.parametrize("radius, hysteresis", [
+        (math.inf, 25.0), (math.nan, 25.0), (100.0, math.inf), (100.0, math.nan),
+    ])
+    def test_a_non_finite_radius_or_hysteresis_is_invalid(self, radius, hysteresis):
+        with pytest.raises(FenceInvalid):
+            Geofence(GeoPoint(0, 0), radius, hysteresis)
+
     def test_default_hysteresis(self):
         assert Geofence(GeoPoint(0, 0), 100.0).hysteresis_m == 25.0
 

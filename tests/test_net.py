@@ -234,7 +234,8 @@ def test_records_are_flushed_before_pushes_and_replies_leave(tmp_path, monkeypat
     def watching_write(self, data):
         if b'"type":"ACK"' in data or b'"type":"NOTIFY"' in data:
             server_writes.append(
-                ([_summary(decode(line)) for line in data.decode().splitlines()], load_log(log))
+                ([_summary(decode(line)) for line in data.decode().splitlines()],
+                 list(load_log(log)))
             )
         write(self, data)
 
@@ -253,7 +254,7 @@ def test_records_are_flushed_before_pushes_and_replies_leave(tmp_path, monkeypat
         await bruno.recv()
         await bruno.send(Fix(act.id, at_distance(500), 2001))
         ack = await bruno.recv()
-        on_disk_at_ack = load_log(log)
+        on_disk_at_ack = list(load_log(log))
         await bruno.send(Fix(act.id, at_distance(50), 2002))  # the arrival
         for c in (bruno, bruno, ana):  # ack, self-ack; the push
             await c.recv()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import statistics
 from bisect import bisect_right
@@ -187,6 +188,8 @@ class TestScenarioLoading:
         ({"hysteresis_m": -1}, FenceInvalid),
         ({"end": 10}, WindowInvalid),
         ({"kind": "PARADE"}, ScenarioInvalid),
+        ({"radius_m": math.inf}, FenceInvalid),
+        ({"hysteresis_m": math.nan}, FenceInvalid),
     ])
     def test_a_bad_activity_field_fails_at_load(self, field, error):
         activity = {
@@ -197,6 +200,17 @@ class TestScenarioLoading:
             scenario_from_dict(
                 {"seed": 1, "fix_period_s": 60, "horizon": 100, "activities": [activity]}
             )
+
+    @pytest.mark.parametrize("field", [
+        {"noise_sigma_m": "x"}, {"noise_sigma_m": None}, {"noise_sigma_m": math.nan},
+        {"noise_sigma_m": math.inf}, {"noise_sigma_m": -1.0}, {"seed": [1]},
+        {"activities": [["x", 10, 20]]}, {"activities": ["x"]}, {"actors": 5},
+        {"activities": {"ics": 5, "system_address": "mailto:sync@syncpoint.example"}},
+    ])
+    def test_a_malformed_value_is_scenario_invalid(self, field):
+        scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text(encoding="utf-8"))
+        with pytest.raises(ScenarioInvalid):
+            scenario_from_dict({**scenario, **field})
 
     def test_actor_must_belong_to_an_activity(self):
         sc = scenario_from_dict(
@@ -297,6 +311,23 @@ class TestRunScenario:
         arrivals = [r for r in result.records
                     if type(r.event).__name__ == "ArrivalRecorded"]
         assert len(arrivals) == 1 and arrivals[0].event.who == "g1@example.org"
+
+
+    def test_one_activity_per_calendar_uid(self, tmp_path):
+        system = "mailto:sync@syncpoint.example"
+        event = (
+            "BEGIN:VEVENT\r\nUID:u1\r\nDTSTART:100\r\nDTEND:200\r\n"
+            "GEO:1.0;1.0\r\nORGANIZER:mailto:ana@x\r\nATTENDEE:mailto:ana@x\r\n"
+            f"ATTENDEE:mailto:bruno@x\r\nATTENDEE:{system}\r\nEND:VEVENT\r\n"
+        )
+        ics = tmp_path / "twice.ics"
+        ics.write_text(f"BEGIN:VCALENDAR\r\n{event}{event}END:VCALENDAR\r\n")
+        result = run_scenario(scenario_from_dict({
+            "seed": 1, "fix_period_s": 30, "horizon": 300,
+            "activities": {"ics": str(ics), "system_address": system}, "actors": [],
+        }))
+        assert [(a.id, a.calendar_uid) for a in result.activities] == [("a1", "u1")]
+        assert list(result.state.activities) == ["a1"]
 
 
 def generated_crowd(seed: int, gathering: int, meetup: int, horizon: int = 1800) -> dict:
