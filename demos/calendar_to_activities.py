@@ -1,16 +1,17 @@
 """From a shared-calendar export to live activities.
 
 Parses the bundled .ics corpus the way the ingestion service does: events
-that invited the service's own address become activity drafts; everything
-else is skipped. Drafts are then materialized with defaults into an
-in-memory engine and their status views printed.
+that invited the service's own address become activity specs; everything
+else is skipped. Each spec then creates an activity, with defaults for
+what the event leaves unstated, in an in-memory engine, and the status
+views are printed.
 
 Run:  python demos/calendar_to_activities.py
 """
 
 from pathlib import Path
 
-from syncpoint.engine import Engine
+from syncpoint.engine import Engine, status_view
 from syncpoint.ics import parse_ics
 from syncpoint.wire import encode
 
@@ -22,11 +23,11 @@ if __name__ == "__main__":
     for name in ("meetup_fair.ics", "mixed_enrolment.ics", "epoch_times.ics"):
         text = (REPO / "data" / "calendar" / name).read_text(encoding="utf-8")
         result = parse_ics(text, SYSTEM)
-        print(f"{name}: {len(result.drafts)} draft(s), {result.skipped} skipped")
+        print(f"{name}: {len(result.drafts)} enrolled event(s), {result.skipped} skipped")
         for w in result.warnings:
             print(f"  warning: {w}")
-        for draft in result.drafts:
-            act, invitations = engine.materialize_draft(draft, now=0)
+        for spec in result.drafts:
+            act, invitations = engine.create_activity(spec, now=0)
             print(f"  -> {act.id} {act.kind.value} {act.title!r}")
             print(f"     fence {act.fence.radius_m:.0f} m at "
                   f"({act.fence.center.lat}, {act.fence.center.lon}), "
@@ -35,4 +36,4 @@ if __name__ == "__main__":
                   f"{', '.join(to for to, _ in invitations)}")
     print("\nstatus views (as wire frames):")
     for activity_id in engine.state.activities:
-        print(" ", encode(engine.status_view(activity_id, now=0)).rstrip())
+        print(" ", encode(status_view(engine.state, activity_id, now=0)).rstrip())

@@ -23,7 +23,7 @@ from .activities import (
 from .engine import Engine, ServerState, create_activity, handle, pending, replay, status_view
 from .errors import SyncError
 from .geo import GeoPoint, Geofence, Zone, classify_zone, haversine_m
-from .ics import ActivityDraft, parse_geo, parse_ics, unfold_lines
+from .ics import parse_geo, parse_ics, unfold_lines
 from .notify import on_arrival, on_invite, on_task_done, render_identity
 from .presence import Alarm, ingest_fix
 from .sim import (

@@ -16,6 +16,8 @@ A log write that fails stops `serve` (and `ingest`) with exit status 1 and
 one line on stderr; the log then holds exactly the committed records. An
 `OSError`, such as a missing file or a port in use, exits the same way.
 `simulate --check` exits non-zero on the first diverging transcript line.
+`simulate` prints the warnings of a calendar its scenario names to stderr,
+as `ingest` does.
 """
 
 from __future__ import annotations
@@ -96,14 +98,14 @@ def cmd_ingest(args) -> int:
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         created = 0
-        for draft in result.drafts:
+        for spec in result.drafts:
             try:
-                act, _ = engine.materialize_draft(draft, now=args.now)
+                act, _ = engine.create_activity(spec, now=args.now)
             except AlreadyIngested as e:
                 print(f"warning: {e.detail}, skipping", file=sys.stderr)
                 continue
             created += 1
-            print(f"created {act.id} ({act.kind.value}) from event {draft.uid}")
+            print(f"created {act.id} ({act.kind.value}) from event {spec.calendar_uid}")
         print(f"ingested {created} activities, skipped {result.skipped} "
               f"non-enrolled events")
         return 0
@@ -128,6 +130,8 @@ def cmd_replay(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     result = run_scenario(scenario)
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     if args.check:
         actual = transcript_lines(result.transcript)
         expected = split_lines(Path(args.golden).read_text(encoding="utf-8"))

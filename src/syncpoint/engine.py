@@ -86,8 +86,7 @@ from .eventlog import (
     TornTail,
     load_log,
 )
-from .geo import Geofence, Zone, classify_zone
-from .ics import ActivityDraft
+from .geo import Zone, classify_zone
 from .notify import Fanout, Notification, on_arrival, on_invite, on_task_done
 from .presence import Alarm, ingest_fix
 from .wire import (
@@ -459,31 +458,8 @@ def create_activity(
     return act, pushes, [record]
 
 
-def materialize_draft(
-    state: ServerState, draft: ActivityDraft, now: int
-) -> tuple[Activity, Outbound, list[EventRecord]]:
-    """Create an activity from a calendar draft.
-
-    The organizer leads the roster, attendee addresses are used verbatim as
-    participant ids, and the calendar UID is kept on the activity. Only the
-    properties the event states are passed on; ``ActivitySpec`` and
-    ``Geofence`` default the rest.
-    """
-    stated = {
-        name: value for name in ("kind", "policy", "batch_threshold")
-        if (value := getattr(draft, name)) is not None
-    }
-    spec = ActivitySpec(
-        title=draft.title,
-        window=draft.window,
-        fence=Geofence(draft.center) if draft.radius_m is None
-        else Geofence(draft.center, draft.radius_m),
-        organizer=draft.organizer,
-        participants=(draft.organizer, *(a for a in draft.attendees if a != draft.organizer)),
-        calendar_uid=draft.uid,
-        **stated,
-    )
-    return create_activity(state, spec, now)
+# Kept for perfbench/tracer.py, which wraps this name; calendars now parse to specs.
+materialize_draft = create_activity
 
 
 # --- stateful wrapper ---------------------------------------------------------
@@ -491,6 +467,9 @@ def materialize_draft(
 
 class Engine:
     """State + optional durable log.
+
+    ``create_activity`` takes a spec from any source: a calendar event, a
+    scenario or a caller. Views read ``state`` through the module functions.
 
     Records are appended to the log as commands run and reach the file at
     the next ``commit`` (or ``close``); reply to no command before the
@@ -537,14 +516,6 @@ class Engine:
         act, outbound, records = create_activity(self.state, spec, now)
         self._persist(records)
         return act, outbound
-
-    def materialize_draft(self, draft: ActivityDraft, now: int) -> tuple[Activity, Outbound]:
-        act, outbound, records = materialize_draft(self.state, draft, now)
-        self._persist(records)
-        return act, outbound
-
-    def status_view(self, activity_id: str, now: int) -> StatusView:
-        return status_view(self.state, activity_id, now)
 
     def close(self) -> None:
         if self._writer is not None:

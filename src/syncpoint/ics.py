@@ -1,9 +1,10 @@
 """Ingest activities from iCalendar (.ics) files.
 
-A calendar event becomes an activity draft when the synchronisation
-service's own address appears among the ATTENDEEs — that is how the service
-learns it has been enrolled. Coordinates ride in the standard GEO property;
-the activity-specific metadata uses X- extension properties:
+A calendar event becomes an activity, described by an ``ActivitySpec``,
+when the synchronisation service's own address appears among the
+ATTENDEEs — that is how the service learns it has been enrolled.
+Coordinates ride in the standard GEO property; the activity-specific
+metadata uses X- extension properties:
 
     X-SYNC-TYPE     MEETUP | GATHERING | PICKUP | TASK
     X-SYNC-RADIUS   fence radius in meters
@@ -22,11 +23,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from math import isfinite
 
-from .activities import ActivityKind, PrivacyPolicy, TimeWindow
+from .activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow
 from .errors import SyncError
-from .geo import GeoPoint, LatOutOfRange, LonOutOfRange
+from .geo import FenceInvalid, Geofence, GeoPoint, LatOutOfRange, LonOutOfRange
 
 
 class NotACalendar(SyncError):
@@ -47,24 +47,8 @@ class EventInvalid(SyncError):
 
 
 @dataclass(frozen=True, slots=True)
-class ActivityDraft:
-    """What one enrolled VEVENT contributes before defaults are applied."""
-
-    uid: str
-    title: str
-    window: TimeWindow
-    center: GeoPoint
-    radius_m: float | None
-    kind: ActivityKind | None
-    policy: PrivacyPolicy | None
-    batch_threshold: int | None
-    attendees: tuple[str, ...]
-    organizer: str
-
-
-@dataclass(frozen=True, slots=True)
 class ParseResult:
-    drafts: tuple[ActivityDraft, ...]
+    drafts: tuple[ActivitySpec, ...]  # one per enrolled VEVENT; perfbench reads this name
     skipped: int
     warnings: tuple[str, ...]
 
@@ -145,14 +129,20 @@ def _strip_mailto(value: str) -> str:
     return v
 
 
-def _ascii_digits(v: str) -> bool:
-    return bool(v) and all(c in "0123456789" for c in v)
+def _digits(v: str) -> int | None:
+    """The value of a run of ASCII digits, or None for anything else."""
+    if not (v.isascii() and v.isdigit()):
+        return None
+    try:
+        return int(v)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _parse_dt(value: str, uid: str, prop: str) -> int:
     v = value.strip()
-    if _ascii_digits(v):
-        return int(v)
+    if (seconds := _digits(v)) is not None:
+        return seconds
     try:
         dt = datetime.strptime(v, "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
     except ValueError:
@@ -163,12 +153,16 @@ def _parse_dt(value: str, uid: str, prop: str) -> int:
 
 
 def parse_ics(text: str, system_address: str) -> ParseResult:
-    """Extract activity drafts from an iCalendar stream.
+    """The activities an iCalendar stream describes, one spec per event.
 
     Only VEVENTs listing ``system_address`` among their ATTENDEEs are
     ingested; the rest are counted as skipped. A matching VEVENT missing
     UID, DTSTART, DTEND, or GEO — or carrying an unusable value for a
     supported property — raises EventInvalid.
+
+    The organizer leads the roster, attendee addresses are participant ids,
+    and the UID is the ``calendar_uid``. Only the properties the event
+    states are passed on, so each default stays where it lives.
     """
     if not isinstance(text, str):
         raise NotACalendar("input is not text")
@@ -179,7 +173,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
 
     system = _strip_mailto(system_address).lower()
     warnings: list[str] = []
-    drafts: list[ActivityDraft] = []
+    specs: list[ActivitySpec] = []
     skipped = 0
 
     events: list[list[tuple[str, str]]] = []
@@ -233,33 +227,33 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             center = parse_geo(first["GEO"].strip())
         except (MalformedGeo, LatOutOfRange, LonOutOfRange) as e:
             raise EventInvalid(uid, f"bad GEO: {e.detail}") from None
-
-        radius = None
+        radius = ()
         if "X-SYNC-RADIUS" in first:
             try:
-                radius = float(first["X-SYNC-RADIUS"])
+                radius = (float(first["X-SYNC-RADIUS"]),)
             except ValueError:
                 raise EventInvalid(uid, "X-SYNC-RADIUS is not a number") from None
-            if not (isfinite(radius) and radius > 0):
-                raise EventInvalid(uid, "X-SYNC-RADIUS must be a finite number > 0")
-        kind = None
+        try:
+            fence = Geofence(center, *radius)
+        except FenceInvalid as e:
+            raise EventInvalid(uid, f"bad X-SYNC-RADIUS: {e.detail}") from None
+
+        stated = {}
         if "X-SYNC-TYPE" in first:
             label = first["X-SYNC-TYPE"].strip().upper()
             if label not in _KINDS:
                 raise EventInvalid(uid, f"unknown X-SYNC-TYPE {label!r}")
-            kind = _KINDS[label]
-        policy = None
+            stated["kind"] = _KINDS[label]
         if "X-SYNC-PRIVACY" in first:
             label = first["X-SYNC-PRIVACY"].strip().upper()
             if label not in _POLICIES:
                 raise EventInvalid(uid, f"unknown X-SYNC-PRIVACY {label!r}")
-            policy = _POLICIES[label]
-        batch = None
+            stated["policy"] = _POLICIES[label]
         if "X-SYNC-BATCH" in first:
-            raw = first["X-SYNC-BATCH"].strip()
-            if not _ascii_digits(raw) or int(raw) < 1:
+            batch = _digits(first["X-SYNC-BATCH"].strip())
+            if batch is None or batch < 1:
                 raise EventInvalid(uid, "X-SYNC-BATCH must be an integer >= 1")
-            batch = int(raw)
+            stated["batch_threshold"] = batch
 
         guest_list: list[str] = []
         for a in attendees:
@@ -279,19 +273,16 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             organizer = ""
             warnings.append(f"event {uid}: no ORGANIZER and no attendees")
 
-        drafts.append(
-            ActivityDraft(
-                uid=uid,
+        specs.append(
+            ActivitySpec(
                 title=first.get("SUMMARY", "").strip(),
                 window=window,
-                center=center,
-                radius_m=radius,
-                kind=kind,
-                policy=policy,
-                batch_threshold=batch,
-                attendees=tuple(guest_list),
+                fence=fence,
                 organizer=organizer,
+                participants=(organizer, *(a for a in guest_list if a != organizer)),
+                calendar_uid=uid,
+                **stated,
             )
         )
 
-    return ParseResult(tuple(drafts), skipped, tuple(warnings))
+    return ParseResult(tuple(specs), skipped, tuple(warnings))

@@ -34,7 +34,7 @@ from .activities import (
     TimeWindow,
     phase_at,
 )
-from .engine import AlreadyIngested, ServerState, create_activity, handle, materialize_draft
+from .engine import AlreadyIngested, ServerState, create_activity, handle
 from .errors import SyncError
 from .eventlog import EventRecord, encode_record
 from .geo import Geofence, GeoPoint
@@ -171,6 +171,7 @@ class RunResult:
     state: ServerState
     records: list[EventRecord]
     activities: list[Activity]
+    warnings: list[str]  # the calendar's, as ``syncpoint ingest`` words them
 
     @property
     def log_lines(self) -> list[str]:
@@ -213,13 +214,14 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
         raw_actors = d.get("actors", [])
     except KeyError as e:
         raise ScenarioInvalid(f"scenario missing field {e.args[0]!r}") from None
-    if not isinstance(period, int) or period <= 0:
+    # Exact types: JSON true and false load as bool, which isinstance(_, int) accepts.
+    if type(period) is not int or period <= 0:
         raise ScenarioInvalid("fix_period_s must be a positive integer")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ScenarioInvalid("seed must be an integer")
-    if not isinstance(sigma, (int, float)) or not 0 <= sigma < inf:  # NaN fails too
+    if type(sigma) not in (int, float) or not 0 <= sigma < inf:  # NaN fails too
         raise ScenarioInvalid("noise_sigma_m must be a finite number >= 0")
-    if not isinstance(horizon, int) or horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise ScenarioInvalid("horizon must be a non-negative integer")
 
     ics_ref = None
@@ -288,24 +290,26 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _create_activities(scenario: Scenario, state: ServerState):
-    """Create all scenario activities at virtual t=0: the activities, pushes and records."""
-    made = []  # (activity, pushes, records) of each
+    """Create all scenario activities at virtual t=0: the activities, pushes, records, warnings."""
+    specs, warnings = scenario.activities, []
     if scenario.ics is not None:
         ics_path, system_address = scenario.ics
         path = Path(ics_path)
         if not path.is_absolute() and scenario.base_dir is not None:
             path = scenario.base_dir / path
         result = parse_ics(path.read_text(encoding="utf-8"), system_address)
-        for draft in result.drafts:
-            try:
-                made.append(materialize_draft(state, draft, now=0))
-            except AlreadyIngested:  # one activity per calendar event
-                pass
-    made += [create_activity(state, spec, now=0) for spec in scenario.activities]
+        specs, warnings = result.drafts + specs, list(result.warnings)
+    made = []  # (activity, pushes, records) of each
+    for spec in specs:
+        try:
+            made.append(create_activity(state, spec, now=0))
+        except AlreadyIngested as e:  # one activity per calendar event
+            warnings.append(f"{e.detail}, skipping")
     return (
         [act for act, _, _ in made],
         [push for _, pushes, _ in made for push in pushes],
         [record for _, _, records in made for record in records],
+        warnings,
     )
 
 
@@ -320,7 +324,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     transcript: list[TranscriptEntry] = []
     all_records: list[EventRecord] = []
 
-    created, outbound, records = _create_activities(scenario, state)
+    created, outbound, records, warnings = _create_activities(scenario, state)
     transcript.extend(TranscriptEntry(0, to, m) for to, m in outbound)
     all_records.extend(records)
 
@@ -384,7 +388,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         t += scenario.fix_period_s
 
-    return RunResult(transcript, state, all_records, created)
+    return RunResult(transcript, state, all_records, created, warnings)
 
 
 # --- transcript files ---------------------------------------------------------

@@ -17,7 +17,7 @@ from syncpoint.cli import main
 from syncpoint.engine import Engine, replay, status_view
 from syncpoint.eventlog import ArmSet, CorruptRecord, EventRecord, encode_record, load_log
 from syncpoint.geo import Geofence, GeoPoint
-from syncpoint.sim import load_scenario, run_scenario
+from syncpoint.sim import load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import encode
 
 REPO = Path(__file__).parents[1]
@@ -232,6 +232,30 @@ class TestSimulate:
                            SCENARIOS / "s4_task.json", doctored)
         assert code == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize("calendar", ["mixed_enrolment.ics", "twice.ics"])
+    def test_simulate_warns_about_its_calendar_as_ingest_does(self, tmp_path, capsys, calendar):
+        ics = CORPUS / calendar
+        if calendar == "twice.ics":  # an unknown property, and a UID twice
+            ics = tmp_path / calendar
+            event = (
+                "BEGIN:VEVENT\r\nUID:u1\r\nDTSTART:100\r\nDTEND:200\r\nX-CUSTOM-THING:x\r\n"
+                "GEO:1.0;1.0\r\nORGANIZER:mailto:ana@x\r\nATTENDEE:mailto:ana@x\r\n"
+                f"ATTENDEE:mailto:bruno@x\r\nATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\n"
+            )
+            ics.write_text(f"BEGIN:VCALENDAR\r\n{event}{event}END:VCALENDAR\r\n")
+        scenario = tmp_path / "calendar.json"
+        scenario.write_text(json.dumps({
+            "seed": 1, "fix_period_s": 30, "horizon": 60,
+            "activities": {"ics": str(ics), "system_address": SYSTEM}, "actors": [],
+        }))
+        _, _, ingest_err = run(capsys, "ingest", ics, "--system-address", SYSTEM,
+                               "--log", tmp_path / "events.log", "--now", 0)
+        code, out, err = run(capsys, "simulate", scenario)
+        assert code == 0
+        assert "X-CUSTOM-THING" in err and err == ingest_err
+        # The warnings go to stderr only: stdout is the transcript.
+        assert out == "".join(transcript_lines(run_scenario(load_scenario(scenario)).transcript))
 
     def test_check_needs_golden_path(self, capsys):
         code, _, err = run(capsys, "simulate", "--check",

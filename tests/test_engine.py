@@ -24,7 +24,6 @@ from syncpoint.engine import (
     ServerState,
     create_activity,
     handle,
-    materialize_draft,
     pending,
     replay,
     status_view,
@@ -797,37 +796,32 @@ class TestEngineWrapper:
 
 
 class TestDraftEquivalence:
+    """A calendar event parses to the very spec a caller would write."""
+
     def test_ics_draft_and_direct_creation_agree(self):
         text = (
             "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\n"
             "UID:epoch-1@example.org\r\nSUMMARY:Fair\r\n"
             "DTSTART:1000\r\nDTEND:5000\r\nGEO:41.5606;-8.3970\r\n"
+            "X-SYNC-TYPE:GATHERING\r\nX-SYNC-RADIUS:80\r\n"
+            "X-SYNC-PRIVACY:ANONYMOUS\r\nX-SYNC-BATCH:2\r\n"
             "ORGANIZER:mailto:ana@x\r\n"
-            "ATTENDEE:mailto:ana@x\r\nATTENDEE:mailto:bruno@x\r\n"
-            "ATTENDEE:mailto:sync@svc\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+            "ATTENDEE:mailto:bruno@x\r\nATTENDEE:mailto:ana@x\r\n"
+            "ATTENDEE:mailto:sync@svc\r\nATTENDEE:mailto:carla@x\r\n"
+            "END:VEVENT\r\nEND:VCALENDAR\r\n"
         )
-        (draft,) = parse_ics(text, "mailto:sync@svc").drafts
-        s_ics = ServerState()
-        act_ics, _, _ = materialize_draft(s_ics, draft, now=0)
-
-        s_direct = ServerState()
-        act_direct, _, _ = create_activity(s_direct, ActivitySpec(
-            title="Fair", kind=ActivityKind.MEETUP,
+        (spec,) = parse_ics(text, "mailto:sync@svc").drafts
+        # The organizer leads the roster; the other attendees keep their order.
+        assert spec == ActivitySpec(
+            title="Fair", kind=ActivityKind.GATHERING,
             window=TimeWindow(1000, 5000),
-            fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
-            organizer="ana@x", participants=("ana@x", "bruno@x"),
-        ), now=0)
-        assert act_ics.batch_threshold == act_direct.batch_threshold == 1
-        assert act_ics.fence == act_direct.fence
-        # Same downstream behaviour: drive both and diff the status views.
-        for state, act in ((s_ics, act_ics), (s_direct, act_direct)):
-            for pid in ("ana@x", "bruno@x"):
-                handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), pid, 5)
-            handle(state, Arm(act.id), "bruno@x", 6)
-            handle(state, Fix(act.id, at_distance(50), 2000), "bruno@x", 2000)
-        assert status_view(s_ics, act_ics.id, 2001) == status_view(
-            s_direct, act_direct.id, 2001
+            fence=Geofence(GeoPoint(41.5606, -8.3970), 80.0, 25.0),
+            organizer="ana@x", participants=("ana@x", "bruno@x", "carla@x"),
+            policy=PrivacyPolicy.ANONYMOUS_COUNT, batch_threshold=2,
+            calendar_uid="epoch-1@example.org",
         )
+        act, _, _ = create_activity(ServerState(), spec, now=0)
+        assert act.calendar_uid == "epoch-1@example.org"
 
     def test_calendar_scenario_and_bare_spec_build_equal_activities(self):
         # None of the three states kind, policy, radius, hysteresis or batch.
@@ -839,8 +833,7 @@ class TestDraftEquivalence:
             "ATTENDEE:mailto:bruno@x\r\nATTENDEE:mailto:ana@x\r\n"
             "ATTENDEE:mailto:sync@svc\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
         )
-        (draft,) = parse_ics(text, "mailto:sync@svc").drafts
-        act_ics, _, _ = materialize_draft(ServerState(), draft, now=0)
+        (from_ics,) = parse_ics(text, "mailto:sync@svc").drafts
         (from_scenario,) = scenario_from_dict({
             "seed": 1, "fix_period_s": 10, "horizon": 0,
             "activities": [{
@@ -849,15 +842,14 @@ class TestDraftEquivalence:
                 "organizer": "ana@x", "participants": ["ana@x", "bruno@x"],
             }],
         }).activities
-        act_scenario, _, _ = create_activity(ServerState(), from_scenario, now=0)
-        act_bare, _, _ = create_activity(ServerState(), ActivitySpec(
+        bare = ActivitySpec(
             title="Fair", window=TimeWindow(1000, 5000),
             fence=Geofence(GeoPoint(41.5606, -8.3970)),
             organizer="ana@x", participants=("ana@x", "bruno@x"),
-        ), now=0)
-
-        assert act_ics.calendar_uid == "epoch-1@example.org"
-        assert dataclasses.replace(act_ics, calendar_uid=None) == act_scenario == act_bare
+        )
+        assert from_ics.calendar_uid == "epoch-1@example.org"
+        assert dataclasses.replace(from_ics, calendar_uid=None) == from_scenario == bare
+        act_bare, _, _ = create_activity(ServerState(), bare, now=0)
         assert (act_bare.kind, act_bare.policy, act_bare.batch_threshold) == (
             ActivityKind.MEETUP, PrivacyPolicy.DISCLOSE_IDENTITY, 1,
         )

@@ -85,18 +85,18 @@ class TestParseIcs:
     def test_happy_path_with_folded_summary(self):
         result = parse_ics((CORPUS / "meetup_fair.ics").read_text(), SYSTEM)
         assert result.skipped == 0
-        (draft,) = result.drafts
-        assert draft.uid == "fair-2026-001@example.org"
-        assert draft.title == "Meet at the fair after shopping"
-        assert draft.window.start == utc(2026, 8, 11, 15)
-        assert draft.window.end == utc(2026, 8, 11, 16, 15)
-        assert (draft.center.lat, draft.center.lon) == (41.5606, -8.397)
-        assert draft.kind is ActivityKind.MEETUP
-        assert draft.radius_m == 100.0
-        assert draft.policy is None
-        assert draft.batch_threshold is None
-        assert draft.organizer == "ana@example.org"
-        assert draft.attendees == (
+        (spec,) = result.drafts
+        assert spec.calendar_uid == "fair-2026-001@example.org"
+        assert spec.title == "Meet at the fair after shopping"
+        assert spec.window.start == utc(2026, 8, 11, 15)
+        assert spec.window.end == utc(2026, 8, 11, 16, 15)
+        assert (spec.fence.center.lat, spec.fence.center.lon) == (41.5606, -8.397)
+        assert spec.kind is ActivityKind.MEETUP
+        assert spec.fence.radius_m == 100.0
+        assert spec.policy is PrivacyPolicy.DISCLOSE_IDENTITY  # not stated: the default
+        assert spec.batch_threshold is None
+        assert spec.organizer == "ana@example.org"
+        assert spec.participants == (
             "ana@example.org",
             "bruno@example.org",
             "carla@example.org",
@@ -105,11 +105,11 @@ class TestParseIcs:
     def test_non_enrolled_events_are_skipped(self):
         result = parse_ics((CORPUS / "mixed_enrolment.ics").read_text(), SYSTEM)
         assert result.skipped == 1
-        (draft,) = result.drafts
-        assert draft.uid == "dinner-77@example.org"
-        assert draft.kind is ActivityKind.GATHERING
-        assert draft.batch_threshold == 3
-        assert draft.policy is PrivacyPolicy.ANONYMOUS_COUNT
+        (spec,) = result.drafts
+        assert spec.calendar_uid == "dinner-77@example.org"
+        assert spec.kind is ActivityKind.GATHERING
+        assert spec.batch_threshold == 3
+        assert spec.policy is PrivacyPolicy.ANONYMOUS_COUNT
         assert any("X-CUSTOM-THING" in w for w in result.warnings)
 
     def test_missing_geo_is_invalid(self):
@@ -126,9 +126,9 @@ class TestParseIcs:
 
     def test_epoch_second_times(self):
         result = parse_ics((CORPUS / "epoch_times.ics").read_text(), SYSTEM)
-        (draft,) = result.drafts
-        assert (draft.window.start, draft.window.end) == (600, 7200)
-        assert draft.batch_threshold == 5
+        (spec,) = result.drafts
+        assert (spec.window.start, spec.window.end) == (600, 7200)
+        assert spec.batch_threshold == 5
 
     def test_no_wrapper_is_not_a_calendar(self):
         with pytest.raises(NotACalendar):
@@ -178,13 +178,38 @@ class TestParseIcs:
             f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
         )
         result = parse_ics(text, SYSTEM)
-        assert result.drafts[0].attendees == ("a@b",)
+        assert result.drafts[0].participants == ("a@b",)
         assert any("duplicate attendee" in w for w in result.warnings)
 
     def test_folding_insensitivity(self):
         folded = (CORPUS / "meetup_fair.ics").read_text()
         unfolded = "\r\n".join(unfold_lines(folded)) + "\r\n"
         assert parse_ics(folded, SYSTEM) == parse_ics(unfolded, SYSTEM)
+
+    @pytest.mark.parametrize("radius", ["0", "-3", "inf", "NaN"])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        text = (
+            "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:x@y\r\n"
+            f"DTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\nX-SYNC-RADIUS:{radius}\r\n"
+            f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+        with pytest.raises(EventInvalid) as e:
+            parse_ics(text, SYSTEM)
+        assert e.value.uid == "x@y"
+        assert "X-SYNC-RADIUS" in e.value.reason
+
+    @pytest.mark.parametrize("prop", ["DTSTART", "DTEND", "X-SYNC-BATCH"])
+    def test_more_digits_than_int_converts(self, prop):
+        # Past int()'s digit limit (4,300 by default), a bare int() raises ValueError.
+        values = {"DTSTART": "100", "DTEND": "200", "X-SYNC-BATCH": "2", prop: "9" * 5000}
+        text = (
+            "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:x@y\r\nGEO:1.0;1.0\r\n"
+            + "".join(f"{name}:{value}\r\n" for name, value in values.items())
+            + f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+        with pytest.raises(EventInvalid) as e:
+            parse_ics(text, SYSTEM)
+        assert prop in e.value.reason
 
     def test_quoted_parameter_with_colon(self):
         text = (

@@ -212,6 +212,14 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict({**scenario, **field})
 
+    @pytest.mark.parametrize("field", ["seed", "noise_sigma_m", "fix_period_s", "horizon"])
+    def test_a_boolean_is_not_a_number(self, field):
+        # JSON true loads as bool, which is an int to isinstance.
+        scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text(encoding="utf-8"))
+        with pytest.raises(ScenarioInvalid) as e:
+            scenario_from_dict({**scenario, field: True})
+        assert field in e.value.detail
+
     def test_actor_must_belong_to_an_activity(self):
         sc = scenario_from_dict(
             {
@@ -328,6 +336,7 @@ class TestRunScenario:
         }))
         assert [(a.id, a.calendar_uid) for a in result.activities] == [("a1", "u1")]
         assert list(result.state.activities) == ["a1"]
+        assert result.warnings == ["event u1 already ingested, skipping"]
 
 
 def generated_crowd(seed: int, gathering: int, meetup: int, horizon: int = 1800) -> dict:
