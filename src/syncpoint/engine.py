@@ -108,6 +108,15 @@ from .wire import (
     Welcome,
 )
 
+# One shared frame per acknowledged command, so back-to-back ACKs of a
+# kind reuse the text the codec encoded last (``schema.OneOf.encode``).
+ACK_RESPOND_INVITE = Ack("RESPOND_INVITE")
+ACK_ARM = Ack("ARM")
+ACK_DISARM = Ack("DISARM")
+ACK_FIX = Ack("FIX")
+ACK_TASK_DONE = Ack("TASK_DONE")
+ACK_POLL = Ack("POLL")
+
 
 class UnknownActivity(SyncError):
     code = "UNKNOWN_ACTIVITY"
@@ -377,6 +386,24 @@ def handle(
 def _dispatch(
     state: ServerState, msg: ClientMessage, from_: str, now: int
 ) -> tuple[Outbound, list[EventRecord]]:
+    if isinstance(msg, Fix):  # the commonest command, so tested first
+        act = _activity(state, msg.activity)
+        pp = _accepted(state, act, from_)
+        if pp.last_fix_at is not None and msg.at <= pp.last_fix_at:
+            raise StaleFix(
+                f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
+            )
+        if phase_at(act, msg.at) is not ActivityPhase.ACTIVE:
+            # Outside the window the fix is ignored: no state, no record.
+            return [(from_, ACK_FIX)], []
+        alarm, previous_zone = pp.alarm, pp.zone
+        zone = classify_zone(act.fence, previous_zone, msg.point)
+        fixed, _ = _record(state, now, FixAccepted(act.id, from_, zone, msg.at))
+        if not ingest_fix(alarm, previous_zone, zone):
+            return [(from_, ACK_FIX)], [fixed]
+        arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
+        return [(from_, ACK_FIX)] + pushes, [fixed, arrival]
+
     if isinstance(msg, Hello):
         return [(from_, Welcome(now))], []
 
@@ -386,40 +413,22 @@ def _dispatch(
             raise PhaseViolation(f"{act.id} has already ended")
         _invited(act, from_)
         record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
-        return [(from_, Ack("RESPOND_INVITE"))] + pushes, [record]
+        return [(from_, ACK_RESPOND_INVITE)] + pushes, [record]
 
     if isinstance(msg, Arm):
         act = _activity(state, msg.activity)
         _disarmed(_accepted(state, act, from_))
         record, _ = _record(state, now, ArmSet(act.id, from_))
-        return [(from_, Ack("ARM"))], [record]
+        return [(from_, ACK_ARM)], [record]
 
     if isinstance(msg, Disarm):
         act = _activity(state, msg.activity)
         _member(act, from_)
         if state.presence[(act.id, from_)].alarm is not Alarm.ARMED:
             # Disarming an alarm that is not armed is a no-op: no record.
-            return [(from_, Ack("DISARM"))], []
+            return [(from_, ACK_DISARM)], []
         record, _ = _record(state, now, ArmCleared(act.id, from_))
-        return [(from_, Ack("DISARM"))], [record]
-
-    if isinstance(msg, Fix):
-        act = _activity(state, msg.activity)
-        pp = _accepted(state, act, from_)
-        if pp.last_fix_at is not None and msg.at <= pp.last_fix_at:
-            raise StaleFix(
-                f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
-            )
-        if phase_at(act, msg.at) is not ActivityPhase.ACTIVE:
-            # Outside the window the fix is ignored: no state, no record.
-            return [(from_, Ack("FIX"))], []
-        alarm, previous_zone = pp.alarm, pp.zone
-        zone = classify_zone(act.fence, previous_zone, msg.point)
-        fixed, _ = _record(state, now, FixAccepted(act.id, from_, zone, msg.at))
-        if not ingest_fix(alarm, previous_zone, zone):
-            return [(from_, Ack("FIX"))], [fixed]
-        arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
-        return [(from_, Ack("FIX"))] + pushes, [fixed, arrival]
+        return [(from_, ACK_DISARM)], [record]
 
     if isinstance(msg, TaskDone):
         act = _activity(state, msg.activity)
@@ -427,11 +436,11 @@ def _dispatch(
         if act.kind is not ActivityKind.TASK:
             raise KindMismatch(f"{act.id} is {act.kind.value}, not TASK")
         record, pushes = _record(state, now, TaskCompleted(act.id, from_, msg.at))
-        return [(from_, Ack("TASK_DONE"))] + pushes, [record]
+        return [(from_, ACK_TASK_DONE)] + pushes, [record]
 
     if isinstance(msg, Poll):
         msgs, _ = pending(state, from_, msg.cursor)
-        return [(from_, m) for m in msgs] + [(from_, Ack("POLL"))], []
+        return [(from_, m) for m in msgs] + [(from_, ACK_POLL)], []
 
     if isinstance(msg, Status):
         act = _activity(state, msg.activity)

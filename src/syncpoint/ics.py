@@ -29,6 +29,15 @@ from .errors import SyncError
 from .geo import FenceInvalid, Geofence, GeoPoint, LatOutOfRange, LonOutOfRange
 
 
+# The most characters of one calendar value that an error or warning repeats.
+ECHO_CHARS = 64
+
+
+def _cut(value: str) -> str:
+    """``value`` as a message repeats it, cut to ``ECHO_CHARS`` characters."""
+    return value if len(value) <= ECHO_CHARS else value[:ECHO_CHARS] + "..."
+
+
 class NotACalendar(SyncError):
     code = "NOT_A_CALENDAR"
 
@@ -41,7 +50,7 @@ class EventInvalid(SyncError):
     code = "EVENT_INVALID"
 
     def __init__(self, uid: str, reason: str):
-        super().__init__(f"event {uid!r}: {reason}")
+        super().__init__(f"event {_cut(uid)!r}: {reason}")
         self.uid = uid
         self.reason = reason
 
@@ -94,11 +103,11 @@ def parse_geo(value: str) -> GeoPoint:
     """Parse a GEO property value: "lat;lon" in decimal degrees."""
     parts = value.split(";")
     if len(parts) != 2:
-        raise MalformedGeo(f"expected 'lat;lon', got {value!r}")
+        raise MalformedGeo(f"expected 'lat;lon', got {_cut(value)!r}")
     try:
         lat, lon = float(parts[0]), float(parts[1])
     except ValueError:
-        raise MalformedGeo(f"non-numeric coordinate in {value!r}") from None
+        raise MalformedGeo(f"non-numeric coordinate in {_cut(value)!r}") from None
     return GeoPoint(lat, lon)
 
 
@@ -147,7 +156,7 @@ def _parse_dt(value: str, uid: str, prop: str) -> int:
         dt = datetime.strptime(v, "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
     except ValueError:
         raise EventInvalid(
-            uid, f"unsupported {prop} form {value!r} (UTC '...Z' or epoch seconds)"
+            uid, f"unsupported {prop} form {_cut(value)!r} (UTC '...Z' or epoch seconds)"
         ) from None
     return int(dt.timestamp())
 
@@ -187,7 +196,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             continue
         name, value = prop
         if name not in _SUPPORTED and name not in _IGNORED:
-            warnings.append(f"line {idx}: ignored unknown property {name}")
+            warnings.append(f"line {idx}: ignored unknown property {_cut(name)}")
         if name == "BEGIN" and value.strip().upper() == "VEVENT":
             current = []
         elif name == "END" and value.strip().upper() == "VEVENT":
@@ -242,12 +251,12 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
         if "X-SYNC-TYPE" in first:
             label = first["X-SYNC-TYPE"].strip().upper()
             if label not in _KINDS:
-                raise EventInvalid(uid, f"unknown X-SYNC-TYPE {label!r}")
+                raise EventInvalid(uid, f"unknown X-SYNC-TYPE {_cut(label)!r}")
             stated["kind"] = _KINDS[label]
         if "X-SYNC-PRIVACY" in first:
             label = first["X-SYNC-PRIVACY"].strip().upper()
             if label not in _POLICIES:
-                raise EventInvalid(uid, f"unknown X-SYNC-PRIVACY {label!r}")
+                raise EventInvalid(uid, f"unknown X-SYNC-PRIVACY {_cut(label)!r}")
             stated["policy"] = _POLICIES[label]
         if "X-SYNC-BATCH" in first:
             batch = _digits(first["X-SYNC-BATCH"].strip())
@@ -260,7 +269,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             if a.lower() == system:
                 continue
             if a in guest_list:
-                warnings.append(f"event {uid}: duplicate attendee {a} ignored")
+                warnings.append(f"event {_cut(uid)}: duplicate attendee {_cut(a)} ignored")
                 continue
             guest_list.append(a)
 
@@ -268,10 +277,10 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             organizer = _strip_mailto(first["ORGANIZER"])
         elif guest_list:
             organizer = guest_list[0]
-            warnings.append(f"event {uid}: no ORGANIZER, using first attendee")
+            warnings.append(f"event {_cut(uid)}: no ORGANIZER, using first attendee")
         else:
             organizer = ""
-            warnings.append(f"event {uid}: no ORGANIZER and no attendees")
+            warnings.append(f"event {_cut(uid)}: no ORGANIZER and no attendees")
 
         specs.append(
             ActivitySpec(

@@ -1,4 +1,4 @@
-"""TCP transport: the wire protocol over asyncio streams.
+"""TCP transport: the wire protocol over asyncio, one ``Protocol`` per connection.
 
 Each connection must introduce itself with a HELLO frame (trust on first
 assert — there is no authentication layer); after that every decoded client
@@ -7,12 +7,22 @@ responses return on the handling connection; Notify pushes go to every
 live connection registered for the recipient. Participants without a live
 connection simply poll later — the queues keep everything.
 
-Each read is handled as one batch. Every frame it completes goes through
-the engine in order; then the records of the whole read are committed to
-the log with one write and one flush, and only then does any reply or push
-for them leave. Pushes to other connections are written first, then the
-sender's replies, each connection's share in one write and in request
-order, with an ERR in place of each frame that could not be handled.
+Each read (``data_received``) is handled as one batch. Every frame it
+completes goes through the engine in order; then the records of the whole
+read are committed to the log with one write and one flush, and only then
+does any reply or push for them leave. Pushes to other connections are
+written first, then the sender's replies, each connection's share in one
+write and in request order, with an ERR in place of each frame that could
+not be handled.
+
+No read waits for any connection to drain, and each connection's unsent
+bytes stay bounded. A connection's own replies slow it down: while its
+transport holds more than the high-water mark, the server stops reading
+from it. Pushes come from other connections, which must not wait: a
+connection whose unsent bytes exceed ``MAX_OUTBOUND_BYTES`` after a push
+is cut off, and its participant resumes by POLL from the durable queue.
+A connection that ends with an error logs one line naming its participant
+and the error, never a coordinate.
 
 A commit that fails (``LogWriteFailed``) stops the whole server: nothing
 of that read leaves, no connection is served again, and ``stopped``
@@ -34,109 +44,129 @@ from .wire import CLIENT_MESSAGES, MAX_FRAME_BYTES, Err, FrameBuffer, Hello, dec
 
 log = logging.getLogger(__name__)
 
+# Unsent bytes above which a push cuts its connection off.
+MAX_OUTBOUND_BYTES = 1024 * 1024
 
-async def _drain(writer: asyncio.StreamWriter) -> None:
-    try:
-        await writer.drain()
-    except ConnectionError:
-        pass
+
+class Connection(asyncio.Protocol):
+    """One client connection: its framing, its participant and its transport."""
+
+    def __init__(self, server: SyncServer):
+        self.server = server
+        self.buf = FrameBuffer()
+        self.participant: str | None = None
+        self.transport: asyncio.Transport | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._open.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._forget(self)
+        if exc is not None:
+            who = "before HELLO" if self.participant is None else f"of {self.participant}"
+            log.warning("connection %s ended: %s", who, exc)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def write(self, lines: list[str]) -> int:
+        """Send ``lines`` in one write; returns the bytes not yet sent."""
+        self.transport.write("".join(lines).encode("utf-8"))
+        return self.transport.get_write_buffer_size()
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        if server.stopped.done():
+            self.transport.close()
+            return
+        engine, conns = server.engine, server._conns
+        participant = self.participant
+        replies: list[str] = []  # to this connection, in request order
+        pushes: dict[Connection, list[str]] = {}
+        for frame in self.buf.feed(data):
+            if not frame.strip():
+                continue
+            try:
+                msg = decode(frame)
+            except SyncError as e:
+                replies.append(encode(Err(e.code, e.detail)))
+                continue
+            if not isinstance(msg, CLIENT_MESSAGES):
+                replies.append(encode(
+                    Err("NOT_A_CLIENT_MESSAGE", "server frames are not accepted")
+                ))
+                continue
+            if participant is None:
+                if not isinstance(msg, Hello):
+                    replies.append(encode(Err("HELLO_REQUIRED", "introduce yourself first")))
+                    continue
+                participant = self.participant = msg.participant
+                conns.setdefault(participant, []).append(self)
+            for to, out in engine.handle(msg, participant, server.clock()):
+                if to == participant:
+                    replies.append(encode(out))
+                elif to in conns:
+                    line = encode(out)
+                    for conn in conns[to]:
+                        pushes.setdefault(conn, []).append(line)
+        oversized = len(self.buf.pending) > MAX_FRAME_BYTES
+        if oversized:
+            replies.append(encode(Err(
+                "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"
+            )))
+        try:
+            engine.commit()
+        except LogWriteFailed as e:
+            if not server.stopped.done():
+                server.stopped.set_exception(e)
+            self.transport.close()
+            return
+        for conn, lines in pushes.items():
+            unsent = conn.write(lines)
+            if unsent > MAX_OUTBOUND_BYTES:
+                log.warning("cutting off a connection of %s: %d bytes unsent",
+                            conn.participant, unsent)
+                server._forget(conn)
+                conn.transport.abort()
+        if replies:
+            self.write(replies)
+        if oversized:
+            self.transport.close()
 
 
 class SyncServer:
     def __init__(self, engine: Engine, clock=None):
         self.engine = engine
         self.clock = clock or (lambda: int(time.time()))
-        self._conns: dict[str, list[asyncio.StreamWriter]] = {}
+        self._conns: dict[str, list[Connection]] = {}  # participant -> its connections
+        self._open: set[Connection] = set()  # every connection, before HELLO too
         self.stopped: asyncio.Future | None = None  # set by ``start``
 
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
-        self.stopped = asyncio.get_running_loop().create_future()
-        server = await asyncio.start_server(self._client, host, port)
+        loop = asyncio.get_running_loop()
+        self.stopped = loop.create_future()
+        server = await loop.create_server(lambda: Connection(self), host, port)
         addrs = ", ".join(str(s.getsockname()) for s in server.sockets)
         log.info("listening on %s", addrs)
         return server
 
-    def _register(self, participant: str, writer: asyncio.StreamWriter) -> None:
-        self._conns.setdefault(participant, []).append(writer)
+    def _forget(self, conn: Connection) -> None:
+        """Stop pushing to ``conn``; safe to call more than once."""
+        self._open.discard(conn)
+        conns = self._conns.get(conn.participant, [])
+        if conn in conns:
+            conns.remove(conn)
+            if not conns:
+                del self._conns[conn.participant]
 
-    def _unregister(self, participant: str, writer: asyncio.StreamWriter) -> None:
-        writers = self._conns.get(participant, [])
-        if writer in writers:
-            writers.remove(writer)
-        if not writers:
-            self._conns.pop(participant, None)
-
-    async def _client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        buf = FrameBuffer()
-        participant: str | None = None
-        try:
-            while True:
-                data = await reader.read(4096)
-                if not data or self.stopped.done():
-                    break
-                replies: list[str] = []  # to this connection, in request order
-                pushes: dict[asyncio.StreamWriter, list[str]] = {}
-                for frame in buf.feed(data):
-                    if not frame.strip():
-                        continue
-                    try:
-                        msg = decode(frame)
-                    except SyncError as e:
-                        replies.append(encode(Err(e.code, e.detail)))
-                        continue
-                    if not isinstance(msg, CLIENT_MESSAGES):
-                        replies.append(encode(
-                            Err("NOT_A_CLIENT_MESSAGE", "server frames are not accepted")
-                        ))
-                        continue
-                    if participant is None:
-                        if not isinstance(msg, Hello):
-                            replies.append(encode(
-                                Err("HELLO_REQUIRED", "introduce yourself first")
-                            ))
-                            continue
-                        participant = msg.participant
-                        self._register(participant, writer)
-                    for to, out in self.engine.handle(msg, participant, self.clock()):
-                        if to == participant:
-                            replies.append(encode(out))
-                        elif to in self._conns:
-                            line = encode(out)
-                            for w in self._conns[to]:
-                                pushes.setdefault(w, []).append(line)
-                oversized = len(buf.pending) > MAX_FRAME_BYTES
-                if oversized:
-                    replies.append(encode(Err(
-                        "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"
-                    )))
-                try:
-                    self.engine.commit()
-                except LogWriteFailed as e:
-                    if not self.stopped.done():
-                        self.stopped.set_exception(e)
-                    break
-                for w, lines in pushes.items():
-                    w.write("".join(lines).encode("utf-8"))
-                if replies:
-                    writer.write("".join(replies).encode("utf-8"))
-                for w in pushes:
-                    await _drain(w)
-                if replies:
-                    await _drain(writer)
-                if oversized:
-                    break
-        except asyncio.CancelledError:
-            # Only the loop's shutdown cancels a connection. Returning
-            # instead of re-raising keeps asyncio's stream protocol, whose
-            # done-callback asks the task for its exception, from logging a
-            # CancelledError traceback for every open connection.
-            pass
-        finally:
-            if participant is not None:
-                self._unregister(participant, writer)
-            writer.close()
+    def abort_connections(self) -> None:
+        """Drop every open connection, whatever it has not yet sent."""
+        for conn in list(self._open):
+            conn.transport.abort()
 
 
 async def serve_forever(engine: Engine, host: str, port: int) -> None:
@@ -144,4 +174,8 @@ async def serve_forever(engine: Engine, host: str, port: int) -> None:
     sync = SyncServer(engine, clock=None)
     server = await sync.start(host, port)
     async with server:
-        await sync.stopped
+        try:
+            await sync.stopped
+        finally:
+            # The server's exit waits for its connections (Python 3.12 on).
+            sync.abort_connections()

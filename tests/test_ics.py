@@ -210,6 +210,8 @@ class TestParseIcs:
         with pytest.raises(EventInvalid) as e:
             parse_ics(text, SYSTEM)
         assert prop in e.value.reason
+        # The message quotes at most the head of the value.
+        assert len(str(e.value)) < 200, len(str(e.value))
 
     def test_quoted_parameter_with_colon(self):
         text = (

@@ -1,16 +1,20 @@
 """Live TCP server: hello handshake, pushes, and polling over sockets."""
 
 import asyncio
+import logging
 import math
+import socket
+import struct
 
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, replay
 from syncpoint.eventlog import FixAccepted, load_log
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
+from syncpoint import net
 from syncpoint.net import SyncServer
 from syncpoint.wire import (
-    MAX_FRAME_BYTES, Ack, Arm, Err, Fix, Hello, Notify, Poll, RespondInvite, Welcome, decode,
-    encode,
+    MAX_FRAME_BYTES, Ack, Arm, Err, Fix, Hello, Notify, Poll, RespondInvite, TaskDone, Welcome,
+    decode, encode,
 )
 
 CENTER = GeoPoint(41.5606, -8.3970)
@@ -146,9 +150,13 @@ def test_server_frame_errors():
     assert not_client.code == "NOT_A_CLIENT_MESSAGE"
 
 
-async def _start(engine, clock):
-    server = await SyncServer(engine, clock=clock).start("127.0.0.1", 0)
+async def _start_sync(sync):
+    server = await sync.start("127.0.0.1", 0)
     return server, server.sockets[0].getsockname()[1]
+
+
+async def _start(engine, clock):
+    return await _start_sync(SyncServer(engine, clock=clock))
 
 
 def _fair(engine):
@@ -229,17 +237,17 @@ def test_one_write_of_mixed_frames_gets_its_replies_in_order():
 def test_records_are_flushed_before_pushes_and_replies_leave(tmp_path, monkeypatch):
     log = tmp_path / "events.log"
     server_writes = []  # (frames written by the server, records on disk at that moment)
-    write = asyncio.StreamWriter.write
+    write = net.Connection.write
 
-    def watching_write(self, data):
-        if b'"type":"ACK"' in data or b'"type":"NOTIFY"' in data:
+    def watching_write(self, lines):
+        data = "".join(lines)
+        if '"type":"ACK"' in data or '"type":"NOTIFY"' in data:
             server_writes.append(
-                ([_summary(decode(line)) for line in data.decode().splitlines()],
-                 list(load_log(log)))
+                ([_summary(decode(line)) for line in data.splitlines()], list(load_log(log)))
             )
-        write(self, data)
+        return write(self, lines)
 
-    monkeypatch.setattr(asyncio.StreamWriter, "write", watching_write)
+    monkeypatch.setattr(net.Connection, "write", watching_write)
 
     async def run():
         engine = Engine(log_path=log)
@@ -326,3 +334,131 @@ def test_invalid_utf8_frame_gets_an_err_in_its_place():
     assert [_summary(m) for m in replies] == [
         ("WELCOME",), ("ACK", "POLL"), ("ERR", "MALFORMED"), ("ACK", "POLL"),
     ]
+
+
+def _chores(engine):
+    """A task of ana (organizer) and carla, both accepted."""
+    act, _ = engine.create_activity(ActivitySpec(
+        title="Chores", kind=ActivityKind.TASK,
+        window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+        organizer="ana", participants=("ana", "carla"),
+    ), now=0)
+    for who in ("ana", "carla"):
+        engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
+    return act
+
+
+def _small_send_buffer(sync, participant):
+    """Keep the kernel from taking more than a few KiB of what the server
+    sends ``participant``, so the rest waits in the server."""
+    (conn,) = sync._conns[participant]
+    conn.transport.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+
+def test_a_client_that_reads_no_pushes_is_cut_off_without_stalling_the_sender(
+    monkeypatch, caplog
+):
+    monkeypatch.setattr(net, "MAX_OUTBOUND_BYTES", 32 * 1024)
+
+    async def run():
+        engine = Engine()
+        sync = SyncServer(engine, clock=lambda: 2000)
+        server, port = await _start_sync(sync)
+        act = _chores(engine)
+        # carla says HELLO and then reads nothing, with a small receive buffer.
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        writer.write(encode(Hello("carla")).encode())
+        assert isinstance(decode(await reader.readline()), Welcome)
+        _small_send_buffer(sync, "carla")
+        ana = Client()
+        await ana.connect(port)
+        await ana.send(Hello("ana"))
+        await ana.recv()
+        # Each TASK_DONE pushes a notice to carla; ana must get every ACK.
+        batch = encode(TaskDone(act.id, 2000)).encode() * 100
+        acks = 0
+        while "carla" in sync._conns and acks < 20_000:
+            await ana.send_raw(batch)
+            for _ in range(100):
+                assert await ana.recv() == Ack("TASK_DONE")
+                acks += 1
+        carla_got = await asyncio.wait_for(reader.read(), 5)
+        await ana.send(Poll(0))  # ana is still served
+        assert await ana.recv() == Ack("POLL")
+        writer.close()
+        await ana.close()
+        server.close()
+        await server.wait_closed()
+        return acks, carla_got, len(engine.state.queues["carla"])
+
+    with caplog.at_level(logging.WARNING, logger="syncpoint.net"):
+        acks, carla_got, queued = asyncio.run(run())
+    assert acks < 20_000  # carla was cut off
+    # What carla got before the cut is a prefix of her queue, which keeps it all.
+    assert 0 < carla_got.count(b"\n") < queued == acks + 1  # the invitation, then the notices
+    cut = [r.getMessage() for r in caplog.records if "cutting off" in r.getMessage()]
+    assert len(cut) == 1 and "carla" in cut[0], cut
+
+
+def test_a_client_that_reads_no_replies_is_paused_not_cut_off(monkeypatch):
+    monkeypatch.setattr(net, "MAX_OUTBOUND_BYTES", 32 * 1024)
+    n = 20_000  # about 1.3 MB of replies
+
+    async def run():
+        engine = Engine()
+        sync = SyncServer(engine, clock=lambda: 1)
+        server, port = await _start_sync(sync)
+        ana = Client()
+        await ana.connect(port)
+        await ana.send(Hello("ana"))
+        await ana.recv()
+        _small_send_buffer(sync, "ana")
+        frames = b"".join(encode(Arm(f"x{i}")).encode() for i in range(n))
+        sending = asyncio.create_task(ana.send_raw(frames))
+        await asyncio.sleep(0.5)
+        (conn,) = sync._conns["ana"]
+        paused = not conn.transport.is_reading()
+        replies = [await ana.recv() for _ in range(n)]
+        await sending
+        await ana.close()
+        server.close()
+        await server.wait_closed()
+        return paused, replies
+
+    paused, replies = asyncio.run(run())
+    assert paused
+    assert [r.detail for r in replies] == [f"no such activity 'x{i}'" for i in range(n)]
+
+
+def test_a_reset_connection_logs_one_line(caplog):
+    async def run():
+        sync = SyncServer(Engine(), clock=lambda: 1)
+        server, port = await _start_sync(sync)
+        ana, stranger = Client(), Client()
+        for c in (ana, stranger):
+            await c.connect(port)
+        await ana.send(Hello("ana"))
+        await ana.recv()
+        for c in (ana, stranger):
+            # Linger 0: closing sends a reset instead of a FIN.
+            c.writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            c.writer.transport.abort()
+        for _ in range(100):
+            if not sync._open:
+                break
+            await asyncio.sleep(0.01)
+        server.close()
+        await server.wait_closed()
+
+    with caplog.at_level(logging.INFO, logger="syncpoint.net"):
+        asyncio.run(run())
+    ended = sorted(r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING)
+    assert len(ended) == 2, ended
+    assert ended[0].startswith("connection before HELLO ended: ")
+    assert ended[1].startswith("connection of ana ended: ") and "reset" in ended[1]
