@@ -40,6 +40,10 @@ class BatchThresholdInvalid(SyncError):
     code = "BATCH_THRESHOLD_INVALID"
 
 
+class TitleInvalid(SyncError):
+    code = "TITLE_INVALID"
+
+
 class ActivityKind(str, Enum):
     MEETUP = "MEETUP"
     GATHERING = "GATHERING"
@@ -170,6 +174,8 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     other kind. The caller names the activity: the server allocates ids
     from its state, so that logs and transcripts are reproducible.
     """
+    if not isinstance(spec.title, str):
+        raise TitleInvalid(f"title must be a string, got {spec.title!r}")
     ids = list(spec.participants)
     seen = set()
     for pid in ids:

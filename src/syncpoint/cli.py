@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import logging
 import signal
 import sys
 import time
@@ -76,6 +77,8 @@ async def _serve(engine: Engine, host: str, port: int) -> None:
 
 
 def cmd_serve(args) -> int:
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     host, port = args.listen
     engine = Engine(log_path=args.log)
     _warn_kept_prefix(engine.torn_tail)
@@ -202,8 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "now", None) is None and hasattr(args, "now"):
+    now = getattr(args, "now", 0)
+    if now is None:
         args.now = int(time.time())
+    elif now < 0:  # every record's time is an integer >= 0
+        print(f"--now must be >= 0, got {now}", file=sys.stderr)
+        return 2
     if getattr(args, "check", False) and not args.golden:
         print("simulate --check needs a golden transcript path", file=sys.stderr)
         return 2

@@ -356,14 +356,13 @@ def pending(
 def status_view(state: ServerState, activity_id: str, now: int) -> StatusView:
     """Per-participant invitation status and arrivals, plus current phase."""
     act = _activity(state, activity_id)
-    arrived = state.arrivals.get(activity_id, ())
     return StatusView(
         activity=act.id,
         participants=tuple(
-            ParticipantView(p.id, p.status, p.id in arrived)
+            ParticipantView(p.id, p.status, state.presence[(act.id, p.id)].alarm is Alarm.ARRIVED)
             for p in act.participants
         ),
-        arrivals=len(arrived),
+        arrivals=len(state.arrivals[act.id]),
         phase=phase_at(act, now),
     )
 

@@ -20,9 +20,9 @@ the last commit, keeps the buffer and raises ``LogWriteFailed``.
 
 The schema table below (``_EVENTS``, one entry per record type) is the one
 place where each record's fields and order live: a record is its event's
-fields beside ``at`` and ``index``, tagged with ``type``. Records are read
-loosely: this codec wrote them, so only the constructors check them, and
-an enum field is found by its value.
+fields beside ``at`` and ``index``, tagged with ``type``. A record is read
+by the same checked decoder as a wire frame: a field of the wrong type or
+range makes the line a ``CorruptRecord``, as a malformed one does.
 
 The log holds no coordinate but the fence centre of each ``ACTIVITY_CREATED``.
 A ``FIX_ACCEPTED`` records the zone its fix was classified into, not the
@@ -200,7 +200,7 @@ _RECORDS = {
     for tag, (cls, *fields) in _EVENTS.items()
 }
 _ENCODERS = {cls: s.encode for cls, s in _RECORDS.items()}
-_DECODERS = {s.tag[1]: s.decoder(strict=False) for s in _RECORDS.values()}
+_DECODERS = {s.tag[1]: s.decoder for s in _RECORDS.values()}
 
 
 # The one reader of a point-bearing FIX_ACCEPTED: an older line has the
@@ -210,7 +210,7 @@ _decode_point_fix = Schema(
     EventRecord, ("index", INT), ("at", INT), ("event", Inline(Schema(
         PointFix, ("activity", STR), ("who", STR), ("point", Inline(POINT)), ("fix_at", INT),
     ))),
-).decoder(strict=False)
+).decoder
 _DECODERS["FIX_ACCEPTED"] = (
     lambda obj: _decode_zone_fix(obj) if "zone" in obj else _decode_point_fix(obj)
 )
@@ -239,7 +239,7 @@ def decode_record(line: str | bytes, expected_index: int) -> EventRecord:
         raise CorruptRecord(expected_index, f"unknown record type {obj.get('type')!r}") from None
     try:
         record = decode(obj)
-    except (KeyError, TypeError, ValueError, SyncError) as e:
+    except (KeyError, SyncError) as e:  # a missing key, or a field's check
         raise CorruptRecord(expected_index, f"bad record payload: {e}") from None
     if record.index != expected_index:
         raise CorruptRecord(expected_index, f"index {record.index} breaks dense sequence")

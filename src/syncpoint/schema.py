@@ -9,11 +9,10 @@ separators=(",", ":"), allow_nan=False)`` of the ordered object.
 Each schema is compiled once, as ``dataclasses`` compiles ``__init__``,
 into an encoder that fills one ``%`` template straight from the instance
 (``encode_basestring``, ``int.__repr__``, ``float.__repr__``; NaN and
-infinity raise ``ValueError``) and into decoders: one constructor
-expression over the parsed object, in which a missing key raises
-``KeyError``. Strict decoders check untrusted frames field by field;
-loose ones, for the log only this codec writes, leave that to the
-constructors, and find an enum member by its value with one dict lookup.
+infinity raise ``ValueError``) and into one decoder: a constructor
+expression over the parsed object that checks each field, raising
+``FieldInvalid`` for a value of the wrong type or range and ``KeyError``
+for a missing key. Wire frames and log records alike pass through it.
 
 A ``OneOf`` (any frame, any notification) encodes the same object given
 twice in a row once: the shared frame of a fan-out. ``loads_line`` is the
@@ -76,7 +75,7 @@ def loads_line(line: str):
     return json.loads(line)
 
 
-# --- strict checks: (parsed value, key, *args) -> value ------------------------
+# --- field checks: (parsed value, key, *args) -> value -------------------------
 
 def _str(v, key: str, empty: bool = False) -> str:
     if not isinstance(v, str):
@@ -94,10 +93,13 @@ def _int(v, key: str, minimum: int = 0) -> int:
     return v
 
 
-def _number(v, key: str):
+def _number(v, key: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise FieldInvalid(key, "expected a number")
-    return v
+    try:
+        return float(v)
+    except OverflowError:  # an integer too large for a float
+        raise FieldInvalid(key, "out of range") from None
 
 
 def _bool(v, key: str) -> bool:
@@ -106,11 +108,12 @@ def _bool(v, key: str) -> bool:
     return v
 
 
-def _choice(v, key: str, enum_cls):
+def _choice(v, key: str, members: dict):
     try:
-        return enum_cls(_str(v, key))
-    except ValueError:
-        raise FieldInvalid(key, f"not one of {[e.value for e in enum_cls]}") from None
+        return members[v]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        _str(v, key)
+        raise FieldInvalid(key, f"not one of {list(members)}") from None
 
 
 def _object(v, key: str) -> dict:
@@ -146,53 +149,42 @@ def _fill(template: str, values: list[str]) -> str:
 class Kind:
     """How a field is written to JSON and read back.
 
-    A scalar is written by ``encode``. A strict reader passes the parsed
-    value through ``check(value, key, *args)``; a loose one applies only
-    ``convert`` (an enum's member by value). The subclasses are the
-    composite kinds.
+    A scalar is written by ``encode`` and read by ``check(value, key, *args)``,
+    called only if the inlined test ``valid`` (its ``{}`` binds ``v``) fails:
+    it passes only values the check returns as they are. The subclasses are
+    the composite kinds.
     """
 
     optional = False
 
-    def __init__(self, encode=None, check=None, *args, convert=None):
-        self.encode, self.check, self.args, self.convert = encode, check, args, convert
+    def __init__(self, encode, check, *args, valid=None):
+        self.encode, self.check, self.args, self.valid = encode, check, args, valid
 
     def template(self, value: str, names: _Names) -> tuple[str, list[str]]:
         """The JSON of the value expression ``value``: a template and its fillers."""
         return "%s", [f"{names.add(self.encode)}({value})"]
 
-    def parse(self, got: str, key: str, strict: bool, names: _Names) -> str:
-        """The expression that turns the parsed value ``got`` into the field value."""
-        if strict and self.check:
-            args = "".join(f", {names.add(a)}" for a in self.args)
+    def parse(self, got: str, key: str, names: _Names) -> str:
+        """The expression that checks the parsed value ``got`` into the field value."""
+        args = "".join(f", {names.add(a)}" for a in self.args)
+        if self.valid is None:
             return f"{names.add(self.check)}({got}, {key!r}{args})"
-        return f"{names.add(self.convert)}({got})" if self.convert else got
+        test = self.valid.format(f"(v := {got})")
+        return f"(v if {test} else {names.add(self.check)}(v, {key!r}{args}))"
 
 
-STR = Kind(encode_basestring, _str)  # non-empty
-TEXT = Kind(encode_basestring, _str, True)
-INT = Kind(int.__repr__, _int)  # >= 0
-COUNT = Kind(int.__repr__, _int, 1)  # >= 1
-FLOAT = Kind(_float, _number)
-BOOL = Kind({True: "true", False: "false"}.__getitem__, _bool)
-
-
-def _by_value(enum_cls):
-    """``enum_cls(value)``, with a member found by one lookup of its value."""
-    members = enum_cls._value2member_map_
-
-    def member(value):
-        try:
-            return members[value]
-        except (KeyError, TypeError):  # not a value: the class raises its error
-            return enum_cls(value)
-    return member
+STR = Kind(encode_basestring, _str, valid="{}.__class__ is str and v")  # non-empty
+TEXT = Kind(encode_basestring, _str, True, valid="{}.__class__ is str")
+INT = Kind(int.__repr__, _int, valid="{}.__class__ is int and v >= 0")
+COUNT = Kind(int.__repr__, _int, 1, valid="{}.__class__ is int and v >= 1")
+FLOAT = Kind(_float, _number, valid="{}.__class__ is float")
+BOOL = Kind({True: "true", False: "false"}.__getitem__, _bool, valid="{}.__class__ is bool")
 
 
 def choice(enum_cls) -> Kind:
     """A str enum. A member is a str equal to its value, so it encodes as one."""
     assert issubclass(enum_cls, str), enum_cls
-    return Kind(encode_basestring, _choice, enum_cls, convert=_by_value(enum_cls))
+    return Kind(encode_basestring, _choice, enum_cls._value2member_map_)
 
 
 class Optional(Kind):
@@ -201,13 +193,7 @@ class Optional(Kind):
     optional = True
 
     def __init__(self, inner: Kind):
-        self.inner = inner
-
-    def template(self, value, names):
-        return self.inner.template(value, names)
-
-    def parse(self, got, key, strict, names):
-        return self.inner.parse(got, key, strict, names)
+        self.template, self.parse = inner.template, inner.parse
 
 
 class Nested(Kind):
@@ -219,10 +205,8 @@ class Nested(Kind):
     def template(self, value, names):
         return self.schema.template(value, names)
 
-    def parse(self, got, key, strict, names):
-        if strict:
-            got = f"{names.add(_object)}({got}, {key!r})"
-        return f"{names.add(self.schema.decoder(strict))}({got})"
+    def parse(self, got, key, names):
+        return f"{names.add(self.schema.decoder)}({names.add(_object)}({got}, {key!r}))"
 
 
 class Inline(Nested):
@@ -235,10 +219,9 @@ class ListOf(Nested):
     def template(self, value, names):
         return "[%s]", [f"','.join(map({names.add(self.schema.encode)}, {value}))"]
 
-    def parse(self, got, key, strict, names):
-        if strict:
-            got = f"{names.add(_objects)}({got}, {key!r})"
-        return f"tuple(map({names.add(self.schema.decoder(strict))}, {got}))"
+    def parse(self, got, key, names):
+        decoder = names.add(self.schema.decoder)
+        return f"tuple(map({decoder}, {names.add(_objects)}({got}, {key!r})))"
 
 
 def _no_schema(value):
@@ -269,9 +252,9 @@ class OneOf(Kind):
     def template(self, value, names):
         return "%s", [f"{names.add(self.encode)}({value})"]
 
-    def parse(self, got, key, strict, names):
+    def parse(self, got, key, names):
         tag_key = self.schemas[0].tag[0]
-        decoders = {s.tag[1]: s.decoder(strict) for s in self.schemas}
+        decoders = {s.tag[1]: s.decoder for s in self.schemas}
 
         def decode(obj):
             tag = obj[tag_key]
@@ -279,9 +262,7 @@ class OneOf(Kind):
             if decoder is None:
                 raise FieldInvalid(tag_key, f"unknown {key} {tag_key} {tag!r}")
             return decoder(obj)
-        if strict:
-            got = f"{names.add(_object)}({got}, {key!r})"
-        return f"{names.add(decode)}({got})"
+        return f"{names.add(decode)}({names.add(_object)}({got}, {key!r}))"
 
 
 # --- schemas ------------------------------------------------------------------
@@ -337,21 +318,22 @@ class Schema:
         names = _Names()
         return eval(f"lambda obj: {_fill(*self.template('obj', names))}", dict(names))
 
-    def construct(self, obj: str, strict: bool, names: _Names) -> str:
+    def construct(self, obj: str, names: _Names) -> str:
         """The expression that builds an instance from the parsed object ``obj``."""
         args = []
         for key, kind in self.fields:
             if isinstance(kind, Inline):
-                args.append(kind.schema.construct(obj, strict, names))
+                args.append(kind.schema.construct(obj, names))
             elif kind.optional:
                 var = f"opt{len(names)}"
-                parsed = kind.parse(var, key, strict, names)
+                parsed = kind.parse(var, key, names)
                 args.append(f"(None if ({var} := {obj}.get({key!r})) is None else {parsed})")
             else:
-                args.append(kind.parse(f"{obj}[{key!r}]", key, strict, names))
+                args.append(kind.parse(f"{obj}[{key!r}]", key, names))
         return f"{names.add(self.cls)}({', '.join(args)})"
 
-    def decoder(self, strict: bool):
+    @cached_property
+    def decoder(self):
         """An instance from a parsed JSON object; a missing key raises KeyError."""
         names = _Names()
-        return eval(f"lambda obj: {self.construct('obj', strict, names)}", dict(names))
+        return eval(f"lambda obj: {self.construct('obj', names)}", dict(names))

@@ -14,9 +14,9 @@ and their order live; ``syncpoint.schema`` compiles the encoders, the
 decoders and the known-field sets from it.
 
 ``decode`` is the inverse of ``encode`` on valid frames and tolerates
-unknown extra fields (ignored with a logged warning). It parses a frame
-with ``schema.loads_line``, the one JSON line parse, which the event log
-uses too.
+unknown extra fields (ignored, with one logged warning per frame type). It
+parses a frame with ``schema.loads_line``, the one JSON line parse, which
+the event log uses too.
 """
 
 from __future__ import annotations
@@ -232,9 +232,8 @@ def encode(msg: Message) -> str:
 
 # --- decoding ---------------------------------------------------------------
 
-_DECODERS = {
-    s.tag[1]: (s.decoder(strict=True), s.keys()) for s in MESSAGES.schemas
-}
+_DECODERS = {s.tag[1]: (s.decoder, s.keys()) for s in MESSAGES.schemas}
+_WARNED: set[str] = set()  # the frame types whose unknown fields were logged, one of each
 
 
 def decode(frame: str | bytes) -> Message:
@@ -251,7 +250,8 @@ def decode(frame: str | bytes) -> Message:
     if not isinstance(t, str) or t not in _DECODERS:
         raise UnknownType(f"unknown message type {t!r}")
     decoder, known = _DECODERS[t]
-    if not known.issuperset(obj):
+    if not known.issuperset(obj) and t not in _WARNED:
+        _WARNED.add(t)
         log.warning("ignoring unknown fields %s in %s frame", sorted(set(obj) - known), t)
     try:
         return decoder(obj)

@@ -16,6 +16,7 @@ from syncpoint.activities import (
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
+    TitleInvalid,
     TooFewParticipants,
     WindowInvalid,
     new_activity,
@@ -76,6 +77,11 @@ class TestNewActivity:
     def test_too_few_participants(self):
         with pytest.raises(TooFewParticipants):
             make(participants=("ana",), organizer="ana")
+
+    @pytest.mark.parametrize("title", [5, None, b"Fair"])
+    def test_a_title_that_is_not_a_string_is_rejected(self, title):
+        with pytest.raises(TitleInvalid):
+            make(title=title)
 
     def test_duplicate_participant(self):
         with pytest.raises(DuplicateParticipant):

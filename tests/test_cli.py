@@ -15,8 +15,11 @@ import syncpoint.eventlog
 from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, TimeWindow
 from syncpoint.cli import main
 from syncpoint.engine import Engine, replay, status_view
-from syncpoint.eventlog import ArmSet, CorruptRecord, EventRecord, encode_record, load_log
+from syncpoint.eventlog import (
+    ArmSet, CorruptRecord, EventRecord, encode_record, load_log, read_records,
+)
 from syncpoint.geo import Geofence, GeoPoint
+from syncpoint.presence import Alarm
 from syncpoint.sim import load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import encode
 
@@ -199,6 +202,91 @@ class TestIngestStatusReplay:
         code, _, err = run(capsys, "status", "a9", "--log", log, "--now", 0)
         assert code == 1 and "UNKNOWN_ACTIVITY" in err
 
+    @pytest.mark.parametrize("command", [
+        ("ingest", CORPUS / "meetup_fair.ics", "--system-address", SYSTEM),
+        ("status", "a1"),
+        ("replay",),
+    ])
+    def test_a_negative_now_is_refused_and_nothing_is_written(self, tmp_path, capsys, command):
+        log = tmp_path / "events.log"
+        code, out, err = run(capsys, *command, "--log", log, "--now", -1)
+        assert (code, out, err) == (2, "", "--now must be >= 0, got -1\n")
+        assert not log.exists()
+
+    def test_every_ingested_record_reads_back_checked(self, tmp_path, capsys):
+        log, created = tmp_path / "events.log", 0
+        for calendar in sorted(CORPUS.glob("*.ics")):
+            _, out, _ = run(capsys, "ingest", calendar, "--system-address", SYSTEM,
+                            "--log", log, "--now", 7)
+            created += out.count("created a")
+        records = list(load_log(log))
+        assert len(records) == created >= 3
+        assert log.read_text(encoding="utf-8") == "".join(map(encode_record, records))
+        assert replay(records) == Engine(log_path=log).state
+
+
+class TestTypeConfusedRecords:
+    """A record whose field has the wrong type or range is a ``CorruptRecord``
+    at its index, as a malformed line is: replay hands back the state before
+    it, ``status`` warns and keeps that state, and ``serve`` refuses the log."""
+
+    # The s1 log, with a second activity appended as record 39.
+    CASES = [  # (index, field, value, detail)
+        (39, "batch_threshold", 0, "must be >= 1"),
+        (39, "batch_threshold", "5", "expected an integer"),
+        (39, "title", 5, "expected a string"),
+        (24, "fix_at", "x", "expected an integer"),
+        (4, "who", "", "must be non-empty"),
+    ]
+
+    @staticmethod
+    def _log(tmp_path: Path, k: int, field: str, value) -> tuple[Path, list[EventRecord]]:
+        lines = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json")).log_lines
+        second = json.loads(lines[0])
+        second["activity"]["id"], second["index"] = "a2", len(lines)
+        lines.append(json.dumps(second) + "\n")
+        records = list(read_records(lines))
+        obj = json.loads(lines[k])
+        (obj["activity"] if k == 39 else obj)[field] = value  # 39 is an ACTIVITY_CREATED
+        lines[k] = json.dumps(obj) + "\n"
+        log = tmp_path / "events.log"
+        log.write_text("".join(lines), encoding="utf-8")
+        return log, records[:k]
+
+    @pytest.mark.parametrize("k, field, value, detail", CASES)
+    def test_replay_stops_at_it_with_the_state_before(self, tmp_path, k, field, value, detail):
+        log, before = self._log(tmp_path, k, field, value)
+        with pytest.raises(CorruptRecord) as e:
+            replay(load_log(log))
+        assert (e.value.index, e.value.reason) == (
+            k, f"bad record payload: invalid field {field!r}: {detail}"
+        )
+        assert e.value.state == replay(before)
+
+    @pytest.mark.parametrize("k, field, value, detail", CASES)
+    def test_status_warns_once_and_keeps_the_state_before(
+        self, tmp_path, capsys, k, field, value, detail
+    ):
+        log, before = self._log(tmp_path, k, field, value)
+        code, out, err = run(capsys, "status", "a1", "--log", log, "--now", 0)
+        assert code == 0
+        assert err == (f"warning: record {k}: bad record payload: invalid field {field!r}: "
+                       f"{detail}; keeping state up to record {k}\n")
+        assert out == encode(status_view(replay(before), "a1", 0))
+
+    @pytest.mark.parametrize("k, field, value, detail", CASES)
+    def test_serve_refuses_the_log_with_one_line(self, tmp_path, k, field, value, detail):
+        log, _ = self._log(tmp_path, k, field, value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncpoint.cli", "serve", "--listen", "127.0.0.1:0",
+             "--log", str(log)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: CORRUPT_RECORD: record {k}: bad record payload: "
+                               f"invalid field {field!r}: {detail}\n")
+
 
 class TestSimulate:
     def test_simulate_writes_transcript(self, tmp_path, capsys):
@@ -256,6 +344,15 @@ class TestSimulate:
         assert "X-CUSTOM-THING" in err and err == ingest_err
         # The warnings go to stderr only: stdout is the transcript.
         assert out == "".join(transcript_lines(run_scenario(load_scenario(scenario)).transcript))
+
+    def test_a_title_that_is_not_a_string_is_one_error_line(self, tmp_path, capsys):
+        scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text())
+        scenario["activities"][0]["title"] = 5
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, "simulate", path)
+        assert (code, out) == (1, "")
+        assert err == "error: TITLE_INVALID: title must be a string, got 5\n"
 
     def test_check_needs_golden_path(self, capsys):
         code, _, err = run(capsys, "simulate", "--check",
@@ -341,6 +438,32 @@ class TestServe:
         assert log.read_text().startswith(text)
         bruno = replay(records).activities["a1"].participant("bruno")
         assert bruno.status is ParticipantStatus.ACCEPTED
+
+    def test_a_session_log_reads_back_checked(self, tmp_path):
+        log = tmp_path / "events.log"
+        engine = Engine(log_path=log)
+        engine.create_activity(ActivitySpec(  # active from the epoch to far ahead of the clock
+            title="Fair", window=TimeWindow(0, 4_000_000_000),
+            fence=Geofence(GeoPoint(41.5606, -8.3970)),
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=0)
+        engine.close()
+        replies, code, err = self._session(log, [
+            b'{"type":"HELLO","participant":"bruno"}\n',
+            b'{"type":"RESPOND_INVITE","activity":"a1","answer":"ACCEPT"}\n',
+            b'{"type":"ARM","activity":"a1"}\n',
+            b'{"type":"FIX","activity":"a1","at":1000,"lat":41.6,"lon":-8.397}\n',
+            b'{"type":"DISARM","activity":"a1"}\n',
+        ], keep_open=False)
+        assert [r["type"] for r in replies] == ["WELCOME", "ACK", "ACK", "ACK", "ACK"], replies
+        assert code == 0, err
+        records = list(load_log(log))
+        assert [type(r.event).__name__ for r in records] == [
+            "ActivityCreated", "InviteResponded", "ArmSet", "FixAccepted", "ArmCleared",
+        ]
+        assert log.read_text(encoding="utf-8") == "".join(map(encode_record, records))
+        presence = replay(records).presence[("a1", "bruno")]
+        assert (presence.alarm, presence.last_fix_at) == (Alarm.DISARMED, 1000)
 
     def test_port_in_use_is_one_error_line(self, tmp_path):
         with socket.socket() as holder:

@@ -143,9 +143,9 @@ class TestCoordinateFreeFormat:
                 f'"who":"bruno","zone":{zone}}}\n')
         with pytest.raises(CorruptRecord) as e:
             decode_record(line, 4)
-        value = {"null": "None", '["INSIDE"]': "['INSIDE']"}.get(zone, zone.replace('"', "'"))
+        detail = "not one of ['INSIDE', 'OUTSIDE']" if zone == '"NEARBY"' else "expected a string"
         assert (e.value.index, e.value.reason) == (
-            4, f"bad record payload: {value} is not a valid Zone"
+            4, f"bad record payload: invalid field 'zone': {detail}"
         )
 
     def test_a_point_bearing_fix_line_decodes_to_a_point_fix(self):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import statistics
+import sys
 from bisect import bisect_right
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, WindowInvalid, new_activity
 import syncpoint.engine as engine
-from syncpoint.engine import Engine, pending, replay
+from syncpoint.engine import Engine, pending, replay, status_view
 from syncpoint.eventlog import read_records
 from syncpoint.geo import FenceInvalid, Geofence, GeoPoint
 from syncpoint.sim import (
@@ -295,6 +296,27 @@ class TestRunScenario:
         for path in sorted(SCENARIOS.glob("*.json")):
             result = run_scenario(load_scenario(path))
             assert replay(read_records(result.log_lines)) == result.state, path.name
+
+    def test_the_benchmark_crowd_log_reads_back_checked(self):
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            from inputs import make_crowd
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        result = run_scenario(scenario_from_dict(make_crowd(5, 1000, 150).scenario))
+        records = list(read_records(result.log_lines))
+        assert records == result.records
+        state = replay(records)
+        assert state == result.state
+        # A STATUS reads each participant's alarm; it agrees with the arrivals.
+        for act in state.activities.values():
+            view = status_view(state, act.id, 0)
+            arrived = set(state.arrivals[act.id])
+            assert 0 < len(arrived) < len(act.participants), act.id
+            assert [(p.id, p.arrived) for p in view.participants] == [
+                (p.id, p.id in arrived) for p in act.participants
+            ]
+            assert view.arrivals == len(arrived)
 
     def test_scenario_from_ics_reference(self, tmp_path):
         sc_dict = {

@@ -1,6 +1,7 @@
 """Wire codec: canonical frames, round trips, and framing safety."""
 
 import json
+import logging
 import random
 from pathlib import Path
 from typing import get_args
@@ -168,8 +169,25 @@ class TestDecode:
         with pytest.raises(FieldInvalid):
             decode('{"type":"POLL","cursor":-1}')
 
+    def test_a_coordinate_too_large_for_a_float_is_invalid(self):
+        with pytest.raises(FieldInvalid) as e:
+            decode('{"type":"FIX","activity":"a1","at":1,"lat":1' + "0" * 400 + ',"lon":0.0}')
+        assert (e.value.name, e.value.detail) == ("lat", "invalid field 'lat': out of range")
+
     def test_unknown_extra_fields_ignored(self):
         assert decode('{"type":"ARM","activity":"a1","hat":"fedora"}') == Arm("a1")
+
+    def test_unknown_fields_are_logged_once_per_frame_type(self, monkeypatch, caplog):
+        import syncpoint.wire as wire
+
+        monkeypatch.setattr(wire, "_WARNED", set())
+        with caplog.at_level(logging.WARNING, logger="syncpoint.wire"):
+            for extra in ("x", "y", "x"):
+                assert decode(f'{{"type":"POLL","cursor":0,"{extra}":1}}') == Poll(0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring unknown fields ['x'] in POLL frame"
+        ]
+        assert wire._WARNED == {"POLL"}
 
     def test_trailing_newline_tolerated(self):
         assert decode('{"type":"ARM","activity":"a1"}\n') == Arm("a1")
