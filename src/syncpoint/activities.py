@@ -1,8 +1,9 @@
 """Domain types for synchronised activities.
 
 An activity is a planned social event with a time window, a geofence, and a
-participant list. Everything here is a pure value: operations return new
-``Activity`` instances and never mutate their inputs.
+participant list. Everything here is a pure value, built once and never
+changed: what changes while an activity runs, such as each participant's
+answer to the invitation, is the engine's state (``ParticipantPresence``).
 
 Time is integer Unix seconds, UTC. The activity phase is always derived
 from (window, now) — it is never stored.
@@ -10,9 +11,8 @@ from (window, now) — it is never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .errors import SyncError
 from .geo import Geofence
@@ -101,19 +101,15 @@ class ParticipantRecord:
     status: ParticipantStatus = ParticipantStatus.INVITED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activity:
     """An activity value.
 
-    Participant lookups go through an id->position index and the accepted
-    roster is cached; both are built at most once per instance and live
-    outside the dataclass fields, so equality, hashing and every encoding
-    see only the fields.
-
-    Every other dataclass of the package declares ``slots=True``, so its
-    instances carry no ``__dict__``. ``Activity`` is the one exception: its
-    cached index and roster live in its ``__dict__``, which
-    ``respond_invitation`` copies to build the updated value.
+    ``participants`` is the roster as created: each record's status is the
+    one its ``ACTIVITY_CREATED`` record carries, and the live status is the
+    engine's. Participant lookups go through an id->position index, built
+    once at construction and left out of ``__init__``, equality, hashing,
+    ``repr`` and every encoding.
     """
 
     id: str
@@ -126,24 +122,16 @@ class Activity:
     policy: PrivacyPolicy
     batch_threshold: int
     calendar_uid: str | None = None
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {p.id: i for i, p in enumerate(self.participants)}
-
-    @cached_property
-    def _accepted(self) -> tuple[str, ...]:
-        return tuple(
-            p.id for p in self.participants
-            if p.status is ParticipantStatus.ACCEPTED
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_positions", {p.id: i for i, p in enumerate(self.participants)}
         )
 
     def participant(self, participant_id: str) -> ParticipantRecord | None:
         i = self._positions.get(participant_id)
         return None if i is None else self.participants[i]
-
-    def accepted_ids(self) -> tuple[str, ...]:
-        return self._accepted
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +154,15 @@ class ActivitySpec:
     calendar_uid: str | None = None
 
 
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: a lone surrogate, say, it cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     """Validate an activity spec and build the activity.
 
@@ -173,27 +170,35 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     batch threshold defaults to 5 for Gathering activities and 1 for every
     other kind. The caller names the activity: the server allocates ids
     from its state, so that logs and transcripts are reproducible.
+
+    Every string the activity's records and frames carry must be one that
+    UTF-8 can encode, so that no record of it fails to reach the log.
     """
     if not isinstance(spec.title, str):
         raise TitleInvalid(f"title must be a string, got {spec.title!r}")
+    if not _encodable(spec.title):
+        raise TitleInvalid(f"title {spec.title!r} cannot be encoded as UTF-8")
     ids = list(spec.participants)
     seen = set()
     for pid in ids:
         if not isinstance(pid, str) or not pid:
             raise DuplicateParticipant(f"participant id must be a non-empty string, got {pid!r}")
+        if not _encodable(pid):
+            raise DuplicateParticipant(f"participant id {pid!r} cannot be encoded as UTF-8")
         if pid in seen:
             raise DuplicateParticipant(f"participant {pid!r} listed twice")
         seen.add(pid)
     if len(ids) < 2:
         raise TooFewParticipants(f"need at least 2 participants, got {len(ids)}")
-    if spec.organizer not in seen:
+    if not isinstance(spec.organizer, str) or spec.organizer not in seen:
         raise OrganizerNotParticipant(f"organizer {spec.organizer!r} not in participant list")
     batch_threshold = spec.batch_threshold
     if batch_threshold is None:
         batch_threshold = (
             DEFAULT_GATHERING_BATCH if spec.kind is ActivityKind.GATHERING else 1
         )
-    if not isinstance(batch_threshold, int) or batch_threshold < 1:
+    # Exact type: JSON true and false load as bool, which is an int.
+    if type(batch_threshold) is not int or batch_threshold < 1:
         raise BatchThresholdInvalid(
             f"batch threshold must be an integer >= 1, got {batch_threshold!r}"
         )
@@ -211,30 +216,15 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     )
 
 
-def respond_invitation(
-    activity: Activity, participant_id: str, answer: InviteAnswer
-) -> Activity:
-    """The activity with a participant's accept/decline recorded.
+def respond_invitation(answer: InviteAnswer) -> ParticipantStatus:
+    """The status an answer to the invitation leaves its participant in.
 
     The engine's command dispatch has already checked that the participant
-    is still Invited; this only rebuilds the value.
+    is still Invited; the engine keeps the status in its presence.
     """
-    i = activity._positions[participant_id]
-    status = (
-        ParticipantStatus.ACCEPTED
-        if answer is InviteAnswer.ACCEPT
-        else ParticipantStatus.DECLINED
-    )
-    ps = activity.participants
-    # A copy of the instance dict, not a call of the frozen ``__init__``: the
-    # fields but ``participants`` carry over, and so does the position index,
-    # since the order is unchanged; the accepted roster is rebuilt on demand.
-    updated = object.__new__(Activity)
-    values = updated.__dict__
-    values.update(activity.__dict__)
-    values["participants"] = ps[:i] + (ParticipantRecord(participant_id, status),) + ps[i + 1:]
-    values.pop("_accepted", None)
-    return updated
+    if answer is InviteAnswer.ACCEPT:
+        return ParticipantStatus.ACCEPTED
+    return ParticipantStatus.DECLINED
 
 
 def phase_at(activity: Activity, now: int) -> ActivityPhase:

@@ -12,6 +12,8 @@ first corrupt record (a bad line, or a record naming an unknown activity or
 participant) and hands back the state before it. `status` and `replay` keep
 that state with a warning and print status views as canonical wire frames;
 `serve` and `ingest` do so only for a torn final line, which they cut off.
+They write the log, and a log has one writer: while one holds it, another
+exits with status 1 and one `error: LOG_IN_USE: ...` line on stderr.
 A log write that fails stops `serve` (and `ingest`) with exit status 1 and
 one line on stderr; the log then holds exactly the committed records. An
 `OSError`, such as a missing file or a port in use, exits the same way.

@@ -12,16 +12,17 @@ Every command check runs once, in ``_dispatch``, before any record exists:
 the participant lookup (``_member``, one ``Activity.participant`` call per
 command), the invitation status (``_invited``, ``_accepted``) and the
 alarm state (``_disarmed``, and DISARM's no-op test). ``apply`` checks
-only that records come in index order and are records; it assigns, and
-``respond_invitation`` only rebuilds the activity.
+only that records come in index order and are records; it only assigns.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``_dispatch``; whether that fix is the arrival is decided by
 ``presence.ingest_fix`` from the zones before and after it, the one place
 that rule lives. Its ``FixAccepted`` record carries the zone, so ``apply``
-runs no geometry. Each participant's zone is kept once, in its
-``ParticipantPresence``, beside its ``Alarm`` (DISARMED, ARMED or
-ARRIVED), which holds none.
+runs no geometry. What changes about a participant is kept once, in its
+``ParticipantPresence``: the invitation status, the ``Alarm`` (DISARMED,
+ARMED or ARRIVED) and the zone. An ``Activity`` is never rebuilt. The
+accepted ids a fan-out goes to are cached in ``ServerState.accepted``, in
+roster order; an answer drops them, and state equality ignores them.
 
 Notification queues are part of the state: a queue holds each recipient's
 notifications, each stored once, and an entry's sequence number is its
@@ -44,8 +45,7 @@ depend on.
 
 Every dataclass of the package declares ``slots=True``, so the state's
 many small values (queued notifications, presences, records) carry no
-per-instance ``__dict__``. ``Activity`` is the one exception; its
-docstring says why.
+per-instance ``__dict__``.
 
 Privacy stance: fixes come in, facts go out. A fix is classified into a
 zone on arrival and then dropped: the state keeps each participant's zone
@@ -55,6 +55,7 @@ coordinate. What the log keeps is ``eventlog``'s to say.
 
 from __future__ import annotations
 
+import fcntl
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +65,6 @@ from .activities import (
     ActivityKind,
     ActivityPhase,
     ActivitySpec,
-    ParticipantRecord,
     ParticipantStatus,
     new_activity,
     phase_at,
@@ -87,7 +87,9 @@ from .eventlog import (
     load_log,
 )
 from .geo import Zone, classify_zone
-from .notify import Fanout, Notification, on_arrival, on_invite, on_task_done
+from .notify import (
+    Fanout, Notification, on_arrival, on_invite, on_task_done, render_status,
+)
 from .presence import Alarm, ingest_fix
 from .wire import (
     Ack,
@@ -154,10 +156,15 @@ class AlreadyIngested(SyncError):
     code = "ALREADY_INGESTED"
 
 
+class LogInUse(SyncError):
+    code = "LOG_IN_USE"
+
+
 @dataclass(slots=True)
 class ParticipantPresence:
     """Per-(activity, participant) server-side presence bookkeeping."""
 
+    status: ParticipantStatus = ParticipantStatus.INVITED
     alarm: Alarm = Alarm.DISARMED
     zone: Zone = Zone.OUTSIDE  # last classified zone; the arrival rule reads it
     last_fix_at: int | None = None
@@ -174,6 +181,8 @@ class ServerState:
     queues: dict[str, list[Notification]] = field(default_factory=dict)
     calendar_uids: set[str] = field(default_factory=set)  # of the activities made from events
     record_count: int = 0
+    # Each activity's accepted ids in roster order, from its first fan-out to the next answer.
+    accepted: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
 
 
 Outbound = list[tuple[str, ServerMessage]]
@@ -187,6 +196,16 @@ def _enqueue(state: ServerState, fanout: Fanout) -> Queued:
         queue.append(n)
         queued.append((recipient, len(queue), n))
     return queued
+
+
+def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
+    ids = state.accepted.get(act.id)
+    if ids is None:
+        ids = state.accepted[act.id] = tuple(
+            p.id for p in act.participants
+            if state.presence[(act.id, p.id)].status is ParticipantStatus.ACCEPTED
+        )
+    return ids
 
 
 def apply(state: ServerState, record: EventRecord) -> Queued:
@@ -217,13 +236,12 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
         if a.calendar_uid is not None:
             state.calendar_uids.add(a.calendar_uid)
         for p in a.participants:
-            state.presence[(a.id, p.id)] = ParticipantPresence()
+            state.presence[(a.id, p.id)] = ParticipantPresence(p.status)
         state.arrivals[a.id] = ()
         return _enqueue(state, on_invite(a))
     if isinstance(e, InviteResponded):
-        state.activities[e.activity] = respond_invitation(
-            state.activities[e.activity], e.who, e.answer
-        )
+        state.presence[(e.activity, e.who)].status = respond_invitation(e.answer)
+        state.accepted.pop(e.activity, None)
         return []
     if isinstance(e, ArmSet):
         state.presence[(e.activity, e.who)].alarm = Alarm.ARMED
@@ -236,11 +254,13 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
         state.presence[(e.activity, e.who)].alarm = Alarm.ARRIVED
         state.arrivals[e.activity] = state.arrivals[e.activity] + (e.who,)
         total = len(state.arrivals[e.activity])
-        return _enqueue(state, on_arrival(act, e.who, total, e.arrived_at))
+        return _enqueue(
+            state, on_arrival(act, _accepted_ids(state, act), e.who, total, e.arrived_at)
+        )
     if isinstance(e, TaskCompleted):
         act = state.activities[e.activity]
         state.presence[(e.activity, e.who)]  # KeyError if the doer is no participant
-        return _enqueue(state, on_task_done(act, e.who, e.done_at))
+        return _enqueue(state, on_task_done(act, _accepted_ids(state, act), e.who, e.done_at))
     raise TypeError(f"not an event: {e!r}")
 
 
@@ -308,26 +328,26 @@ def _activity(state: ServerState, activity_id: str) -> Activity:
     return act
 
 
-def _member(act: Activity, who: str) -> ParticipantRecord:
-    """The participant record of ``who``, who must be a participant of ``act``."""
-    record = act.participant(who)
-    if record is None:
+def _member(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
+    """The presence of ``who``, who must be a participant of ``act``."""
+    if act.participant(who) is None:
         raise UnknownParticipant(f"{who!r} is not a participant of {act.id}")
-    return record
+    return state.presence[(act.id, who)]
 
 
-def _invited(act: Activity, who: str) -> None:
+def _invited(state: ServerState, act: Activity, who: str) -> None:
     """``who`` may still answer the invitation: each participant answers once."""
-    status = _member(act, who).status
+    status = _member(state, act, who).status
     if status is not ParticipantStatus.INVITED:
         raise AlreadyResponded(f"{who!r} already responded ({status.value})")
 
 
 def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
     """The presence of ``who``, who must have accepted ``act``."""
-    if _member(act, who).status is not ParticipantStatus.ACCEPTED:
+    pp = _member(state, act, who)
+    if pp.status is not ParticipantStatus.ACCEPTED:
         raise NotAccepted(f"{who!r} has not accepted {act.id}")
-    return state.presence[(act.id, who)]
+    return pp
 
 
 def _disarmed(pp: ParticipantPresence) -> None:
@@ -354,13 +374,18 @@ def pending(
 
 
 def status_view(state: ServerState, activity_id: str, now: int) -> StatusView:
-    """Per-participant invitation status and arrivals, plus current phase."""
+    """Per-participant invitation status and arrivals, plus current phase.
+
+    The operator's full view; a member's STATUS answer is this view as
+    ``notify.render_status`` lets that member see it.
+    """
     act = _activity(state, activity_id)
+    presence = [state.presence[(act.id, p.id)] for p in act.participants]
     return StatusView(
         activity=act.id,
         participants=tuple(
-            ParticipantView(p.id, p.status, state.presence[(act.id, p.id)].alarm is Alarm.ARRIVED)
-            for p in act.participants
+            ParticipantView(p.id, pp.status, pp.alarm is Alarm.ARRIVED)
+            for p, pp in zip(act.participants, presence)
         ),
         arrivals=len(state.arrivals[act.id]),
         phase=phase_at(act, now),
@@ -410,7 +435,7 @@ def _dispatch(
         act = _activity(state, msg.activity)
         if phase_at(act, now) is ActivityPhase.ENDED:
             raise PhaseViolation(f"{act.id} has already ended")
-        _invited(act, from_)
+        _invited(state, act, from_)
         record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
         return [(from_, ACK_RESPOND_INVITE)] + pushes, [record]
 
@@ -422,8 +447,7 @@ def _dispatch(
 
     if isinstance(msg, Disarm):
         act = _activity(state, msg.activity)
-        _member(act, from_)
-        if state.presence[(act.id, from_)].alarm is not Alarm.ARMED:
+        if _member(state, act, from_).alarm is not Alarm.ARMED:
             # Disarming an alarm that is not armed is a no-op: no record.
             return [(from_, ACK_DISARM)], []
         record, _ = _record(state, now, ArmCleared(act.id, from_))
@@ -443,8 +467,11 @@ def _dispatch(
 
     if isinstance(msg, Status):
         act = _activity(state, msg.activity)
-        _member(act, from_)
-        return [(from_, status_view(state, act.id, now))], []
+        _member(state, act, from_)
+        view = render_status(
+            status_view(state, act.id, now), act, len(_accepted_ids(state, act)), from_
+        )
+        return [(from_, view)], []
 
     raise TypeError(f"not a client message: {msg!r}")
 
@@ -483,9 +510,11 @@ class Engine:
     the next ``commit`` (or ``close``); reply to no command before the
     commit that follows it.
 
-    Opening a log replays it as it is read (``replay(load_log(path))``); a
-    torn final line is cut off and kept in ``torn_tail``, and any other
-    corrupt record raises ``CorruptRecord``.
+    A log has one writer. Opening it takes an exclusive ``flock`` first,
+    held until ``close`` (or the process ends), and raises ``LogInUse``
+    while another ``Engine`` holds it. The log is then replayed as it is
+    read (``replay(load_log(path))``); a torn final line is cut off and kept
+    in ``torn_tail``, and any other corrupt record raises ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
@@ -493,13 +522,21 @@ class Engine:
         self._writer: LogWriter | None = None
         self.torn_tail: TornTail | None = None
         if log_path is not None:
-            if Path(log_path).exists():
+            self._lock = open(log_path, "ab")  # creates a missing log
+            try:
+                try:
+                    fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    raise LogInUse(f"another writer has {log_path} open") from None
                 try:
                     self.state = replay(load_log(log_path))
                 except TornTail as e:  # appends then start on a fresh line
                     os.truncate(log_path, e.offset)
                     self.state, self.torn_tail = e.state, e
-            self._writer = LogWriter(log_path, start_index=self.state.record_count)
+                self._writer = LogWriter(log_path, start_index=self.state.record_count)
+            except BaseException:
+                self._lock.close()
+                raise
 
     def _persist(self, records: list[EventRecord]) -> None:
         if self._writer is not None:
@@ -527,4 +564,7 @@ class Engine:
 
     def close(self) -> None:
         if self._writer is not None:
-            self._writer.close()
+            try:
+                self._writer.close()
+            finally:
+                self._lock.close()  # releases the log

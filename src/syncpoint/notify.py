@@ -4,17 +4,24 @@ Pure functions from (activity, event) to a list of (recipient, notification)
 pairs. The privacy policy is applied here and only here: under the
 anonymous-count policy no outbound notification carries any participant
 identifier, and no notification of any kind ever carries coordinates — the
-server relays arrival facts, not locations.
+server relays arrival facts, not locations. A member's STATUS answer goes
+through the same policy (``render_status``).
 
-Recipient order is deterministic: the arriver's own ack first, then the
-remaining recipients in the activity's participant-list order.
+Who has accepted is the engine's state, so the fan-outs take the accepted
+ids, in the activity's participant-list order. Recipient order is
+deterministic: the arriver's own ack first, then the remaining recipients
+in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .activities import Activity, ActivityKind, PrivacyPolicy
+
+if TYPE_CHECKING:  # the wire imports this module
+    from .wire import StatusView
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +91,26 @@ def render_identity(policy: PrivacyPolicy, who: str) -> str | None:
     return None
 
 
+def render_status(view: StatusView, activity: Activity, accepted: int, asker: str) -> StatusView:
+    """The STATUS answer a member may see: the full view, or under the
+    anonymous-count policy the asker's own row and the count members have
+    been told.
+
+    That count is every arrival for kinds that announce each one. A
+    Gathering announces the count at multiples of its batch threshold, and
+    the full count once all ``accepted`` participants have arrived. The
+    organizer is a member like any other; the operator's full view is
+    ``engine.status_view``.
+    """
+    if activity.policy is PrivacyPolicy.DISCLOSE_IDENTITY:
+        return view
+    told = view.arrivals
+    if activity.kind is ActivityKind.GATHERING and told != accepted:
+        told -= told % activity.batch_threshold
+    own = tuple(p for p in view.participants if p.id == asker)
+    return replace(view, participants=own, arrivals=told)
+
+
 def on_invite(activity: Activity) -> Fanout:
     """One invitation per participant, except the organizer."""
     w = activity.window
@@ -98,9 +125,9 @@ def on_invite(activity: Activity) -> Fanout:
 
 
 def on_arrival(
-    activity: Activity, arriver: str, arrivals_total: int, at: int
+    activity: Activity, accepted: tuple[str, ...], arriver: str, arrivals_total: int, at: int
 ) -> Fanout:
-    """Fan out one arrival.
+    """Fan out one arrival to the ``accepted`` participants.
 
     ``arrivals_total`` counts this arrival. The arriver always gets a
     self-ack. Non-Gathering kinds notify every other accepted participant
@@ -111,7 +138,6 @@ def on_arrival(
     hears that the group is complete.
     """
     out: Fanout = [(arriver, SelfArrivalAck(activity.id, at))]
-    accepted = activity.accepted_ids()
     if activity.kind is ActivityKind.GATHERING:
         if arrivals_total % activity.batch_threshold == 0:
             update = GatheringUpdate(activity.id, arrivals_total)
@@ -127,7 +153,9 @@ def on_arrival(
     return out
 
 
-def on_task_done(activity: Activity, doer: str, at: int) -> Fanout:
+def on_task_done(
+    activity: Activity, accepted: tuple[str, ...], doer: str, at: int
+) -> Fanout:
     """Tell the other accepted participants the task is handled.
 
     No self-ack: reporting completion is explicit, it needs no echo. The
@@ -136,6 +164,4 @@ def on_task_done(activity: Activity, doer: str, at: int) -> Fanout:
     notice = TaskDoneNotice(
         activity.id, at, render_identity(activity.policy, doer)
     )
-    return [
-        (pid, notice) for pid in activity.accepted_ids() if pid != doer
-    ]
+    return [(pid, notice) for pid in accepted if pid != doer]

@@ -270,13 +270,13 @@ class OneOf(Kind):
 class Schema:
     """One frame, record or nested object: its class, tag and fields.
 
-    ``fields`` are (attribute, kind) pairs in constructor order; each
-    attribute is also the JSON key. ``tag`` is the (key, value) pair that
-    names the variant.
+    ``fields`` are (attribute, kind) pairs in constructor order, one per
+    ``__init__`` field; each attribute is also the JSON key. ``tag`` is the
+    (key, value) pair that names the variant.
     """
 
     def __init__(self, cls, *fields: tuple[str, Kind], tag: tuple[str, str] | None = None):
-        names = tuple(f.name for f in dataclasses.fields(cls))
+        names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
         assert names == tuple(name for name, _ in fields), (cls, names)
         self.cls, self.fields, self.tag = cls, fields, tag
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from genmsg import message_fields, random_message
 
-from syncpoint.engine import ServerState, create_activity, handle, replay
+from syncpoint.engine import ServerState, apply, create_activity, handle, replay
 from syncpoint.errors import SyncError
 from syncpoint.eventlog import ArrivalRecorded, read_records
 from syncpoint.geo import GeoPoint, haversine_m
@@ -31,7 +31,7 @@ from syncpoint.sim import (
     scenario_from_dict,
     transcript_lines,
 )
-from syncpoint.wire import Arm, Disarm, Err, Fix, Notify, RespondInvite, decode, encode
+from syncpoint.wire import Arm, Disarm, Err, Fix, Notify, RespondInvite, Status, decode, encode
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -121,6 +121,35 @@ def test_c02_gathering_batches_and_anonymity():
         for pid in participants:
             assert f'"{pid}"' not in body, (pid, body)
     print("\n[acceptance] C2 gathering batching + anonymity grep: PASS")
+
+
+def test_c02_status_answers_obey_anonymity():
+    # The grep of C2, extended to the STATUS answer each member gets at
+    # every moment of the run: it names no one else. A guest's count is one
+    # that guest has already heard; the organizer, who never accepts here,
+    # gets the count the guests have heard.
+    result = run_scenario(load_scenario(SCENARIOS / "s2_gathering.json"))
+    guests = [f"g{i:02d}" for i in range(1, 13)]
+    members = guests + ["org-hq"]
+    state, answers = ServerState(), 0
+    for i, record in enumerate(result.records):
+        apply(state, record)
+        if i + 1 < len(result.records) and result.records[i + 1].at == record.at:
+            continue  # ask once every record of this moment is in
+        for asker in members:
+            [(_, view)], _ = handle(state, Status("a1"), asker, record.at)
+            body = json.dumps(message_fields(view))
+            for pid in members:
+                assert (f'"{pid}"' in body) == (pid == asker), (pid, body)
+            assert [p.id for p in view.participants] == [asker]
+            queue = state.queues.get(asker if asker in guests else guests[0], ())
+            heard = {0} | {n.count for n in queue if type(n).__name__ == "GatheringUpdate"}
+            if any(type(n).__name__ == "AllArrived" for n in queue):
+                heard.add(len(state.arrivals["a1"]))
+            assert view.arrivals in heard, (asker, record.at, view.arrivals, heard)
+            answers += 1
+    assert view.arrivals == 12  # everyone has heard that all arrived
+    print(f"\n[acceptance] C2 STATUS anonymity over {answers} answers: PASS")
 
 
 def test_c03_pickup_single_notice_inside_window():

@@ -13,6 +13,7 @@ from syncpoint.activities import (
     DuplicateParticipant,
     InviteAnswer,
     OrganizerNotParticipant,
+    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
@@ -74,6 +75,26 @@ class TestNewActivity:
         with pytest.raises(BatchThresholdInvalid):
             make(batch_threshold=0)
 
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_a_boolean_batch_is_rejected(self, batch):
+        with pytest.raises(BatchThresholdInvalid):
+            make(kind=ActivityKind.GATHERING, batch_threshold=batch)
+
+    @pytest.mark.parametrize("field,error", [
+        ("title", TitleInvalid),
+        ("participant", DuplicateParticipant),
+        ("organizer", OrganizerNotParticipant),
+    ])
+    def test_a_string_utf8_cannot_encode_is_rejected(self, field, error):
+        lone = "\ud800"
+        spec = {
+            "title": {"title": lone},
+            "participant": {"participants": ("ana", lone)},
+            "organizer": {"organizer": lone},
+        }[field]
+        with pytest.raises(error, match="ud800"):
+            make(**spec)
+
     def test_too_few_participants(self):
         with pytest.raises(TooFewParticipants):
             make(participants=("ana",), organizer="ana")
@@ -95,22 +116,24 @@ class TestNewActivity:
         with pytest.raises(OrganizerNotParticipant):
             make(organizer="zoe")
 
+    @pytest.mark.parametrize("organizer", [["ana"], None])
+    def test_an_organizer_that_is_not_a_string_is_rejected(self, organizer):
+        with pytest.raises(OrganizerNotParticipant):
+            make(organizer=organizer)
+
     def test_caller_supplied_id(self):
         assert make(activity_id="a1").id == "a1"
 
 
 class TestRespondInvitation:
     def test_accept(self):
-        act = respond_invitation(make(), "bruno", InviteAnswer.ACCEPT)
-        assert act.participant("bruno").status is ParticipantStatus.ACCEPTED
-        assert act.participant("carla").status is ParticipantStatus.INVITED
+        assert respond_invitation(InviteAnswer.ACCEPT) is ParticipantStatus.ACCEPTED
 
     def test_decline(self):
-        act = respond_invitation(make(), "bruno", InviteAnswer.DECLINE)
-        assert act.participant("bruno").status is ParticipantStatus.DECLINED
+        assert respond_invitation(InviteAnswer.DECLINE) is ParticipantStatus.DECLINED
 
     # Who may answer is checked once, by the engine's command dispatch;
-    # respond_invitation only folds an answer that passed that check.
+    # respond_invitation only names the status an answer leaves.
 
     def served(self):
         state = ServerState()
@@ -128,31 +151,22 @@ class TestRespondInvitation:
         )
 
     def test_everything_else_unchanged(self):
-        before = make()
-        after = respond_invitation(before, "bruno", InviteAnswer.ACCEPT)
-        assert after.window == before.window
-        assert after.fence == before.fence
-        assert after.id == before.id
-        assert before.participant("bruno").status is ParticipantStatus.INVITED
+        state, aid = self.served()
+        before = state.activities[aid]
+        handle(state, RespondInvite(aid, InviteAnswer.ACCEPT), "bruno", 10)
+        assert state.activities[aid] is before
+        assert state.presence[(aid, "bruno")].status is ParticipantStatus.ACCEPTED
+        assert state.presence[(aid, "carla")].status is ParticipantStatus.INVITED
+        assert before.participant("bruno").status is ParticipantStatus.INVITED  # as created
 
     def test_indexed_activity_equals_a_fresh_one(self):
-        indexed = respond_invitation(make(activity_id="a1"), "bruno", InviteAnswer.ACCEPT)
-        assert indexed.participant("carla").status is ParticipantStatus.INVITED
-        assert indexed.accepted_ids() == ("bruno",)
+        indexed = make(activity_id="a1")
+        assert indexed.participant("carla") == ParticipantRecord("carla")
+        assert indexed.participant("zoe") is None
         fresh = replace(indexed, participants=tuple(indexed.participants))
         assert indexed == fresh and hash(indexed) == hash(fresh)
         assert repr(indexed) == repr(fresh)
-
-    def test_rebuilt_value_keeps_the_index_and_drops_the_roster(self):
-        before = respond_invitation(make(), "bruno", InviteAnswer.ACCEPT)
-        assert before.accepted_ids() == ("bruno",)  # cached on ``before``
-        after = respond_invitation(before, "carla", InviteAnswer.ACCEPT)
-        assert after.__dict__["_positions"] is before.__dict__["_positions"]
-        assert "_accepted" not in after.__dict__
-        assert after.accepted_ids() == ("bruno", "carla")
-        assert before.accepted_ids() == ("bruno",)
-        fresh = replace(after, participants=tuple(after.participants))
-        assert after == fresh and hash(after) == hash(fresh) and repr(after) == repr(fresh)
+        assert "_positions" not in repr(indexed)
 
     @pytest.mark.parametrize("first", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     @pytest.mark.parametrize("second", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])

@@ -354,6 +354,35 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: TITLE_INVALID: title must be a string, got 5\n"
 
+    def test_a_title_utf8_cannot_encode_is_one_error_line(self, tmp_path, capsys):
+        # A lone surrogate loads from a JSON escape but cannot be written out,
+        # so an activity that carries one would end ``simulate --out`` in a
+        # UnicodeEncodeError traceback.
+        scenario = json.loads((SCENARIOS / "s4_task.json").read_text())
+        scenario["activities"][0]["title"] = "\ud800"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))  # ASCII, with the escape
+        out_path = tmp_path / "out.jsonl"
+        code, out, err = run(capsys, "simulate", path, "--out", out_path)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: TITLE_INVALID: title '\\ud800' cannot be encoded as UTF-8\n"
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_a_boolean_batch_threshold_is_one_error_line(self, tmp_path, capsys, batch):
+        scenario = json.loads((SCENARIOS / "s2_gathering.json").read_text())
+        scenario["activities"][0]["batch_threshold"] = batch
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, "simulate", path)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: BATCH_THRESHOLD_INVALID: batch threshold must be an integer >= 1, "
+            f"got {batch}\n"
+        )
+
     def test_check_needs_golden_path(self, capsys):
         code, _, err = run(capsys, "simulate", "--check",
                            SCENARIOS / "s4_task.json")
@@ -362,10 +391,12 @@ class TestSimulate:
 
 class TestServe:
     @staticmethod
-    def _session(log: Path, frames: list[bytes], keep_open: bool) -> tuple[list, int, str]:
+    def _session(log: Path, frames: list, keep_open: bool) -> tuple[list, int, str]:
         """Start ``serve`` on ``log``, send each frame on one connection and
         read its reply, then send SIGTERM; the connection is closed first
-        unless ``keep_open``. Returns the replies, the exit code and stderr."""
+        unless ``keep_open``. A callable in place of a frame is called at
+        that point of the session. Returns the replies, the exit code and
+        stderr."""
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
@@ -387,6 +418,9 @@ class TestServe:
             with conn, conn.makefile() as replies:
                 got = []
                 for frame in frames:
+                    if callable(frame):
+                        frame()
+                        continue
                     conn.sendall(frame)
                     got.append(json.loads(replies.readline()))
                 if not keep_open:
@@ -436,8 +470,52 @@ class TestServe:
         records = list(load_log(log))
         assert [type(r.event).__name__ for r in records] == ["ActivityCreated", "InviteResponded"]
         assert log.read_text().startswith(text)
-        bruno = replay(records).activities["a1"].participant("bruno")
-        assert bruno.status is ParticipantStatus.ACCEPTED
+        assert replay(records).presence[("a1", "bruno")].status is ParticipantStatus.ACCEPTED
+
+    def test_a_second_writer_is_refused_while_serve_runs(self, tmp_path, capsys):
+        # An ingest into a running server's log would append records whose
+        # indices the server then writes again, and the server could not
+        # restart on the log. The server holds the log, so the ingest is
+        # refused with one line; a reader still reads it.
+        def calendar(uid):
+            ics = tmp_path / f"{uid}.ics"
+            ics.write_text(
+                "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\n"
+                f"UID:{uid}\r\nDTSTART:4000000000\r\nDTEND:4000003600\r\n"
+                "GEO:41.5606;-8.3970\r\nORGANIZER:mailto:ana@x\r\n"
+                "ATTENDEE:mailto:ana@x\r\nATTENDEE:mailto:bruno@x\r\n"
+                f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+            )
+            return ics
+
+        log = tmp_path / "events.log"
+        assert run(capsys, "ingest", calendar("u1"), "--system-address", SYSTEM,
+                   "--log", log, "--now", 0)[0] == 0
+        refused = []
+
+        def ingest_while_serving():
+            before = log.read_bytes()
+            refused.append(run(capsys, "ingest", calendar("u2"), "--system-address", SYSTEM,
+                               "--log", log, "--now", 0))
+            assert log.read_bytes() == before
+            refused.append(run(capsys, "replay", "--log", log, "--now", 0))
+
+        replies, code, err = self._session(log, [
+            b'{"type":"HELLO","participant":"bruno@x"}\n',
+            ingest_while_serving,
+            b'{"type":"RESPOND_INVITE","activity":"a1","answer":"ACCEPT"}\n',
+        ], keep_open=False)
+        assert [r["type"] for r in replies] == ["WELCOME", "ACK"], replies
+        assert code == 0, err
+        (ingest_code, out, ingest_err), (replay_code, views, _) = refused
+        assert ingest_code == 1 and out == ""
+        assert ingest_err.startswith("error: LOG_IN_USE: ") and ingest_err.count("\n") == 1
+        assert replay_code == 0 and json.loads(views)["activity"] == "a1"
+        # The server restarts on the log, and the acknowledged answer is in it.
+        engine = Engine(log_path=log)
+        engine.close()
+        assert [r.index for r in load_log(log)] == [0, 1]
+        assert engine.state.presence[("a1", "bruno@x")].status is ParticipantStatus.ACCEPTED
 
     def test_a_session_log_reads_back_checked(self, tmp_path):
         log = tmp_path / "events.log"

@@ -4,9 +4,14 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import syncpoint.engine
 from syncpoint.activities import (
@@ -21,6 +26,7 @@ from syncpoint.activities import (
 )
 from syncpoint.engine import (
     Engine,
+    LogInUse,
     ServerState,
     create_activity,
     handle,
@@ -66,6 +72,7 @@ from syncpoint.wire import (
     Welcome,
 )
 
+REPO = Path(__file__).parents[1]
 CENTER = GeoPoint(41.5606, -8.3970)
 
 
@@ -140,7 +147,7 @@ class TestRespondInvite:
         )
         assert outbound == [("bruno", Ack("RESPOND_INVITE"))]
         assert len(records) == 1
-        assert state.activities[act.id].participant("bruno").status.value == "ACCEPTED"
+        assert state.presence[(act.id, "bruno")].status is ParticipantStatus.ACCEPTED
 
     def test_after_end_is_phase_violation(self):
         state, act, _, _ = fresh()
@@ -681,11 +688,51 @@ class TestLargeRoster:
             outbound, new = handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), pid, 10)
             assert outbound == [(pid, Ack("RESPOND_INVITE"))]
             records += new
-        live = state.activities[act.id]
-        assert [p.id for p in live.participants] == ids
-        assert all(live.participant(pid).status is ParticipantStatus.ACCEPTED for pid in ids)
-        assert live.accepted_ids() == tuple(ids)
+        assert state.activities[act.id] is act
+        assert all(
+            state.presence[(act.id, pid)].status is ParticipantStatus.ACCEPTED for pid in ids
+        )
+        assert syncpoint.engine._accepted_ids(state, act) == tuple(ids)  # roster order
         assert replay(records) == state
+
+
+class TestStatusInThePresence:
+    """An answer moves the participant's presence; the activity stays as created."""
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(["ana", "bruno", "carla", "zoe"]),
+                  st.sampled_from(list(InviteAnswer))),
+        max_size=8,
+    ))
+    def test_answers_never_rebuild_the_activity(self, answers):
+        state, act, _, records = fresh()
+        created = records[0].event.activity
+        for now, (who, answer) in enumerate(answers, start=10):
+            records += handle(state, RespondInvite(act.id, answer), who, now)[1]
+            assert state.activities[act.id] is created
+        assert replay(records) == state
+        first = {}
+        for who, answer in answers:
+            first.setdefault(who, answer)
+        for p in created.participants:
+            expected = {InviteAnswer.ACCEPT: ParticipantStatus.ACCEPTED,
+                        InviteAnswer.DECLINE: ParticipantStatus.DECLINED,
+                        None: ParticipantStatus.INVITED}[first.get(p.id)]
+            assert state.presence[(act.id, p.id)].status is expected
+            assert p.status is ParticipantStatus.INVITED  # the record as created
+
+    def test_an_answer_drops_the_accepted_roster(self):
+        state, act, _, _ = fresh()
+        accept_all(state, act, ["ana", "carla"])
+        handle(state, Arm(act.id), "ana", 20)
+        handle(state, Fix(act.id, at_distance(50), 2000), "ana", 2000)
+        assert state.accepted[act.id] == ("ana", "carla")  # built by the fan-out
+        handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 2001)
+        assert act.id not in state.accepted
+        handle(state, Arm(act.id), "bruno", 2002)
+        outbound, _ = handle(state, Fix(act.id, at_distance(50), 2003), "bruno", 2003)
+        assert [to for to, _ in outbound] == ["bruno", "bruno", "ana", "carla"]
+        assert state.accepted[act.id] == ("ana", "bruno", "carla")  # roster order
 
 
 class TestEngineWrapper:
@@ -793,6 +840,65 @@ class TestEngineWrapper:
         eng.close()  # closing commits
         assert [r.index for r in load_log(log)] == [0, 1, 2]
         assert replay(load_log(log)) == eng.state
+
+
+class TestOneWriter:
+    """A log has one writer: an ``Engine`` holds its lock from open to close."""
+
+    def opened(self, log):
+        eng = Engine(log_path=log)
+        eng.create_activity(ActivitySpec(
+            title="Fair", kind=ActivityKind.MEETUP,
+            window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=0)
+        eng.commit()
+        return eng
+
+    def test_a_second_engine_on_the_log_is_refused_until_the_first_closes(self, tmp_path):
+        log = tmp_path / "events.log"
+        first = self.opened(log)
+        before = log.read_bytes()
+        with pytest.raises(LogInUse, match="another writer"):
+            Engine(log_path=log)
+        assert log.read_bytes() == before
+        assert replay(load_log(log)) == first.state  # readers take no lock
+        first.close()
+        second = Engine(log_path=log)
+        assert second.state == first.state
+        second.close()
+
+    def test_a_torn_tail_is_not_cut_while_another_engine_holds_the_log(self, tmp_path):
+        log = tmp_path / "events.log"
+        first = self.opened(log)
+        with open(log, "ab") as fh:  # as if the holder were half-way through a write
+            fh.write(b'{"type":"ARMED"')
+        before = log.read_bytes()
+        with pytest.raises(LogInUse):
+            Engine(log_path=log)
+        assert log.read_bytes() == before
+        first.close()
+
+    def test_the_lock_dies_with_a_killed_holder(self, tmp_path):
+        log = tmp_path / "events.log"
+        self.opened(log).close()
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time; from syncpoint.engine import Engine; "
+             "held = Engine(log_path=sys.argv[1]); print('open', flush=True); time.sleep(60)",
+             str(log)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert holder.stdout.readline() == "open\n"
+            with pytest.raises(LogInUse):
+                Engine(log_path=log)
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+        Engine(log_path=log).close()
 
 
 class TestDraftEquivalence:

@@ -352,9 +352,10 @@ def test_a_failed_commit_cuts_the_log_back_and_keeps_its_records(tmp_path, fault
     engine.handle(Fix(act.id, at_distance(40), 1100), "bruno", 1100)  # fix and arrival
     with pytest.raises(LogWriteFailed):
         engine.commit()
-    # The file holds exactly the committed records, and a restart replays them.
+    # The file holds exactly the committed records, and a restart replays
+    # them (read without the lock, which this engine still holds).
     assert log.read_bytes() == committed
-    assert started(log) == committed_state
+    assert replay(load_log(log)) == committed_state
     # The records stay buffered: once the fault clears, the next commit writes them.
     faulty.fault = None
     engine.handle(Fix(act.id, at_distance(20), 1200), "bruno", 1200)

@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 from syncpoint.activities import (
     ActivityKind,
     ActivitySpec,
-    InviteAnswer,
     PrivacyPolicy,
     TimeWindow,
     new_activity,
-    respond_invitation,
 )
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.notify import (
@@ -32,9 +30,8 @@ FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0)
 
 
 def make(kind=ActivityKind.MEETUP, participants=("ana", "bruno", "carla"),
-         organizer="ana", accepted=(), policy=PrivacyPolicy.DISCLOSE_IDENTITY,
-         batch=None):
-    act = new_activity(ActivitySpec(
+         organizer="ana", policy=PrivacyPolicy.DISCLOSE_IDENTITY, batch=None):
+    return new_activity(ActivitySpec(
         title="Fair",
         kind=kind,
         window=TimeWindow(1000, 5000),
@@ -44,9 +41,6 @@ def make(kind=ActivityKind.MEETUP, participants=("ana", "bruno", "carla"),
         policy=policy,
         batch_threshold=batch,
     ), "a1")
-    for pid in accepted:
-        act = respond_invitation(act, pid, InviteAnswer.ACCEPT)
-    return act
 
 
 class TestOnInvite:
@@ -77,8 +71,8 @@ class TestRenderIdentity:
 
 class TestOnArrival:
     def test_meetup_first_arrival(self):
-        act = make(accepted=("ana", "bruno", "carla"))
-        fanout = on_arrival(act, "bruno", 1, at=2000)
+        act = make()
+        fanout = on_arrival(act, ("ana", "bruno", "carla"), "bruno", 1, at=2000)
         assert fanout[0] == ("bruno", SelfArrivalAck(act.id, 2000))
         notices = [(r, n) for r, n in fanout[1:]]
         assert notices == [
@@ -87,33 +81,32 @@ class TestOnArrival:
         ]
 
     def test_anonymous_policy_strips_identity(self):
-        act = make(accepted=("ana", "bruno"), policy=PrivacyPolicy.ANONYMOUS_COUNT,
-                   participants=("ana", "bruno", "carla"))
-        fanout = on_arrival(act, "bruno", 1, at=2000)
+        act = make(policy=PrivacyPolicy.ANONYMOUS_COUNT, participants=("ana", "bruno", "carla"))
+        fanout = on_arrival(act, ("ana", "bruno"), "bruno", 1, at=2000)
         notice = dict(fanout)["ana"]
         assert notice.identity is None
 
     def test_gathering_batches_on_threshold(self):
         act = make(kind=ActivityKind.GATHERING,
                    participants=tuple(f"g{i:02d}" for i in range(1, 13)) + ("hq",),
-                   organizer="hq",
-                   accepted=tuple(f"g{i:02d}" for i in range(1, 13)))
-        fourth = on_arrival(act, "g04", 4, at=900)
+                   organizer="hq")
+        accepted = tuple(f"g{i:02d}" for i in range(1, 13))
+        fourth = on_arrival(act, accepted, "g04", 4, at=900)
         assert fourth == [("g04", SelfArrivalAck(act.id, 900))]
-        fifth = on_arrival(act, "g05", 5, at=960)
+        fifth = on_arrival(act, accepted, "g05", 5, at=960)
         assert fifth[0] == ("g05", SelfArrivalAck(act.id, 960))
         updates = fifth[1:]
         assert [r for r, _ in updates] == [f"g{i:02d}" for i in range(1, 13)]
         assert all(n == GatheringUpdate(act.id, 5) for _, n in updates)
 
     def test_gathering_never_sends_arrival_notices(self):
-        act = make(kind=ActivityKind.GATHERING, accepted=("ana", "bruno", "carla"))
-        fanout = on_arrival(act, "ana", 1, at=2000)
+        act = make(kind=ActivityKind.GATHERING)
+        fanout = on_arrival(act, ("ana", "bruno", "carla"), "ana", 1, at=2000)
         assert not any(isinstance(n, ArrivalNotice) for _, n in fanout)
 
     def test_all_arrived_on_last(self):
-        act = make(participants=("ana", "bruno"), accepted=("ana", "bruno"))
-        second = on_arrival(act, "ana", 2, at=2500)
+        act = make(participants=("ana", "bruno"))
+        second = on_arrival(act, ("ana", "bruno"), "ana", 2, at=2500)
         assert second == [
             ("ana", SelfArrivalAck(act.id, 2500)),
             ("bruno", ArrivalNotice(act.id, 2500, "ana")),
@@ -123,8 +116,8 @@ class TestOnArrival:
 
     def test_non_responders_excluded_from_all_arrived(self):
         # carla never answered: two accepted arrivals complete the group.
-        act = make(accepted=("ana", "bruno"))
-        second = on_arrival(act, "ana", 2, at=2500)
+        act = make()
+        second = on_arrival(act, ("ana", "bruno"), "ana", 2, at=2500)
         assert ("ana", AllArrived(act.id, 2500)) in second
         assert not any(r == "carla" for r, _ in second)
 
@@ -132,24 +125,22 @@ class TestOnArrival:
     def test_gathering_updates_only_at_multiples(self, total, batch):
         guests = tuple(f"g{i:02d}" for i in range(1, 45))
         act = make(kind=ActivityKind.GATHERING, participants=guests + ("hq",),
-                   organizer="hq", accepted=guests, batch=batch)
-        fanout = on_arrival(act, "g01", total, at=100 + total)
+                   organizer="hq", batch=batch)
+        fanout = on_arrival(act, guests, "g01", total, at=100 + total)
         has_update = any(isinstance(n, GatheringUpdate) for _, n in fanout)
         assert has_update == (total % batch == 0)
 
 
 class TestOnTaskDone:
     def test_task_done_to_other_parent(self):
-        act = make(kind=ActivityKind.TASK, participants=("p1", "p2"),
-                   organizer="p1", accepted=("p1", "p2"))
-        fanout = on_task_done(act, "p1", at=2400)
+        act = make(kind=ActivityKind.TASK, participants=("p1", "p2"), organizer="p1")
+        fanout = on_task_done(act, ("p1", "p2"), "p1", at=2400)
         assert fanout == [("p2", TaskDoneNotice(act.id, 2400, "p1"))]
 
     def test_anonymous_task_done(self):
         act = make(kind=ActivityKind.TASK, participants=("p1", "p2"),
-                   organizer="p1", accepted=("p1", "p2"),
-                   policy=PrivacyPolicy.ANONYMOUS_COUNT)
-        fanout = on_task_done(act, "p1", at=2400)
+                   organizer="p1", policy=PrivacyPolicy.ANONYMOUS_COUNT)
+        fanout = on_task_done(act, ("p1", "p2"), "p1", at=2400)
         assert fanout[0][1].identity is None
 
 
@@ -163,10 +154,11 @@ class TestInvariants:
     @given(roster, st.integers(min_value=1, max_value=8), st.booleans())
     def test_no_coordinates_and_no_arriver_echo(self, participants, total, anon):
         policy = PrivacyPolicy.ANONYMOUS_COUNT if anon else PrivacyPolicy.DISCLOSE_IDENTITY
-        act = make(participants=tuple(participants), organizer=participants[0],
-                   accepted=tuple(participants), policy=policy)
+        act = make(participants=tuple(participants), organizer=participants[0], policy=policy)
         arriver = participants[total % len(participants)]
-        fanout = on_arrival(act, arriver, min(total, len(participants)), at=2000)
+        fanout = on_arrival(
+            act, tuple(participants), arriver, min(total, len(participants)), at=2000
+        )
         for recipient, n in fanout:
             payload = notification_fields(n)
             flat = json.dumps(payload)
@@ -178,9 +170,10 @@ class TestInvariants:
     @given(roster)
     def test_anonymous_serialization_carries_no_ids(self, participants):
         act = make(participants=tuple(participants), organizer=participants[0],
-                   accepted=tuple(participants),
                    policy=PrivacyPolicy.ANONYMOUS_COUNT)
-        fanout = on_arrival(act, participants[-1], len(participants), at=2000)
+        fanout = on_arrival(
+            act, tuple(participants), participants[-1], len(participants), at=2000
+        )
         fanout += on_invite(act)
         for _, n in fanout:
             body = dumps_canonical(notification_fields(n))

@@ -1,13 +1,11 @@
 """The slot rule: every dataclass of the package is declared with
-``slots=True``, so its instances carry no ``__dict__``; ``Activity``, whose
-cached index and roster live in its ``__dict__``, is the one exception."""
+``slots=True``, so its instances carry no ``__dict__``."""
 
 import dataclasses
 import importlib
 import pkgutil
 
 import syncpoint
-from syncpoint.activities import Activity
 
 
 def package_dataclasses() -> list[type]:
@@ -33,11 +31,8 @@ def test_the_walk_finds_the_dataclasses_of_every_layer():
     } <= names
 
 
-def test_every_dataclass_but_activity_is_slotted():
+def test_every_dataclass_is_slotted():
     for cls in package_dataclasses():
         instance = object.__new__(cls)  # no field values needed to see the layout
-        if cls is Activity:
-            assert hasattr(instance, "__dict__")
-            continue
         assert "__slots__" in vars(cls), cls.__qualname__
         assert not hasattr(instance, "__dict__"), cls.__qualname__
