@@ -30,10 +30,9 @@ import logging
 import signal
 import sys
 import time
-from pathlib import Path
 
 from .engine import AlreadyIngested, Engine, replay, status_view
-from .errors import SyncError
+from .errors import SyncError, read_utf8
 from .eventlog import CorruptRecord, load_log
 from .ics import parse_ics
 from .net import serve_forever
@@ -95,10 +94,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    text = read_utf8(args.file)  # before the log is opened, so a bad file leaves it be
     engine = Engine(log_path=args.log)
     _warn_kept_prefix(engine.torn_tail)
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
         result = parse_ics(text, args.system_address)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -139,7 +138,7 @@ def cmd_simulate(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if args.check:
         actual = transcript_lines(result.transcript)
-        expected = split_lines(Path(args.golden).read_text(encoding="utf-8"))
+        expected = split_lines(read_utf8(args.golden))
         line = first_divergence(actual, expected)
         if line is None:
             print(f"transcript matches {args.golden} ({len(actual)} lines)")

@@ -25,12 +25,13 @@ accepted ids a fan-out goes to are cached in ``ServerState.accepted``, in
 roster order; an answer drops them, and state equality ignores them.
 
 Notification queues are part of the state: a queue holds each recipient's
-notifications, each stored once, and an entry's sequence number is its
-position, dense from 1. A ``Notify`` frame is built only where one leaves:
-for the pushes that ``handle`` and ``create_activity`` return, where a
-fan-out's recipients with one seq share one frame (which the codec then
-encodes once), and for the slice that ``pending`` returns. Polls append no
-records: the cursor travels with each POLL, and the queue is never trimmed.
+``Notify`` frames, and a frame's sequence number is its position, dense
+from 1. A fan-out builds its frames once, in ``_enqueue``: recipients of
+one notification at one seq share one frame, which the codec then encodes
+once. The same frames are the pushes that ``handle`` and
+``create_activity`` return, the slice that ``pending`` returns, and what
+replay queues. Polls append no records: the cursor travels with each
+POLL, and the queue is never trimmed.
 
 Durability is the ``Engine`` wrapper's: it appends each command's records
 to the log, and ``Engine.commit`` writes and flushes all records appended
@@ -44,7 +45,7 @@ loop, which gives commands the total order the determinism guarantees
 depend on.
 
 Every dataclass of the package declares ``slots=True``, so the state's
-many small values (queued notifications, presences, records) carry no
+many small values (queued frames, presences, records) carry no
 per-instance ``__dict__``.
 
 Privacy stance: fixes come in, facts go out. A fix is classified into a
@@ -88,7 +89,7 @@ from .eventlog import (
 )
 from .geo import Zone, classify_zone
 from .notify import (
-    Fanout, Notification, on_arrival, on_invite, on_task_done, render_status,
+    Fanout, on_arrival, on_invite, on_task_done, render_status,
 )
 from .presence import Alarm, ingest_fix
 from .wire import (
@@ -177,8 +178,8 @@ class ServerState:
     activities: dict[str, Activity] = field(default_factory=dict)
     presence: dict[tuple[str, str], ParticipantPresence] = field(default_factory=dict)
     arrivals: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    # Entry i of a recipient's queue is the notification with seq i + 1.
-    queues: dict[str, list[Notification]] = field(default_factory=dict)
+    # Entry i of a recipient's queue is the frame with seq i + 1.
+    queues: dict[str, list[Notify]] = field(default_factory=dict)
     calendar_uids: set[str] = field(default_factory=set)  # of the activities made from events
     record_count: int = 0
     # Each activity's accepted ids in roster order, from its first fan-out to the next answer.
@@ -186,16 +187,26 @@ class ServerState:
 
 
 Outbound = list[tuple[str, ServerMessage]]
-Queued = list[tuple[str, int, Notification]]  # (recipient, seq, notification)
 
 
-def _enqueue(state: ServerState, fanout: Fanout) -> Queued:
-    queued = []
+def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
+    """Queue a fan-out's frames and return them as its pushes.
+
+    A fan-out comes grouped by notification, so recipients of one
+    notification with one seq share one ``Notify`` frame.
+    """
+    pushes, last, frames = [], None, {}
     for recipient, n in fanout:
         queue = state.queues.setdefault(recipient, [])
-        queue.append(n)
-        queued.append((recipient, len(queue), n))
-    return queued
+        seq = len(queue) + 1
+        if n is not last:
+            last, frames = n, {}
+        frame = frames.get(seq)
+        if frame is None:
+            frame = frames[seq] = Notify(seq, n)
+        queue.append(frame)
+        pushes.append((recipient, frame))
+    return pushes
 
 
 def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
@@ -208,8 +219,8 @@ def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
     return ids
 
 
-def apply(state: ServerState, record: EventRecord) -> Queued:
-    """Fold one record into the state; returns what it queued, with each seq.
+def apply(state: ServerState, record: EventRecord) -> Outbound:
+    """Fold one record into the state; returns the frames it queued, as pushes.
 
     This is the single mutation path for live handling and replay alike.
     Records are applied exactly in log order (dense indices enforced).
@@ -265,28 +276,17 @@ def apply(state: ServerState, record: EventRecord) -> Queued:
 
 
 def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]:
-    """The next record, carrying ``event``, applied to the state; and its pushes.
-
-    Recipients of one notification with one seq share one ``Notify`` frame;
-    ``apply`` queues a fan-out grouped by notification.
-    """
+    """The next record, carrying ``event``, applied to the state; and its pushes."""
     record = EventRecord(state.record_count, now, event)
-    pushes, last, frames = [], None, {}
-    for r, seq, n in apply(state, record):
-        if n is not last:
-            last, frames = n, {}
-        frame = frames.get(seq)
-        if frame is None:
-            frame = frames[seq] = Notify(seq, n)
-        pushes.append((r, frame))
-    return record, pushes
+    return record, apply(state, record)
 
 
 def replay(records) -> ServerState:
     """Rebuild state by folding records through the live transition logic.
 
     ``records`` may be any iterable, such as ``load_log``: each record is
-    folded as it comes, and none is kept. Replay builds no ``Notify``.
+    folded as it comes, and none is kept. Its queues hold the frames the
+    live fan-outs pushed, one per notification and seq.
 
     A ``PointFix`` (a fix record of an older log) is classified here, once,
     against the fence and the participant's zone so far, into the
@@ -359,17 +359,13 @@ def _disarmed(pp: ParticipantPresence) -> None:
 def pending(
     state: ServerState, participant: str, cursor: int
 ) -> tuple[list[Notify], int]:
-    """Queued notifications with sequence > cursor, as frames, and the new cursor.
+    """The queued frames with sequence > cursor, and the new cursor.
 
-    Pure read; the stored queue is never mutated here. Re-polling with the
-    same cursor returns the same messages. Sequence numbers are dense from
-    1, so the messages above the cursor are the queue from index ``cursor``.
+    Pure read: it returns the stored frames and builds none. Re-polling with
+    the same cursor returns the same frames. Sequence numbers are dense from
+    1, so the frames above the cursor are the queue from index ``cursor``.
     """
-    start = max(cursor, 0)
-    out = [
-        Notify(seq, n)
-        for seq, n in enumerate(state.queues.get(participant, ())[start:], start + 1)
-    ]
+    out = state.queues.get(participant, [])[max(cursor, 0):]
     return out, (out[-1].seq if out else cursor)
 
 

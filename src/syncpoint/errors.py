@@ -1,9 +1,11 @@
-"""Common error base.
+"""Common error base, and the one reader of the text files a user names.
 
 Every domain error carries a stable ``code`` (SCREAMING_SNAKE) so the server
 can surface it on the wire as an ``Err`` frame without per-exception mapping
 tables.
 """
+
+from pathlib import Path
 
 
 class SyncError(Exception):
@@ -14,3 +16,15 @@ class SyncError(Exception):
     def __init__(self, detail: str = ""):
         super().__init__(detail or self.code)
         self.detail = detail or self.code
+
+
+class NotUtf8(SyncError):
+    code = "NOT_UTF8"
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a calendar, scenario or golden file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise NotUtf8(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None

@@ -35,7 +35,7 @@ from .activities import (
     phase_at,
 )
 from .engine import AlreadyIngested, ServerState, create_activity, handle
-from .errors import SyncError
+from .errors import SyncError, read_utf8
 from .eventlog import EventRecord, encode_record
 from .geo import Geofence, GeoPoint
 from .ics import parse_ics
@@ -178,6 +178,25 @@ class RunResult:
         return [encode_record(r) for r in self.records]
 
 
+# Exact types: JSON true and false load as bool, which isinstance(_, int) accepts.
+def _time(value) -> int:
+    if type(value) is not int:
+        raise ScenarioInvalid(f"time {value!r} is not an integer")
+    return value
+
+
+def _coordinate(value) -> int | float:
+    if type(value) not in (int, float):
+        raise ScenarioInvalid(f"coordinate {value!r} is not a number")
+    return value
+
+
+def _name(what: str, value) -> str:
+    if type(value) is not str:
+        raise ScenarioInvalid(f"{what} {value!r} is not a string")
+    return value
+
+
 # The optional keys of a scenario activity, each with its conversion.
 _STATED = {"kind": ActivityKind, "policy": PrivacyPolicy, "batch_threshold": lambda v: v}
 
@@ -189,7 +208,7 @@ def _spec_from_dict(d: dict) -> ActivitySpec:
             title=d["title"],
             window=TimeWindow(d["start"], d["end"]),
             fence=Geofence(
-                GeoPoint(d["lat"], d["lon"]),
+                GeoPoint(_coordinate(d["lat"]), _coordinate(d["lon"])),
                 **{k: d[k] for k in ("radius_m", "hysteresis_m") if k in d},
             ),
             organizer=d["organizer"],
@@ -214,7 +233,6 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
         raw_actors = d.get("actors", [])
     except KeyError as e:
         raise ScenarioInvalid(f"scenario missing field {e.args[0]!r}") from None
-    # Exact types: JSON true and false load as bool, which isinstance(_, int) accepts.
     if type(period) is not int or period <= 0:
         raise ScenarioInvalid("fix_period_s must be a positive integer")
     if type(seed) is not int:
@@ -242,12 +260,13 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
 
     if not isinstance(raw_actors, list):
         raise ScenarioInvalid("actors must be a list")
-    actors = []
+    actors, actor_ids = [], set()
     for a in raw_actors:
         try:
-            actor_id = a["id"]
+            actor_id = _name("actor id", a["id"])
             waypoints = tuple(
-                (int(at), GeoPoint(lat, lon)) for at, lat, lon in a["trace"]
+                (_time(at), GeoPoint(_coordinate(lat), _coordinate(lon)))
+                for at, lat, lon in a["trace"]
             )
             actions = []
             for entry in a.get("actions", []):
@@ -256,13 +275,17 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
                     target = None
                 elif len(entry) == 3:
                     at, verb, target = entry
+                    _name("action target", target)
                 else:
                     raise ScenarioInvalid(f"bad action entry {entry!r}")
                 if verb not in ACTIONS:
                     raise ScenarioInvalid(f"unknown action verb {verb!r}")
-                actions.append(ScriptedAction(int(at), verb, target))
+                actions.append(ScriptedAction(_time(at), verb, target))
         except (KeyError, TypeError, ValueError) as e:
             raise ScenarioInvalid(f"bad actor entry: {e}") from None
+        if actor_id in actor_ids:
+            raise ScenarioInvalid(f"actor {actor_id!r} is listed twice")
+        actor_ids.add(actor_id)
         actors.append(ActorScript(actor_id, Trace(waypoints), tuple(actions)))
 
     return Scenario(
@@ -280,7 +303,7 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        d = json.loads(path.read_text(encoding="utf-8"))
+        d = json.loads(read_utf8(path))
     except ValueError as e:
         raise ScenarioInvalid(f"{path}: not valid JSON: {e}") from None
     return scenario_from_dict(d, base_dir=path.parent)
@@ -297,7 +320,7 @@ def _create_activities(scenario: Scenario, state: ServerState):
         path = Path(ics_path)
         if not path.is_absolute() and scenario.base_dir is not None:
             path = scenario.base_dir / path
-        result = parse_ics(path.read_text(encoding="utf-8"), system_address)
+        result = parse_ics(read_utf8(path), system_address)
         specs, warnings = result.drafts + specs, list(result.warnings)
     made = []  # (activity, pushes, records) of each
     for spec in specs:

@@ -143,8 +143,9 @@ def test_c02_status_answers_obey_anonymity():
                 assert (f'"{pid}"' in body) == (pid == asker), (pid, body)
             assert [p.id for p in view.participants] == [asker]
             queue = state.queues.get(asker if asker in guests else guests[0], ())
-            heard = {0} | {n.count for n in queue if type(n).__name__ == "GatheringUpdate"}
-            if any(type(n).__name__ == "AllArrived" for n in queue):
+            notes = [frame.notification for frame in queue]
+            heard = {0} | {n.count for n in notes if type(n).__name__ == "GatheringUpdate"}
+            if any(type(n).__name__ == "AllArrived" for n in notes):
                 heard.add(len(state.arrivals["a1"]))
             assert view.arrivals in heard, (asker, record.at, view.arrivals, heard)
             answers += 1

@@ -383,10 +383,106 @@ class TestSimulate:
             f"got {batch}\n"
         )
 
+    def simulate_s1(self, tmp_path, capsys, edit):
+        scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text())
+        edit(scenario)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, "simulate", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SCENARIO_INVALID: ") and err.count("\n") == 1, err
+        return err
+
+    def test_a_list_as_an_action_target_is_one_error_line(self, tmp_path, capsys):
+        def edit(scenario):
+            scenario["actors"][0]["actions"][0] = [10, "ACCEPT", ["a1"]]
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert "action target ['a1'] is not a string" in err
+
+    def test_a_list_as_an_actor_id_is_one_error_line(self, tmp_path, capsys):
+        def edit(scenario):
+            scenario["actors"][0]["id"] = ["ana"]
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert "actor id ['ana'] is not a string" in err
+
+    @pytest.mark.parametrize("key", ["trace", "actions"])
+    @pytest.mark.parametrize("at", ["0", True, 0.9])
+    def test_a_time_that_is_not_an_integer_is_one_error_line(self, tmp_path, capsys, key, at):
+        def edit(scenario):
+            scenario["actors"][0][key][0][0] = at
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert f"time {at!r} is not an integer" in err
+
+    @pytest.mark.parametrize("where", ["trace", "activity"])
+    @pytest.mark.parametrize("lat", ["41.5", True])
+    def test_a_coordinate_that_is_not_a_number_is_one_error_line(
+        self, tmp_path, capsys, where, lat
+    ):
+        def edit(scenario):
+            if where == "trace":
+                scenario["actors"][0]["trace"][0][1] = lat
+            else:
+                scenario["activities"][0]["lat"] = lat
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert f"coordinate {lat!r} is not a number" in err
+
+    def test_an_actor_listed_twice_is_one_error_line(self, tmp_path, capsys):
+        def edit(scenario):
+            scenario["actors"].append(scenario["actors"][0])
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert "actor 'ana' is listed twice" in err
+
     def test_check_needs_golden_path(self, capsys):
         code, _, err = run(capsys, "simulate", "--check",
                            SCENARIOS / "s4_task.json")
         assert code == 2
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is one error line naming it, never a traceback."""
+
+    LATIN1 = "caf\u00e9".encode("latin-1")
+
+    def latin1_calendar(self, tmp_path):
+        ics = tmp_path / "latin1.ics"
+        ics.write_bytes(
+            b"BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:u1\r\nSUMMARY:" + self.LATIN1
+            + b"\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+        return ics
+
+    def assert_one_error_line(self, err, path):
+        assert err.startswith(f"error: NOT_UTF8: {path} is not UTF-8") and err.count("\n") == 1, err
+
+    def test_ingest_leaves_the_log_as_it_was(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        run(capsys, "ingest", CORPUS / "meetup_fair.ics",
+            "--system-address", SYSTEM, "--log", log, "--now", 0)
+        before = log.read_bytes()
+        ics = self.latin1_calendar(tmp_path)
+        code, out, err = run(capsys, "ingest", ics, "--system-address", SYSTEM,
+                             "--log", log, "--now", 0)
+        assert (code, out) == (1, "")
+        self.assert_one_error_line(err, ics)
+        assert log.read_bytes() == before
+
+    def test_simulate_on_a_scenario_naming_the_calendar(self, tmp_path, capsys):
+        ics = self.latin1_calendar(tmp_path)
+        scenario = tmp_path / "calendar.json"
+        scenario.write_text(json.dumps({
+            "seed": 1, "fix_period_s": 30, "horizon": 60,
+            "activities": {"ics": str(ics), "system_address": SYSTEM}, "actors": [],
+        }))
+        code, out, err = run(capsys, "simulate", scenario)
+        assert (code, out) == (1, "")
+        self.assert_one_error_line(err, ics)
+
+    def test_simulate_check_with_the_golden_file(self, tmp_path, capsys):
+        golden = tmp_path / "golden.jsonl"
+        golden.write_bytes((REPO / "golden" / "s4_task.transcript.jsonl").read_bytes() + self.LATIN1)
+        code, out, err = run(capsys, "simulate", "--check", SCENARIOS / "s4_task.json", golden)
+        assert (code, out) == (1, "")
+        self.assert_one_error_line(err, golden)
 
 
 class TestServe:

@@ -13,7 +13,7 @@ import pytest
 
 from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, WindowInvalid, new_activity
 import syncpoint.engine as engine
-from syncpoint.engine import Engine, pending, replay, status_view
+from syncpoint.engine import Engine, handle, pending, replay, status_view
 from syncpoint.eventlog import read_records
 from syncpoint.geo import FenceInvalid, Geofence, GeoPoint
 from syncpoint.sim import (
@@ -29,7 +29,7 @@ from syncpoint.sim import (
     scenario_from_dict,
     transcript_lines,
 )
-from syncpoint.wire import Notify
+from syncpoint.wire import Ack, Notify, Poll
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -406,12 +406,12 @@ class TestByteIdentity:
                 digest.update(line.encode("utf-8"))
             assert digest.hexdigest() == pinned
         # Sequence numbers are dense from 1 in every queue, live and replayed:
-        # a poll from cursor 0 numbers each queued notification by its position.
+        # each queued frame's seq is its position, and a poll from cursor 0
+        # returns the whole queue.
         for state in (result.state, replay(result.records)):
             for recipient, queue in state.queues.items():
-                frames, cursor = pending(state, recipient, 0)
-                assert [m.seq for m in frames] == list(range(1, len(queue) + 1)), recipient
-                assert [m.notification for m in frames] == queue and cursor == len(queue)
+                assert [m.seq for m in queue] == list(range(1, len(queue) + 1)), recipient
+                assert pending(state, recipient, 0) == (queue, len(queue)), recipient
 
 
 class TestSharedFrames:
@@ -439,9 +439,7 @@ class TestSharedFrames:
 
 
 class TestRestartQueues:
-    def test_replay_builds_no_frame_and_a_restart_polls_what_was_pushed(
-        self, tmp_path, monkeypatch
-    ):
+    def test_replay_queues_what_was_pushed_and_a_restart_polls_it(self, tmp_path):
         result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
         pushed: dict[str, list[Notify]] = {}
         for e in result.transcript:  # the crowd never polls: every Notify is a push
@@ -449,13 +447,8 @@ class TestRestartQueues:
                 pushed.setdefault(e.to, []).append(e.msg)
         assert sum(map(len, pushed.values())) > 1000
 
-        built = []
-        monkeypatch.setattr(engine, "Notify", lambda *args: built.append(args) or Notify(*args))
         replayed = replay(read_records(result.log_lines))
-        assert built == []
-        pending(replayed, next(iter(pushed)), 0)
-        assert built  # the counter sees the frames a poll builds
-        monkeypatch.undo()
+        assert replayed.queues == pushed  # each recipient's frames, in push order
 
         log = tmp_path / "events.log"
         log.write_text("".join(result.log_lines), encoding="utf-8")
@@ -466,3 +459,22 @@ class TestRestartQueues:
         for who, frames in pushed.items():
             assert pending(restarted.state, who, 0) == (frames, len(frames)), who
             assert pending(result.state, who, 0) == (frames, len(frames)), who
+
+    def test_a_catch_up_poll_hands_out_the_pushed_frames_and_builds_none(self, monkeypatch):
+        result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
+        pushed: dict[str, list[Notify]] = {}
+        for e in result.transcript:
+            if isinstance(e.msg, Notify):
+                pushed.setdefault(e.to, []).append(e.msg)
+        built = []
+        monkeypatch.setattr(engine, "Notify", lambda *args: built.append(args) or Notify(*args))
+        polls = 0
+        for who, frames in pushed.items():
+            for cursor in range(len(frames) + 1):
+                outbound, records = handle(result.state, Poll(cursor), who, 0)
+                assert records == [] and outbound[-1] == (who, Ack("POLL"))
+                got = [m for _, m in outbound[:-1]]
+                assert len(got) == len(frames) - cursor, (who, cursor)
+                assert all(m is f for m, f in zip(got, frames[cursor:])), (who, cursor)
+                polls += 1
+        assert polls > 1000 and built == []
