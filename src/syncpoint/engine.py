@@ -46,7 +46,14 @@ depend on.
 
 Every dataclass of the package declares ``slots=True``, so the state's
 many small values (queued frames, presences, records) carry no
-per-instance ``__dict__``.
+per-instance ``__dict__``. Only a value shared by identity or hashed is
+also frozen: every wire frame and notification (the codec keeps a frame's
+text by identity, and a fan-out's recipients share one ``Notify``), and
+``Activity`` with its parts. A value that one owner builds, uses once and
+drops is not: a log record, its event and a transcript entry. A frozen
+``__init__`` sets each field through ``object.__setattr__``, which makes
+such a value about three times as dear to build, and a crowd run builds
+hundreds of thousands of them.
 
 Privacy stance: fixes come in, facts go out. A fix is classified into a
 zone on arrival and then dropped: the state keeps each participant's zone

@@ -84,31 +84,31 @@ class LogWriteFailed(SyncError):
     code = "LOG_WRITE_FAILED"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityCreated:
     activity: Activity
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InviteResponded:
     activity: str
     who: str
     answer: InviteAnswer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ArmSet:
     activity: str
     who: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ArmCleared:
     activity: str
     who: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FixAccepted:
     activity: str
     who: str
@@ -116,7 +116,7 @@ class FixAccepted:
     fix_at: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PointFix:
     """A ``FIX_ACCEPTED`` of an older log, which held the point, not the zone."""
 
@@ -126,14 +126,14 @@ class PointFix:
     fix_at: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ArrivalRecorded:
     activity: str
     who: str
     arrived_at: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaskCompleted:
     activity: str
     who: str
@@ -151,7 +151,7 @@ Event = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EventRecord:
     index: int
     at: int

@@ -233,7 +233,10 @@ class OneOf(Kind):
 
     ``encode`` keeps the last value and its text, and returns that text when
     the very same object comes again, as the shared frame of a fan-out does.
-    Every ``OneOf`` value is a frozen frame or notification: its text is fixed.
+    Every ``OneOf`` value is a frozen frame or notification, so the text kept
+    for an object stays its text. The values left unfrozen for speed (log
+    records, transcript entries) are never ``OneOf`` values: they are built,
+    encoded once and dropped.
     """
 
     def __init__(self, *schemas: Schema):

@@ -158,7 +158,7 @@ class Scenario:
     base_dir: Path | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TranscriptEntry:
     at: int
     to: str
@@ -185,9 +185,9 @@ def _time(value) -> int:
     return value
 
 
-def _coordinate(value) -> int | float:
+def _number(what: str, value) -> int | float:
     if type(value) not in (int, float):
-        raise ScenarioInvalid(f"coordinate {value!r} is not a number")
+        raise ScenarioInvalid(f"{what} {value!r} is not a number")
     return value
 
 
@@ -204,15 +204,17 @@ _STATED = {"kind": ActivityKind, "policy": PrivacyPolicy, "batch_threshold": lam
 def _spec_from_dict(d: dict) -> ActivitySpec:
     """The activity a scenario describes; only the keys it states are passed."""
     try:
+        if type(d["participants"]) is not list:  # a string would give one id per character
+            raise ScenarioInvalid(f"participants {d['participants']!r} is not a list")
         return ActivitySpec(
             title=d["title"],
             window=TimeWindow(d["start"], d["end"]),
             fence=Geofence(
-                GeoPoint(_coordinate(d["lat"]), _coordinate(d["lon"])),
-                **{k: d[k] for k in ("radius_m", "hysteresis_m") if k in d},
+                GeoPoint(_number("coordinate", d["lat"]), _number("coordinate", d["lon"])),
+                **{k: _number(k, d[k]) for k in ("radius_m", "hysteresis_m") if k in d},
             ),
             organizer=d["organizer"],
-            participants=tuple(d["participants"]),
+            participants=tuple(_name("participant", p) for p in d["participants"]),
             **{k: convert(d[k]) for k, convert in _STATED.items() if k in d},
         )
     except KeyError as e:
@@ -265,7 +267,7 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
         try:
             actor_id = _name("actor id", a["id"])
             waypoints = tuple(
-                (_time(at), GeoPoint(_coordinate(lat), _coordinate(lon)))
+                (_time(at), GeoPoint(_number("coordinate", lat), _number("coordinate", lon)))
                 for at, lat, lon in a["trace"]
             )
             actions = []

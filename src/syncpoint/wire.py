@@ -269,17 +269,27 @@ MAX_FRAME_BYTES = 64 * 1024
 
 
 class FrameBuffer:
-    """Reassembles newline-delimited frames from arbitrarily split chunks."""
+    """Reassembles newline-delimited frames from arbitrarily split chunks.
+
+    A chunk is scanned once and the tail grows in place, so the cost is
+    linear in the bytes fed, however finely they are split.
+    """
 
     def __init__(self):
-        self._buf = b""
+        self._tail = bytearray()
 
     def feed(self, data: bytes) -> list[bytes]:
         """Absorb a chunk; return every frame it completes, in order, as bytes."""
-        *lines, self._buf = (self._buf + data).split(b"\n")
+        *lines, rest = data.split(b"\n")
+        if lines and self._tail:
+            self._tail += lines[0]
+            lines[0] = bytes(self._tail)
+            self._tail.clear()
+        if rest:
+            self._tail += rest
         return [line.rstrip(b"\r") for line in lines]
 
     @property
-    def pending(self) -> bytes:
-        """The unterminated tail, held until its newline arrives."""
-        return self._buf
+    def pending(self) -> bytearray:
+        """The unterminated tail, held until its newline arrives (read it, do not change it)."""
+        return self._tail

@@ -222,7 +222,9 @@ class TestIngestStatusReplay:
         records = list(load_log(log))
         assert len(records) == created >= 3
         assert log.read_text(encoding="utf-8") == "".join(map(encode_record, records))
-        assert replay(records) == Engine(log_path=log).state
+        engine = Engine(log_path=log)
+        engine.close()
+        assert replay(records) == engine.state
 
 
 class TestTypeConfusedRecords:
@@ -425,6 +427,28 @@ class TestSimulate:
                 scenario["activities"][0]["lat"] = lat
         err = self.simulate_s1(tmp_path, capsys, edit)
         assert f"coordinate {lat!r} is not a number" in err
+
+    @pytest.mark.parametrize("key", ["radius_m", "hysteresis_m"])
+    @pytest.mark.parametrize("value", ["100", True])
+    def test_a_fence_size_that_is_not_a_number_is_one_error_line(
+        self, tmp_path, capsys, key, value
+    ):
+        def edit(scenario):
+            scenario["activities"][0][key] = value
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert f"{key} {value!r} is not a number" in err
+
+    @pytest.mark.parametrize("participants, detail", [
+        (["ana", ["bruno"], "carla"], "participant ['bruno'] is not a string"),
+        ("abc", "participants 'abc' is not a list"),
+    ])
+    def test_a_roster_that_is_not_a_list_of_strings_is_one_error_line(
+        self, tmp_path, capsys, participants, detail
+    ):
+        def edit(scenario):
+            scenario["activities"][0]["participants"] = participants
+        err = self.simulate_s1(tmp_path, capsys, edit)
+        assert detail in err
 
     def test_an_actor_listed_twice_is_one_error_line(self, tmp_path, capsys):
         def edit(scenario):

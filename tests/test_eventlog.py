@@ -373,7 +373,8 @@ def test_a_commit_that_cannot_cut_the_log_back_still_fails_as_a_commit(tmp_path)
     engine.handle(Arm(act.id), "bruno", 8)
     with pytest.raises(LogWriteFailed, match="cutting the log back .* failed too"):
         engine.commit()
-    faulty.real.close()
+    faulty.real.close()  # as the exiting process would: no commit, no close
+    engine._lock.close()
 
 
 def test_a_failed_commit_stops_the_server_before_anything_of_that_read_leaves(tmp_path):
@@ -407,6 +408,7 @@ def test_a_failed_commit_stops_the_server_before_anything_of_that_read_leaves(tm
         server.close()
         await server.wait_closed()
         faulty.real.close()  # as the exiting process would: no commit, no close
+        engine._lock.close()
         return ana_after, bruno_after
 
     ana_after, bruno_after = asyncio.run(run())

@@ -5,6 +5,7 @@ import logging
 import math
 import socket
 import struct
+import time
 
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, replay
@@ -310,6 +311,42 @@ def test_endless_frame_is_refused():
     assert at_limit.code == "MALFORMED"
     assert refused.code == "FRAME_TOO_LARGE"
     assert rest == b""  # and the server hung up
+
+
+class _Transport:
+    """Collects what a connection writes; never has unsent bytes."""
+
+    def __init__(self):
+        self.written, self.closed = [], False
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def test_an_endless_frame_fed_a_byte_at_a_time_is_refused_in_linear_time():
+    async def run():
+        sync = SyncServer(Engine(), clock=lambda: 1)
+        sync.stopped = asyncio.get_running_loop().create_future()
+        conn, transport = net.Connection(sync), _Transport()
+        conn.connection_made(transport)
+        t0 = time.perf_counter()
+        for _ in range(MAX_FRAME_BYTES + 1):
+            assert not transport.closed
+            conn.data_received(b"x")
+        return time.perf_counter() - t0, transport
+
+    seconds, transport = asyncio.run(run())
+    assert [decode(frame) for frame in b"".join(transport.written).splitlines()] == [
+        Err("FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"),
+    ]
+    assert transport.closed
+    assert seconds < 0.5, seconds
 
 
 def test_invalid_utf8_frame_gets_an_err_in_its_place():
