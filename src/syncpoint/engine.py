@@ -20,9 +20,11 @@ The FIX path looks the sender up once and classifies the fix once, in
 that rule lives. Its ``FixAccepted`` record carries the zone, so ``apply``
 runs no geometry. What changes about a participant is kept once, in its
 ``ParticipantPresence``: the invitation status, the ``Alarm`` (DISARMED,
-ARMED or ARRIVED) and the zone. An ``Activity`` is never rebuilt. The
-accepted ids a fan-out goes to are cached in ``ServerState.accepted``, in
-roster order; an answer drops them, and state equality ignores them.
+ARMED or ARRIVED) and the zone. An ``Activity`` is never rebuilt. Its
+presences are also kept in roster order (``ServerState.rosters``), so the
+accepted ids a fan-out goes to are read in one pass over them, and cached
+in ``ServerState.accepted`` until an answer drops them. State equality
+ignores both.
 
 Notification queues are part of the state: a queue holds each recipient's
 ``Notify`` frames, and a frame's sequence number is its position, dense
@@ -46,14 +48,17 @@ depend on.
 
 Every dataclass of the package declares ``slots=True``, so the state's
 many small values (queued frames, presences, records) carry no
-per-instance ``__dict__``. Only a value shared by identity or hashed is
-also frozen: every wire frame and notification (the codec keeps a frame's
-text by identity, and a fan-out's recipients share one ``Notify``), and
-``Activity`` with its parts. A value that one owner builds, uses once and
-drops is not: a log record, its event and a transcript entry. A frozen
-``__init__`` sets each field through ``object.__setattr__``, which makes
-such a value about three times as dear to build, and a crowd run builds
-hundreds of thousands of them.
+per-instance ``__dict__``. A value shared by identity or hashed is also
+frozen: every notification, every wire frame but ``Notify`` (the codec
+keeps a frame's text by identity), and ``Activity`` with its parts. A
+value that one owner builds, uses once and drops is not: a log record,
+its event and a transcript entry. A frozen ``__init__`` sets each field
+through ``object.__setattr__``, which makes such a value two to three
+times as dear to build, and a crowd run builds hundreds of thousands of
+them. ``Notify`` is not frozen either, though a fan-out's recipients share
+one and the codec keeps its text: a crossing fix builds one per seq of its
+fan-out, ``_enqueue`` is the one place that builds a queued frame, and
+nothing assigns to a frame after that, so the text kept stays its text.
 
 Privacy stance: fixes come in, facts go out. A fix is classified into a
 zone on arrival and then dropped: the state keeps each participant's zone
@@ -189,6 +194,10 @@ class ServerState:
     queues: dict[str, list[Notify]] = field(default_factory=dict)
     calendar_uids: set[str] = field(default_factory=set)  # of the activities made from events
     record_count: int = 0
+    # Each activity's presences in roster order: the ones ``presence`` holds.
+    rosters: dict[str, tuple[ParticipantPresence, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
     # Each activity's accepted ids in roster order, from its first fan-out to the next answer.
     accepted: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
 
@@ -200,14 +209,18 @@ def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
     """Queue a fan-out's frames and return them as its pushes.
 
     A fan-out comes grouped by notification, so recipients of one
-    notification with one seq share one ``Notify`` frame.
+    notification with one seq share one ``Notify`` frame. This is the one
+    place a queued frame is built, and nothing assigns to it afterwards.
     """
+    queues = state.queues
     pushes, last, frames = [], None, {}
     for recipient, n in fanout:
-        queue = state.queues.setdefault(recipient, [])
-        seq = len(queue) + 1
+        queue = queues.get(recipient)
+        if queue is None:
+            queue = queues[recipient] = []
         if n is not last:
             last, frames = n, {}
+        seq = len(queue) + 1
         frame = frames.get(seq)
         if frame is None:
             frame = frames[seq] = Notify(seq, n)
@@ -219,10 +232,11 @@ def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
 def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
     ids = state.accepted.get(act.id)
     if ids is None:
-        ids = state.accepted[act.id] = tuple(
-            p.id for p in act.participants
-            if state.presence[(act.id, p.id)].status is ParticipantStatus.ACCEPTED
-        )
+        accepted = ParticipantStatus.ACCEPTED  # bound once: a member lookup calls a descriptor
+        ids = state.accepted[act.id] = tuple([
+            p.id for p, pp in zip(act.participants, state.rosters[act.id])
+            if pp.status is accepted
+        ])
     return ids
 
 
@@ -253,8 +267,10 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         state.activities[a.id] = a
         if a.calendar_uid is not None:
             state.calendar_uids.add(a.calendar_uid)
-        for p in a.participants:
-            state.presence[(a.id, p.id)] = ParticipantPresence(p.status)
+        roster = state.rosters[a.id] = tuple([
+            ParticipantPresence(p.status) for p in a.participants
+        ])
+        state.presence.update(zip([(a.id, p.id) for p in a.participants], roster))
         state.arrivals[a.id] = ()
         return _enqueue(state, on_invite(a))
     if isinstance(e, InviteResponded):
@@ -383,12 +399,11 @@ def status_view(state: ServerState, activity_id: str, now: int) -> StatusView:
     ``notify.render_status`` lets that member see it.
     """
     act = _activity(state, activity_id)
-    presence = [state.presence[(act.id, p.id)] for p in act.participants]
     return StatusView(
         activity=act.id,
         participants=tuple(
             ParticipantView(p.id, pp.status, pp.alarm is Alarm.ARRIVED)
-            for p, pp in zip(act.participants, presence)
+            for p, pp in zip(act.participants, state.rosters[act.id])
         ),
         arrivals=len(state.arrivals[act.id]),
         phase=phase_at(act, now),

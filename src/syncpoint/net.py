@@ -13,7 +13,10 @@ read are committed to the log with one write and one flush, and only then
 does any reply or push for them leave. Pushes to other connections are
 written first, then the sender's replies, each connection's share in one
 write and in request order, with an ERR in place of each frame that could
-not be handled.
+not be handled. A frame longer than ``MAX_FRAME_BYTES``, whether its
+newline has come or not, is not decoded: the read's frames before it are
+handled and committed, those after it are dropped, and the connection
+gets one FRAME_TOO_LARGE and is closed.
 
 No read waits for any connection to drain, and each connection's unsent
 bytes stay bounded. A connection's own replies slow it down: while its
@@ -87,7 +90,11 @@ class Connection(asyncio.Protocol):
         participant = self.participant
         replies: list[str] = []  # to this connection, in request order
         pushes: dict[Connection, list[str]] = {}
+        oversized = False
         for frame in self.buf.feed(data):
+            if len(frame) > MAX_FRAME_BYTES:
+                oversized = True
+                break
             if not frame.strip():
                 continue
             try:
@@ -113,7 +120,8 @@ class Connection(asyncio.Protocol):
                     line = encode(out)
                     for conn in conns[to]:
                         pushes.setdefault(conn, []).append(line)
-        oversized = len(self.buf.pending) > MAX_FRAME_BYTES
+        tail = self.buf.pending  # a "\r" at its end may begin its line ending
+        oversized = oversized or len(tail) - tail.endswith(b"\r") > MAX_FRAME_BYTES
         if oversized:
             replies.append(encode(Err(
                 "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"

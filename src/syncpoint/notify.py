@@ -141,15 +141,15 @@ def on_arrival(
     if activity.kind is ActivityKind.GATHERING:
         if arrivals_total % activity.batch_threshold == 0:
             update = GatheringUpdate(activity.id, arrivals_total)
-            out.extend((pid, update) for pid in accepted)
+            out += [(pid, update) for pid in accepted]
     else:
         notice = ArrivalNotice(
             activity.id, at, render_identity(activity.policy, arriver)
         )
-        out.extend((pid, notice) for pid in accepted if pid != arriver)
+        out += [(pid, notice) for pid in accepted if pid != arriver]
     if arrivals_total == len(accepted):
         done = AllArrived(activity.id, at)
-        out.extend((pid, done) for pid in accepted)
+        out += [(pid, done) for pid in accepted]
     return out
 
 

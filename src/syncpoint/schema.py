@@ -233,10 +233,12 @@ class OneOf(Kind):
 
     ``encode`` keeps the last value and its text, and returns that text when
     the very same object comes again, as the shared frame of a fan-out does.
-    Every ``OneOf`` value is a frozen frame or notification, so the text kept
-    for an object stays its text. The values left unfrozen for speed (log
-    records, transcript entries) are never ``OneOf`` values: they are built,
-    encoded once and dropped.
+    A ``OneOf`` value is a frame or a notification, and nothing assigns to
+    one once it is built, so the text kept for an object stays its text.
+    All are frozen but ``Notify``, which only ``engine._enqueue`` builds.
+    The other values left unfrozen for speed (log records, transcript
+    entries) are never ``OneOf`` values: they are built, encoded once and
+    dropped.
     """
 
     def __init__(self, *schemas: Schema):

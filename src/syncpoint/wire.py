@@ -126,7 +126,9 @@ class Welcome:
     server_time: int
 
 
-@dataclass(frozen=True, slots=True)
+# The one frame not frozen, as a fan-out builds one per seq; why
+# the text the codec keeps for it stays right is in the ``engine`` docstring.
+@dataclass(slots=True)
 class Notify:
     seq: int
     notification: Notification
@@ -263,8 +265,9 @@ def decode(frame: str | bytes) -> Message:
         raise FieldInvalid("lon", e.detail) from None
 
 
-# The longest unterminated frame a connection may hold, far above any
-# client frame; a longer tail is refused with FRAME_TOO_LARGE.
+# The longest frame a connection reads, its line ending not counted, far
+# above any client frame. A longer one is refused with FRAME_TOO_LARGE
+# undecoded, whether its newline has come or not.
 MAX_FRAME_BYTES = 64 * 1024
 
 

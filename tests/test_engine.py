@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import syncpoint.engine
 from syncpoint.activities import (
@@ -694,6 +694,69 @@ class TestLargeRoster:
         )
         assert syncpoint.engine._accepted_ids(state, act) == tuple(ids)  # roster order
         assert replay(records) == state
+
+
+ROSTER = ("ana", "bruno", "carla", "dana", "eli", "fay")
+
+
+def _sharing(outbound) -> list[int]:
+    """Which pushes share one frame: each frame numbered in order of first use."""
+    seen = {}
+    return [seen.setdefault(id(m), len(seen)) for _, m in outbound]
+
+
+class TestArrivalAfterARestart:
+    """A replayed state has no accepted roster cached, so its first arrival
+    builds one from the presences; the fan-out must be the live one."""
+
+    @given(
+        order=st.permutations(ROSTER),
+        answers=st.lists(
+            st.sampled_from([InviteAnswer.ACCEPT, InviteAnswer.DECLINE, None]),
+            min_size=len(ROSTER), max_size=len(ROSTER),
+        ),
+        kind=st.sampled_from([ActivityKind.MEETUP, ActivityKind.GATHERING]),
+        data=st.data(),
+    )
+    def test_the_first_arrival_on_a_replayed_state_pushes_what_the_live_one_does(
+        self, order, answers, kind, data
+    ):
+        answer = dict(zip(ROSTER, answers))
+        accepted = [p for p in ROSTER if answer[p] is InviteAnswer.ACCEPT]
+        assume(accepted)
+        state, records = ServerState(), []
+        # An earlier activity of some of them, so their queues differ in depth
+        # and one arrival's frames alternate between seqs.
+        for spec in (
+            ActivitySpec(title="Earlier", window=TimeWindow(1000, 5000),
+                         fence=Geofence(CENTER, 100.0, 25.0), organizer="bruno",
+                         participants=("bruno", "dana", "fay")),
+            ActivitySpec(title="Fair", kind=kind, window=TimeWindow(1000, 5000),
+                         fence=Geofence(CENTER, 100.0, 25.0), organizer="ana",
+                         participants=ROSTER, batch_threshold=1),
+        ):
+            act, _, new = create_activity(state, spec, now=0)
+            records += new
+        for who in order:
+            if answer[who] is not None:
+                records += handle(state, RespondInvite(act.id, answer[who]), who, 10)[1]
+        who = data.draw(st.sampled_from(accepted), label="arriver")
+        records += handle(state, Arm(act.id), who, 20)[1]
+        handle(state, Status(act.id), who, 30)  # caches the live roster; no record
+
+        restarted = replay(records)
+        assert restarted.accepted == {} and act.id in state.accepted
+        fix = Fix(act.id, at_distance(50), 2000)
+        live, _ = handle(state, fix, who, 2000)
+        after_restart, _ = handle(restarted, fix, who, 2000)
+
+        assert after_restart == live  # recipients, seqs and notifications
+        assert _sharing(after_restart) == _sharing(live)
+        others = [p for p in accepted if kind is ActivityKind.GATHERING or p != who]
+        everyone = accepted if accepted == [who] else []
+        # The ack, the self-ack, then the accepted in roster order.
+        assert [to for to, _ in live] == [who, who] + others + everyone
+        assert restarted == state
 
 
 class TestStatusInThePresence:

@@ -7,9 +7,11 @@ import socket
 import struct
 import time
 
+import pytest
+
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, replay
-from syncpoint.eventlog import FixAccepted, load_log
+from syncpoint.eventlog import ArmSet, FixAccepted, load_log
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint import net
 from syncpoint.net import SyncServer
@@ -329,12 +331,22 @@ class _Transport:
         self.closed = True
 
 
+def _connect(engine, clock=lambda: 1):
+    """A connection to a server on ``engine``, over a ``_Transport``; run it in a loop."""
+    sync = SyncServer(engine, clock=clock)
+    sync.stopped = asyncio.get_running_loop().create_future()
+    conn, transport = net.Connection(sync), _Transport()
+    conn.connection_made(transport)
+    return conn, transport
+
+
+def _replies(transport):
+    return [_summary(decode(frame)) for frame in b"".join(transport.written).splitlines()]
+
+
 def test_an_endless_frame_fed_a_byte_at_a_time_is_refused_in_linear_time():
     async def run():
-        sync = SyncServer(Engine(), clock=lambda: 1)
-        sync.stopped = asyncio.get_running_loop().create_future()
-        conn, transport = net.Connection(sync), _Transport()
-        conn.connection_made(transport)
+        conn, transport = _connect(Engine())
         t0 = time.perf_counter()
         for _ in range(MAX_FRAME_BYTES + 1):
             assert not transport.closed
@@ -347,6 +359,53 @@ def test_an_endless_frame_fed_a_byte_at_a_time_is_refused_in_linear_time():
     ]
     assert transport.closed
     assert seconds < 0.5, seconds
+
+
+TOO_LARGE = b"x" * (MAX_FRAME_BYTES + 1) + b"\n"
+
+
+@pytest.mark.parametrize("cut", [None, len(TOO_LARGE) - 1, 1000])
+def test_a_frame_over_the_limit_is_refused_however_the_reads_split_it(tmp_path, cut):
+    """Whether its newline comes in the same read or not, an oversized frame
+    is refused undecoded; the frames before it are answered and committed,
+    and the frames after it are dropped."""
+    engine = Engine(log_path=tmp_path / "events.log")
+    act = _fair(engine)
+    arm = encode(Arm(act.id)).encode()
+    data = arm + TOO_LARGE + encode(Poll(0)).encode()
+    reads = [data] if cut is None else [data[:len(arm) + cut], data[len(arm) + cut:]]
+
+    async def run():
+        conn, transport = _connect(engine, clock=lambda: 2000)
+        conn.data_received(encode(Hello("bruno")).encode())
+        for read in reads:
+            if not transport.closed:
+                conn.data_received(read)
+        return transport
+
+    transport = asyncio.run(run())
+    on_disk = list(load_log(tmp_path / "events.log"))  # before the engine closes
+    engine.close()
+    assert _replies(transport) == [("WELCOME",), ("ACK", "ARM"), ("ERR", "FRAME_TOO_LARGE")]
+    assert transport.closed
+    assert on_disk[-1].event == ArmSet(act.id, "bruno")
+
+
+@pytest.mark.parametrize("cut", [None, MAX_FRAME_BYTES, MAX_FRAME_BYTES + 1])
+def test_a_crlf_frame_of_exactly_the_limit_is_read_however_the_reads_split_it(cut):
+    data = b"x" * MAX_FRAME_BYTES + b"\r\n" + encode(Poll(0)).encode()
+    reads = [data] if cut is None else [data[:cut], data[cut:]]
+
+    async def run():
+        conn, transport = _connect(Engine())
+        conn.data_received(encode(Hello("ana")).encode())
+        for read in reads:
+            conn.data_received(read)
+        return transport
+
+    transport = asyncio.run(run())
+    assert _replies(transport) == [("WELCOME",), ("ERR", "MALFORMED"), ("ACK", "POLL")]
+    assert not transport.closed
 
 
 def test_invalid_utf8_frame_gets_an_err_in_its_place():

@@ -1,7 +1,8 @@
 """The slot rule: every dataclass of the package is declared with
 ``slots=True``, so its instances carry no ``__dict__``. The frozen rule:
 a value shared by identity or hashed is frozen, and a value that one owner
-builds, uses once and drops is not."""
+builds, uses once and drops is not. ``Notify`` is the one shared value
+that is not frozen: see ``test_notify_frames_are_slotted_and_not_frozen``."""
 
 import dataclasses
 import importlib
@@ -11,12 +12,15 @@ from typing import get_args
 import pytest
 
 import syncpoint
-from syncpoint.activities import Activity, ActivitySpec
+from syncpoint.activities import (
+    Activity, ActivityKind, ActivitySpec, InviteAnswer, PrivacyPolicy, TimeWindow,
+)
+from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.eventlog import Event, EventRecord, PointFix
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.notify import Notification
 from syncpoint.sim import TranscriptEntry
-from syncpoint.wire import MESSAGES
+from syncpoint.wire import MESSAGES, Arm, Fix, Notify, RespondInvite, encode
 
 
 def package_dataclasses() -> list[type]:
@@ -49,11 +53,11 @@ def test_every_dataclass_is_slotted():
         assert not hasattr(instance, "__dict__"), cls.__qualname__
 
 
-# A frame's text is cached by identity (``OneOf.encode``), a fan-out's
-# recipients share one ``Notify``, and an ``Activity`` and its parts are hashed.
-SHARED = [s.cls for s in MESSAGES.schemas] + list(get_args(Notification)) + [
-    Activity, ActivitySpec, GeoPoint, Geofence,
-]
+# A frame's text is cached by identity (``OneOf.encode``), and an
+# ``Activity`` and its parts are hashed.
+SHARED = [s.cls for s in MESSAGES.schemas if s.cls is not Notify] + list(
+    get_args(Notification)
+) + [Activity, ActivitySpec, GeoPoint, Geofence]
 # A frozen ``__init__`` sets each field through ``object.__setattr__``, which
 # costs several times a plain slot store on these hot values.
 BUILT_ONCE = [EventRecord, *get_args(Event), PointFix, TranscriptEntry]
@@ -74,3 +78,34 @@ def test_values_shared_by_identity_or_hashed_are_frozen(cls):
 def test_values_built_used_once_and_dropped_are_not_frozen(cls):
     _assign_first_field(cls)
     assert cls.__hash__ is None
+
+
+def test_notify_frames_are_slotted_and_not_frozen():
+    """A crossing fix builds one ``Notify`` per seq of its fan-out, and a
+    frozen ``__init__`` costs over twice as much. Its text, which the codec
+    keeps by identity, stays right because ``engine._enqueue`` is the one
+    place a queued frame is built and nothing assigns to one afterwards."""
+    _assign_first_field(Notify)
+    assert Notify.__hash__ is None
+
+
+def test_every_push_of_a_fan_out_with_alternating_seqs_encodes_to_its_own_text():
+    guests = [f"g{i}" for i in range(8)]
+    state = ServerState()
+    # A meetup of every other guest first, so the guests' queue depths alternate.
+    for roster, kind in ((guests[::2], ActivityKind.MEETUP), (guests, ActivityKind.GATHERING)):
+        act, _, _ = create_activity(state, ActivitySpec(
+            title="Walk", kind=kind, window=TimeWindow(1000, 5000),
+            fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
+            organizer="org", participants=("org", *roster),
+            policy=PrivacyPolicy.ANONYMOUS_COUNT, batch_threshold=1,
+        ), now=0)
+    for who in ("org", *guests):
+        handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
+    handle(state, Arm(act.id), "org", 20)
+    outbound, _ = handle(state, Fix(act.id, GeoPoint(41.5606, -8.3970), 2000), "org", 2000)
+    pushes = [frame for _, frame in outbound if isinstance(frame, Notify)]
+    seqs = [frame.seq for frame in pushes[2:]]  # the guests' count updates
+    assert len(set(seqs)) == 2 and all(a != b for a, b in zip(seqs, seqs[1:]))
+    own = MESSAGES.encoders[Notify]  # the schema's encoder, which keeps no text
+    assert [encode(frame) for frame in pushes] == [own(frame) + "\n" for frame in pushes]
