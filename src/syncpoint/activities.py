@@ -227,10 +227,14 @@ def respond_invitation(answer: InviteAnswer) -> ParticipantStatus:
     return ParticipantStatus.DECLINED
 
 
+# Bound once, for the FIX path: reading a member off its class calls a descriptor.
+_SCHEDULED, _ACTIVE, _ENDED = ActivityPhase.SCHEDULED, ActivityPhase.ACTIVE, ActivityPhase.ENDED
+
+
 def phase_at(activity: Activity, now: int) -> ActivityPhase:
     """Scheduled before start, Active in [start, end), Ended from end on."""
     if now < activity.window.start:
-        return ActivityPhase.SCHEDULED
+        return _SCHEDULED
     if now < activity.window.end:
-        return ActivityPhase.ACTIVE
-    return ActivityPhase.ENDED
+        return _ACTIVE
+    return _ENDED

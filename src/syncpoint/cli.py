@@ -25,9 +25,7 @@ as `ingest` does.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import logging
-import signal
 import sys
 import time
 
@@ -35,7 +33,6 @@ from .engine import AlreadyIngested, Engine, replay, status_view
 from .errors import SyncError, read_utf8
 from .eventlog import CorruptRecord, load_log
 from .ics import parse_ics
-from .net import serve_forever
 from .sim import (
     first_divergence,
     load_scenario,
@@ -69,22 +66,27 @@ def _recover_state(log_path: str):
         return e.state
 
 
-async def _serve(engine: Engine, host: str, port: int) -> None:
-    # SIGTERM cancels the server as Ctrl-C does, so both shut down cleanly.
-    asyncio.get_running_loop().add_signal_handler(
-        signal.SIGTERM, asyncio.current_task().cancel
-    )
-    await serve_forever(engine, host, port)
-
-
 def cmd_serve(args) -> int:
+    # Only serve runs an event loop, so only serve pays for importing one.
+    import asyncio
+    import signal
+
+    from .net import serve_forever
+
+    async def serve() -> None:
+        # SIGTERM cancels the server as Ctrl-C does, so both shut down cleanly.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await serve_forever(engine, host, port)
+
     logging.basicConfig(level=logging.WARNING,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     host, port = args.listen
     engine = Engine(log_path=args.log)
     _warn_kept_prefix(engine.torn_tail)
     try:
-        asyncio.run(_serve(engine, host, port))
+        asyncio.run(serve())
     except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     # A LogWriteFailed skips the close: the records past the last commit

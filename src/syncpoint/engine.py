@@ -52,10 +52,11 @@ per-instance ``__dict__``. A value shared by identity or hashed is also
 frozen: every notification, every wire frame but ``Notify`` (the codec
 keeps a frame's text by identity), and ``Activity`` with its parts. A
 value that one owner builds, uses once and drops is not: a log record,
-its event and a transcript entry. A frozen ``__init__`` sets each field
-through ``object.__setattr__``, which makes such a value two to three
-times as dear to build, and a crowd run builds hundreds of thousands of
-them. ``Notify`` is not frozen either, though a fan-out's recipients share
+its event, and a transcript entry, which a ``sim.Transcript`` builds only
+as it is read (it keeps its messages as columns). A frozen ``__init__``
+sets each field through ``object.__setattr__``, which makes such a value
+two to three times as dear to build, and a crowd run builds tens of
+thousands of records. ``Notify`` is not frozen either, though a fan-out's recipients share
 one and the codec keeps its text: a crossing fix builds one per seq of its
 fan-out, ``_enqueue`` is the one place that builds a queued frame, and
 nothing assigns to a frame after that, so the text kept stays its text.
@@ -204,6 +205,9 @@ class ServerState:
 
 Outbound = list[tuple[str, ServerMessage]]
 
+# Bound once, for the FIX path: reading a member off its class calls a descriptor.
+_ACCEPTED, _ACTIVE = ParticipantStatus.ACCEPTED, ActivityPhase.ACTIVE
+
 
 def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
     """Queue a fan-out's frames and return them as its pushes.
@@ -232,10 +236,9 @@ def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
 def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
     ids = state.accepted.get(act.id)
     if ids is None:
-        accepted = ParticipantStatus.ACCEPTED  # bound once: a member lookup calls a descriptor
         ids = state.accepted[act.id] = tuple([
             p.id for p, pp in zip(act.participants, state.rosters[act.id])
-            if pp.status is accepted
+            if pp.status is _ACCEPTED
         ])
     return ids
 
@@ -368,7 +371,7 @@ def _invited(state: ServerState, act: Activity, who: str) -> None:
 def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
     """The presence of ``who``, who must have accepted ``act``."""
     pp = _member(state, act, who)
-    if pp.status is not ParticipantStatus.ACCEPTED:
+    if pp.status is not _ACCEPTED:
         raise NotAccepted(f"{who!r} has not accepted {act.id}")
     return pp
 
@@ -435,7 +438,7 @@ def _dispatch(
             raise StaleFix(
                 f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
             )
-        if phase_at(act, msg.at) is not ActivityPhase.ACTIVE:
+        if phase_at(act, msg.at) is not _ACTIVE:
             # Outside the window the fix is ignored: no state, no record.
             return [(from_, ACK_FIX)], []
         alarm, previous_zone = pp.alarm, pp.zone

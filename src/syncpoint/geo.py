@@ -89,6 +89,10 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h)))
 
 
+# Bound once, for the FIX path: reading a member off its class calls a descriptor.
+_INSIDE, _OUTSIDE = Zone.INSIDE, Zone.OUTSIDE
+
+
 def classify_zone(fence: Geofence, prev: Zone, p: GeoPoint) -> Zone:
     """Classify a fix against a fence with hysteresis.
 
@@ -99,7 +103,7 @@ def classify_zone(fence: Geofence, prev: Zone, p: GeoPoint) -> Zone:
     """
     d = haversine_m(fence.center, p)
     if d <= fence.radius_m:
-        return Zone.INSIDE
+        return _INSIDE
     if d >= fence.radius_m + fence.hysteresis_m:
-        return Zone.OUTSIDE
+        return _OUTSIDE
     return prev

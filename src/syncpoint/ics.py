@@ -265,12 +265,14 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             stated["batch_threshold"] = batch
 
         guest_list: list[str] = []
+        seen: set[str] = set()
         for a in attendees:
             if a.lower() == system:
                 continue
-            if a in guest_list:
+            if a in seen:
                 warnings.append(f"event {_cut(uid)}: duplicate attendee {_cut(a)} ignored")
                 continue
+            seen.add(a)
             guest_list.append(a)
 
         if "ORGANIZER" in first:

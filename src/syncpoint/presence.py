@@ -33,6 +33,10 @@ class Alarm(Enum):
     ARRIVED = "ARRIVED"
 
 
+# Bound once, for the FIX path: reading a member off its class calls a descriptor.
+_ARMED, _INSIDE, _OUTSIDE = Alarm.ARMED, Zone.INSIDE, Zone.OUTSIDE
+
+
 def ingest_fix(alarm: Alarm, previous_zone: Zone, zone: Zone) -> bool:
     """Whether an accepted fix, classified into ``zone``, is the arrival.
 
@@ -40,4 +44,4 @@ def ingest_fix(alarm: Alarm, previous_zone: Zone, zone: Zone) -> bool:
     is Outside before any accepted fix) arrives, and only on a fix now
     classified Inside; a disarmed or arrived one never does.
     """
-    return alarm is Alarm.ARMED and previous_zone is Zone.OUTSIDE and zone is Zone.INSIDE
+    return alarm is _ARMED and previous_zone is _OUTSIDE and zone is _INSIDE

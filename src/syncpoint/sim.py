@@ -2,11 +2,13 @@
 
 Drives the engine with a virtual clock: no sockets, no wall time, no
 global randomness. A scenario file pins a seed, a fix cadence, movement
-traces, and scripted actions; running it yields a transcript — the ordered
-list of every server-to-participant message with its virtual timestamp.
+traces, and scripted actions; running it yields a transcript — every
+server-to-participant message in order, with its virtual timestamp.
 Equal (scenario, seed) always produce byte-identical transcripts and event
-logs, which is what makes golden-file assertions possible. The recipients
-of one fan-out share its frame, and a shared frame is encoded once.
+logs, which is what makes golden-file assertions possible. A
+``Transcript`` keeps the messages as three parallel lists, so a run holds
+no object per message for the collector to walk. The recipients of one
+fan-out share its frame, whose line head is encoded once per time step.
 
 Each step of the loop executes the scripted actions that have come due
 (ties ordered by participant id, then script order), then submits one
@@ -19,7 +21,9 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from itertools import repeat
 from math import cos, inf, nextafter, radians
 from operator import itemgetter
 from pathlib import Path
@@ -34,7 +38,7 @@ from .activities import (
     TimeWindow,
     phase_at,
 )
-from .engine import AlreadyIngested, ServerState, create_activity, handle
+from .engine import AlreadyIngested, Outbound, ServerState, create_activity, handle
 from .errors import SyncError, read_utf8
 from .eventlog import EventRecord, encode_record
 from .geo import Geofence, GeoPoint
@@ -165,9 +169,37 @@ class TranscriptEntry:
     msg: ServerMessage
 
 
+_recipient, _message = itemgetter(0), itemgetter(1)
+
+
+@dataclass(slots=True)
+class Transcript:
+    """Every message of a run in order, as parallel columns: no object per message.
+
+    ``len`` counts the messages, and iterating yields one ``TranscriptEntry``
+    per message, built as it is read.
+    """
+
+    at: list[int] = field(default_factory=list)
+    to: list[str] = field(default_factory=list)
+    msg: list[ServerMessage] = field(default_factory=list)
+
+    def add(self, at: int, outbound: Outbound) -> None:
+        """Append one command's (recipient, message) pairs, all sent at ``at``."""
+        self.at.extend(repeat(at, len(outbound)))
+        self.to.extend(map(_recipient, outbound))
+        self.msg.extend(map(_message, outbound))
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __iter__(self) -> Iterator[TranscriptEntry]:
+        return map(TranscriptEntry, self.at, self.to, self.msg)
+
+
 @dataclass(slots=True)
 class RunResult:
-    transcript: list[TranscriptEntry]
+    transcript: Transcript
     state: ServerState
     records: list[EventRecord]
     activities: list[Activity]
@@ -346,11 +378,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
     timestamp. Identical (scenario, seed) runs produce identical results.
     """
     state = ServerState()
-    transcript: list[TranscriptEntry] = []
+    transcript = Transcript()
     all_records: list[EventRecord] = []
 
     created, outbound, records, warnings = _create_activities(scenario, state)
-    transcript.extend(TranscriptEntry(0, to, m) for to, m in outbound)
+    transcript.add(0, outbound)
     all_records.extend(records)
 
     member_of: dict[str, list[str]] = {}
@@ -396,7 +428,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             )
             for aid in targets:
                 outbound, records = handle(state, ACTIONS[action.verb](aid, t), actor_id, t)
-                transcript.extend(TranscriptEntry(t, to, m) for to, m in outbound)
+                transcript.add(t, outbound)
                 all_records.extend(records)
 
         for actor in actors_sorted:
@@ -408,7 +440,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     interpolate(traces[actor.id], t), scenario.noise_sigma_m, rng
                 )
                 outbound, records = handle(state, Fix(aid, point, t), actor.id, t)
-                transcript.extend(TranscriptEntry(t, to, m) for to, m in outbound)
+                transcript.add(t, outbound)
                 all_records.extend(records)
 
         t += scenario.fix_period_s
@@ -423,17 +455,34 @@ def run_scenario(scenario: Scenario) -> RunResult:
 _ENTRY = Schema(TranscriptEntry, ("at", INT), ("to", STR), ("msg", MESSAGES))
 
 
-def transcript_lines(entries: list[TranscriptEntry]) -> list[str]:
-    """Canonical one-line-per-entry encoding, newline-terminated lines."""
-    encode = _ENTRY.encode
-    return [encode(e) + "\n" for e in entries]
+def _lines(transcript: Transcript) -> Iterator[str]:
+    """Each message's line, in order.
+
+    A line's head, ``{"at":...,"msg":...,"to":``, is its (time, frame)
+    encoded with an empty recipient and cut before that ``""}``. Heads are
+    kept by the frame's identity, which the transcript holds, for the
+    current time only; each recipient adds only its own id.
+    """
+    encode, recipient = _ENTRY.encode, STR.encode
+    step, heads = None, {}
+    for at, to, msg in zip(transcript.at, transcript.to, transcript.msg):
+        if at != step:
+            step, heads = at, {}
+        head = heads.get(id(msg))
+        if head is None:
+            head = heads[id(msg)] = encode(TranscriptEntry(at, "", msg))[:-3]
+        yield head + recipient(to) + "}\n"
 
 
-def write_transcript(path: str | Path, entries: list[TranscriptEntry]) -> None:
+def transcript_lines(transcript: Transcript) -> list[str]:
+    """Canonical one-line-per-message encoding, newline-terminated lines."""
+    return list(_lines(transcript))
+
+
+def write_transcript(path: str | Path, transcript: Transcript) -> None:
     """The lines of ``transcript_lines``, each written as it is encoded."""
-    encode = _ENTRY.encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(e) + "\n" for e in entries)
+        fh.writelines(_lines(transcript))
 
 
 def split_lines(text: str) -> list[str]:

@@ -509,6 +509,17 @@ class TestNotUtf8:
         self.assert_one_error_line(err, golden)
 
 
+def test_only_serve_imports_the_event_loop():
+    # A fresh interpreter: this one has imported asyncio for the serve tests.
+    probe = "import sys, syncpoint.cli; print(sorted({'asyncio', 'syncpoint.net'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=30, check=True,
+    )
+    assert proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
 class TestServe:
     @staticmethod
     def _session(log: Path, frames: list, keep_open: bool) -> tuple[list, int, str]:

@@ -1,6 +1,7 @@
 """Calendar ingestion: unfolding, GEO parsing, VEVENT extraction."""
 
 import random
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -180,6 +181,40 @@ class TestParseIcs:
         result = parse_ics(text, SYSTEM)
         assert result.drafts[0].participants == ("a@b",)
         assert any("duplicate attendee" in w for w in result.warnings)
+
+    @staticmethod
+    def _event(attendees: list[str], organizer: str | None = "mailto:o@x") -> str:
+        return (
+            "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:x@y\r\n"
+            "DTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\n"
+            + (f"ORGANIZER:{organizer}\r\n" if organizer else "")
+            + "".join(f"ATTENDEE:{a}\r\n" for a in attendees)
+            + "END:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+
+    def test_duplicates_keep_the_first_place_and_warn_in_order(self):
+        attendees = ["mailto:b@x", "mailto:o@x", "mailto:a@x", "mailto:b@x", SYSTEM,
+                     "mailto:c@x", "mailto:a@x", SYSTEM, "mailto:o@x", "mailto:c@x"]
+        result = parse_ics(self._event(attendees), SYSTEM)
+        assert result.drafts[0].participants == ("o@x", "b@x", "a@x", "c@x")
+        assert result.warnings == tuple(
+            f"event x@y: duplicate attendee {who} ignored"
+            for who in ("b@x", "a@x", "o@x", "c@x")
+        )
+        result = parse_ics(self._event(attendees, organizer=None), SYSTEM)
+        assert result.drafts[0].participants == ("b@x", "o@x", "a@x", "c@x")
+        assert result.warnings[-1] == "event x@y: no ORGANIZER, using first attendee"
+
+    def test_twenty_thousand_attendees_parse_in_linear_time(self):
+        # A duplicate check that scans the roster so far takes seconds here.
+        guests = [f"mailto:g{i:05}@x" for i in range(20_000)]
+        text = self._event([SYSTEM, *guests, guests[-1]])
+        t0 = time.perf_counter()
+        result = parse_ics(text, SYSTEM)
+        seconds = time.perf_counter() - t0
+        assert len(result.drafts[0].participants) == 20_001
+        assert result.warnings == ("event x@y: duplicate attendee g19999@x ignored",)
+        assert seconds < 0.5, seconds
 
     def test_folding_insensitivity(self):
         folded = (CORPUS / "meetup_fair.ics").read_text()

@@ -10,17 +10,23 @@ from bisect import bisect_right
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, WindowInvalid, new_activity
 import syncpoint.engine as engine
-from syncpoint.engine import Engine, handle, pending, replay, status_view
+import syncpoint.sim as sim
+from syncpoint.engine import ACK_FIX, Engine, handle, pending, replay, status_view
 from syncpoint.eventlog import read_records
 from syncpoint.geo import FenceInvalid, Geofence, GeoPoint
+from syncpoint.notify import GatheringUpdate
 from syncpoint.sim import (
+    _ENTRY,
     M_PER_DEG_LAT,
     Scenario,
     ScenarioInvalid,
     Trace,
+    Transcript,
+    TranscriptEntry,
     interpolate,
     load_scenario,
     next_poll_interval,
@@ -28,8 +34,9 @@ from syncpoint.sim import (
     run_scenario,
     scenario_from_dict,
     transcript_lines,
+    write_transcript,
 )
-from syncpoint.wire import Ack, Notify, Poll
+from syncpoint.wire import Ack, Err, Notify, Poll
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -254,6 +261,16 @@ class TestScenarioLoading:
             assert isinstance(sc, Scenario)
 
 
+def benchmark_crowd(gathering: int, meetup: int) -> dict:
+    """The benchmark's crowd scenario (seed 5) of the given sizes."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        from inputs import make_crowd
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return make_crowd(5, gathering, meetup).scenario
+
+
 class TestRunScenario:
     def test_empty_scenario_empty_transcript(self):
         sc = scenario_from_dict(
@@ -261,7 +278,8 @@ class TestRunScenario:
              "activities": [], "actors": []}
         )
         result = run_scenario(sc)
-        assert result.transcript == []
+        assert len(result.transcript) == 0
+        assert list(result.transcript) == []
         assert result.records == []
 
     def test_same_seed_byte_identical(self):
@@ -298,12 +316,7 @@ class TestRunScenario:
             assert replay(read_records(result.log_lines)) == result.state, path.name
 
     def test_the_benchmark_crowd_log_reads_back_checked(self):
-        sys.path.insert(0, str(REPO / "perfbench"))
-        try:
-            from inputs import make_crowd
-        finally:
-            sys.path.remove(str(REPO / "perfbench"))
-        result = run_scenario(scenario_from_dict(make_crowd(5, 1000, 150).scenario))
+        result = run_scenario(scenario_from_dict(benchmark_crowd(1000, 150)))
         records = list(read_records(result.log_lines))
         assert records == result.records
         state = replay(records)
@@ -386,6 +399,71 @@ def generated_crowd(seed: int, gathering: int, meetup: int, horizon: int = 1800)
             actors.append({"id": who, "trace": trace, "actions": [[0, "ACCEPT"], [0, "ARM"]]})
     return {"seed": seed, "noise_sigma_m": 10.0, "fix_period_s": 30, "horizon": horizon,
             "activities": activities, "actors": actors}
+
+
+# One gathering update reaches queues of two depths, so its frames alternate
+# between two seqs; the last frame equals the one before it but is not it.
+_UPDATE = GatheringUpdate("a1", 10)
+FRAMES = (ACK_FIX, Notify(4, _UPDATE), Notify(5, _UPDATE), Err("NOT_ACCEPTED", "zoë ≠ 🙂"),
+          Notify(5, GatheringUpdate("a1", 10)))
+RECIPIENTS = st.sampled_from(["ana", "zoë", "日本", 'q"\\', "\u2028\x00"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+# Each step: its time and its messages as (recipient, index into FRAMES); maybe none.
+STEPS = st.lists(st.tuples(
+    st.integers(0, 3),
+    st.lists(st.tuples(RECIPIENTS, st.integers(0, len(FRAMES) - 1)), max_size=6),
+), max_size=8)
+
+
+class TestTranscript:
+    """A ``Transcript`` keeps columns and encodes each (time, frame) head once;
+    every line must still be the ``_ENTRY`` encoding of its own entry."""
+
+    @given(STEPS)
+    @example([(1, [("ana", 0)]), (2, [("ana", 0)])])  # one frame object at two times
+    @example([(1, [("ana", 1), ("bo", 2), ("zoë", 1), ("日本", 2)]), (1, []), (3, [("bo", 2)])])
+    @example([(2, [("ana", 2), ("bo", 4), ("ana", 4)]), (0, [("ana", 2)])])
+    def test_lines_are_the_entries_encoded_one_by_one(self, steps):
+        transcript, entries = Transcript(), []
+        for at, messages in steps:
+            outbound = [(to, FRAMES[i]) for to, i in messages]
+            transcript.add(at, outbound)
+            entries += [TranscriptEntry(at, to, m) for to, m in outbound]
+        assert len(transcript) == len(entries)
+        assert list(transcript) == entries
+        assert all(got.msg is want.msg for got, want in zip(transcript, entries))
+        assert transcript_lines(transcript) == [_ENTRY.encode(e) + "\n" for e in entries]
+
+    @pytest.mark.parametrize("source", [
+        *sorted(p.name for p in SCENARIOS.glob("*.json")), "make_crowd(5, 150, 50)",
+    ])
+    def test_a_run_keeps_the_entries_its_commands_sent(self, source, tmp_path, monkeypatch):
+        # What each engine call hands back, at its time: the entries the
+        # transcript used to be built from, one object per message.
+        sent = []
+
+        def spy(fn, at):
+            def call(*args, **kwargs):
+                made = fn(*args, **kwargs)  # (..., outbound, records)
+                sent.extend(TranscriptEntry(at(args, kwargs), to, m) for to, m in made[-2])
+                return made
+            return call
+        monkeypatch.setattr(sim, "handle", spy(sim.handle, lambda a, kw: a[3]))
+        monkeypatch.setattr(sim, "create_activity", spy(sim.create_activity, lambda a, kw: kw["now"]))
+        if source.endswith(".json"):
+            scenario = load_scenario(SCENARIOS / source)
+        else:
+            scenario = scenario_from_dict(benchmark_crowd(150, 50))
+        transcript = run_scenario(scenario).transcript
+        assert len(sent) > 0
+        assert list(transcript) == sent
+        assert all(got.msg is want.msg for got, want in zip(transcript, sent))
+        lines = transcript_lines(transcript)
+        assert lines == [_ENTRY.encode(e) + "\n" for e in sent]
+        assert len(transcript) == len(lines)
+        write_transcript(tmp_path / "out.jsonl", transcript)
+        assert (tmp_path / "out.jsonl").read_bytes() == "".join(lines).encode("utf-8")
+
 
 
 class TestByteIdentity:

@@ -19,7 +19,7 @@ from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.eventlog import Event, EventRecord, PointFix
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.notify import Notification
-from syncpoint.sim import TranscriptEntry
+from syncpoint.sim import Transcript, TranscriptEntry
 from syncpoint.wire import MESSAGES, Arm, Fix, Notify, RespondInvite, encode
 
 
@@ -42,7 +42,7 @@ def test_the_walk_finds_the_dataclasses_of_every_layer():
     assert {
         "Activity", "ParticipantPresence", "ServerState", "EventRecord", "FixAccepted",
         "GeoPoint", "ParseResult", "GatheringUpdate", "ArmSet", "TranscriptEntry",
-        "RunResult", "Notify", "Fix", "ActivitySpec",
+        "Transcript", "RunResult", "Notify", "Fix", "ActivitySpec",
     } <= names
 
 
@@ -87,6 +87,14 @@ def test_notify_frames_are_slotted_and_not_frozen():
     place a queued frame is built and nothing assigns to one afterwards."""
     _assign_first_field(Notify)
     assert Notify.__hash__ is None
+
+
+def test_a_transcript_is_slotted_and_not_frozen():
+    """A run's one ``Transcript`` grows as the run goes: ``add`` extends its
+    columns in place, so no object is kept per message."""
+    _assign_first_field(Transcript)
+    assert "__slots__" in vars(Transcript)
+    assert Transcript.__hash__ is None
 
 
 def test_every_push_of_a_fan_out_with_alternating_seqs_encodes_to_its_own_text():

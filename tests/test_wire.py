@@ -21,7 +21,7 @@ from syncpoint.notify import (
     TaskDoneNotice,
 )
 from syncpoint.schema import loads_line
-from syncpoint.sim import TranscriptEntry, load_scenario, run_scenario, transcript_lines
+from syncpoint.sim import Transcript, load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import (
     MESSAGES,
     Ack,
@@ -365,7 +365,7 @@ class TestCanonicalJson:
             reference = json.dumps(fields(seq), ensure_ascii=False, separators=(",", ":"))
             assert MESSAGES.encode(msg) == reference
             assert encode(msg) == reference + "\n"
-            entry = transcript_lines([TranscriptEntry(7, "bruno", msg)])
+            entry = transcript_lines(Transcript([7], ["bruno"], [msg]))
             assert entry == [f'{{"at":7,"msg":{reference},"to":"bruno"}}\n']
 
 
