@@ -46,20 +46,7 @@ The engine is single-threaded: the server drives it from one asyncio
 loop, which gives commands the total order the determinism guarantees
 depend on.
 
-Every dataclass of the package declares ``slots=True``, so the state's
-many small values (queued frames, presences, records) carry no
-per-instance ``__dict__``. A value shared by identity or hashed is also
-frozen: every notification, every wire frame but ``Notify`` (the codec
-keeps a frame's text by identity), and ``Activity`` with its parts. A
-value that one owner builds, uses once and drops is not: a log record,
-its event, and a transcript entry, which a ``sim.Transcript`` builds only
-as it is read (it keeps its messages as columns). A frozen ``__init__``
-sets each field through ``object.__setattr__``, which makes such a value
-two to three times as dear to build, and a crowd run builds tens of
-thousands of records. ``Notify`` is not frozen either, though a fan-out's recipients share
-one and the codec keeps its text: a crossing fix builds one per seq of its
-fan-out, ``_enqueue`` is the one place that builds a queued frame, and
-nothing assigns to a frame after that, so the text kept stays its text.
+Every dataclass is slotted; which are frozen, and why, ``schema.OneOf`` says.
 
 Privacy stance: fixes come in, facts go out. A fix is classified into a
 zone on arrival and then dropped: the state keeps each participant's zone

@@ -232,13 +232,18 @@ class OneOf(Kind):
     """Any of several tagged schemas, chosen by the value's class or by its tag.
 
     ``encode`` keeps the last value and its text, and returns that text when
-    the very same object comes again, as the shared frame of a fan-out does.
-    A ``OneOf`` value is a frame or a notification, and nothing assigns to
-    one once it is built, so the text kept for an object stays its text.
-    All are frozen but ``Notify``, which only ``engine._enqueue`` builds.
-    The other values left unfrozen for speed (log records, transcript
-    entries) are never ``OneOf`` values: they are built, encoded once and
-    dropped.
+    the very same object comes again, as the shared frame of a fan-out does,
+    so nothing may assign to a frame or a notification once it is built.
+
+    This is the package's one statement of which values are frozen. Every
+    dataclass is slotted, and a value shared by identity or hashed is frozen:
+    each notification, each frame but ``Notify``, and ``Activity`` with its
+    parts. A value that one owner builds, uses once and drops is not (a log
+    record, its event, a transcript entry): a frozen ``__init__`` sets each
+    field through ``object.__setattr__``, at two to three times the cost.
+    ``Notify`` is shared but not frozen, as a crossing fix builds one per seq
+    of its fan-out: only ``engine._enqueue`` builds a queued frame, and
+    nothing assigns to it after that, so the text kept for it stays its text.
     """
 
     def __init__(self, *schemas: Schema):

@@ -10,17 +10,16 @@ logs, which is what makes golden-file assertions possible. A
 no object per message for the collector to walk. The recipients of one
 fan-out share its frame, whose line head is encoded once per time step.
 
-Each step of the loop executes the scripted actions that have come due
-(ties ordered by participant id, then script order), then submits one
-noisy fix per armed (actor, activity) pair. Clients are deliberately dumb:
-they report raw positions and the server decides everything.
+``run_scenario`` says what one step of the clock does. Clients are
+deliberately dumb: they report raw positions and the server decides
+everything.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -48,6 +47,8 @@ from .schema import INT, STR, Schema
 from .wire import MESSAGES, Arm, Disarm, Fix, RespondInvite, ServerMessage, TaskDone
 
 M_PER_DEG_LAT = 111_320.0
+
+_ARMED = Alarm.ARMED  # bound once, for the step loop
 
 # Each scripted verb and the message it sends, built from (activity id, now).
 ACTIONS = {
@@ -77,6 +78,22 @@ class Trace:
             raise ScenarioInvalid("trace waypoint times must be strictly increasing")
 
 
+def _position(trace: Trace, t: int) -> tuple[float, float]:
+    """``interpolate``'s (lat, lon), as two floats."""
+    wps = trace.waypoints
+    if t <= wps[0][0]:
+        p = wps[0][1]
+        return p.lat, p.lon
+    if t >= wps[-1][0]:
+        p = wps[-1][1]
+        return p.lat, p.lon
+    i = bisect_right(wps, t, key=itemgetter(0))
+    t0, p0 = wps[i - 1]
+    t1, p1 = wps[i]
+    f = (t - t0) / (t1 - t0)
+    return p0.lat + f * (p1.lat - p0.lat), p0.lon + f * (p1.lon - p0.lon)
+
+
 def interpolate(trace: Trace, t: int) -> GeoPoint:
     """Position along a trace at time t.
 
@@ -84,16 +101,19 @@ def interpolate(trace: Trace, t: int) -> GeoPoint:
     lat and lon are interpolated linearly and independently (fine at
     sub-kilometre scenario scales, and it keeps oracles hand-traceable).
     """
-    wps = trace.waypoints
-    if t <= wps[0][0]:
-        return wps[0][1]
-    if t >= wps[-1][0]:
-        return wps[-1][1]
-    i = bisect_right(wps, t, key=itemgetter(0))
-    t0, p0 = wps[i - 1]
-    t1, p1 = wps[i]
-    f = (t - t0) / (t1 - t0)
-    return GeoPoint(p0.lat + f * (p1.lat - p0.lat), p0.lon + f * (p1.lon - p0.lon))
+    return GeoPoint(*_position(trace, t))
+
+
+def _jitter(lat: float, lon: float, sigma_m: float, rng: random.Random) -> GeoPoint:
+    """``perturb`` of the point (lat, lon)."""
+    north = rng.gauss(0.0, sigma_m)
+    east = rng.gauss(0.0, sigma_m)
+    scale = cos(radians(lat))
+    lat += north / M_PER_DEG_LAT
+    lon += east / (M_PER_DEG_LAT * scale) if abs(scale) > 1e-9 else 0.0
+    lat = min(90.0, max(-90.0, lat))
+    lon = min(180.0, max(nextafter(-180.0, 0.0), lon))
+    return GeoPoint(lat, lon)
 
 
 def perturb(point: GeoPoint, sigma_m: float, rng: random.Random) -> GeoPoint:
@@ -103,14 +123,7 @@ def perturb(point: GeoPoint, sigma_m: float, rng: random.Random) -> GeoPoint:
     111,320 m and 1 deg lon = 111,320 * cos(lat) m, clamped back into
     valid coordinate ranges.
     """
-    north = rng.gauss(0.0, sigma_m)
-    east = rng.gauss(0.0, sigma_m)
-    lat = point.lat + north / M_PER_DEG_LAT
-    scale = cos(radians(point.lat))
-    lon = point.lon + (east / (M_PER_DEG_LAT * scale) if abs(scale) > 1e-9 else 0.0)
-    lat = min(90.0, max(-90.0, lat))
-    lon = min(180.0, max(nextafter(-180.0, 0.0), lon))
-    return GeoPoint(lat, lon)
+    return _jitter(point.lat, point.lon, sigma_m, rng)
 
 
 def next_poll_interval(now: int, activity: Activity) -> int:
@@ -217,10 +230,13 @@ def _time(value) -> int:
     return value
 
 
-def _number(what: str, value) -> int | float:
+def _number(what: str, value) -> float:
     if type(value) not in (int, float):
         raise ScenarioInvalid(f"{what} {value!r} is not a number")
-    return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ScenarioInvalid(f"{what} {value} is out of range") from None
 
 
 def _name(what: str, value) -> str:
@@ -373,17 +389,21 @@ def _create_activities(scenario: Scenario, state: ServerState):
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute a scenario against a fresh in-process engine.
 
-    The virtual clock advances in fix_period_s steps from 0 to the horizon
-    inclusive. Every outbound server message is collected with its virtual
-    timestamp. Identical (scenario, seed) runs produce identical results.
+    The virtual clock steps by fix_period_s from 0 to the horizon inclusive.
+    Each step runs the scripted actions that have come due (ties ordered by
+    participant id, then script order), then sends one noisy fix for each
+    armed (actor, activity) pair, by actor id and then the actor's own
+    activity order. Only a command for its pair or its sender's arriving fix
+    moves an alarm, so the armed pairs are kept in that order and updated
+    only then. With none armed, the clock skips to the step of the next
+    action, and stops when none is left. So the cost is O(fixes + actions),
+    whatever the horizon; a sender armed until the horizon still sends a fix
+    every period up to it. Every outbound message is collected with its
+    virtual time. Identical (scenario, seed) runs give identical results.
     """
-    state = ServerState()
-    transcript = Transcript()
-    all_records: list[EventRecord] = []
-
-    created, outbound, records, warnings = _create_activities(scenario, state)
+    state, transcript = ServerState(), Transcript()
+    created, outbound, all_records, warnings = _create_activities(scenario, state)
     transcript.add(0, outbound)
-    all_records.extend(records)
 
     member_of: dict[str, list[str]] = {}
     for act in created:
@@ -391,9 +411,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             member_of.setdefault(p.id, []).append(act.id)
     for actor in scenario.actors:
         if actor.id not in member_of:
-            raise ScenarioInvalid(
-                f"actor {actor.id!r} appears in no activity"
-            )
+            raise ScenarioInvalid(f"actor {actor.id!r} appears in no activity")
         for action in actor.actions:
             if action.activity is not None and action.activity not in state.activities:
                 raise ScenarioInvalid(
@@ -403,47 +421,56 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # Script entries in execution order: due time, then participant id, then
     # the actor's own script order.
     script = sorted(
-        (
-            (action.at, actor.id, idx, action)
-            for actor in scenario.actors
-            for idx, action in enumerate(actor.actions)
-        ),
-        key=lambda e: (e[0], e[1], e[2]),
+        (action.at, actor.id, idx, action)
+        for actor in scenario.actors
+        for idx, action in enumerate(actor.actions)
     )
-    next_action = 0
 
     rng = random.Random(scenario.seed)
-    actors_sorted = sorted(scenario.actors, key=lambda a: a.id)
-    traces = {a.id: a.trace for a in scenario.actors}
+    sigma, period = scenario.noise_sigma_m, scenario.fix_period_s
+    # Each actor's (actor id, activity order, activity id, presence, trace), by
+    # (activity id, actor id); ``armed`` holds the armed ones sorted: send order.
+    senders = {
+        (aid, actor.id): (actor.id, order, aid, state.presence[(aid, actor.id)], actor.trace)
+        for actor in scenario.actors
+        for order, aid in enumerate(member_of[actor.id])
+    }
+    armed: list[tuple] = []
 
-    t = 0
+    t = next_action = 0
     while t <= scenario.horizon:
         while next_action < len(script) and script[next_action][0] <= t:
             _, actor_id, _, action = script[next_action]
             next_action += 1
-            targets = (
-                [action.activity]
-                if action.activity is not None
-                else member_of[actor_id]
-            )
-            for aid in targets:
+            for aid in [action.activity] if action.activity is not None else member_of[actor_id]:
                 outbound, records = handle(state, ACTIONS[action.verb](aid, t), actor_id, t)
                 transcript.add(t, outbound)
                 all_records.extend(records)
+                sender = senders.get((aid, actor_id))
+                if sender is not None:  # its alarm may have moved
+                    i = bisect_left(armed, sender)
+                    listed = i < len(armed) and armed[i] is sender
+                    if listed and sender[3].alarm is not _ARMED:
+                        del armed[i]
+                    elif not listed and sender[3].alarm is _ARMED:
+                        armed.insert(i, sender)
 
-        for actor in actors_sorted:
-            for aid in member_of[actor.id]:
-                pp = state.presence.get((aid, actor.id))
-                if pp is None or pp.alarm is not Alarm.ARMED:
-                    continue
-                point = perturb(
-                    interpolate(traces[actor.id], t), scenario.noise_sigma_m, rng
-                )
-                outbound, records = handle(state, Fix(aid, point, t), actor.id, t)
-                transcript.add(t, outbound)
-                all_records.extend(records)
+        still = []
+        for sender in armed:
+            actor_id, _, aid, presence, trace = sender
+            point = _jitter(*_position(trace, t), sigma, rng)
+            outbound, records = handle(state, Fix(aid, point, t), actor_id, t)
+            transcript.add(t, outbound)
+            all_records.extend(records)
+            if presence.alarm is _ARMED:  # else it has arrived
+                still.append(sender)
+        armed = still
 
-        t += scenario.fix_period_s
+        t += period
+        if not armed:
+            if next_action == len(script):
+                break
+            t = -(-script[next_action][0] // period) * period  # its step, after t
 
     return RunResult(transcript, state, all_records, created, warnings)
 

@@ -126,8 +126,7 @@ class Welcome:
     server_time: int
 
 
-# The one frame not frozen, as a fan-out builds one per seq; why
-# the text the codec keeps for it stays right is in the ``engine`` docstring.
+# The one frame not frozen; ``schema.OneOf`` says why.
 @dataclass(slots=True)
 class Notify:
     seq: int

@@ -1,20 +1,23 @@
 """Simulator: interpolation, noise, poll schedule, scenario runs."""
 
+import copy
 import hashlib
 import json
 import math
 import random
 import statistics
 import sys
+import time
 from bisect import bisect_right
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, WindowInvalid, new_activity
 import syncpoint.engine as engine
 import syncpoint.sim as sim
+from syncpoint.errors import SyncError
 from syncpoint.engine import ACK_FIX, Engine, handle, pending, replay, status_view
 from syncpoint.eventlog import read_records
 from syncpoint.geo import FenceInvalid, Geofence, GeoPoint
@@ -36,7 +39,8 @@ from syncpoint.sim import (
     transcript_lines,
     write_transcript,
 )
-from syncpoint.wire import Ack, Err, Notify, Poll
+from syncpoint.presence import Alarm
+from syncpoint.wire import Ack, Err, Fix, Notify, Poll
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -198,6 +202,8 @@ class TestScenarioLoading:
         ({"kind": "PARADE"}, ScenarioInvalid),
         ({"radius_m": math.inf}, FenceInvalid),
         ({"hysteresis_m": math.nan}, FenceInvalid),
+        ({"radius_m": 10**400}, ScenarioInvalid),  # too large for a float
+        ({"lat": -(10**400)}, ScenarioInvalid),
     ])
     def test_a_bad_activity_field_fails_at_load(self, field, error):
         activity = {
@@ -556,3 +562,214 @@ class TestRestartQueues:
                 assert all(m is f for m, f in zip(got, frames[cursor:])), (who, cursor)
                 polls += 1
         assert polls > 1000 and built == []
+
+
+def reference_run(scenario: Scenario) -> tuple[Transcript, list]:
+    """``run_scenario``'s clock as first written: every step up to the horizon,
+    and on each one a visit to every (actor, activity) pair to find the armed
+    ones, with the point built by ``interpolate`` and then ``perturb``."""
+    state, transcript, records = engine.ServerState(), Transcript(), []
+    created, outbound, made, _ = sim._create_activities(scenario, state)
+    transcript.add(0, outbound)
+    records += made
+    member_of: dict[str, list[str]] = {}
+    for act in created:
+        for p in act.participants:
+            member_of.setdefault(p.id, []).append(act.id)
+    script = sorted(
+        ((action.at, actor.id, i, action)
+         for actor in scenario.actors for i, action in enumerate(actor.actions)),
+        key=lambda e: e[:3],
+    )
+    rng, t, n = random.Random(scenario.seed), 0, 0
+    while t <= scenario.horizon:
+        while n < len(script) and script[n][0] <= t:
+            _, who, _, action = script[n]
+            n += 1
+            for aid in [action.activity] if action.activity is not None else member_of[who]:
+                out, new = handle(state, sim.ACTIONS[action.verb](aid, t), who, t)
+                transcript.add(t, out)
+                records += new
+        for actor in sorted(scenario.actors, key=lambda a: a.id):
+            for aid in member_of[actor.id]:
+                if state.presence[(aid, actor.id)].alarm is Alarm.ARMED:
+                    point = perturb(interpolate(actor.trace, t), scenario.noise_sigma_m, rng)
+                    out, new = handle(state, Fix(aid, point, t), actor.id, t)
+                    transcript.add(t, out)
+                    records += new
+        t += scenario.fix_period_s
+    return transcript, records
+
+
+def two_activities(actions: dict[str, list], period: int = 60, horizon: int = 10**6,
+                   seed: int = 8) -> dict:
+    """A meetup a1 (window 600-3000) of four and a task a2 (window 0-1200) of
+    three, with two centres 1.1 km apart. Ana walks to a2's centre by 300 s
+    and on to a1's by 2000 s, Bruno reaches a1's at 2400 s, and Carla and Dan
+    stay 2 km out."""
+    far = [[0, 41.58, -8.39]]
+    traces = {
+        "ana": [[0, 41.59, -8.39], [300, 41.57, -8.39], [1000, 41.57, -8.39], [2000, 41.56, -8.39]],
+        "bruno": [[0, 41.59, -8.39], [2000, 41.59, -8.39], [2400, 41.56, -8.39]],
+        "carla": far, "dan": far,
+    }
+    return {
+        "seed": seed, "noise_sigma_m": 8.0, "fix_period_s": period, "horizon": horizon,
+        "activities": [
+            {"title": "Meet", "kind": "MEETUP", "start": 600, "end": 3000, "lat": 41.56,
+             "lon": -8.39, "organizer": "ana", "participants": ["ana", "bruno", "carla", "dan"]},
+            {"title": "Errand", "kind": "TASK", "start": 0, "end": 1200, "lat": 41.57,
+             "lon": -8.39, "organizer": "carla", "participants": ["carla", "bruno", "ana"]},
+        ],
+        "actors": [{"id": who, "trace": traces[who], "actions": script}
+                   for who, script in actions.items()],
+    }
+
+
+# Each case of the step loop, in one script: the comment names the case.
+STEP_CASES = {
+    # DISARM and then ARM again inside a1's window; ARM after arriving in a2
+    # (an ERR); armed in a1 while arrived in a2; fixes before a1's window.
+    "ana": [[0, "ACCEPT"], [0, "ARM"], [900, "DISARM", "a1"], [1500, "ARM", "a1"],
+            [2500, "ARM", "a2"]],
+    # Actions on one activity and on all of them; an ARM that gets NOT_ACCEPTED.
+    "bruno": [[0, "ACCEPT", "a1"], [0, "DECLINE", "a2"], [0, "ARM"]],
+    # Off-step times; a command with a record while armed; fixes after a2's
+    # window until the DISARM of both (a no-op for a1).
+    "carla": [[0, "ACCEPT"], [45, "ARM", "a2"], [100, "TASK_DONE", "a2"], [1800, "DISARM"]],
+    # Armed after a1's window, from an off-step time after every other sender
+    # has stopped; then the horizon lies far past this last action.
+    "dan": [[0, "ACCEPT"], [3100, "ARM"], [3500, "DISARM"]],
+}
+
+VERBS = st.sampled_from(sorted(sim.ACTIONS))
+SCRIPTS = st.fixed_dictionaries({
+    who: st.lists(st.tuples(st.integers(-30, 4000), VERBS, st.sampled_from([None, "a1", "a2"])),
+                  max_size=6)
+    for who in ("ana", "bruno", "carla", "dan")
+})
+
+
+class TestStepLoop:
+    """``run_scenario`` visits only the armed senders and skips idle steps; it
+    must send what the every-pair, every-step loop sends, in the same order."""
+
+    @staticmethod
+    def assert_same_run(scenario: Scenario):
+        result = run_scenario(scenario)
+        transcript, records = reference_run(scenario)
+        assert result.records == records
+        assert result.transcript == transcript
+        assert transcript_lines(result.transcript) == transcript_lines(transcript)
+        return result
+
+    @pytest.mark.parametrize("period", [60, 45, 7])
+    def test_every_case_sends_what_visiting_every_pair_sends(self, period):
+        result = self.assert_same_run(scenario_from_dict(two_activities(STEP_CASES, period)))
+        arrived = {(r.event.activity, r.event.who) for r in result.records
+                   if type(r.event).__name__ == "ArrivalRecorded"}
+        assert arrived == {("a2", "ana"), ("a1", "ana"), ("a1", "bruno")}
+        errors = [(e.to, e.msg.code) for e in result.transcript if isinstance(e.msg, Err)]
+        assert ("ana", "ALREADY_ARMED") in errors and ("bruno", "NOT_ACCEPTED") in errors
+        fixes = [e.at for e in result.transcript if e.to == "dan" and e.msg == ACK_FIX]
+        assert fixes and 3000 < min(fixes) and max(fixes) <= 3500  # after a1's window only
+
+    @pytest.mark.parametrize("source", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_the_shipped_scenarios(self, source):
+        self.assert_same_run(load_scenario(SCENARIOS / source))
+
+    def test_a_crowd(self):
+        self.assert_same_run(scenario_from_dict(benchmark_crowd(150, 50)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(SCRIPTS, st.sampled_from([30, 60, 97]))
+    def test_drawn_scripts(self, scripts, period):
+        actions = {who: [[at, verb] if target is None else [at, verb, target]
+                         for at, verb, target in script]
+                   for who, script in scripts.items()}
+        self.assert_same_run(scenario_from_dict(two_activities(actions, period, horizon=5000)))
+
+    @pytest.mark.parametrize("horizon", [10**9, 10**12])
+    def test_an_idle_horizon_costs_no_time(self, horizon):
+        d = json.loads((SCENARIOS / "s1_meetup.json").read_text())
+        want = transcript_lines(run_scenario(scenario_from_dict(d)).transcript)
+        t0 = time.perf_counter()
+        result = run_scenario(scenario_from_dict(dict(d, horizon=horizon)))
+        assert time.perf_counter() - t0 < 1.0
+        assert transcript_lines(result.transcript) == want
+
+
+# Values a mutation puts in place of another: each JSON type, huge and
+# negative integers, non-finite floats and a lone surrogate. Hypothesis draws
+# the first ones most, so an integer too large for a float leads.
+ODD_VALUES = (10**400, None, True, False, 0, -1, 2**63, -(2**63), 0.5, 1e308, math.nan,
+              -math.inf, "", "x", "\ud800", [], [[]], {}, {"": None})
+# What a nudge adds to a number: times move by steps or less, points by metres.
+NUDGES = (-3600, -61, -1, 1, 29, 600, 0.0001, -0.002)
+SHIPPED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+HORIZON_CAP = 100_000
+
+
+def paths(node, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in children:
+        yield from paths(child, (*path, key))
+
+
+def at_path(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(doc, path, op, value):
+    """``doc`` with the value at ``path`` replaced, deleted, given an extra key,
+    duplicated or added to, as ``op`` says; the root is only ever replaced."""
+    value = copy.deepcopy(value)  # the doc owns what it holds
+    if not path:
+        return value
+    parent = at_path(doc, path[:-1])
+    key, child = path[-1], parent[path[-1]]
+    if op == "delete":
+        del parent[key]
+    elif op == "extra" and isinstance(child, dict):
+        child["extra"] = value
+    elif op == "nudge" and type(child) in (int, float):
+        parent[key] = child + value
+    elif op == "twice" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(child))
+    else:
+        parent[key] = value
+    return doc
+
+
+class TestScenarioFuzz:
+    """Nothing but a named ``SyncError`` escapes ``scenario_from_dict`` plus
+    ``run_scenario``, whatever one to three mutations of a shipped scenario
+    do to it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_only_named_errors_escape(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(SHIPPED)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            where = list(paths(doc))
+            op = data.draw(st.sampled_from(["nudge", "replace", "twice", "extra", "delete"]))
+            # A value to add, an odd one, or one from elsewhere in the document.
+            if op == "nudge":
+                value = data.draw(st.sampled_from(NUDGES))
+            elif data.draw(st.booleans()):
+                value = data.draw(st.sampled_from(ODD_VALUES))
+            else:
+                value = at_path(doc, data.draw(st.sampled_from(where)))
+            doc = mutate(doc, data.draw(st.sampled_from(where)), op, value)
+        if isinstance(doc, dict) and type(doc.get("horizon")) is int:
+            doc["horizon"] = min(doc["horizon"], HORIZON_CAP)
+        try:
+            run_scenario(scenario_from_dict(doc, base_dir=SCENARIOS))
+        except Exception as e:  # noqa: BLE001 - anything but a named error is the failure
+            if not isinstance(e, SyncError) or e.code == SyncError.code:
+                pytest.fail(f"{type(e).__name__}: {e} escaped on {doc!r}")
