@@ -45,9 +45,11 @@ from .wire import encode
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
+    """(host, port) of HOST:PORT; an IPv6 host may be written in brackets."""
     host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError("--listen expects HOST:PORT")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError("--listen expects HOST:PORT, with a port of 0-65535")
+    host = host[1:-1] if host.startswith("[") and host.endswith("]") else host
     return (host or "127.0.0.1", int(port))
 
 

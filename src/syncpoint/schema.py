@@ -12,7 +12,8 @@ into an encoder that fills one ``%`` template straight from the instance
 infinity raise ``ValueError``) and into one decoder: a constructor
 expression over the parsed object that checks each field, raising
 ``FieldInvalid`` for a value of the wrong type or range and ``KeyError``
-for a missing key. Wire frames and log records alike pass through it.
+for a missing key. Wire frames, log records and scenario files pass
+through it.
 
 A ``OneOf`` (any frame, any notification) encodes the same object given
 twice in a row once: the shared frame of a fan-out. ``loads_line`` is the
@@ -122,11 +123,9 @@ def _object(v, key: str) -> dict:
     return v
 
 
-def _objects(v, key: str) -> list:
+def _list(v, key: str) -> list:
     if not isinstance(v, list):
         raise FieldInvalid(key, "expected a list")
-    if not all(isinstance(e, dict) for e in v):
-        raise FieldInvalid(key, "expected objects")
     return v
 
 
@@ -176,19 +175,23 @@ class Kind:
 STR = Kind(encode_basestring, _str, valid="{}.__class__ is str and v")  # non-empty
 TEXT = Kind(encode_basestring, _str, True, valid="{}.__class__ is str")
 INT = Kind(int.__repr__, _int, valid="{}.__class__ is int and v >= 0")
+SIGNED = Kind(int.__repr__, _int, -_INF, valid="{}.__class__ is int")
 COUNT = Kind(int.__repr__, _int, 1, valid="{}.__class__ is int and v >= 1")
 FLOAT = Kind(_float, _number, valid="{}.__class__ is float")
 BOOL = Kind({True: "true", False: "false"}.__getitem__, _bool, valid="{}.__class__ is bool")
 
 
-def choice(enum_cls) -> Kind:
-    """A str enum. A member is a str equal to its value, so it encodes as one."""
-    assert issubclass(enum_cls, str), enum_cls
-    return Kind(encode_basestring, _choice, enum_cls._value2member_map_)
+def choice(members) -> Kind:
+    """A str enum, or a dict's str keys. A member is a str equal to its value."""
+    if isinstance(members, dict):
+        return Kind(encode_basestring, _choice, dict(zip(members, members)))
+    assert issubclass(members, str), members
+    return Kind(encode_basestring, _choice, members._value2member_map_)
 
 
 class Optional(Kind):
-    """A field whose key is left out when its value is None."""
+    """A field whose key is left out when its value is None. An absent key reads
+    as the field's default; a present one, null too, is checked by ``inner``."""
 
     optional = True
 
@@ -213,15 +216,19 @@ class Inline(Nested):
     """A nested value whose keys sit in the enclosing object (a fix's lat and lon)."""
 
 
-class ListOf(Nested):
-    """A JSON list of objects; the value is a tuple."""
+class ListOf(Kind):
+    """A JSON list of one scalar kind, or of objects of one schema; the value is a tuple."""
+
+    def __init__(self, item: Kind | Schema):
+        self.encode_item = item.encode
+        self.item = Nested(item) if isinstance(item, Schema) else item
 
     def template(self, value, names):
-        return "[%s]", [f"','.join(map({names.add(self.schema.encode)}, {value}))"]
+        return "[%s]", [f"','.join(map({names.add(self.encode_item)}, {value}))"]
 
     def parse(self, got, key, names):
-        decoder = names.add(self.schema.decoder)
-        return f"tuple(map({decoder}, {names.add(_objects)}({got}, {key!r})))"
+        item = self.item.parse("e", key, names)
+        return f"tuple([{item} for e in {names.add(_list)}({got}, {key!r})])"
 
 
 def _no_schema(value):
@@ -281,13 +288,16 @@ class Schema:
     """One frame, record or nested object: its class, tag and fields.
 
     ``fields`` are (attribute, kind) pairs in constructor order, one per
-    ``__init__`` field; each attribute is also the JSON key. ``tag`` is the
-    (key, value) pair that names the variant.
+    ``__init__`` field but for trailing ones that have defaults; each
+    attribute is also the JSON key. ``tag`` is the (key, value) pair that
+    names the variant.
     """
 
     def __init__(self, cls, *fields: tuple[str, Kind], tag: tuple[str, str] | None = None):
-        names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
-        assert names == tuple(name for name, _ in fields), (cls, names)
+        init = [f for f in dataclasses.fields(cls) if f.init]
+        assert [f.name for f in init[:len(fields)]] == [name for name, _ in fields], (cls, init)
+        self.defaults = {f.name: f.default for f in init if f.default is not dataclasses.MISSING}
+        assert all(f.name in self.defaults for f in init[len(fields):]), cls
         self.cls, self.fields, self.tag = cls, fields, tag
 
     def slots(self, value: str) -> list[tuple[str, str, Kind]]:
@@ -335,9 +345,9 @@ class Schema:
             if isinstance(kind, Inline):
                 args.append(kind.schema.construct(obj, names))
             elif kind.optional:
-                var = f"opt{len(names)}"
-                parsed = kind.parse(var, key, names)
-                args.append(f"(None if ({var} := {obj}.get({key!r})) is None else {parsed})")
+                default = names.add(self.defaults[key])
+                args.append(f"({kind.parse(f'{obj}[{key!r}]', key, names)} "
+                            f"if {key!r} in {obj} else {default})")
             else:
                 args.append(kind.parse(f"{obj}[{key!r}]", key, names))
         return f"{names.add(self.cls)}({', '.join(args)})"

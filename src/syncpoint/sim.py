@@ -13,6 +13,10 @@ fan-out share its frame, whose line head is encoded once per time step.
 ``run_scenario`` says what one step of the clock does. Clients are
 deliberately dumb: they report raw positions and the server decides
 everything.
+
+A scenario file is read through the schema table, as frames and log records
+are (``_SCENARIO`` and the schemas after it); a rule that is not a type is
+its value's own (``Scenario``, ``Trace``, ``TimeWindow``, ``Geofence``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from math import cos, inf, nextafter, radians
 from operator import itemgetter
@@ -43,8 +47,10 @@ from .eventlog import EventRecord, encode_record
 from .geo import Geofence, GeoPoint
 from .ics import parse_ics
 from .presence import Alarm
-from .schema import INT, STR, Schema
-from .wire import MESSAGES, Arm, Disarm, Fix, RespondInvite, ServerMessage, TaskDone
+from .schema import (
+    COUNT, FLOAT, INT, SIGNED, STR, TEXT, FieldInvalid, Inline, ListOf, Optional, Schema, choice,
+)
+from .wire import MESSAGES, POINT, Arm, Disarm, Fix, RespondInvite, ServerMessage, TaskDone
 
 M_PER_DEG_LAT = 111_320.0
 
@@ -164,15 +170,29 @@ class ActorScript:
 
 
 @dataclass(frozen=True, slots=True)
+class Calendar:  # activities from the .ics file ``ics``, relative to the scenario's dir
+    ics: str
+    system_address: str
+
+
+@dataclass(frozen=True, slots=True)
 class Scenario:
     seed: int
-    noise_sigma_m: float
     fix_period_s: int
     horizon: int
-    activities: tuple[ActivitySpec, ...]
-    ics: tuple[str, str] | None  # (.ics path, system address)
-    actors: tuple[ActorScript, ...]
+    noise_sigma_m: float = 0.0
+    activities: tuple[ActivitySpec, ...] = ()
+    calendar: Calendar | None = None
+    actors: tuple[ActorScript, ...] = ()
     base_dir: Path | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.noise_sigma_m < inf:  # NaN fails too
+            raise ScenarioInvalid(f"noise_sigma_m must be finite and >= 0: {self.noise_sigma_m}")
+        ids = [actor.id for actor in self.actors]
+        if len(set(ids)) < len(ids):
+            twice = next(who for i, who in enumerate(ids) if who in ids[:i])
+            raise ScenarioInvalid(f"actor {twice!r} is listed twice")
 
 
 @dataclass(slots=True)
@@ -223,131 +243,85 @@ class RunResult:
         return [encode_record(r) for r in self.records]
 
 
-# Exact types: JSON true and false load as bool, which isinstance(_, int) accepts.
-def _time(value) -> int:
-    if type(value) is not int:
-        raise ScenarioInvalid(f"time {value!r} is not an integer")
+# --- scenario files -----------------------------------------------------------
+
+
+@dataclass(slots=True)
+class _Waypoint:  # a trace row as read; a ``Trace`` keeps it as (at, point)
+    at: int
+    point: GeoPoint
+
+
+# A scenario file's one statement: its header, each activity (flat), the
+# calendar form of "activities", and an actor's rows zipped onto their keys.
+_SCENARIO = Schema(
+    Scenario, ("seed", SIGNED), ("fix_period_s", COUNT), ("horizon", INT),
+    ("noise_sigma_m", Optional(FLOAT)),
+)
+_SPEC = Schema(
+    ActivitySpec,
+    ("title", TEXT),
+    ("window", Inline(Schema(TimeWindow, ("start", SIGNED), ("end", SIGNED)))),
+    ("fence", Inline(Schema(
+        Geofence, ("center", Inline(POINT)), ("radius_m", Optional(FLOAT)),
+        ("hysteresis_m", Optional(FLOAT)),
+    ))),
+    ("organizer", STR),
+    ("participants", ListOf(STR)),
+    ("kind", Optional(choice(ActivityKind))),
+    ("policy", Optional(choice(PrivacyPolicy))),
+    ("batch_threshold", Optional(COUNT)),
+)
+_CALENDAR = Schema(Calendar, ("ics", TEXT), ("system_address", TEXT))
+_WAYPOINT = Schema(_Waypoint, ("at", SIGNED), ("point", Inline(POINT)))
+_ACTION = Schema(
+    ScriptedAction, ("at", SIGNED), ("verb", choice(ACTIONS)), ("activity", Optional(STR)),
+)
+
+
+def _list(value, key: str, item: type) -> list:
+    """``value``, which must be a list of objects (``dict``) or of rows (``list``)."""
+    if type(value) is not list or not all(type(e) is item for e in value):
+        raise FieldInvalid(key, f"expected a list of {'objects' if item is dict else 'lists'}")
     return value
 
 
-def _number(what: str, value) -> float:
-    if type(value) not in (int, float):
-        raise ScenarioInvalid(f"{what} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer too large for a float
-        raise ScenarioInvalid(f"{what} {value} is out of range") from None
+def _rows(value, key: str, keys: tuple[str, ...]) -> Iterator[dict]:
+    """Each row of the list ``value`` as an object: its values zipped onto ``keys``."""
+    for row in _list(value, key, list):
+        if len(row) > len(keys):
+            raise FieldInvalid(key, f"a row has at most {len(keys)} values, got {row!r}")
+        yield dict(zip(keys, row))
 
 
-def _name(what: str, value) -> str:
-    if type(value) is not str:
-        raise ScenarioInvalid(f"{what} {value!r} is not a string")
-    return value
-
-
-# The optional keys of a scenario activity, each with its conversion.
-_STATED = {"kind": ActivityKind, "policy": PrivacyPolicy, "batch_threshold": lambda v: v}
-
-
-def _spec_from_dict(d: dict) -> ActivitySpec:
-    """The activity a scenario describes; only the keys it states are passed."""
-    try:
-        if type(d["participants"]) is not list:  # a string would give one id per character
-            raise ScenarioInvalid(f"participants {d['participants']!r} is not a list")
-        return ActivitySpec(
-            title=d["title"],
-            window=TimeWindow(d["start"], d["end"]),
-            fence=Geofence(
-                GeoPoint(_number("coordinate", d["lat"]), _number("coordinate", d["lon"])),
-                **{k: _number(k, d[k]) for k in ("radius_m", "hysteresis_m") if k in d},
-            ),
-            organizer=d["organizer"],
-            participants=tuple(_name("participant", p) for p in d["participants"]),
-            **{k: convert(d[k]) for k, convert in _STATED.items() if k in d},
-        )
-    except KeyError as e:
-        raise ScenarioInvalid(f"activity spec missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:  # TypeError: an entry that is not an object, say
-        raise ScenarioInvalid(f"bad activity spec: {e}") from None
+def _actor(a: dict) -> ActorScript:
+    """An actor: its id, trace rows [at, lat, lon] and action rows [at, verb(, activity)]."""
+    trace = map(_WAYPOINT.decoder, _rows(a["trace"], "trace", ("at", "lat", "lon")))
+    actions = _rows(a.get("actions", []), "actions", ("at", "verb", "activity"))
+    return ActorScript(
+        STR.check(a["id"], "id"), Trace(tuple((w.at, w.point) for w in trace)),
+        tuple(map(_ACTION.decoder, actions)),
+    )
 
 
 def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
+    """The scenario a parsed file states; a value it cannot be is ``ScenarioInvalid``."""
     if not isinstance(d, dict):
         raise ScenarioInvalid("a scenario must be a JSON object")
     try:
-        seed = d["seed"]
-        sigma = d.get("noise_sigma_m", 0.0)
-        period = d["fix_period_s"]
-        horizon = d["horizon"]
-        raw_activities = d.get("activities", [])
-        raw_actors = d.get("actors", [])
+        header, activities = _SCENARIO.decoder(d), d.get("activities", [])
+        if isinstance(activities, dict):
+            calendar, specs = _CALENDAR.decoder(activities), ()
+        else:
+            calendar, specs = None, tuple(map(_SPEC.decoder, _list(activities, "activities", dict)))
+        actors = tuple(map(_actor, _list(d.get("actors", []), "actors", dict)))
+        return replace(
+            header, activities=specs, calendar=calendar, actors=actors, base_dir=base_dir
+        )
+    except FieldInvalid as e:
+        raise ScenarioInvalid(e.detail) from None
     except KeyError as e:
-        raise ScenarioInvalid(f"scenario missing field {e.args[0]!r}") from None
-    if type(period) is not int or period <= 0:
-        raise ScenarioInvalid("fix_period_s must be a positive integer")
-    if type(seed) is not int:
-        raise ScenarioInvalid("seed must be an integer")
-    if type(sigma) not in (int, float) or not 0 <= sigma < inf:  # NaN fails too
-        raise ScenarioInvalid("noise_sigma_m must be a finite number >= 0")
-    if type(horizon) is not int or horizon < 0:
-        raise ScenarioInvalid("horizon must be a non-negative integer")
-
-    ics_ref = None
-    specs: tuple[ActivitySpec, ...] = ()
-    if isinstance(raw_activities, dict):
-        try:
-            ics_ref = (raw_activities["ics"], raw_activities["system_address"])
-        except KeyError as e:
-            raise ScenarioInvalid(
-                f"ics activities need field {e.args[0]!r}"
-            ) from None
-        if not all(isinstance(v, str) for v in ics_ref):
-            raise ScenarioInvalid("ics and system_address must be strings")
-    elif isinstance(raw_activities, list):
-        specs = tuple(_spec_from_dict(a) for a in raw_activities)
-    else:
-        raise ScenarioInvalid("activities must be a list or an ics reference")
-
-    if not isinstance(raw_actors, list):
-        raise ScenarioInvalid("actors must be a list")
-    actors, actor_ids = [], set()
-    for a in raw_actors:
-        try:
-            actor_id = _name("actor id", a["id"])
-            waypoints = tuple(
-                (_time(at), GeoPoint(_number("coordinate", lat), _number("coordinate", lon)))
-                for at, lat, lon in a["trace"]
-            )
-            actions = []
-            for entry in a.get("actions", []):
-                if len(entry) == 2:
-                    at, verb = entry
-                    target = None
-                elif len(entry) == 3:
-                    at, verb, target = entry
-                    _name("action target", target)
-                else:
-                    raise ScenarioInvalid(f"bad action entry {entry!r}")
-                if verb not in ACTIONS:
-                    raise ScenarioInvalid(f"unknown action verb {verb!r}")
-                actions.append(ScriptedAction(_time(at), verb, target))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ScenarioInvalid(f"bad actor entry: {e}") from None
-        if actor_id in actor_ids:
-            raise ScenarioInvalid(f"actor {actor_id!r} is listed twice")
-        actor_ids.add(actor_id)
-        actors.append(ActorScript(actor_id, Trace(waypoints), tuple(actions)))
-
-    return Scenario(
-        seed=seed,
-        noise_sigma_m=float(sigma),
-        fix_period_s=period,
-        horizon=horizon,
-        activities=specs,
-        ics=ics_ref,
-        actors=tuple(actors),
-        base_dir=base_dir,
-    )
+        raise ScenarioInvalid(f"missing field {e.args[0]!r}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -365,12 +339,11 @@ def load_scenario(path: str | Path) -> Scenario:
 def _create_activities(scenario: Scenario, state: ServerState):
     """Create all scenario activities at virtual t=0: the activities, pushes, records, warnings."""
     specs, warnings = scenario.activities, []
-    if scenario.ics is not None:
-        ics_path, system_address = scenario.ics
-        path = Path(ics_path)
+    if scenario.calendar is not None:
+        path = Path(scenario.calendar.ics)
         if not path.is_absolute() and scenario.base_dir is not None:
             path = scenario.base_dir / path
-        result = parse_ics(read_utf8(path), system_address)
+        result = parse_ics(read_utf8(path), scenario.calendar.system_address)
         specs, warnings = result.drafts + specs, list(result.warnings)
     made = []  # (activity, pushes, records) of each
     for spec in specs:

@@ -13,7 +13,7 @@ import pytest
 
 import syncpoint.eventlog
 from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, TimeWindow
-from syncpoint.cli import main
+from syncpoint.cli import build_parser, main
 from syncpoint.engine import Engine, replay, status_view
 from syncpoint.eventlog import (
     ArmSet, CorruptRecord, EventRecord, encode_record, load_log, read_records,
@@ -348,13 +348,10 @@ class TestSimulate:
         assert out == "".join(transcript_lines(run_scenario(load_scenario(scenario)).transcript))
 
     def test_a_title_that_is_not_a_string_is_one_error_line(self, tmp_path, capsys):
-        scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text())
-        scenario["activities"][0]["title"] = 5
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(capsys, "simulate", path)
-        assert (code, out) == (1, "")
-        assert err == "error: TITLE_INVALID: title must be a string, got 5\n"
+        def edit(scenario):
+            scenario["activities"][0]["title"] = 5
+        err = self.simulate(tmp_path, capsys, edit)
+        assert err == "error: SCENARIO_INVALID: invalid field 'title': expected a string\n"
 
     def test_a_title_utf8_cannot_encode_is_one_error_line(self, tmp_path, capsys):
         # A lone surrogate loads from a JSON escape but cannot be written out,
@@ -374,19 +371,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("batch", [True, False])
     def test_a_boolean_batch_threshold_is_one_error_line(self, tmp_path, capsys, batch):
-        scenario = json.loads((SCENARIOS / "s2_gathering.json").read_text())
-        scenario["activities"][0]["batch_threshold"] = batch
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = run(capsys, "simulate", path)
-        assert (code, out) == (1, "")
+        def edit(scenario):
+            scenario["activities"][0]["batch_threshold"] = batch
+        err = self.simulate(tmp_path, capsys, edit, "s2_gathering.json")
         assert err == (
-            "error: BATCH_THRESHOLD_INVALID: batch threshold must be an integer >= 1, "
-            f"got {batch}\n"
+            "error: SCENARIO_INVALID: invalid field 'batch_threshold': expected an integer\n"
         )
 
-    def simulate_s1(self, tmp_path, capsys, edit):
-        scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text())
+    def simulate(self, tmp_path, capsys, edit, source="s1_meetup.json"):
+        """Simulate ``source`` as ``edit`` changes it; it must fail with one
+        SCENARIO_INVALID line on stderr, which is returned."""
+        scenario = json.loads((SCENARIOS / source).read_text())
         edit(scenario)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -398,22 +393,22 @@ class TestSimulate:
     def test_a_list_as_an_action_target_is_one_error_line(self, tmp_path, capsys):
         def edit(scenario):
             scenario["actors"][0]["actions"][0] = [10, "ACCEPT", ["a1"]]
-        err = self.simulate_s1(tmp_path, capsys, edit)
-        assert "action target ['a1'] is not a string" in err
+        err = self.simulate(tmp_path, capsys, edit)
+        assert "invalid field 'activity': expected a string" in err
 
     def test_a_list_as_an_actor_id_is_one_error_line(self, tmp_path, capsys):
         def edit(scenario):
             scenario["actors"][0]["id"] = ["ana"]
-        err = self.simulate_s1(tmp_path, capsys, edit)
-        assert "actor id ['ana'] is not a string" in err
+        err = self.simulate(tmp_path, capsys, edit)
+        assert "invalid field 'id': expected a string" in err
 
     @pytest.mark.parametrize("key", ["trace", "actions"])
     @pytest.mark.parametrize("at", ["0", True, 0.9])
     def test_a_time_that_is_not_an_integer_is_one_error_line(self, tmp_path, capsys, key, at):
         def edit(scenario):
             scenario["actors"][0][key][0][0] = at
-        err = self.simulate_s1(tmp_path, capsys, edit)
-        assert f"time {at!r} is not an integer" in err
+        err = self.simulate(tmp_path, capsys, edit)
+        assert "invalid field 'at': expected an integer" in err
 
     @pytest.mark.parametrize("where", ["trace", "activity"])
     @pytest.mark.parametrize("lat", ["41.5", True])
@@ -425,8 +420,8 @@ class TestSimulate:
                 scenario["actors"][0]["trace"][0][1] = lat
             else:
                 scenario["activities"][0]["lat"] = lat
-        err = self.simulate_s1(tmp_path, capsys, edit)
-        assert f"coordinate {lat!r} is not a number" in err
+        err = self.simulate(tmp_path, capsys, edit)
+        assert "invalid field 'lat': expected a number" in err
 
     @pytest.mark.parametrize("key", ["radius_m", "hysteresis_m"])
     @pytest.mark.parametrize("value", ["100", True])
@@ -435,25 +430,25 @@ class TestSimulate:
     ):
         def edit(scenario):
             scenario["activities"][0][key] = value
-        err = self.simulate_s1(tmp_path, capsys, edit)
-        assert f"{key} {value!r} is not a number" in err
+        err = self.simulate(tmp_path, capsys, edit)
+        assert f"invalid field '{key}': expected a number" in err
 
     @pytest.mark.parametrize("participants, detail", [
-        (["ana", ["bruno"], "carla"], "participant ['bruno'] is not a string"),
-        ("abc", "participants 'abc' is not a list"),
+        (["ana", ["bruno"], "carla"], "participants': expected a string"),
+        ("abc", "participants': expected a list"),
     ])
     def test_a_roster_that_is_not_a_list_of_strings_is_one_error_line(
         self, tmp_path, capsys, participants, detail
     ):
         def edit(scenario):
             scenario["activities"][0]["participants"] = participants
-        err = self.simulate_s1(tmp_path, capsys, edit)
-        assert detail in err
+        err = self.simulate(tmp_path, capsys, edit)
+        assert f"invalid field '{detail}" in err
 
     def test_an_actor_listed_twice_is_one_error_line(self, tmp_path, capsys):
         def edit(scenario):
             scenario["actors"].append(scenario["actors"][0])
-        err = self.simulate_s1(tmp_path, capsys, edit)
+        err = self.simulate(tmp_path, capsys, edit)
         assert "actor 'ana' is listed twice" in err
 
     def test_check_needs_golden_path(self, capsys):
@@ -690,6 +685,30 @@ class TestServe:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "address already in use" in lines[0]
+
+    def test_a_port_out_of_range_is_a_usage_error(self, tmp_path):
+        # Refused as usage, before the log is created and before bind() could
+        # raise OverflowError.
+        log = tmp_path / "events.log"
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncpoint.cli", "serve",
+             "--listen", "127.0.0.1:70000", "--log", str(log)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "--listen expects HOST:PORT, with a port of 0-65535" in proc.stderr
+        assert not log.exists()
+
+    @pytest.mark.parametrize("listen, address", [
+        ("[::1]:7007", ("::1", 7007)),
+        ("::1:7007", ("::1", 7007)),
+        (":65535", ("127.0.0.1", 65535)),
+    ])
+    def test_listen_takes_a_bracketed_ipv6_host(self, listen, address):
+        args = build_parser().parse_args(["serve", "--listen", listen, "--log", "events.log"])
+        assert args.listen == address
 
     def test_other_corrupt_lines_still_refuse_to_start(self, tmp_path, capsys):
         log = tmp_path / "events.log"

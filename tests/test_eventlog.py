@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, ServerState, apply, handle, replay
@@ -28,11 +29,13 @@ from syncpoint.eventlog import (
     decode_record,
     encode_record,
     load_log,
+    read_records,
 )
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint.net import SyncServer
 from syncpoint.sim import load_scenario, run_scenario, scenario_from_dict
 from syncpoint.wire import Ack, Arm, Fix, Hello, Poll, RespondInvite, Welcome, decode, encode
+from mutation import draw_mutant
 from test_sim import generated_crowd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -148,10 +151,48 @@ class TestCoordinateFreeFormat:
             4, f"bad record payload: invalid field 'zone': {detail}"
         )
 
+    @pytest.mark.parametrize("uid, want", [
+        ("", None),  # an absent key is the field's default
+        (',"calendar_uid":"u1"', "u1"),
+        (',"calendar_uid":null', "expected a string"),  # a null is checked as a string
+        (',"calendar_uid":""', "must be non-empty"),
+    ])
+    def test_a_calendar_uid_is_absent_or_a_string(self, uid, want):
+        line = run_scenario(load_scenario(SCENARIOS / "s4_task.json")).log_lines[0]
+        assert '"calendar_uid"' not in line
+        line = line.replace(',"id":', uid + ',"id":', 1)
+        if want in (None, "u1"):
+            assert decode_record(line, 0).event.activity.calendar_uid == want
+        else:
+            with pytest.raises(CorruptRecord) as e:
+                decode_record(line, 0)
+            assert e.value.reason == f"bad record payload: invalid field 'calendar_uid': {want}"
+
     def test_a_point_bearing_fix_line_decodes_to_a_point_fix(self):
         line = ('{"type":"FIX_ACCEPTED","activity":"a1","at":9,"fix_at":9,"index":4,'
                 '"lat":41.5606,"lon":-8.397,"who":"bruno"}\n')
         assert decode_record(line, 4) == EventRecord(4, 9, PointFix("a1", "bruno", CENTER, 9))
+
+
+S2_LOG = run_scenario(load_scenario(SCENARIOS / "s2_gathering.json")).log_lines
+
+
+class TestDecodeRecordFuzz:
+    """Nothing but ``CorruptRecord`` escapes ``decode_record``, or ``replay`` of
+    the log, whatever one to three mutations of a line of the s2 log do to it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_only_corrupt_record_escapes(self, data):
+        i = data.draw(st.integers(0, len(S2_LOG) - 1))
+        line = json.dumps(draw_mutant(data, json.loads(S2_LOG[i]))) + "\n"
+        try:
+            decode_record(line, i)
+            replay(read_records([*S2_LOG[:i], line, *S2_LOG[i + 1:]]))
+        except CorruptRecord:
+            pass
+        except Exception as e:  # noqa: BLE001 - anything else is the failure
+            pytest.fail(f"{type(e).__name__}: {e} escaped on line {i}: {line!r}")
 
 
 class TestMixedLog:

@@ -1,6 +1,5 @@
 """Simulator: interpolation, noise, poll schedule, scenario runs."""
 
-import copy
 import hashlib
 import json
 import math
@@ -41,6 +40,7 @@ from syncpoint.sim import (
 )
 from syncpoint.presence import Alarm
 from syncpoint.wire import Ack, Err, Fix, Notify, Poll
+from mutation import draw_mutant
 
 REPO = Path(__file__).parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -699,51 +699,8 @@ class TestStepLoop:
         assert transcript_lines(result.transcript) == want
 
 
-# Values a mutation puts in place of another: each JSON type, huge and
-# negative integers, non-finite floats and a lone surrogate. Hypothesis draws
-# the first ones most, so an integer too large for a float leads.
-ODD_VALUES = (10**400, None, True, False, 0, -1, 2**63, -(2**63), 0.5, 1e308, math.nan,
-              -math.inf, "", "x", "\ud800", [], [[]], {}, {"": None})
-# What a nudge adds to a number: times move by steps or less, points by metres.
-NUDGES = (-3600, -61, -1, 1, 29, 600, 0.0001, -0.002)
 SHIPPED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
 HORIZON_CAP = 100_000
-
-
-def paths(node, path=()):
-    """The path of every value in a JSON document, the root's included."""
-    yield path
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
-        node, list) else ()
-    for key, child in children:
-        yield from paths(child, (*path, key))
-
-
-def at_path(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
-def mutate(doc, path, op, value):
-    """``doc`` with the value at ``path`` replaced, deleted, given an extra key,
-    duplicated or added to, as ``op`` says; the root is only ever replaced."""
-    value = copy.deepcopy(value)  # the doc owns what it holds
-    if not path:
-        return value
-    parent = at_path(doc, path[:-1])
-    key, child = path[-1], parent[path[-1]]
-    if op == "delete":
-        del parent[key]
-    elif op == "extra" and isinstance(child, dict):
-        child["extra"] = value
-    elif op == "nudge" and type(child) in (int, float):
-        parent[key] = child + value
-    elif op == "twice" and isinstance(parent, list):
-        parent.insert(key, copy.deepcopy(child))
-    else:
-        parent[key] = value
-    return doc
 
 
 class TestScenarioFuzz:
@@ -754,18 +711,7 @@ class TestScenarioFuzz:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.data())
     def test_only_named_errors_escape(self, data):
-        doc = copy.deepcopy(data.draw(st.sampled_from(SHIPPED)))
-        for _ in range(data.draw(st.integers(1, 3))):
-            where = list(paths(doc))
-            op = data.draw(st.sampled_from(["nudge", "replace", "twice", "extra", "delete"]))
-            # A value to add, an odd one, or one from elsewhere in the document.
-            if op == "nudge":
-                value = data.draw(st.sampled_from(NUDGES))
-            elif data.draw(st.booleans()):
-                value = data.draw(st.sampled_from(ODD_VALUES))
-            else:
-                value = at_path(doc, data.draw(st.sampled_from(where)))
-            doc = mutate(doc, data.draw(st.sampled_from(where)), op, value)
+        doc = draw_mutant(data, data.draw(st.sampled_from(SHIPPED)))
         if isinstance(doc, dict) and type(doc.get("horizon")) is int:
             doc["horizon"] = min(doc["horizon"], HORIZON_CAP)
         try:

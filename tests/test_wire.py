@@ -3,11 +3,12 @@
 import json
 import logging
 import random
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivityPhase, InviteAnswer, ParticipantStatus
 from syncpoint.geo import GeoPoint
@@ -20,7 +21,8 @@ from syncpoint.notify import (
     SelfArrivalAck,
     TaskDoneNotice,
 )
-from syncpoint.schema import loads_line
+from syncpoint.errors import SyncError
+from syncpoint.schema import FLOAT, STR, ListOf, Optional, Schema, loads_line
 from syncpoint.sim import Transcript, load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import (
     MESSAGES,
@@ -48,6 +50,9 @@ from syncpoint.wire import (
     decode,
     encode,
 )
+
+from genmsg import dumps_canonical
+from mutation import draw_mutant
 
 REPO = Path(__file__).parents[1]
 GOLDEN = REPO / "golden"
@@ -174,6 +179,23 @@ class TestDecode:
             decode('{"type":"FIX","activity":"a1","at":1,"lat":1' + "0" * 400 + ',"lon":0.0}')
         assert (e.value.name, e.value.detail) == ("lat", "invalid field 'lat': out of range")
 
+    @pytest.mark.parametrize("kind", ["ARRIVAL_NOTICE", "TASK_DONE"])
+    @pytest.mark.parametrize("identity, want", [
+        ("", None),  # an absent key is the field's default
+        (',"identity":"ana"', "ana"),
+        (',"identity":null', FieldInvalid),  # a null is checked as a string
+        (',"identity":5', FieldInvalid),
+    ])
+    def test_an_identity_is_absent_or_a_string(self, kind, identity, want):
+        frame = ('{"type":"NOTIFY","seq":1,"notification":'
+                 f'{{"kind":"{kind}","activity":"a1","at":3{identity}}}}}')
+        if want is FieldInvalid:
+            with pytest.raises(FieldInvalid) as e:
+                decode(frame)
+            assert e.value.detail == "invalid field 'identity': expected a string"
+        else:
+            assert decode(frame).notification.identity == want
+
     def test_unknown_extra_fields_ignored(self):
         assert decode('{"type":"ARM","activity":"a1","hat":"fedora"}') == Arm("a1")
 
@@ -191,6 +213,50 @@ class TestDecode:
 
     def test_trailing_newline_tolerated(self):
         assert decode('{"type":"ARM","activity":"a1"}\n') == Arm("a1")
+
+
+@dataclass(slots=True)
+class Probe:
+    name: str
+    ids: tuple[str, ...]
+    scale: float = 2.5
+    note: str = "none"
+
+
+# A list of one scalar kind, an optional key whose default is not None, and
+# a trailing defaulted field left out of the schema.
+PROBE = Schema(Probe, ("name", STR), ("ids", ListOf(STR)), ("scale", Optional(FLOAT)))
+
+
+class TestSchemaKinds:
+    """The schema kinds that no frame uses yet but a scenario file does."""
+
+    @pytest.mark.parametrize("obj, value", [
+        ({"name": "a", "ids": ["x", "y"]}, Probe("a", ("x", "y"))),
+        ({"name": "a", "ids": [], "scale": 1}, Probe("a", (), 1.0)),
+        ({"name": "a", "ids": [], "note": "kept out"}, Probe("a", ())),
+    ])
+    def test_an_absent_key_is_its_fields_default(self, obj, value):
+        assert PROBE.decoder(obj) == value
+
+    @pytest.mark.parametrize("obj, detail", [
+        ({"name": "a", "ids": [], "scale": None}, "invalid field 'scale': expected a number"),
+        ({"name": "a", "ids": "xy"}, "invalid field 'ids': expected a list"),
+        ({"name": "a", "ids": {"x": 1}}, "invalid field 'ids': expected a list"),
+        ({"name": "a", "ids": ["x", 5]}, "invalid field 'ids': expected a string"),
+        ({"name": "a", "ids": ["x", ["y"]]}, "invalid field 'ids': expected a string"),
+        ({"name": "a", "ids": [""]}, "invalid field 'ids': must be non-empty"),
+    ])
+    def test_a_present_value_is_checked_by_its_kind(self, obj, detail):
+        with pytest.raises(FieldInvalid) as e:
+            PROBE.decoder(obj)
+        assert e.value.detail == detail
+
+    def test_a_list_of_strings_encodes_as_json_does(self):
+        value = Probe("a", ("x", 'q"\\', "zoë"), 0.5)
+        assert PROBE.encode(value) == dumps_canonical(
+            {"ids": list(value.ids), "name": "a", "scale": 0.5}
+        )
 
 
 class TestRoundTrip:
@@ -385,6 +451,24 @@ def malformed_variants(line: str) -> list[str]:
         "\ufeff" + line, body + body, body + ' {"type":"ARM"}', body + " x\n",
         body[:-1], body + "}", "[]", "[]\n", "", "\n", " ", "1", "null\n", '"s"',
     ]
+
+
+VECTORS = [json.loads(line) for line in (GOLDEN / "wire_vectors.jsonl").read_text().splitlines()]
+
+
+class TestDecodeFuzz:
+    """Nothing but a named ``SyncError`` escapes ``decode``, whatever one to
+    three mutations of a golden wire vector do to it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_only_named_errors_escape(self, data):
+        line = json.dumps(draw_mutant(data, data.draw(st.sampled_from(VECTORS))))
+        try:
+            decode(line)
+        except Exception as e:  # noqa: BLE001 - anything but a named error is the failure
+            if not isinstance(e, SyncError) or e.code == SyncError.code:
+                pytest.fail(f"{type(e).__name__}: {e} escaped on {line!r}")
 
 
 class TestLineParse:
