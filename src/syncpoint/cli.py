@@ -15,8 +15,9 @@ that state with a warning and print status views as canonical wire frames;
 They write the log, and a log has one writer: while one holds it, another
 exits with status 1 and one `error: LOG_IN_USE: ...` line on stderr.
 A log write that fails stops `serve` (and `ingest`) with exit status 1 and
-one line on stderr; the log then holds exactly the committed records. An
-`OSError`, such as a missing file or a port in use, exits the same way.
+one line on stderr; the log then holds exactly the committed records. A
+named file that cannot be read (`UNREADABLE`) or is not UTF-8 (`NOT_UTF8`),
+and any other `OSError`, such as a port in use, exit the same way.
 `simulate --check` exits non-zero on the first diverging transcript line.
 `simulate` prints the warnings of a calendar its scenario names to stderr,
 as `ingest` does.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import asin, cos, inf, radians, sin, sqrt
+from math import asin, cos, inf, pi, radians, sin, sqrt
 
 from .errors import SyncError
 
@@ -49,12 +49,16 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lat", float(self.lat))
-        object.__setattr__(self, "lon", float(self.lon))
-        if not (-90.0 <= self.lat <= 90.0):
-            raise LatOutOfRange(f"latitude {self.lat!r} outside [-90, 90]")
-        if not (-180.0 < self.lon <= 180.0):
-            raise LonOutOfRange(f"longitude {self.lon!r} outside (-180, 180]")
+        lat, lon = self.lat, self.lon
+        # A decoded point holds floats already; only other numbers are converted.
+        if lat.__class__ is not float or lon.__class__ is not float:
+            lat, lon = float(lat), float(lon)
+            object.__setattr__(self, "lat", lat)
+            object.__setattr__(self, "lon", lon)
+        if not (-90.0 <= lat <= 90.0):
+            raise LatOutOfRange(f"latitude {lat!r} outside [-90, 90]")
+        if not (-180.0 < lon <= 180.0):
+            raise LonOutOfRange(f"longitude {lon!r} outside (-180, 180]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +96,15 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
 # Bound once, for the FIX path: reading a member off its class calls a descriptor.
 _INSIDE, _OUTSIDE = Zone.INSIDE, Zone.OUTSIDE
 
+# Metres of great circle per degree of latitude. No two points are closer than
+# their latitudes are apart along a meridian, so |dlat| * this is a lower bound
+# on their distance.
+M_PER_DEG_LAT = EARTH_RADIUS_M * pi / 180.0
+# How far that bound must pass a fence's outer edge before it alone decides. The
+# two parts cover the haversine's rounding: relative, and absolute for its asin
+# near antipodes, where the error grows to about a tenth of a metre.
+_SLACK_REL, _SLACK_M = 1e-9, 1.0
+
 
 def classify_zone(fence: Geofence, prev: Zone, p: GeoPoint) -> Zone:
     """Classify a fix against a fence with hysteresis.
@@ -99,11 +112,16 @@ def classify_zone(fence: Geofence, prev: Zone, p: GeoPoint) -> Zone:
     Inside when distance <= radius; Outside when distance >= radius +
     hysteresis; anywhere in the open band between, the previous zone is
     kept (dead band). With hysteresis 0 the result is independent of
-    ``prev``.
+    ``prev``. A fix whose latitude alone puts it beyond the outer edge is
+    Outside without the haversine: the answer is the same, and most fixes
+    come from people far away.
     """
-    d = haversine_m(fence.center, p)
+    centre, outer = fence.center, fence.radius_m + fence.hysteresis_m
+    if abs(p.lat - centre.lat) * M_PER_DEG_LAT > outer * (1.0 + _SLACK_REL) + _SLACK_M:
+        return _OUTSIDE
+    d = haversine_m(centre, p)
     if d <= fence.radius_m:
         return _INSIDE
-    if d >= fence.radius_m + fence.hysteresis_m:
+    if d >= outer:
         return _OUTSIDE
     return prev

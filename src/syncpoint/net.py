@@ -7,10 +7,11 @@ responses return on the handling connection; Notify pushes go to every
 live connection registered for the recipient. Participants without a live
 connection simply poll later — the queues keep everything.
 
-Each read (``data_received``) is handled as one batch. Every frame it
-completes goes through the engine in order; then the records of the whole
-read are committed to the log with one write and one flush, and only then
-does any reply or push for them leave. Pushes to other connections are
+Each read (``data_received``) is handled as one batch, with one reading
+of the clock. Every frame it completes goes through the engine in order,
+all with that one ``now``; then the records of the whole read are
+committed to the log with one write and one flush, and only then does any
+reply or push for them leave. Pushes to other connections are
 written first, then the sender's replies, each connection's share in one
 write and in request order, with an ERR in place of each frame that could
 not be handled. A frame longer than ``MAX_FRAME_BYTES``, whether its
@@ -87,7 +88,7 @@ class Connection(asyncio.Protocol):
             self.transport.close()
             return
         engine, conns = server.engine, server._conns
-        participant = self.participant
+        participant, now = self.participant, server.clock()
         replies: list[str] = []  # to this connection, in request order
         pushes: dict[Connection, list[str]] = {}
         oversized = False
@@ -95,7 +96,7 @@ class Connection(asyncio.Protocol):
             if len(frame) > MAX_FRAME_BYTES:
                 oversized = True
                 break
-            if not frame.strip():
+            if not frame or frame.isspace():
                 continue
             try:
                 msg = decode(frame)
@@ -113,7 +114,7 @@ class Connection(asyncio.Protocol):
                     continue
                 participant = self.participant = msg.participant
                 conns.setdefault(participant, []).append(self)
-            for to, out in engine.handle(msg, participant, server.clock()):
+            for to, out in engine.handle(msg, participant, now):
                 if to == participant:
                     replies.append(encode(out))
                 elif to in conns:

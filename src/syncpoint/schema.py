@@ -244,8 +244,9 @@ class OneOf(Kind):
 
     This is the package's one statement of which values are frozen. Every
     dataclass is slotted, and a value shared by identity or hashed is frozen:
-    each notification, each frame but ``Notify``, and ``Activity`` with its
-    parts. A value that one owner builds, uses once and drops is not (a log
+    each notification, each server frame but ``Notify``, and ``Activity``
+    with its parts. A value that one owner builds, uses once and drops is
+    not (a client frame, which is decoded, handled once and dropped; a log
     record, its event, a transcript entry): a frozen ``__init__`` sets each
     field through ``object.__setattr__``, at two to three times the cost.
     ``Notify`` is shared but not frozen, as a crossing fix builds one per seq

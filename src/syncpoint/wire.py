@@ -69,47 +69,48 @@ class UnknownType(SyncError):
 
 
 # --- client messages -------------------------------------------------------
+# Each is decoded, handled once and dropped, so none is frozen (``schema.OneOf``).
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Hello:
     participant: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RespondInvite:
     activity: str
     answer: InviteAnswer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Arm:
     activity: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Disarm:
     activity: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Fix:
     activity: str
     point: GeoPoint
     at: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaskDone:
     activity: str
     at: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Poll:
     cursor: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Status:
     activity: str
 
@@ -126,7 +127,7 @@ class Welcome:
     server_time: int
 
 
-# The one frame not frozen; ``schema.OneOf`` says why.
+# The one shared frame not frozen; ``schema.OneOf`` says why.
 @dataclass(slots=True)
 class Notify:
     seq: int
@@ -245,12 +246,14 @@ def decode(frame: str | bytes) -> Message:
         raise MalformedFrame(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise MalformedFrame("frame is not a JSON object")
-    if "type" not in obj:
-        raise FieldMissing("type")
-    t = obj["type"]
-    if not isinstance(t, str) or t not in _DECODERS:
-        raise UnknownType(f"unknown message type {t!r}")
-    decoder, known = _DECODERS[t]
+    try:
+        t = obj["type"]
+    except KeyError:
+        raise FieldMissing("type") from None
+    try:
+        decoder, known = _DECODERS[t]
+    except (KeyError, TypeError):  # TypeError: an unhashable type
+        raise UnknownType(f"unknown message type {t!r}") from None
     if not known.issuperset(obj) and t not in _WARNED:
         _WARNED.add(t)
         log.warning("ignoring unknown fields %s in %s frame", sorted(set(obj) - known), t)

@@ -1,10 +1,13 @@
-"""Structure-aware mutation of JSON documents, for the readers' fuzz tests.
+"""Mutation of JSON documents and of the bytes of a file, for the readers' fuzz tests.
 
 A mutant is a parsed document with one to three edits: a value replaced by
 an odd one or by another node of the same document, deleted, given an extra
 key, duplicated in its list, or a number nudged. The scenario reader, the
 wire decoder and the log decoder are each fed such mutants, and nothing but
-a named ``SyncError`` may escape them.
+a named ``SyncError`` may escape them. A byte mutant (``draw_byte_mutant``)
+is a file's bytes with one to three edits below the JSON: a cut, invalid
+UTF-8, CRLF line endings, a NUL or a doubled line; the log reader is fed
+those.
 """
 
 import copy
@@ -73,3 +76,32 @@ def draw_mutant(data, doc):
             value = at_path(doc, data.draw(st.sampled_from(where)))
         doc = mutate(doc, data.draw(st.sampled_from(where)), op, value)
     return doc
+
+
+# Bytes that are not UTF-8 where they land: a stray byte, a lead byte whose
+# continuation is missing (one cut short by two), and an encoded surrogate.
+BAD_UTF8 = (b"\xff", b"\xc3", b"\xe5\xae", b"\xed\xa0\x80")
+
+
+def draw_byte_mutant(data, raw: bytes) -> bytes:
+    """``raw`` with one to three edits drawn from ``data``: cut at an offset,
+    invalid UTF-8 or a NUL put in at one, the line endings from one on (or
+    all of them) made CRLF, or the line at one written twice."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["cut", "utf8", "crlf", "nul", "twice"]))
+        at = data.draw(st.integers(0, len(raw)))
+        if op == "cut":
+            raw = raw[:at]
+        elif op == "utf8":
+            raw = raw[:at] + data.draw(st.sampled_from(BAD_UTF8)) + raw[at:]
+        elif op == "nul":
+            raw = raw[:at] + b"\0" + raw[at:]
+        elif op == "crlf":
+            start = 0 if data.draw(st.booleans()) else at
+            raw = raw[:start] + raw[start:].replace(b"\n", b"\r\n")
+        else:
+            head = raw.rfind(b"\n", 0, at) + 1
+            end = raw.find(b"\n", at)
+            line = raw[head:len(raw) if end < 0 else end + 1]
+            raw = raw[:head] + line + raw[head:]
+    return raw

@@ -15,6 +15,7 @@ import syncpoint.eventlog
 from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, TimeWindow
 from syncpoint.cli import build_parser, main
 from syncpoint.engine import Engine, replay, status_view
+from syncpoint.errors import Unreadable
 from syncpoint.eventlog import (
     ArmSet, CorruptRecord, EventRecord, encode_record, load_log, read_records,
 )
@@ -502,6 +503,39 @@ class TestNotUtf8:
         code, out, err = run(capsys, "simulate", "--check", SCENARIOS / "s4_task.json", golden)
         assert (code, out) == (1, "")
         self.assert_one_error_line(err, golden)
+
+
+class TestUnreadable:
+    """A named file that cannot be read is one error line with the system's
+    reason, never a traceback, whatever its path holds."""
+
+    @pytest.mark.parametrize("ics, reason", [
+        ("\ud800.ics", "surrogates not allowed"),
+        ("a\0b.ics", "embedded null byte"),
+        ("missing.ics", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["lone-surrogate", "nul", "missing", "directory"])
+    def test_a_calendar_a_scenario_names(self, tmp_path, capsys, ics, reason):
+        scenario = tmp_path / "calendar.json"
+        scenario.write_text(json.dumps({
+            "seed": 1, "fix_period_s": 30, "horizon": 60,
+            "activities": {"ics": ics, "system_address": SYSTEM}, "actors": [],
+        }))
+        with pytest.raises(Unreadable) as e:
+            run_scenario(load_scenario(scenario))
+        assert e.value.detail.endswith(f": {reason}")
+        code, out, err = run(capsys, "simulate", scenario)
+        assert (code, out) == (1, "")
+        assert err == f"error: UNREADABLE: {e.value.detail}\n"
+
+    def test_a_missing_calendar_leaves_no_log(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        code, out, err = run(capsys, "ingest", tmp_path / "missing.ics",
+                             "--system-address", SYSTEM, "--log", log, "--now", 0)
+        assert (code, out) == (1, "")
+        assert err == (f"error: UNREADABLE: cannot read {str(tmp_path / 'missing.ics')!r}: "
+                       "No such file or directory\n")
+        assert not log.exists()
 
 
 def test_only_serve_imports_the_event_loop():

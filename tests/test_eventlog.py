@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, ServerState, apply, handle, replay
@@ -35,7 +35,7 @@ from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint.net import SyncServer
 from syncpoint.sim import load_scenario, run_scenario, scenario_from_dict
 from syncpoint.wire import Ack, Arm, Fix, Hello, Poll, RespondInvite, Welcome, decode, encode
-from mutation import draw_mutant
+from mutation import draw_byte_mutant, draw_mutant
 from test_sim import generated_crowd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -193,6 +193,30 @@ class TestDecodeRecordFuzz:
             pass
         except Exception as e:  # noqa: BLE001 - anything else is the failure
             pytest.fail(f"{type(e).__name__}: {e} escaped on line {i}: {line!r}")
+
+
+class TestLoadLogFuzz:
+    """ROADMAP item 15 for ``load_log``: nothing but ``CorruptRecord`` (a
+    ``TornTail`` is one) escapes reading and replaying the s2 log file,
+    whatever one to three byte-level edits do to it."""
+
+    S2_BYTES = "".join(S2_LOG).encode("utf-8")
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_only_corrupt_record_escapes(self, tmp_path, data):
+        raw = draw_byte_mutant(data, self.S2_BYTES)
+        log = tmp_path / "events.log"  # one file, rewritten for each example
+        log.write_bytes(raw)
+        try:
+            replay(load_log(log))
+        except CorruptRecord:
+            pass
+        except Exception as e:  # noqa: BLE001 - anything else is the failure
+            at = next((i for i, (a, b) in enumerate(zip(raw, self.S2_BYTES)) if a != b), len(raw))
+            pytest.fail(f"{type(e).__name__}: {e} escaped on a mutant of {len(raw)} bytes "
+                        f"that first differs at byte {at}: {raw[max(at - 40, 0):at + 40]!r}")
 
 
 class TestMixedLog:

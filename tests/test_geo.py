@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from syncpoint.geo import (
     EARTH_RADIUS_M,
@@ -12,6 +12,7 @@ from syncpoint.geo import (
     GeoPoint,
     LatOutOfRange,
     LonOutOfRange,
+    M_PER_DEG_LAT,
     Zone,
     classify_zone,
     haversine_m,
@@ -20,6 +21,12 @@ from syncpoint.geo import (
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-180.0, max_value=180.0, exclude_min=True, allow_nan=False)
 points = st.builds(GeoPoint, lats, lons)
+
+
+def wrap_lon(lon: float) -> float:
+    """``lon`` moved by whole turns into (-180, 180]."""
+    lon = (lon + 180.0) % 360.0 - 180.0
+    return 180.0 if lon == -180.0 else lon
 
 
 def north_of(center: GeoPoint, meters: float) -> GeoPoint:
@@ -42,6 +49,20 @@ class TestGeoPoint:
     def test_nan_rejected(self):
         with pytest.raises(LatOutOfRange):
             GeoPoint(float("nan"), 0.0)
+
+
+class Degrees(float):
+    """A float subclass, as a numeric library's scalar may be."""
+
+
+class TestGeoPointFloats:
+    @pytest.mark.parametrize("lat, lon", [
+        (41, -8), (41.5, -8), (41, -8.5), (True, 2.5), (Degrees(0.5), -8.0), (0.5, Degrees(1.0)),
+    ])
+    def test_a_coordinate_is_stored_as_a_float(self, lat, lon):
+        p = GeoPoint(lat, lon)
+        assert (type(p.lat), type(p.lon)) == (float, float)
+        assert (p.lat, p.lon) == (float(lat), float(lon))
 
 
 class TestGeofence:
@@ -150,3 +171,112 @@ class TestClassifyZone:
         assert classify_zone(fence, prev, p) is classify_zone(
             fence, Zone.INSIDE if prev is Zone.OUTSIDE else Zone.OUTSIDE, p
         )
+
+
+def haversine_rule(fence: Geofence, prev: Zone, p: GeoPoint) -> Zone:
+    """``classify_zone`` as its docstring states it, from the haversine alone."""
+    d = haversine_m(fence.center, p)
+    if d <= fence.radius_m:
+        return Zone.INSIDE
+    if d >= fence.radius_m + fence.hysteresis_m:
+        return Zone.OUTSIDE
+    return prev
+
+
+@st.composite
+def centres(draw) -> GeoPoint:
+    """A fence's centre anywhere, near a pole or by the antimeridian."""
+    lat, lon = draw(lats), draw(lons)
+    where = draw(st.sampled_from(["anywhere", "pole", "antimeridian"]))
+    if where == "pole":
+        lat = math.copysign(90.0 - draw(st.floats(0.0, 1e-3)), draw(st.sampled_from([1, -1])))
+    elif where == "antimeridian":
+        lon = wrap_lon(180.0 + draw(st.floats(-1e-3, 1e-3)))
+    return GeoPoint(lat, lon)
+
+
+def ulps(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` representable floats up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def cases(draw) -> tuple[Geofence, GeoPoint]:
+    """A fence of any size from a centimetre to half the globe's
+    circumference, and a fix: anywhere, on the centre's meridian, near its
+    antipode or across the antimeridian; or one whose latitude alone puts it
+    within a few metres or a few floats of the radius, of the outer edge or
+    of where that bound decides; or a fence whose outer edge is fitted a few
+    floats inside the bound of a fix on the meridian or by the antipode."""
+    c = draw(centres())
+    radius = 10 ** draw(st.floats(-2.0, math.log10(2e7)))
+    hysteresis = draw(st.sampled_from([0.0, 25.0, 1e-9, radius, 1e6]))
+    where = draw(st.sampled_from(
+        ["anywhere", "meridian", "antipode", "across", "radius", "outer", "bound", "fitted"]
+    ))
+    if where in ("radius", "outer", "bound"):
+        outer = radius + hysteresis
+        edge = {"radius": radius, "outer": outer, "bound": outer * (1 + 1e-9) + 1.0}[where]
+        metres = edge + draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+        lat = c.lat + draw(st.sampled_from([1, -1])) * metres / M_PER_DEG_LAT
+        lat = ulps(max(-90.0, min(90.0, lat)), draw(st.integers(-4, 4)))
+        p = GeoPoint(
+            max(-90.0, min(90.0, lat)),
+            wrap_lon(c.lon + draw(st.sampled_from([0.0, 1e-9, 1e-5, -1e-3]))),
+        )
+        return Geofence(c, radius, hysteresis), p
+    if where in ("meridian", "fitted") and draw(st.booleans()):
+        p = GeoPoint(draw(lats), c.lon)
+    elif where in ("antipode", "fitted"):
+        p = GeoPoint(
+            max(-90.0, min(90.0, -c.lat + draw(st.floats(-1e-6, 1e-6)))),
+            wrap_lon(c.lon + 180.0 + draw(st.floats(-1e-6, 1e-6))),
+        )
+    elif where == "across":
+        p = GeoPoint(c.lat, wrap_lon(-c.lon + draw(st.floats(-1e-3, 1e-3))))
+    else:
+        p = draw(points)
+    if where == "fitted":
+        bound = abs(p.lat - c.lat) * M_PER_DEG_LAT
+        radius = ulps(bound, -draw(st.integers(0, 64)))
+        hysteresis = 0.0
+        if not 0.0 < radius:
+            radius = 1.0
+    return Geofence(c, radius, hysteresis), p
+
+
+class TestLatitudeShortcut:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_classify_zone_agrees_with_the_haversine_rule(self, data):
+        fence, p = data.draw(cases())
+        for prev in (Zone.INSIDE, Zone.OUTSIDE):
+            assert classify_zone(fence, prev, p) is haversine_rule(fence, prev, p), (fence, p)
+
+    @pytest.mark.parametrize("centre, fix", [
+        ((41.5606, -8.397), (41.6179, -8.397)),  # 6.4 km apart, 1e-12 m below the bound
+        ((-89.9992408338941, 169.1025201627351), (89.99924168051427, 169.1025201627351)),
+    ])
+    def test_a_fence_whose_edge_is_the_haversine_below_the_bound_keeps_the_fix(
+        self, centre, fix,
+    ):
+        """Along a meridian the haversine can round below the latitude bound,
+        here by 1e-12 m and by 5e-5 m; a fence whose radius is that haversine
+        holds the fix, so the bound alone must not call it outside."""
+        c, p = GeoPoint(*centre), GeoPoint(*fix)
+        d = haversine_m(c, p)
+        assert abs(p.lat - c.lat) * M_PER_DEG_LAT > d
+        for prev in (Zone.INSIDE, Zone.OUTSIDE):
+            assert classify_zone(Geofence(c, d, 0.0), prev, p) is Zone.INSIDE
+
+    def test_a_fix_far_in_latitude_skips_the_haversine(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("haversine_m called")
+
+        fence = Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0)
+        monkeypatch.setattr("syncpoint.geo.haversine_m", refuse)
+        assert classify_zone(fence, Zone.INSIDE, north_of(fence.center, 1100.0)) is Zone.OUTSIDE
+        with pytest.raises(AssertionError, match="haversine_m called"):
+            classify_zone(fence, Zone.INSIDE, north_of(fence.center, 125.0))

@@ -8,6 +8,7 @@ import struct
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import Engine, replay
@@ -16,8 +17,8 @@ from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint import net
 from syncpoint.net import SyncServer
 from syncpoint.wire import (
-    MAX_FRAME_BYTES, Ack, Arm, Err, Fix, Hello, Notify, Poll, RespondInvite, TaskDone, Welcome,
-    decode, encode,
+    MAX_FRAME_BYTES, Ack, Arm, Err, Fix, FrameBuffer, Hello, Notify, Poll, RespondInvite, TaskDone,
+    Welcome, decode, encode,
 )
 
 CENTER = GeoPoint(41.5606, -8.3970)
@@ -290,6 +291,37 @@ def test_records_are_flushed_before_pushes_and_replies_leave(tmp_path, monkeypat
     assert replay(server_writes[-1][1]) == state
 
 
+def test_every_record_of_one_read_carries_one_clock_reading(tmp_path):
+    engine = Engine(log_path=tmp_path / "events.log")
+    act = _fair(engine)
+    set_up = engine.state.record_count
+    readings = []
+
+    def clock():
+        readings.append(2000 + len(readings))
+        return readings[-1]
+
+    fixes = [encode(Fix(act.id, at_distance(m), 2001 + i)) for i, m in enumerate((500, 300, 50))]
+    reads = [
+        "".join([encode(Hello("bruno")), encode(Arm(act.id)), *fixes]).encode(),
+        encode(Fix(act.id, at_distance(40), 2010)).encode() + b"\n" + encode(Poll(0)).encode(),
+    ]
+
+    async def run():
+        conn, transport = _connect(engine, clock)
+        for read in reads:
+            conn.data_received(read)
+        return transport
+
+    transport = asyncio.run(run())
+    engine.close()
+    records = list(load_log(tmp_path / "events.log"))[set_up:]
+    assert readings == [2000, 2001]
+    # ARM, three fixes and the arrival from the first read; one fix from the second.
+    assert [r.at for r in records] == [2000] * 5 + [2001]
+    assert decode(transport.written[0].splitlines()[0]) == Welcome(2000)
+
+
 def test_endless_frame_is_refused():
     async def run():
         engine = Engine()
@@ -406,6 +438,70 @@ def test_a_crlf_frame_of_exactly_the_limit_is_read_however_the_reads_split_it(cu
     transport = asyncio.run(run())
     assert _replies(transport) == [("WELCOME",), ("ERR", "MALFORMED"), ("ACK", "POLL")]
     assert not transport.closed
+
+
+# Lines a fuzzed stream is made of, each without its line ending: frames the
+# server answers, blank lines, a line of exactly the limit and lines over it.
+STREAM_LINES = [
+    encode(Poll(0)).rstrip("\n").encode(), encode(Arm("a1")).rstrip("\n").encode(),
+    "{\"type\":\"STATUS\",\"activity\":\"café\"}".encode(), b"not json", b"", b" \t",
+    b"x" * MAX_FRAME_BYTES, b"x" * (MAX_FRAME_BYTES + 1), b"y" * (MAX_FRAME_BYTES + 70),
+]
+
+
+def _feed(reads: list[bytes]) -> tuple[list[tuple], bool]:
+    """The replies and whether the connection closed, for ``reads`` in turn,
+    through a stub transport; a closed connection is fed nothing more."""
+    loop = asyncio.new_event_loop()
+    try:
+        sync = SyncServer(Engine(), clock=lambda: 1)
+        sync.stopped = loop.create_future()
+        conn, transport = net.Connection(sync), _Transport()
+        conn.connection_made(transport)
+        for read in reads:
+            if not transport.closed:
+                conn.data_received(read)
+    finally:
+        loop.close()
+    return _replies(transport), transport.closed
+
+
+class TestFramingFuzz:
+    """ROADMAP item 15 for ``FrameBuffer`` and the frame limit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_how_the_reads_split_a_stream_changes_no_frame_and_no_reply(self, data):
+        lines = data.draw(st.lists(st.sampled_from(STREAM_LINES), max_size=8))
+        endings = [data.draw(st.sampled_from([b"\n", b"\r\n"])) for _ in lines]
+        ended = data.draw(st.booleans())  # whether the last line has its ending
+        stream, ends = encode(Hello("ana")).encode(), []
+        for line, ending in zip(lines, endings):
+            stream += line + ending
+            ends.append(len(stream))
+        if lines and not ended:
+            stream = stream[:-len(endings[-1])]
+        # A cut anywhere, or just before, at or after the end of a line.
+        near_ends = [min(max(end + d, 0), len(stream)) for end in ends for d in (-2, -1, 0, 1)]
+        cuts = sorted(data.draw(st.lists(
+            st.one_of(st.integers(0, len(stream)), st.sampled_from(near_ends or [0])),
+            max_size=8,
+        )))
+        reads = [stream[i:j] for i, j in zip([0, *cuts], [*cuts, len(stream)])]
+
+        whole, split = FrameBuffer(), FrameBuffer()
+        assert [f for read in reads for f in split.feed(read)] == whole.feed(stream)
+        assert split.pending == whole.pending
+
+        replies, closed = _feed(reads)
+        big = [i for i, line in enumerate(lines) if len(line) > MAX_FRAME_BYTES]
+        complete = lines[:big[0]] if big else lines if ended else lines[:-1]
+        # The WELCOME, one reply per line before the first one over the limit
+        # but a blank or unended one, and one FRAME_TOO_LARGE; then the close.
+        assert len(replies) == 1 + sum(1 for line in complete if line.strip()) + bool(big)
+        assert replies.count(("ERR", "FRAME_TOO_LARGE")) == bool(big)
+        assert closed == bool(big)
+        assert (replies, closed) == _feed([stream])
 
 
 def test_invalid_utf8_frame_gets_an_err_in_its_place():

@@ -1,8 +1,9 @@
 """The slot rule: every dataclass of the package is declared with
 ``slots=True``, so its instances carry no ``__dict__``. The frozen rule:
 a value shared by identity or hashed is frozen, and a value that one owner
-builds, uses once and drops is not. ``Notify`` is the one shared value
-that is not frozen: see ``test_notify_frames_are_slotted_and_not_frozen``."""
+builds, uses once and drops is not, a client frame included. ``Notify`` is
+the one shared value that is not frozen: see
+``test_notify_frames_are_slotted_and_not_frozen``."""
 
 import dataclasses
 import importlib
@@ -20,7 +21,10 @@ from syncpoint.eventlog import Event, EventRecord, PointFix
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.notify import Notification
 from syncpoint.sim import Transcript, TranscriptEntry
-from syncpoint.wire import MESSAGES, Arm, Fix, Notify, RespondInvite, encode
+from syncpoint.wire import (
+    MESSAGES, Arm, ClientMessage, Fix, Notify, ParticipantView, RespondInvite, ServerMessage,
+    encode,
+)
 
 
 def package_dataclasses() -> list[type]:
@@ -53,14 +57,22 @@ def test_every_dataclass_is_slotted():
         assert not hasattr(instance, "__dict__"), cls.__qualname__
 
 
-# A frame's text is cached by identity (``OneOf.encode``), and an
+# A server frame's text is cached by identity (``OneOf.encode``), and an
 # ``Activity`` and its parts are hashed.
-SHARED = [s.cls for s in MESSAGES.schemas if s.cls is not Notify] + list(
-    get_args(Notification)
-) + [Activity, ActivitySpec, GeoPoint, Geofence]
+SHARED = [
+    *(cls for cls in get_args(ServerMessage) if cls is not Notify), ParticipantView,
+    *get_args(Notification), Activity, ActivitySpec, GeoPoint, Geofence,
+]
 # A frozen ``__init__`` sets each field through ``object.__setattr__``, which
-# costs several times a plain slot store on these hot values.
-BUILT_ONCE = [EventRecord, *get_args(Event), PointFix, TranscriptEntry]
+# costs several times a plain slot store on these hot values. A client frame
+# is decoded, handled once and dropped: a FIX builds one per report.
+BUILT_ONCE = [
+    EventRecord, *get_args(Event), PointFix, TranscriptEntry, *get_args(ClientMessage),
+]
+
+
+def test_the_frozen_rule_covers_every_frame():
+    assert {*SHARED, *BUILT_ONCE, Notify} >= {s.cls for s in MESSAGES.schemas}
 
 
 def _assign_first_field(cls) -> None:
