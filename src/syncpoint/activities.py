@@ -11,6 +11,7 @@ from (window, now) — it is never stored.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -163,6 +164,31 @@ def _encodable(text: str) -> bool:
     return True
 
 
+def check_names(title: str, organizer: str, ids: Iterable[str]) -> None:
+    """An activity's title and roster rules, for a spec and a logged activity alike.
+
+    The title is a string; the ids are distinct non-empty strings, at least
+    two, the organizer's among them; UTF-8 can encode each.
+    """
+    if not isinstance(title, str):
+        raise TitleInvalid(f"title must be a string, got {title!r}")
+    if not _encodable(title):
+        raise TitleInvalid(f"title {title!r} cannot be encoded as UTF-8")
+    seen = set()
+    for pid in ids:
+        if not isinstance(pid, str) or not pid:
+            raise DuplicateParticipant(f"participant id must be a non-empty string, got {pid!r}")
+        if not _encodable(pid):
+            raise DuplicateParticipant(f"participant id {pid!r} cannot be encoded as UTF-8")
+        if pid in seen:
+            raise DuplicateParticipant(f"participant {pid!r} listed twice")
+        seen.add(pid)
+    if len(seen) < 2:
+        raise TooFewParticipants(f"need at least 2 participants, got {len(seen)}")
+    if not isinstance(organizer, str) or organizer not in seen:
+        raise OrganizerNotParticipant(f"organizer {organizer!r} not in participant list")
+
+
 def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     """Validate an activity spec and build the activity.
 
@@ -174,24 +200,7 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
     Every string the activity's records and frames carry must be one that
     UTF-8 can encode, so that no record of it fails to reach the log.
     """
-    if not isinstance(spec.title, str):
-        raise TitleInvalid(f"title must be a string, got {spec.title!r}")
-    if not _encodable(spec.title):
-        raise TitleInvalid(f"title {spec.title!r} cannot be encoded as UTF-8")
-    ids = list(spec.participants)
-    seen = set()
-    for pid in ids:
-        if not isinstance(pid, str) or not pid:
-            raise DuplicateParticipant(f"participant id must be a non-empty string, got {pid!r}")
-        if not _encodable(pid):
-            raise DuplicateParticipant(f"participant id {pid!r} cannot be encoded as UTF-8")
-        if pid in seen:
-            raise DuplicateParticipant(f"participant {pid!r} listed twice")
-        seen.add(pid)
-    if len(ids) < 2:
-        raise TooFewParticipants(f"need at least 2 participants, got {len(ids)}")
-    if not isinstance(spec.organizer, str) or spec.organizer not in seen:
-        raise OrganizerNotParticipant(f"organizer {spec.organizer!r} not in participant list")
+    check_names(spec.title, spec.organizer, spec.participants)
     batch_threshold = spec.batch_threshold
     if batch_threshold is None:
         batch_threshold = (
@@ -209,7 +218,7 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
         window=spec.window,
         fence=spec.fence,
         organizer=spec.organizer,
-        participants=tuple(ParticipantRecord(pid) for pid in ids),
+        participants=tuple(ParticipantRecord(pid) for pid in spec.participants),
         policy=spec.policy,
         batch_threshold=batch_threshold,
         calendar_uid=spec.calendar_uid,

@@ -10,9 +10,11 @@ can drive virtual time.
 
 Every command check runs once, in ``_dispatch``, before any record exists:
 the participant lookup (``_member``, one ``Activity.participant`` call per
-command), the invitation status (``_invited``, ``_accepted``) and the
-alarm state (``_disarmed``, and DISARM's no-op test). ``apply`` checks
-only that records come in index order and are records; it only assigns.
+command), the invitation status (``_accepted``, and RESPOND_INVITE's
+once-only test) and the alarm state (ARM's test, and DISARM's no-op test).
+A refused command raises ``Refused`` with its wire code, which ``handle``
+answers with an ``ERR``. ``apply`` checks only that records come in index
+order and are records; it only assigns.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``_dispatch``; whether that fix is the arrival is decided by
@@ -20,11 +22,11 @@ The FIX path looks the sender up once and classifies the fix once, in
 that rule lives. Its ``FixAccepted`` record carries the zone, so ``apply``
 runs no geometry. What changes about a participant is kept once, in its
 ``ParticipantPresence``: the invitation status, the ``Alarm`` (DISARMED,
-ARMED or ARRIVED) and the zone. An ``Activity`` is never rebuilt. Its
-presences are also kept in roster order (``ServerState.rosters``), so the
-accepted ids a fan-out goes to are read in one pass over them, and cached
-in ``ServerState.accepted`` until an answer drops them. State equality
-ignores both.
+ARMED or ARRIVED) and the zone. An ``Activity`` is never rebuilt. Each
+activity has one presence map, by participant id in roster order, so the
+accepted ids a fan-out goes to are read in one pass over it, and cached
+in ``ServerState.accepted`` until an answer drops them; state equality
+ignores that cache.
 
 Notification queues are part of the state: a queue holds each recipient's
 ``Notify`` frames, and a frame's sequence number is its position, dense
@@ -67,6 +69,7 @@ from .activities import (
     ActivityPhase,
     ActivitySpec,
     ParticipantStatus,
+    check_names,
     new_activity,
     phase_at,
     respond_invitation,
@@ -88,27 +91,11 @@ from .eventlog import (
     load_log,
 )
 from .geo import Zone, classify_zone
-from .notify import (
-    Fanout, on_arrival, on_invite, on_task_done, render_status,
-)
+from .notify import Fanout, on_arrival, on_invite, on_task_done, render_status
 from .presence import Alarm, ingest_fix
 from .wire import (
-    Ack,
-    Arm,
-    ClientMessage,
-    Disarm,
-    Err,
-    Fix,
-    Hello,
-    Notify,
-    ParticipantView,
-    Poll,
-    RespondInvite,
-    ServerMessage,
-    Status,
-    StatusView,
-    TaskDone,
-    Welcome,
+    Ack, Arm, ClientMessage, Disarm, Err, Fix, Hello, Notify, ParticipantView, Poll,
+    RespondInvite, ServerMessage, Status, StatusView, TaskDone, Welcome,
 )
 
 # One shared frame per acknowledged command, so back-to-back ACKs of a
@@ -121,36 +108,12 @@ ACK_TASK_DONE = Ack("TASK_DONE")
 ACK_POLL = Ack("POLL")
 
 
-class UnknownActivity(SyncError):
-    code = "UNKNOWN_ACTIVITY"
+class Refused(SyncError):
+    """A command the state does not allow; ``handle`` answers it with an ``ERR``."""
 
-
-class StaleFix(SyncError):
-    code = "STALE_FIX"
-
-
-class PhaseViolation(SyncError):
-    code = "PHASE_VIOLATION"
-
-
-class KindMismatch(SyncError):
-    code = "KIND_MISMATCH"
-
-
-class UnknownParticipant(SyncError):
-    code = "NOT_A_PARTICIPANT"
-
-
-class AlreadyResponded(SyncError):
-    code = "ALREADY_RESPONDED"
-
-
-class NotAccepted(SyncError):
-    code = "NOT_ACCEPTED"
-
-
-class AlreadyArmed(SyncError):
-    code = "ALREADY_ARMED"
+    def __init__(self, code: str, detail: str):
+        super().__init__(detail)
+        self.code = code
 
 
 class AlreadyIngested(SyncError):
@@ -176,16 +139,13 @@ class ServerState:
     """Everything the event log determines."""
 
     activities: dict[str, Activity] = field(default_factory=dict)
-    presence: dict[tuple[str, str], ParticipantPresence] = field(default_factory=dict)
-    arrivals: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # Each activity's presences by participant id, in roster order.
+    presence: dict[str, dict[str, ParticipantPresence]] = field(default_factory=dict)
+    arrivals: dict[str, list[str]] = field(default_factory=dict)  # in arrival order
     # Entry i of a recipient's queue is the frame with seq i + 1.
     queues: dict[str, list[Notify]] = field(default_factory=dict)
     calendar_uids: set[str] = field(default_factory=set)  # of the activities made from events
     record_count: int = 0
-    # Each activity's presences in roster order: the ones ``presence`` holds.
-    rosters: dict[str, tuple[ParticipantPresence, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
     # Each activity's accepted ids in roster order, from its first fan-out to the next answer.
     accepted: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
 
@@ -224,8 +184,7 @@ def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
     ids = state.accepted.get(act.id)
     if ids is None:
         ids = state.accepted[act.id] = tuple([
-            p.id for p, pp in zip(act.participants, state.rosters[act.id])
-            if pp.status is _ACCEPTED
+            who for who, pp in state.presence[act.id].items() if pp.status is _ACCEPTED
         ])
     return ids
 
@@ -240,14 +199,12 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
     id raises ``KeyError`` before any assignment but ``record_count``.
     """
     if record.index != state.record_count:
-        raise SyncError(
-            f"record index {record.index} applied out of order "
-            f"(expected {state.record_count})"
-        )
+        raise SyncError(f"record index {record.index} applied out of order "
+                        f"(expected {state.record_count})")
     state.record_count += 1
     e = record.event
     if isinstance(e, FixAccepted):  # the commonest record, so tested first
-        pp = state.presence[(e.activity, e.who)]
+        pp = state.presence[e.activity][e.who]
         pp.zone = e.zone
         pp.last_fix_at = e.fix_at
         # The arrival itself, when due, is its own record applied next.
@@ -257,33 +214,30 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         state.activities[a.id] = a
         if a.calendar_uid is not None:
             state.calendar_uids.add(a.calendar_uid)
-        roster = state.rosters[a.id] = tuple([
-            ParticipantPresence(p.status) for p in a.participants
-        ])
-        state.presence.update(zip([(a.id, p.id) for p in a.participants], roster))
-        state.arrivals[a.id] = ()
+        state.presence[a.id] = {p.id: ParticipantPresence(p.status) for p in a.participants}
+        state.arrivals[a.id] = []
         return _enqueue(state, on_invite(a))
     if isinstance(e, InviteResponded):
-        state.presence[(e.activity, e.who)].status = respond_invitation(e.answer)
+        state.presence[e.activity][e.who].status = respond_invitation(e.answer)
         state.accepted.pop(e.activity, None)
         return []
     if isinstance(e, ArmSet):
-        state.presence[(e.activity, e.who)].alarm = Alarm.ARMED
+        state.presence[e.activity][e.who].alarm = Alarm.ARMED
         return []
     if isinstance(e, ArmCleared):
-        state.presence[(e.activity, e.who)].alarm = Alarm.DISARMED
+        state.presence[e.activity][e.who].alarm = Alarm.DISARMED
         return []
     if isinstance(e, ArrivalRecorded):
         act = state.activities[e.activity]
-        state.presence[(e.activity, e.who)].alarm = Alarm.ARRIVED
-        state.arrivals[e.activity] = state.arrivals[e.activity] + (e.who,)
-        total = len(state.arrivals[e.activity])
+        state.presence[e.activity][e.who].alarm = Alarm.ARRIVED
+        arrivals = state.arrivals[e.activity]
+        arrivals.append(e.who)
         return _enqueue(
-            state, on_arrival(act, _accepted_ids(state, act), e.who, total, e.arrived_at)
+            state, on_arrival(act, _accepted_ids(state, act), e.who, len(arrivals), e.arrived_at)
         )
     if isinstance(e, TaskCompleted):
         act = state.activities[e.activity]
-        state.presence[(e.activity, e.who)]  # KeyError if the doer is no participant
+        state.presence[e.activity][e.who]  # KeyError if the doer is no participant
         return _enqueue(state, on_task_done(act, _accepted_ids(state, act), e.who, e.done_at))
     raise TypeError(f"not an event: {e!r}")
 
@@ -292,6 +246,17 @@ def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]
     """The next record, carrying ``event``, applied to the state; and its pushes."""
     record = EventRecord(state.record_count, now, event)
     return record, apply(state, record)
+
+
+def _admit(state: ServerState, index: int, act: Activity) -> None:
+    """Raise ``CorruptRecord`` unless ``create_activity`` could have made ``act`` next."""
+    expected = _next_id(state)
+    if act.id != expected:
+        raise CorruptRecord(index, f"activity id {act.id!r} is not the next id {expected!r}")
+    try:
+        check_names(act.title, act.organizer, [p.id for p in act.participants])
+    except SyncError as e:
+        raise CorruptRecord(index, f"activity {act.id}: {e.detail}") from None
 
 
 def replay(records) -> ServerState:
@@ -305,9 +270,11 @@ def replay(records) -> ServerState:
     against the fence and the participant's zone so far, into the
     ``FixAccepted`` the FIX path records today; ``apply`` never sees one.
 
-    Replay stops at the first corrupt record: a bad line, or a record that
-    names an unknown activity or participant. The ``CorruptRecord`` it
-    raises carries the state of the records before it in ``state``.
+    Replay stops at the first corrupt record: a bad line, a record that
+    names an unknown activity or participant, or an activity that
+    ``create_activity`` could not have made next (``_admit``). The
+    ``CorruptRecord`` it raises carries the state of the records before it
+    in ``state``.
     """
     state = ServerState()
     try:
@@ -316,11 +283,13 @@ def replay(records) -> ServerState:
             if type(e) is PointFix:
                 zone = classify_zone(
                     state.activities[e.activity].fence,
-                    state.presence[(e.activity, e.who)].zone, e.point,
+                    state.presence[e.activity][e.who].zone, e.point,
                 )
                 record = EventRecord(
                     record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
                 )
+            elif type(e) is ActivityCreated:
+                _admit(state, record.index, e.activity)
             apply(state, record)
     except (KeyError, CorruptRecord) as error:
         if isinstance(error, KeyError):  # ``apply`` moved only the count
@@ -337,41 +306,26 @@ def replay(records) -> ServerState:
 def _activity(state: ServerState, activity_id: str) -> Activity:
     act = state.activities.get(activity_id)
     if act is None:
-        raise UnknownActivity(f"no such activity {activity_id!r}")
+        raise Refused("UNKNOWN_ACTIVITY", f"no such activity {activity_id!r}")
     return act
 
 
 def _member(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
     """The presence of ``who``, who must be a participant of ``act``."""
     if act.participant(who) is None:
-        raise UnknownParticipant(f"{who!r} is not a participant of {act.id}")
-    return state.presence[(act.id, who)]
-
-
-def _invited(state: ServerState, act: Activity, who: str) -> None:
-    """``who`` may still answer the invitation: each participant answers once."""
-    status = _member(state, act, who).status
-    if status is not ParticipantStatus.INVITED:
-        raise AlreadyResponded(f"{who!r} already responded ({status.value})")
+        raise Refused("NOT_A_PARTICIPANT", f"{who!r} is not a participant of {act.id}")
+    return state.presence[act.id][who]
 
 
 def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresence:
     """The presence of ``who``, who must have accepted ``act``."""
     pp = _member(state, act, who)
     if pp.status is not _ACCEPTED:
-        raise NotAccepted(f"{who!r} has not accepted {act.id}")
+        raise Refused("NOT_ACCEPTED", f"{who!r} has not accepted {act.id}")
     return pp
 
 
-def _disarmed(pp: ParticipantPresence) -> None:
-    """ARM needs a disarmed alarm: not one already armed, nor one that arrived."""
-    if pp.alarm is not Alarm.DISARMED:
-        raise AlreadyArmed("alarm is already armed or the participant has arrived")
-
-
-def pending(
-    state: ServerState, participant: str, cursor: int
-) -> tuple[list[Notify], int]:
+def pending(state: ServerState, participant: str, cursor: int) -> tuple[list[Notify], int]:
     """The queued frames with sequence > cursor, and the new cursor.
 
     Pure read: it returns the stored frames and builds none. Re-polling with
@@ -392,8 +346,8 @@ def status_view(state: ServerState, activity_id: str, now: int) -> StatusView:
     return StatusView(
         activity=act.id,
         participants=tuple(
-            ParticipantView(p.id, pp.status, pp.alarm is Alarm.ARRIVED)
-            for p, pp in zip(act.participants, state.rosters[act.id])
+            ParticipantView(who, pp.status, pp.alarm is Alarm.ARRIVED)
+            for who, pp in state.presence[act.id].items()
         ),
         arrivals=len(state.arrivals[act.id]),
         phase=phase_at(act, now),
@@ -422,8 +376,8 @@ def _dispatch(
         act = _activity(state, msg.activity)
         pp = _accepted(state, act, from_)
         if pp.last_fix_at is not None and msg.at <= pp.last_fix_at:
-            raise StaleFix(
-                f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
+            raise Refused(
+                "STALE_FIX", f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
             )
         if phase_at(act, msg.at) is not _ACTIVE:
             # Outside the window the fix is ignored: no state, no record.
@@ -442,14 +396,17 @@ def _dispatch(
     if isinstance(msg, RespondInvite):
         act = _activity(state, msg.activity)
         if phase_at(act, now) is ActivityPhase.ENDED:
-            raise PhaseViolation(f"{act.id} has already ended")
-        _invited(state, act, from_)
+            raise Refused("PHASE_VIOLATION", f"{act.id} has already ended")
+        status = _member(state, act, from_).status
+        if status is not ParticipantStatus.INVITED:  # each participant answers once
+            raise Refused("ALREADY_RESPONDED", f"{from_!r} already responded ({status.value})")
         record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
         return [(from_, ACK_RESPOND_INVITE)] + pushes, [record]
 
     if isinstance(msg, Arm):
         act = _activity(state, msg.activity)
-        _disarmed(_accepted(state, act, from_))
+        if _accepted(state, act, from_).alarm is not Alarm.DISARMED:  # armed, or arrived
+            raise Refused("ALREADY_ARMED", "alarm is already armed or the participant has arrived")
         record, _ = _record(state, now, ArmSet(act.id, from_))
         return [(from_, ACK_ARM)], [record]
 
@@ -465,7 +422,7 @@ def _dispatch(
         act = _activity(state, msg.activity)
         _accepted(state, act, from_)
         if act.kind is not ActivityKind.TASK:
-            raise KindMismatch(f"{act.id} is {act.kind.value}, not TASK")
+            raise Refused("KIND_MISMATCH", f"{act.id} is {act.kind.value}, not TASK")
         record, pushes = _record(state, now, TaskCompleted(act.id, from_, msg.at))
         return [(from_, ACK_TASK_DONE)] + pushes, [record]
 
@@ -484,6 +441,10 @@ def _dispatch(
     raise TypeError(f"not a client message: {msg!r}")
 
 
+def _next_id(state: ServerState) -> str:
+    return f"a{len(state.activities) + 1}"
+
+
 def create_activity(
     state: ServerState, spec: ActivitySpec, now: int
 ) -> tuple[Activity, Outbound, list[EventRecord]]:
@@ -496,7 +457,7 @@ def create_activity(
     """
     if spec.calendar_uid in state.calendar_uids:
         raise AlreadyIngested(f"event {spec.calendar_uid} already ingested")
-    act = new_activity(spec, f"a{len(state.activities) + 1}")
+    act = new_activity(spec, _next_id(state))
     record, pushes = _record(state, now, ActivityCreated(act))
     return act, pushes, [record]
 

@@ -44,15 +44,13 @@ from .activities import (
 from .engine import AlreadyIngested, Outbound, ServerState, create_activity, handle
 from .errors import SyncError, read_utf8
 from .eventlog import EventRecord, encode_record
-from .geo import Geofence, GeoPoint
+from .geo import M_PER_DEG_LAT, Geofence, GeoPoint
 from .ics import parse_ics
 from .presence import Alarm
 from .schema import (
     COUNT, FLOAT, INT, SIGNED, STR, TEXT, FieldInvalid, Inline, ListOf, Optional, Schema, choice,
 )
 from .wire import MESSAGES, POINT, Arm, Disarm, Fix, RespondInvite, ServerMessage, TaskDone
-
-M_PER_DEG_LAT = 111_320.0
 
 _ARMED = Alarm.ARMED  # bound once, for the step loop
 
@@ -126,8 +124,8 @@ def perturb(point: GeoPoint, sigma_m: float, rng: random.Random) -> GeoPoint:
     """Add seeded zero-mean Gaussian GPS jitter of sigma_m meters.
 
     Independent north and east offsets, converted with 1 deg lat =
-    111,320 m and 1 deg lon = 111,320 * cos(lat) m, clamped back into
-    valid coordinate ranges.
+    ``geo.M_PER_DEG_LAT`` m (R * pi / 180, about 111,195 m) and 1 deg lon =
+    that * cos(lat) m, clamped back into valid coordinate ranges.
     """
     return _jitter(point.lat, point.lon, sigma_m, rng)
 
@@ -404,7 +402,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # Each actor's (actor id, activity order, activity id, presence, trace), by
     # (activity id, actor id); ``armed`` holds the armed ones sorted: send order.
     senders = {
-        (aid, actor.id): (actor.id, order, aid, state.presence[(aid, actor.id)], actor.trace)
+        (aid, actor.id): (actor.id, order, aid, state.presence[aid][actor.id], actor.trace)
         for actor in scenario.actors
         for order, aid in enumerate(member_of[actor.id])
     }

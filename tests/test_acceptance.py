@@ -292,7 +292,7 @@ def test_c06_presence_safety_over_randomized_traces():
                     center.lat + math.degrees(d / EARTH_RADIUS_M), center.lon
                 )
                 in_window = act.window.start <= now < act.window.end
-                pp = state.presence[(act.id, "bruno")]
+                pp = state.presence[act.id]["bruno"]
                 before = (pp.alarm, pp.zone)
                 reply, events = _bruno(state, Fix(act.id, point, now), now)
                 if isinstance(reply, Err):
@@ -314,7 +314,7 @@ def test_c06_presence_safety_over_randomized_traces():
         point = GeoPoint(center.lat + math.degrees(d_inside / EARTH_RADIUS_M),
                          center.lon)
         _bruno(state, Fix(act.id, point, 1500), 1500)
-        assert state.presence[(act.id, "bruno")].zone is Zone.INSIDE
+        assert state.presence[act.id]["bruno"].zone is Zone.INSIDE
         _bruno(state, Arm(act.id), 1500)
         for step in range(5):
             _, events = _bruno(state, Fix(act.id, point, 1501 + step), 1501 + step)

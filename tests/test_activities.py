@@ -155,8 +155,8 @@ class TestRespondInvitation:
         before = state.activities[aid]
         handle(state, RespondInvite(aid, InviteAnswer.ACCEPT), "bruno", 10)
         assert state.activities[aid] is before
-        assert state.presence[(aid, "bruno")].status is ParticipantStatus.ACCEPTED
-        assert state.presence[(aid, "carla")].status is ParticipantStatus.INVITED
+        assert state.presence[aid]["bruno"].status is ParticipantStatus.ACCEPTED
+        assert state.presence[aid]["carla"].status is ParticipantStatus.INVITED
         assert before.participant("bruno").status is ParticipantStatus.INVITED  # as created
 
     def test_indexed_activity_equals_a_fresh_one(self):

@@ -291,6 +291,43 @@ class TestTypeConfusedRecords:
                                f"invalid field {field!r}: {detail}\n")
 
 
+class TestImpossibleActivity:
+    """A well-formed ``ACTIVITY_CREATED`` that ``create_activity`` could not have
+    made next is a ``CorruptRecord`` too: ``Engine`` and ``serve`` refuse the
+    log, and ``status`` warns and keeps the state before it."""
+
+    CASES = [  # (field of the second activity, value, reason)
+        ("id", "a3", "activity id 'a3' is not the next id 'a2'"),
+        ("id", "a1", "activity id 'a1' is not the next id 'a2'"),
+        ("title", "\ud800", "activity a2: title '\\ud800' cannot be encoded as UTF-8"),
+    ]
+
+    @pytest.mark.parametrize("field, value, reason", CASES)
+    def test_engine_and_serve_refuse_the_log(self, tmp_path, field, value, reason):
+        log, before = TestTypeConfusedRecords._log(tmp_path, 39, field, value)
+        with pytest.raises(CorruptRecord) as e:
+            Engine(log_path=log)
+        assert (e.value.index, e.value.reason) == (39, reason)
+        assert e.value.state == replay(before) and e.value.state.record_count == 39
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncpoint.cli", "serve", "--listen", "127.0.0.1:0",
+             "--log", str(log)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: CORRUPT_RECORD: record 39: {reason}\n"
+
+    @pytest.mark.parametrize("field, value, reason", CASES)
+    def test_status_warns_once_and_keeps_the_state_before(
+        self, tmp_path, capsys, field, value, reason
+    ):
+        log, before = TestTypeConfusedRecords._log(tmp_path, 39, field, value)
+        code, out, err = run(capsys, "status", "a1", "--log", log, "--now", 0)
+        assert (code, err) == (0, f"warning: record 39: {reason}; keeping state up to record 39\n")
+        assert out == encode(status_view(replay(before), "a1", 0))
+
+
 class TestSimulate:
     def test_simulate_writes_transcript(self, tmp_path, capsys):
         out_path = tmp_path / "t.jsonl"
@@ -630,7 +667,7 @@ class TestServe:
         records = list(load_log(log))
         assert [type(r.event).__name__ for r in records] == ["ActivityCreated", "InviteResponded"]
         assert log.read_text().startswith(text)
-        assert replay(records).presence[("a1", "bruno")].status is ParticipantStatus.ACCEPTED
+        assert replay(records).presence["a1"]["bruno"].status is ParticipantStatus.ACCEPTED
 
     def test_a_second_writer_is_refused_while_serve_runs(self, tmp_path, capsys):
         # An ingest into a running server's log would append records whose
@@ -675,7 +712,7 @@ class TestServe:
         engine = Engine(log_path=log)
         engine.close()
         assert [r.index for r in load_log(log)] == [0, 1]
-        assert engine.state.presence[("a1", "bruno@x")].status is ParticipantStatus.ACCEPTED
+        assert engine.state.presence["a1"]["bruno@x"].status is ParticipantStatus.ACCEPTED
 
     def test_a_session_log_reads_back_checked(self, tmp_path):
         log = tmp_path / "events.log"
@@ -700,7 +737,7 @@ class TestServe:
             "ActivityCreated", "InviteResponded", "ArmSet", "FixAccepted", "ArmCleared",
         ]
         assert log.read_text(encoding="utf-8") == "".join(map(encode_record, records))
-        presence = replay(records).presence[("a1", "bruno")]
+        presence = replay(records).presence["a1"]["bruno"]
         assert (presence.alarm, presence.last_fix_at) == (Alarm.DISARMED, 1000)
 
     def test_port_in_use_is_one_error_line(self, tmp_path):

@@ -147,7 +147,7 @@ class TestRespondInvite:
         )
         assert outbound == [("bruno", Ack("RESPOND_INVITE"))]
         assert len(records) == 1
-        assert state.presence[(act.id, "bruno")].status is ParticipantStatus.ACCEPTED
+        assert state.presence[act.id]["bruno"].status is ParticipantStatus.ACCEPTED
 
     def test_after_end_is_phase_violation(self):
         state, act, _, _ = fresh()
@@ -169,7 +169,7 @@ class TestArmDisarm:
         accept_all(state, act, ["bruno"])
         outbound, records = handle(state, Arm(act.id), "bruno", 20)
         assert outbound == [("bruno", Ack("ARM"))]
-        pp = state.presence[(act.id, "bruno")]
+        pp = state.presence[act.id]["bruno"]
         assert (pp.alarm, pp.zone) == (Alarm.ARMED, Zone.OUTSIDE)
         assert records[0].event == ArmSet(act.id, "bruno")
 
@@ -196,7 +196,7 @@ class TestArmDisarm:
         accept_all(state, act, ["bruno"])
         handle(state, Fix(act.id, at_distance(10), 1500), "bruno", 1500)
         outbound, records = handle(state, Arm(act.id), "bruno", 1510)
-        pp = state.presence[(act.id, "bruno")]
+        pp = state.presence[act.id]["bruno"]
         assert (pp.alarm, pp.zone) == (Alarm.ARMED, Zone.INSIDE)
         outbound, records = handle(state, Fix(act.id, at_distance(20), 1520), "bruno", 1520)
         assert records and isinstance(records[0].event, FixAccepted)
@@ -234,8 +234,8 @@ class TestFix:
             ("ana", ArrivalNotice(act.id, 2000, "bruno")),
             ("carla", ArrivalNotice(act.id, 2000, "bruno")),
         ]
-        assert state.presence[(act.id, "bruno")].alarm is Alarm.ARRIVED
-        assert state.arrivals[act.id] == ("bruno",)
+        assert state.presence[act.id]["bruno"].alarm is Alarm.ARRIVED
+        assert state.arrivals[act.id] == ["bruno"]
 
     def test_stale_fix_rejected_without_records(self):
         state, act = self.arm_bruno()
@@ -257,7 +257,7 @@ class TestFix:
             )
             assert len(records) == 1  # FixAccepted only
             assert not any(isinstance(m, Notify) for _, m in outbound)
-        assert state.arrivals[act.id] == ("bruno",)
+        assert state.arrivals[act.id] == ["bruno"]
 
     def test_one_lookup_and_one_classification_per_fix(self, monkeypatch):
         calls = {"classify_zone": 0, "participant": 0}
@@ -290,8 +290,8 @@ class TestFix:
             assert calls["participant"] <= 1, (who, meters)
             kinds = [type(r.event).__name__ for r in records]
             assert kinds == ["FixAccepted"] + (["ArrivalRecorded"] if arrives else [])
-        assert state.arrivals[act.id] == ("bruno",)
-        pp = state.presence[(act.id, "carla")]
+        assert state.arrivals[act.id] == ["bruno"]
+        pp = state.presence[act.id]["carla"]
         assert (pp.alarm, pp.zone) == (Alarm.ARMED, Zone.INSIDE)
 
     def test_fix_from_declined_participant(self):
@@ -584,6 +584,35 @@ class TestDeterminismAndReplay:
             assert "unknown activity or participant" in e.value.reason, event
             assert e.value.state == replay(records), event
 
+    @pytest.mark.parametrize("edit, reason", [
+        (dict(id="a3"), "activity id 'a3' is not the next id 'a2'"),
+        (dict(id="a1"), "activity id 'a1' is not the next id 'a2'"),
+        (dict(title="\ud800"), "activity a2: title '\\ud800' cannot be encoded as UTF-8"),
+        (dict(participants=(ParticipantRecord("ana"),)),
+         "activity a2: need at least 2 participants, got 1"),
+        (dict(participants=(ParticipantRecord("ana"), ParticipantRecord("ana"))),
+         "activity a2: participant 'ana' listed twice"),
+        (dict(participants=(ParticipantRecord("ana"), ParticipantRecord("\ud800"))),
+         "activity a2: participant id '\\ud800' cannot be encoded as UTF-8"),
+        (dict(organizer="zed"), "activity a2: organizer 'zed' not in participant list"),
+    ], ids=["id ahead", "id reused", "title", "one participant", "listed twice",
+            "participant id", "organizer"])
+    def test_only_an_activity_create_activity_could_make_replays(self, edit, reason):
+        records = scripted_run(ServerState())
+        second = create_activity(replay(records), ActivitySpec(
+            title="Picnic", window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
+            organizer="ana", participants=("ana", "bruno"),
+        ), now=20)[2][0]
+        assert second.event.activity.id == "a2"
+        k = second.index
+        spoiled = dataclasses.replace(second.event.activity, **edit)
+        with pytest.raises(CorruptRecord) as e:
+            replay(records + [EventRecord(k, 20, ActivityCreated(spoiled))])
+        assert (e.value.index, e.value.reason) == (k, reason)
+        assert e.value.state == replay(records)
+        assert e.value.state.record_count == k
+        assert replay(records + [second]).activities["a2"] == second.event.activity
+
     @pytest.mark.parametrize("spoil", [
         lambda line: line[:-7],
         lambda line: line.replace(b"}", b""),
@@ -690,7 +719,7 @@ class TestLargeRoster:
             records += new
         assert state.activities[act.id] is act
         assert all(
-            state.presence[(act.id, pid)].status is ParticipantStatus.ACCEPTED for pid in ids
+            state.presence[act.id][pid].status is ParticipantStatus.ACCEPTED for pid in ids
         )
         assert syncpoint.engine._accepted_ids(state, act) == tuple(ids)  # roster order
         assert replay(records) == state
@@ -781,7 +810,7 @@ class TestStatusInThePresence:
             expected = {InviteAnswer.ACCEPT: ParticipantStatus.ACCEPTED,
                         InviteAnswer.DECLINE: ParticipantStatus.DECLINED,
                         None: ParticipantStatus.INVITED}[first.get(p.id)]
-            assert state.presence[(act.id, p.id)].status is expected
+            assert state.presence[act.id][p.id].status is expected
             assert p.status is ParticipantStatus.INVITED  # the record as created
 
     def test_an_answer_drops_the_accepted_roster(self):

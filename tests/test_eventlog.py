@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
-from syncpoint.engine import Engine, ServerState, apply, handle, replay
+from syncpoint.engine import Engine, ServerState, apply, create_activity, handle, replay
 from syncpoint.eventlog import (
     ArmSet,
     CorruptRecord,
@@ -123,7 +123,7 @@ class TestCoordinateFreeFormat:
         act, state = fair(engine), engine.state
         monkeypatch.setattr(syncpoint.geo, "haversine_m", None)  # any geometry would raise
         apply(state, EventRecord(3, 2000, FixAccepted(act.id, "bruno", Zone.INSIDE, 2000)))
-        pp = state.presence[(act.id, "bruno")]
+        pp = state.presence[act.id]["bruno"]
         assert (pp.zone, pp.last_fix_at) == (Zone.INSIDE, 2000)
 
     def test_nothing_writes_or_applies_a_point_bearing_fix(self):
@@ -177,28 +177,61 @@ class TestCoordinateFreeFormat:
 S2_LOG = run_scenario(load_scenario(SCENARIOS / "s2_gathering.json")).log_lines
 
 
+def assert_whole(state: ServerState, shown: str) -> None:
+    """A replayed state's activities are a1, a2, ... in order, its presence
+    map of each lists exactly that activity's roster ids, and
+    ``create_activity`` adds an activity rather than replacing one."""
+    n = len(state.activities)
+    assert list(state.activities) == [f"a{k}" for k in range(1, n + 1)], shown
+    assert list(state.presence) == list(state.activities), shown
+    for aid, act in state.activities.items():
+        assert list(state.presence[aid]) == [p.id for p in act.participants], shown
+    create_activity(state, ActivitySpec(
+        title="Next", window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
+        organizer="ana", participants=("ana", "bruno"),
+    ), now=0)
+    assert len(state.activities) == n + 1, shown
+
+
 class TestDecodeRecordFuzz:
     """Nothing but ``CorruptRecord`` escapes ``decode_record``, or ``replay`` of
-    the log, whatever one to three mutations of a line of the s2 log do to it."""
+    the log, whatever one to three mutations of a line of the s2 log do to it;
+    a mutant that replays leaves a whole state (``assert_whole``)."""
+
+    # The s2 log with a second activity, a copy of its first, appended: a
+    # mutant of that last line is named by no later record, so it replays.
+    SECOND = json.loads(S2_LOG[0])
+    SECOND["activity"]["id"], SECOND["index"] = "a2", len(S2_LOG)
+    TWO = [*S2_LOG, json.dumps(SECOND) + "\n"]
+
+    @staticmethod
+    def check(data, lines: list[str], i: int) -> None:
+        line = json.dumps(draw_mutant(data, json.loads(lines[i]))) + "\n"
+        try:
+            decode_record(line, i)
+            state = replay(read_records([*lines[:i], line, *lines[i + 1:]]))
+        except CorruptRecord:
+            return
+        except Exception as e:  # noqa: BLE001 - anything else is the failure
+            pytest.fail(f"{type(e).__name__}: {e} escaped on line {i}: {line!r}")
+        assert_whole(state, f"line {i}: {line!r}")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_only_corrupt_record_escapes(self, data):
-        i = data.draw(st.integers(0, len(S2_LOG) - 1))
-        line = json.dumps(draw_mutant(data, json.loads(S2_LOG[i]))) + "\n"
-        try:
-            decode_record(line, i)
-            replay(read_records([*S2_LOG[:i], line, *S2_LOG[i + 1:]]))
-        except CorruptRecord:
-            pass
-        except Exception as e:  # noqa: BLE001 - anything else is the failure
-            pytest.fail(f"{type(e).__name__}: {e} escaped on line {i}: {line!r}")
+        self.check(data, S2_LOG, data.draw(st.integers(0, len(S2_LOG) - 1)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_mutant_activity_replays_whole_or_not_at_all(self, data):
+        self.check(data, self.TWO, len(S2_LOG))
 
 
 class TestLoadLogFuzz:
     """ROADMAP item 15 for ``load_log``: nothing but ``CorruptRecord`` (a
     ``TornTail`` is one) escapes reading and replaying the s2 log file,
-    whatever one to three byte-level edits do to it."""
+    whatever one to three byte-level edits do to it; a mutant that replays
+    leaves a whole state (``assert_whole``)."""
 
     S2_BYTES = "".join(S2_LOG).encode("utf-8")
 
@@ -209,14 +242,16 @@ class TestLoadLogFuzz:
         raw = draw_byte_mutant(data, self.S2_BYTES)
         log = tmp_path / "events.log"  # one file, rewritten for each example
         log.write_bytes(raw)
+        at = next((i for i, (a, b) in enumerate(zip(raw, self.S2_BYTES)) if a != b), len(raw))
+        shown = (f"a mutant of {len(raw)} bytes that first differs at byte {at}: "
+                 f"{raw[max(at - 40, 0):at + 40]!r}")
         try:
-            replay(load_log(log))
+            state = replay(load_log(log))
         except CorruptRecord:
-            pass
+            return
         except Exception as e:  # noqa: BLE001 - anything else is the failure
-            at = next((i for i, (a, b) in enumerate(zip(raw, self.S2_BYTES)) if a != b), len(raw))
-            pytest.fail(f"{type(e).__name__}: {e} escaped on a mutant of {len(raw)} bytes "
-                        f"that first differs at byte {at}: {raw[max(at - 40, 0):at + 40]!r}")
+            pytest.fail(f"{type(e).__name__}: {e} escaped on {shown}")
+        assert_whole(state, shown)
 
 
 class TestMixedLog:
@@ -259,7 +294,7 @@ class TestMixedLog:
 
         restarted = Engine(log_path=log)
         assert restarted.state == live.state
-        pp = restarted.state.presence[("a1", "ana")]
+        pp = restarted.state.presence["a1"]["ana"]
         assert pp.zone is Zone.INSIDE  # the dead-band fix kept ana's zone
         # Starting on it rewrites nothing; new records follow in the current format.
         restarted.handle(Fix("a1", at_distance(10), 1700), "bruno", 1700)

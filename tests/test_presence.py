@@ -54,12 +54,12 @@ def send(state, msg, who="bruno", now=0):
 
 
 def alarm(state, aid, who="bruno"):
-    return state.presence[(aid, who)].alarm
+    return state.presence[aid][who].alarm
 
 
 def seen(state, aid, who="bruno"):
     """The participant's alarm and the zone they were last seen in."""
-    pp = state.presence[(aid, who)]
+    pp = state.presence[aid][who]
     return pp.alarm, pp.zone
 
 

@@ -592,7 +592,7 @@ def reference_run(scenario: Scenario) -> tuple[Transcript, list]:
                 records += new
         for actor in sorted(scenario.actors, key=lambda a: a.id):
             for aid in member_of[actor.id]:
-                if state.presence[(aid, actor.id)].alarm is Alarm.ARMED:
+                if state.presence[aid][actor.id].alarm is Alarm.ARMED:
                     point = perturb(interpolate(actor.trace, t), scenario.noise_sigma_m, rng)
                     out, new = handle(state, Fix(aid, point, t), actor.id, t)
                     transcript.add(t, out)
