@@ -15,34 +15,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import SyncError
+from .errors import Refused
 from .geo import Geofence
 
 DEFAULT_GATHERING_BATCH = 5
-
-
-class WindowInvalid(SyncError):
-    code = "WINDOW_INVALID"
-
-
-class TooFewParticipants(SyncError):
-    code = "TOO_FEW_PARTICIPANTS"
-
-
-class DuplicateParticipant(SyncError):
-    code = "DUPLICATE_PARTICIPANT"
-
-
-class OrganizerNotParticipant(SyncError):
-    code = "ORGANIZER_NOT_PARTICIPANT"
-
-
-class BatchThresholdInvalid(SyncError):
-    code = "BATCH_THRESHOLD_INVALID"
-
-
-class TitleInvalid(SyncError):
-    code = "TITLE_INVALID"
 
 
 class ActivityKind(str, Enum):
@@ -76,9 +52,9 @@ class ActivityPhase(str, Enum):
 
 def validate_timestamp(seconds: int, what: str = "timestamp") -> int:
     if not isinstance(seconds, int) or isinstance(seconds, bool):
-        raise WindowInvalid(f"{what} must be an integer, got {seconds!r}")
+        raise Refused("WINDOW_INVALID", f"{what} must be an integer, got {seconds!r}")
     if seconds < 0:
-        raise WindowInvalid(f"{what} must be non-negative, got {seconds}")
+        raise Refused("WINDOW_INVALID", f"{what} must be non-negative, got {seconds}")
     return seconds
 
 
@@ -93,7 +69,7 @@ class TimeWindow:
         validate_timestamp(self.start, "start")
         validate_timestamp(self.end, "end")
         if not self.start < self.end:
-            raise WindowInvalid(f"start {self.start} must be < end {self.end}")
+            raise Refused("WINDOW_INVALID", f"start {self.start} must be < end {self.end}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +82,8 @@ class ParticipantRecord:
 class Activity:
     """An activity value.
 
-    ``participants`` is the roster as created: each record's status is the
-    one its ``ACTIVITY_CREATED`` record carries, and the live status is the
+    ``participants`` is the roster as created, each record ``INVITED`` as
+    its ``ACTIVITY_CREATED`` record logs it; the live status is the
     engine's. Participant lookups go through an id->position index, built
     once at construction and left out of ``__init__``, equality, hashing,
     ``repr`` and every encoding.
@@ -171,22 +147,28 @@ def check_names(title: str, organizer: str, ids: Iterable[str]) -> None:
     two, the organizer's among them; UTF-8 can encode each.
     """
     if not isinstance(title, str):
-        raise TitleInvalid(f"title must be a string, got {title!r}")
+        raise Refused("TITLE_INVALID", f"title must be a string, got {title!r}")
     if not _encodable(title):
-        raise TitleInvalid(f"title {title!r} cannot be encoded as UTF-8")
+        raise Refused("TITLE_INVALID", f"title {title!r} cannot be encoded as UTF-8")
     seen = set()
     for pid in ids:
         if not isinstance(pid, str) or not pid:
-            raise DuplicateParticipant(f"participant id must be a non-empty string, got {pid!r}")
+            raise Refused(
+                "DUPLICATE_PARTICIPANT", f"participant id must be a non-empty string, got {pid!r}"
+            )
         if not _encodable(pid):
-            raise DuplicateParticipant(f"participant id {pid!r} cannot be encoded as UTF-8")
+            raise Refused(
+                "DUPLICATE_PARTICIPANT", f"participant id {pid!r} cannot be encoded as UTF-8"
+            )
         if pid in seen:
-            raise DuplicateParticipant(f"participant {pid!r} listed twice")
+            raise Refused("DUPLICATE_PARTICIPANT", f"participant {pid!r} listed twice")
         seen.add(pid)
     if len(seen) < 2:
-        raise TooFewParticipants(f"need at least 2 participants, got {len(seen)}")
+        raise Refused("TOO_FEW_PARTICIPANTS", f"need at least 2 participants, got {len(seen)}")
     if not isinstance(organizer, str) or organizer not in seen:
-        raise OrganizerNotParticipant(f"organizer {organizer!r} not in participant list")
+        raise Refused(
+            "ORGANIZER_NOT_PARTICIPANT", f"organizer {organizer!r} not in participant list"
+        )
 
 
 def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
@@ -208,8 +190,9 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
         )
     # Exact type: JSON true and false load as bool, which is an int.
     if type(batch_threshold) is not int or batch_threshold < 1:
-        raise BatchThresholdInvalid(
-            f"batch threshold must be an integer >= 1, got {batch_threshold!r}"
+        raise Refused(
+            "BATCH_THRESHOLD_INVALID",
+            f"batch threshold must be an integer >= 1, got {batch_threshold!r}",
         )
     return Activity(
         id=activity_id,

@@ -12,9 +12,9 @@ Every command check runs once, in ``_dispatch``, before any record exists:
 the participant lookup (``_member``, one ``Activity.participant`` call per
 command), the invitation status (``_accepted``, and RESPOND_INVITE's
 once-only test) and the alarm state (ARM's test, and DISARM's no-op test).
-A refused command raises ``Refused`` with its wire code, which ``handle``
-answers with an ``ERR``. ``apply`` checks only that records come in index
-order and are records; it only assigns.
+A refused command raises ``errors.Refused`` with its wire code, which
+``handle`` answers with an ``ERR``. ``apply`` checks only that records come
+in index order and are records; it only assigns.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``_dispatch``; whether that fix is the arrival is decided by
@@ -69,12 +69,11 @@ from .activities import (
     ActivityPhase,
     ActivitySpec,
     ParticipantStatus,
-    check_names,
     new_activity,
     phase_at,
     respond_invitation,
 )
-from .errors import SyncError
+from .errors import Refused, SyncError
 from .eventlog import (
     ActivityCreated,
     ArmCleared,
@@ -108,20 +107,8 @@ ACK_TASK_DONE = Ack("TASK_DONE")
 ACK_POLL = Ack("POLL")
 
 
-class Refused(SyncError):
-    """A command the state does not allow; ``handle`` answers it with an ``ERR``."""
-
-    def __init__(self, code: str, detail: str):
-        super().__init__(detail)
-        self.code = code
-
-
 class AlreadyIngested(SyncError):
     code = "ALREADY_INGESTED"
-
-
-class LogInUse(SyncError):
-    code = "LOG_IN_USE"
 
 
 @dataclass(slots=True)
@@ -214,7 +201,7 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         state.activities[a.id] = a
         if a.calendar_uid is not None:
             state.calendar_uids.add(a.calendar_uid)
-        state.presence[a.id] = {p.id: ParticipantPresence(p.status) for p in a.participants}
+        state.presence[a.id] = {p.id: ParticipantPresence() for p in a.participants}
         state.arrivals[a.id] = []
         return _enqueue(state, on_invite(a))
     if isinstance(e, InviteResponded):
@@ -249,14 +236,19 @@ def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]
 
 
 def _admit(state: ServerState, index: int, act: Activity) -> None:
-    """Raise ``CorruptRecord`` unless ``create_activity`` could have made ``act`` next."""
-    expected = _next_id(state)
-    if act.id != expected:
-        raise CorruptRecord(index, f"activity id {act.id!r} is not the next id {expected!r}")
+    """Raise ``CorruptRecord`` unless ``act`` is what ``create_activity`` makes next of its spec."""
+    spec = ActivitySpec(
+        act.title, act.window, act.fence, act.organizer, tuple(p.id for p in act.participants),
+        act.kind, act.policy, act.batch_threshold, act.calendar_uid,
+    )
     try:
-        check_names(act.title, act.organizer, [p.id for p in act.participants])
+        made = _next_activity(state, spec)
     except SyncError as e:
         raise CorruptRecord(index, f"activity {act.id}: {e.detail}") from None
+    if made.id != act.id:
+        raise CorruptRecord(index, f"activity id {act.id!r} is not the next id {made.id!r}")
+    if made != act:
+        raise CorruptRecord(index, f"activity {act.id}: not what create_activity makes of it")
 
 
 def replay(records) -> ServerState:
@@ -272,9 +264,9 @@ def replay(records) -> ServerState:
 
     Replay stops at the first corrupt record: a bad line, a record that
     names an unknown activity or participant, or an activity that
-    ``create_activity`` could not have made next (``_admit``). The
-    ``CorruptRecord`` it raises carries the state of the records before it
-    in ``state``.
+    ``create_activity`` would not make next from its own spec (``_admit``).
+    The ``CorruptRecord`` it raises carries the state of the records before
+    it in ``state``.
     """
     state = ServerState()
     try:
@@ -441,8 +433,11 @@ def _dispatch(
     raise TypeError(f"not a client message: {msg!r}")
 
 
-def _next_id(state: ServerState) -> str:
-    return f"a{len(state.activities) + 1}"
+def _next_activity(state: ServerState, spec: ActivitySpec) -> Activity:
+    """The activity ``create_activity`` makes of ``spec`` next; one per calendar event."""
+    if spec.calendar_uid in state.calendar_uids:
+        raise AlreadyIngested(f"event {spec.calendar_uid} already ingested")
+    return new_activity(spec, f"a{len(state.activities) + 1}")
 
 
 def create_activity(
@@ -455,9 +450,7 @@ def create_activity(
     A calendar event makes one activity: a second spec with its UID raises
     ``AlreadyIngested``.
     """
-    if spec.calendar_uid in state.calendar_uids:
-        raise AlreadyIngested(f"event {spec.calendar_uid} already ingested")
-    act = new_activity(spec, _next_id(state))
+    act = _next_activity(state, spec)
     record, pushes = _record(state, now, ActivityCreated(act))
     return act, pushes, [record]
 
@@ -480,10 +473,11 @@ class Engine:
     commit that follows it.
 
     A log has one writer. Opening it takes an exclusive ``flock`` first,
-    held until ``close`` (or the process ends), and raises ``LogInUse``
-    while another ``Engine`` holds it. The log is then replayed as it is
-    read (``replay(load_log(path))``); a torn final line is cut off and kept
-    in ``torn_tail``, and any other corrupt record raises ``CorruptRecord``.
+    held until ``close`` (or the process ends), and refuses it with
+    ``LOG_IN_USE`` while another ``Engine`` holds it. The log is then
+    replayed as it is read (``replay(load_log(path))``); a torn final line
+    is cut off and kept in ``torn_tail``, and any other corrupt record
+    raises ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
@@ -496,7 +490,7 @@ class Engine:
                 try:
                     fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 except BlockingIOError:
-                    raise LogInUse(f"another writer has {log_path} open") from None
+                    raise Refused("LOG_IN_USE", f"another writer has {log_path} open") from None
                 try:
                     self.state = replay(load_log(log_path))
                 except TornTail as e:  # appends then start on a fresh line

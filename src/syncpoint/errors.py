@@ -2,7 +2,9 @@
 
 Every domain error carries a stable ``code`` (SCREAMING_SNAKE) so the server
 can surface it on the wire as an ``Err`` frame without per-exception mapping
-tables.
+tables. An error is its code: most are raised as ``Refused(code, detail)``.
+A class of its own stays only where ``src/`` catches it by type or it adds
+a field.
 """
 
 from pathlib import Path
@@ -18,18 +20,18 @@ class SyncError(Exception):
         self.detail = detail or self.code
 
 
-class NotUtf8(SyncError):
-    code = "NOT_UTF8"
+class Refused(SyncError):
+    """An error named by its code alone, such as a command the state does not allow."""
 
-
-class Unreadable(SyncError):
-    code = "UNREADABLE"
+    def __init__(self, code: str, detail: str):
+        self.code = code
+        super().__init__(detail)
 
 
 def read_utf8(path: str | Path) -> str:
     """The text of a calendar, scenario or golden file, which must be UTF-8.
 
-    Raises ``NotUtf8`` for a file that is not, and ``Unreadable``, with the
+    Raises ``NOT_UTF8`` for a file that is not, and ``UNREADABLE``, with the
     system's reason, for a path that cannot be opened or read: a missing
     file, a directory, a NUL in the path or a name the file system cannot
     encode.
@@ -37,7 +39,7 @@ def read_utf8(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise NotUtf8(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
+        raise Refused("NOT_UTF8", f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
     except (OSError, ValueError) as e:  # ValueError: a NUL, or a name not encodable
         reason = getattr(e, "strerror", None) or e
-        raise Unreadable(f"cannot read {str(path)!r}: {reason}") from None
+        raise Refused("UNREADABLE", f"cannot read {str(path)!r}: {reason}") from None

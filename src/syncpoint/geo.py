@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import asin, cos, inf, pi, radians, sin, sqrt
 
-from .errors import SyncError
+from .errors import Refused, SyncError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -30,10 +30,6 @@ class LatOutOfRange(SyncError):
 
 class LonOutOfRange(SyncError):
     code = "LON_OUT_OF_RANGE"
-
-
-class FenceInvalid(SyncError):
-    code = "FENCE_INVALID"
 
 
 class Zone(str, Enum):
@@ -73,10 +69,12 @@ class Geofence:
         object.__setattr__(self, "radius_m", float(self.radius_m))
         object.__setattr__(self, "hysteresis_m", float(self.hysteresis_m))
         if not 0 < self.radius_m < inf:  # NaN fails too
-            raise FenceInvalid(f"radius_m must be finite and > 0, got {self.radius_m!r}")
+            raise Refused(
+                "FENCE_INVALID", f"radius_m must be finite and > 0, got {self.radius_m!r}"
+            )
         if not 0 <= self.hysteresis_m < inf:
-            raise FenceInvalid(
-                f"hysteresis_m must be finite and >= 0, got {self.hysteresis_m!r}"
+            raise Refused(
+                "FENCE_INVALID", f"hysteresis_m must be finite and >= 0, got {self.hysteresis_m!r}"
             )
 
 

@@ -14,8 +14,10 @@ metadata uses X- extension properties:
 Only the RFC 5545 subset needed for that job is implemented: line
 unfolding, BEGIN/END blocks, property parameters (skipped, quote-aware),
 UTC ("...Z") datetimes plus a digits-only epoch-seconds form. Recurrence,
-timezones, and writing calendars are out of scope. The parser never raises
-anything but its own named errors, no matter the input bytes.
+timezones, and writing calendars are out of scope. Whatever the input, the
+parser raises nothing but a ``SyncError``: ``NOT_A_CALENDAR`` for text that
+is no calendar, and ``EventInvalid`` for an enrolled event with a missing
+or unusable value, a title or roster that ``new_activity`` refuses included.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow
-from .errors import SyncError
-from .geo import FenceInvalid, Geofence, GeoPoint, LatOutOfRange, LonOutOfRange
+from .activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow, check_names
+from .errors import Refused, SyncError
+from .geo import Geofence, GeoPoint
 
 
 # The most characters of one calendar value that an error or warning repeats.
@@ -36,14 +38,6 @@ ECHO_CHARS = 64
 def _cut(value: str) -> str:
     """``value`` as a message repeats it, cut to ``ECHO_CHARS`` characters."""
     return value if len(value) <= ECHO_CHARS else value[:ECHO_CHARS] + "..."
-
-
-class NotACalendar(SyncError):
-    code = "NOT_A_CALENDAR"
-
-
-class MalformedGeo(SyncError):
-    code = "MALFORMED_GEO"
 
 
 class EventInvalid(SyncError):
@@ -103,11 +97,11 @@ def parse_geo(value: str) -> GeoPoint:
     """Parse a GEO property value: "lat;lon" in decimal degrees."""
     parts = value.split(";")
     if len(parts) != 2:
-        raise MalformedGeo(f"expected 'lat;lon', got {_cut(value)!r}")
+        raise Refused("MALFORMED_GEO", f"expected 'lat;lon', got {_cut(value)!r}")
     try:
         lat, lon = float(parts[0]), float(parts[1])
     except ValueError:
-        raise MalformedGeo(f"non-numeric coordinate in {_cut(value)!r}") from None
+        raise Refused("MALFORMED_GEO", f"non-numeric coordinate in {_cut(value)!r}") from None
     return GeoPoint(lat, lon)
 
 
@@ -167,18 +161,19 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
     Only VEVENTs listing ``system_address`` among their ATTENDEEs are
     ingested; the rest are counted as skipped. A matching VEVENT missing
     UID, DTSTART, DTEND, or GEO — or carrying an unusable value for a
-    supported property — raises EventInvalid.
+    supported property, or a title or roster that ``new_activity`` would
+    refuse (``activities.check_names``) — raises EventInvalid.
 
     The organizer leads the roster, attendee addresses are participant ids,
     and the UID is the ``calendar_uid``. Only the properties the event
     states are passed on, so each default stays where it lives.
     """
     if not isinstance(text, str):
-        raise NotACalendar("input is not text")
+        raise Refused("NOT_A_CALENDAR", "input is not text")
     lines = unfold_lines(text)
     stripped = [ln.strip() for ln in lines if ln.strip()]
     if not any(ln.upper() == "BEGIN:VCALENDAR" for ln in stripped):
-        raise NotACalendar("no BEGIN:VCALENDAR wrapper")
+        raise Refused("NOT_A_CALENDAR", "no BEGIN:VCALENDAR wrapper")
 
     system = _strip_mailto(system_address).lower()
     warnings: list[str] = []
@@ -234,7 +229,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             raise EventInvalid(uid, e.detail) from None
         try:
             center = parse_geo(first["GEO"].strip())
-        except (MalformedGeo, LatOutOfRange, LonOutOfRange) as e:
+        except SyncError as e:
             raise EventInvalid(uid, f"bad GEO: {e.detail}") from None
         radius = ()
         if "X-SYNC-RADIUS" in first:
@@ -244,7 +239,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
                 raise EventInvalid(uid, "X-SYNC-RADIUS is not a number") from None
         try:
             fence = Geofence(center, *radius)
-        except FenceInvalid as e:
+        except SyncError as e:
             raise EventInvalid(uid, f"bad X-SYNC-RADIUS: {e.detail}") from None
 
         stated = {}
@@ -281,19 +276,21 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             organizer = guest_list[0]
             warnings.append(f"event {_cut(uid)}: no ORGANIZER, using first attendee")
         else:
-            organizer = ""
-            warnings.append(f"event {_cut(uid)}: no ORGANIZER and no attendees")
+            raise EventInvalid(uid, "no ORGANIZER and no attendees")
 
-        specs.append(
-            ActivitySpec(
-                title=first.get("SUMMARY", "").strip(),
-                window=window,
-                fence=fence,
-                organizer=organizer,
-                participants=(organizer, *(a for a in guest_list if a != organizer)),
-                calendar_uid=uid,
-                **stated,
-            )
+        spec = ActivitySpec(
+            title=first.get("SUMMARY", "").strip(),
+            window=window,
+            fence=fence,
+            organizer=organizer,
+            participants=(organizer, *(a for a in guest_list if a != organizer)),
+            calendar_uid=uid,
+            **stated,
         )
+        try:
+            check_names(spec.title, spec.organizer, spec.participants)
+        except SyncError as e:
+            raise EventInvalid(uid, e.detail) from None
+        specs.append(spec)
 
     return ParseResult(tuple(specs), skipped, tuple(warnings))

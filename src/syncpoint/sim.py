@@ -42,7 +42,7 @@ from .activities import (
     phase_at,
 )
 from .engine import AlreadyIngested, Outbound, ServerState, create_activity, handle
-from .errors import SyncError, read_utf8
+from .errors import Refused, read_utf8
 from .eventlog import EventRecord, encode_record
 from .geo import M_PER_DEG_LAT, Geofence, GeoPoint
 from .ics import parse_ics
@@ -64,10 +64,6 @@ ACTIONS = {
 }
 
 
-class ScenarioInvalid(SyncError):
-    code = "SCENARIO_INVALID"
-
-
 @dataclass(frozen=True, slots=True)
 class Trace:
     """Ordered movement waypoints: ((at, point), ...), times strictly increasing."""
@@ -76,10 +72,10 @@ class Trace:
 
     def __post_init__(self):
         if not self.waypoints:
-            raise ScenarioInvalid("trace needs at least one waypoint")
+            raise Refused("SCENARIO_INVALID", "trace needs at least one waypoint")
         times = [at for at, _ in self.waypoints]
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise ScenarioInvalid("trace waypoint times must be strictly increasing")
+            raise Refused("SCENARIO_INVALID", "trace waypoint times must be strictly increasing")
 
 
 def _position(trace: Trace, t: int) -> tuple[float, float]:
@@ -186,11 +182,13 @@ class Scenario:
 
     def __post_init__(self):
         if not 0 <= self.noise_sigma_m < inf:  # NaN fails too
-            raise ScenarioInvalid(f"noise_sigma_m must be finite and >= 0: {self.noise_sigma_m}")
+            raise Refused(
+                "SCENARIO_INVALID", f"noise_sigma_m must be finite and >= 0: {self.noise_sigma_m}"
+            )
         ids = [actor.id for actor in self.actors]
         if len(set(ids)) < len(ids):
             twice = next(who for i, who in enumerate(ids) if who in ids[:i])
-            raise ScenarioInvalid(f"actor {twice!r} is listed twice")
+            raise Refused("SCENARIO_INVALID", f"actor {twice!r} is listed twice")
 
 
 @dataclass(slots=True)
@@ -303,9 +301,9 @@ def _actor(a: dict) -> ActorScript:
 
 
 def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
-    """The scenario a parsed file states; a value it cannot be is ``ScenarioInvalid``."""
+    """The scenario a parsed file states; a value it cannot be is ``SCENARIO_INVALID``."""
     if not isinstance(d, dict):
-        raise ScenarioInvalid("a scenario must be a JSON object")
+        raise Refused("SCENARIO_INVALID", "a scenario must be a JSON object")
     try:
         header, activities = _SCENARIO.decoder(d), d.get("activities", [])
         if isinstance(activities, dict):
@@ -317,9 +315,9 @@ def scenario_from_dict(d: dict, base_dir: Path | None = None) -> Scenario:
             header, activities=specs, calendar=calendar, actors=actors, base_dir=base_dir
         )
     except FieldInvalid as e:
-        raise ScenarioInvalid(e.detail) from None
+        raise Refused("SCENARIO_INVALID", e.detail) from None
     except KeyError as e:
-        raise ScenarioInvalid(f"missing field {e.args[0]!r}") from None
+        raise Refused("SCENARIO_INVALID", f"missing field {e.args[0]!r}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -327,7 +325,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         d = json.loads(read_utf8(path))
     except ValueError as e:
-        raise ScenarioInvalid(f"{path}: not valid JSON: {e}") from None
+        raise Refused("SCENARIO_INVALID", f"{path}: not valid JSON: {e}") from None
     return scenario_from_dict(d, base_dir=path.parent)
 
 
@@ -382,11 +380,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
             member_of.setdefault(p.id, []).append(act.id)
     for actor in scenario.actors:
         if actor.id not in member_of:
-            raise ScenarioInvalid(f"actor {actor.id!r} appears in no activity")
+            raise Refused("SCENARIO_INVALID", f"actor {actor.id!r} appears in no activity")
         for action in actor.actions:
             if action.activity is not None and action.activity not in state.activities:
-                raise ScenarioInvalid(
-                    f"action for {actor.id!r} names unknown activity {action.activity!r}"
+                raise Refused(
+                    "SCENARIO_INVALID",
+                    f"action for {actor.id!r} names unknown activity {action.activity!r}",
                 )
 
     # Script entries in execution order: due time, then participant id, then

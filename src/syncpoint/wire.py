@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import get_args
 
 from .activities import ActivityKind, ActivityPhase, InviteAnswer, ParticipantStatus
-from .errors import SyncError
+from .errors import Refused
 from .geo import GeoPoint, LatOutOfRange, LonOutOfRange
 from .notify import (
     ActivitySummary,
@@ -58,14 +58,6 @@ from .schema import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class MalformedFrame(SyncError):
-    code = "MALFORMED"
-
-
-class UnknownType(SyncError):
-    code = "UNKNOWN_TYPE"
 
 
 # --- client messages -------------------------------------------------------
@@ -243,9 +235,9 @@ def decode(frame: str | bytes) -> Message:
     try:
         obj = loads_line(frame.decode("utf-8") if isinstance(frame, bytes) else frame)
     except ValueError as e:  # UnicodeDecodeError included
-        raise MalformedFrame(f"not valid JSON: {e}") from None
+        raise Refused("MALFORMED", f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
-        raise MalformedFrame("frame is not a JSON object")
+        raise Refused("MALFORMED", "frame is not a JSON object")
     try:
         t = obj["type"]
     except KeyError:
@@ -253,7 +245,7 @@ def decode(frame: str | bytes) -> Message:
     try:
         decoder, known = _DECODERS[t]
     except (KeyError, TypeError):  # TypeError: an unhashable type
-        raise UnknownType(f"unknown message type {t!r}") from None
+        raise Refused("UNKNOWN_TYPE", f"unknown message type {t!r}") from None
     if not known.issuperset(obj) and t not in _WARNED:
         _WARNED.add(t)
         log.warning("ignoring unknown fields %s in %s frame", sorted(set(obj) - known), t)

@@ -5,28 +5,24 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from codes import raises_code
+
 from syncpoint.activities import (
     ActivityKind,
     ActivityPhase,
     ActivitySpec,
-    BatchThresholdInvalid,
-    DuplicateParticipant,
     InviteAnswer,
-    OrganizerNotParticipant,
     ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
-    TitleInvalid,
-    TooFewParticipants,
-    WindowInvalid,
     new_activity,
     phase_at,
     respond_invitation,
 )
 from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.errors import SyncError
-from syncpoint.geo import FenceInvalid, Geofence, GeoPoint, LatOutOfRange
+from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.wire import Err, RespondInvite
 
 FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0)
@@ -56,11 +52,11 @@ class TestNewActivity:
         assert act.policy is PrivacyPolicy.DISCLOSE_IDENTITY
 
     def test_window_end_equals_start(self):
-        with pytest.raises(WindowInvalid):
+        with raises_code("WINDOW_INVALID"):
             TimeWindow(1000, 1000)
 
     def test_window_negative_time(self):
-        with pytest.raises(WindowInvalid):
+        with raises_code("WINDOW_INVALID"):
             TimeWindow(-1, 1000)
 
     def test_gathering_batch_defaults_to_five(self):
@@ -72,53 +68,53 @@ class TestNewActivity:
         assert act.batch_threshold == 3
 
     def test_batch_below_one_rejected(self):
-        with pytest.raises(BatchThresholdInvalid):
+        with raises_code("BATCH_THRESHOLD_INVALID"):
             make(batch_threshold=0)
 
     @pytest.mark.parametrize("batch", [True, False])
     def test_a_boolean_batch_is_rejected(self, batch):
-        with pytest.raises(BatchThresholdInvalid):
+        with raises_code("BATCH_THRESHOLD_INVALID"):
             make(kind=ActivityKind.GATHERING, batch_threshold=batch)
 
-    @pytest.mark.parametrize("field,error", [
-        ("title", TitleInvalid),
-        ("participant", DuplicateParticipant),
-        ("organizer", OrganizerNotParticipant),
+    @pytest.mark.parametrize("field,code", [
+        ("title", "TITLE_INVALID"),
+        ("participant", "DUPLICATE_PARTICIPANT"),
+        ("organizer", "ORGANIZER_NOT_PARTICIPANT"),
     ])
-    def test_a_string_utf8_cannot_encode_is_rejected(self, field, error):
+    def test_a_string_utf8_cannot_encode_is_rejected(self, field, code):
         lone = "\ud800"
         spec = {
             "title": {"title": lone},
             "participant": {"participants": ("ana", lone)},
             "organizer": {"organizer": lone},
         }[field]
-        with pytest.raises(error, match="ud800"):
+        with raises_code(code, match="ud800"):
             make(**spec)
 
     def test_too_few_participants(self):
-        with pytest.raises(TooFewParticipants):
+        with raises_code("TOO_FEW_PARTICIPANTS"):
             make(participants=("ana",), organizer="ana")
 
     @pytest.mark.parametrize("title", [5, None, b"Fair"])
     def test_a_title_that_is_not_a_string_is_rejected(self, title):
-        with pytest.raises(TitleInvalid):
+        with raises_code("TITLE_INVALID"):
             make(title=title)
 
     def test_duplicate_participant(self):
-        with pytest.raises(DuplicateParticipant):
+        with raises_code("DUPLICATE_PARTICIPANT"):
             make(participants=("ana", "bruno", "ana"))
 
     def test_empty_participant_id(self):
-        with pytest.raises(DuplicateParticipant):
+        with raises_code("DUPLICATE_PARTICIPANT"):
             make(participants=("ana", ""))
 
     def test_organizer_must_participate(self):
-        with pytest.raises(OrganizerNotParticipant):
+        with raises_code("ORGANIZER_NOT_PARTICIPANT"):
             make(organizer="zoe")
 
     @pytest.mark.parametrize("organizer", [["ana"], None])
     def test_an_organizer_that_is_not_a_string_is_rejected(self, organizer):
-        with pytest.raises(OrganizerNotParticipant):
+        with raises_code("ORGANIZER_NOT_PARTICIPANT"):
             make(organizer=organizer)
 
     def test_caller_supplied_id(self):
@@ -208,6 +204,10 @@ class TestPhase:
 # Random spec generator, valid and invalid alike: accepted specs must
 # satisfy every invariant, rejected ones must raise a named violation.
 ids = st.text(alphabet="abcdefgh", min_size=0, max_size=3)
+NAMED_VIOLATIONS = {
+    "WINDOW_INVALID", "FENCE_INVALID", "LAT_OUT_OF_RANGE", "TOO_FEW_PARTICIPANTS",
+    "DUPLICATE_PARTICIPANT", "ORGANIZER_NOT_PARTICIPANT", "BATCH_THRESHOLD_INVALID",
+}
 
 
 @given(
@@ -233,18 +233,10 @@ def test_new_activity_total_validation(
             participants=tuple(participants),
             batch_threshold=batch,
         ), "t")
-    except (
-        WindowInvalid,
-        FenceInvalid,
-        LatOutOfRange,
-        TooFewParticipants,
-        DuplicateParticipant,
-        OrganizerNotParticipant,
-        BatchThresholdInvalid,
-    ):
-        return  # rejected with a named violation
-    except SyncError as e:  # pragma: no cover - would be an unnamed violation
-        pytest.fail(f"unnamed violation: {e!r}")
+    except SyncError as e:
+        if e.code in NAMED_VIOLATIONS:
+            return  # rejected with a named violation
+        pytest.fail(f"unnamed violation: {e.code}: {e.detail}")  # pragma: no cover
     # Accepted: all invariants must hold.
     assert act.window.start < act.window.end >= 0
     assert act.fence.radius_m > 0

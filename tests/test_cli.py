@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from codes import raises_code
+
 import syncpoint.eventlog
 from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, TimeWindow
 from syncpoint.cli import build_parser, main
 from syncpoint.engine import Engine, replay, status_view
-from syncpoint.errors import Unreadable
 from syncpoint.eventlog import (
     ArmSet, CorruptRecord, EventRecord, encode_record, load_log, read_records,
 )
@@ -95,6 +96,37 @@ class TestIngestStatusReplay:
         assert code == 1
         assert "EVENT_INVALID" in err
         assert not log.exists() or log.read_text() == ""
+
+    def test_an_event_whose_roster_new_activity_refuses_ingests_nothing(self, tmp_path, capsys):
+        # Three enrolled events; the middle one lists only its organizer.
+        ics = tmp_path / "three.ics"
+        ics.write_text("BEGIN:VCALENDAR\r\n" + "".join(
+            f"BEGIN:VEVENT\r\nUID:{uid}\r\nDTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\n"
+            f"ORGANIZER:mailto:ana@x\r\nATTENDEE:mailto:ana@x\r\n{guest}"
+            f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\n"
+            for uid, guest in (("e1", "ATTENDEE:mailto:bo@x\r\n"), ("e2", ""),
+                               ("e3", "ATTENDEE:mailto:bo@x\r\n"))
+        ) + "END:VCALENDAR\r\n")
+        log = tmp_path / "events.log"
+        for _ in range(2):  # and a second run, with nothing half ingested to skip
+            assert run(
+                capsys, "ingest", ics, "--system-address", SYSTEM, "--log", log, "--now", 0,
+            ) == (1, "", "error: EVENT_INVALID: event 'e2': need at least 2 participants, got 1\n")
+            assert log.read_bytes() == b""
+
+    def test_status_warns_at_a_calendar_event_logged_twice(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        run(capsys, "ingest", CORPUS / "meetup_fair.ics",
+            "--system-address", SYSTEM, "--log", log, "--now", 0)
+        first = json.loads(log.read_text(encoding="utf-8"))
+        twin = {**first, "index": 1, "activity": {**first["activity"], "id": "a2"}}
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(twin) + "\n")
+        code, out, err = run(capsys, "status", "a1", "--log", log, "--now", 0)
+        assert (code, err) == (0, "warning: record 1: activity a2: event "
+                                  "fair-2026-001@example.org already ingested; "
+                                  "keeping state up to record 1\n")
+        assert out == encode(status_view(replay(list(load_log(log))[:1]), "a1", 0))
 
     def test_replay_prints_all_views(self, tmp_path, capsys):
         log = tmp_path / "events.log"
@@ -300,6 +332,10 @@ class TestImpossibleActivity:
         ("id", "a3", "activity id 'a3' is not the next id 'a2'"),
         ("id", "a1", "activity id 'a1' is not the next id 'a2'"),
         ("title", "\ud800", "activity a2: title '\\ud800' cannot be encoded as UTF-8"),
+        ("participants",
+         [{"id": "ana", "status": "INVITED"}, {"id": "bruno", "status": "ACCEPTED"},
+          {"id": "carla", "status": "INVITED"}],
+         "activity a2: not what create_activity makes of it"),
     ]
 
     @pytest.mark.parametrize("field, value, reason", CASES)
@@ -558,7 +594,7 @@ class TestUnreadable:
             "seed": 1, "fix_period_s": 30, "horizon": 60,
             "activities": {"ics": ics, "system_address": SYSTEM}, "actors": [],
         }))
-        with pytest.raises(Unreadable) as e:
+        with raises_code("UNREADABLE") as e:
             run_scenario(load_scenario(scenario))
         assert e.value.detail.endswith(f": {reason}")
         code, out, err = run(capsys, "simulate", scenario)

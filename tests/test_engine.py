@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from codes import raises_code
+
 import syncpoint.engine
 from syncpoint.activities import (
     Activity,
@@ -26,7 +28,6 @@ from syncpoint.activities import (
 )
 from syncpoint.engine import (
     Engine,
-    LogInUse,
     ServerState,
     create_activity,
     handle,
@@ -595,8 +596,11 @@ class TestDeterminismAndReplay:
         (dict(participants=(ParticipantRecord("ana"), ParticipantRecord("\ud800"))),
          "activity a2: participant id '\\ud800' cannot be encoded as UTF-8"),
         (dict(organizer="zed"), "activity a2: organizer 'zed' not in participant list"),
+        (dict(participants=(
+            ParticipantRecord("ana"), ParticipantRecord("bruno", ParticipantStatus.ACCEPTED),
+        )), "activity a2: not what create_activity makes of it"),
     ], ids=["id ahead", "id reused", "title", "one participant", "listed twice",
-            "participant id", "organizer"])
+            "participant id", "organizer", "logged as accepted"])
     def test_only_an_activity_create_activity_could_make_replays(self, edit, reason):
         records = scripted_run(ServerState())
         second = create_activity(replay(records), ActivitySpec(
@@ -612,6 +616,21 @@ class TestDeterminismAndReplay:
         assert e.value.state == replay(records)
         assert e.value.state.record_count == k
         assert replay(records + [second]).activities["a2"] == second.event.activity
+
+    def test_a_calendar_event_replays_as_one_activity(self):
+        state, records = ServerState(), []
+        for uid in ("u-A", "u-B"):
+            records += create_activity(state, ActivitySpec(
+                title="Picnic", window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
+                organizer="ana", participants=("ana", "bo"), calendar_uid=uid,
+            ), now=0)[2]
+        twin = dataclasses.replace(records[1].event.activity, calendar_uid="u-A")
+        log = [records[0], EventRecord(1, 0, ActivityCreated(twin))]
+        for source in (log, read_records(map(encode_record, log))):
+            with pytest.raises(CorruptRecord) as e:
+                replay(source)
+            assert (e.value.index, e.value.reason) == (1, "activity a2: event u-A already ingested")
+            assert e.value.state == replay(records[:1])
 
     @pytest.mark.parametrize("spoil", [
         lambda line: line[:-7],
@@ -951,7 +970,7 @@ class TestOneWriter:
         log = tmp_path / "events.log"
         first = self.opened(log)
         before = log.read_bytes()
-        with pytest.raises(LogInUse, match="another writer"):
+        with raises_code("LOG_IN_USE", match="another writer"):
             Engine(log_path=log)
         assert log.read_bytes() == before
         assert replay(load_log(log)) == first.state  # readers take no lock
@@ -966,7 +985,7 @@ class TestOneWriter:
         with open(log, "ab") as fh:  # as if the holder were half-way through a write
             fh.write(b'{"type":"ARMED"')
         before = log.read_bytes()
-        with pytest.raises(LogInUse):
+        with raises_code("LOG_IN_USE"):
             Engine(log_path=log)
         assert log.read_bytes() == before
         first.close()
@@ -984,7 +1003,7 @@ class TestOneWriter:
         )
         try:
             assert holder.stdout.readline() == "open\n"
-            with pytest.raises(LogInUse):
+            with raises_code("LOG_IN_USE"):
                 Engine(log_path=log)
         finally:
             holder.kill()

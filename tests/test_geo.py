@@ -5,9 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codes import raises_code
+
 from syncpoint.geo import (
     EARTH_RADIUS_M,
-    FenceInvalid,
     Geofence,
     GeoPoint,
     LatOutOfRange,
@@ -68,20 +69,20 @@ class TestGeoPointFloats:
 class TestGeofence:
     def test_radius_must_be_positive(self):
         center = GeoPoint(41.56, -8.397)
-        with pytest.raises(FenceInvalid):
+        with raises_code("FENCE_INVALID"):
             Geofence(center, 0.0)
-        with pytest.raises(FenceInvalid):
+        with raises_code("FENCE_INVALID"):
             Geofence(center, -5.0)
 
     def test_hysteresis_must_be_non_negative(self):
-        with pytest.raises(FenceInvalid):
+        with raises_code("FENCE_INVALID"):
             Geofence(GeoPoint(0, 0), 100.0, -1.0)
 
     @pytest.mark.parametrize("radius, hysteresis", [
         (math.inf, 25.0), (math.nan, 25.0), (100.0, math.inf), (100.0, math.nan),
     ])
     def test_a_non_finite_radius_or_hysteresis_is_invalid(self, radius, hysteresis):
-        with pytest.raises(FenceInvalid):
+        with raises_code("FENCE_INVALID"):
             Geofence(GeoPoint(0, 0), radius, hysteresis)
 
     def test_default_hysteresis(self):

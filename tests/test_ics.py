@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codes import raises_code
+
 from syncpoint.activities import ActivityKind, PrivacyPolicy
 from syncpoint.errors import SyncError
 from syncpoint.ics import (
     EventInvalid,
-    MalformedGeo,
-    NotACalendar,
     _split_property,
     parse_geo,
     parse_ics,
@@ -53,7 +53,8 @@ class TestUnfold:
             "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:u1\r\n"
             "SUMMARY:Meet at the fair\u2028now\r\n"
             "DTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\nORGANIZER:mailto:ana@x\r\n"
-            f"ATTENDEE:mailto:ana@x\r\nATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+            "ATTENDEE:mailto:ana@x\r\nATTENDEE:mailto:bo@x\r\n"
+            f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
         )
         result = parse_ics(text, SYSTEM)
         assert [d.title for d in result.drafts] == ["Meet at the fair\u2028now"]
@@ -74,11 +75,11 @@ class TestParseGeo:
             parse_geo("0.0;181.0")
 
     def test_missing_component(self):
-        with pytest.raises(MalformedGeo):
+        with raises_code("MALFORMED_GEO"):
             parse_geo("41.5")
 
     def test_not_numbers(self):
-        with pytest.raises(MalformedGeo):
+        with raises_code("MALFORMED_GEO"):
             parse_geo("here;there")
 
 
@@ -132,7 +133,7 @@ class TestParseIcs:
         assert spec.batch_threshold == 5
 
     def test_no_wrapper_is_not_a_calendar(self):
-        with pytest.raises(NotACalendar):
+        with raises_code("NOT_A_CALENDAR"):
             parse_ics((CORPUS / "no_wrapper.ics").read_text(), SYSTEM)
 
     def test_system_address_match_is_case_insensitive(self):
@@ -175,12 +176,31 @@ class TestParseIcs:
             "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:x@y\r\n"
             "DTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\n"
             "ORGANIZER:mailto:a@b\r\n"
-            "ATTENDEE:mailto:a@b\r\nATTENDEE:mailto:a@b\r\n"
+            "ATTENDEE:mailto:a@b\r\nATTENDEE:mailto:c@d\r\nATTENDEE:mailto:a@b\r\n"
             f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
         )
         result = parse_ics(text, SYSTEM)
-        assert result.drafts[0].participants == ("a@b",)
+        assert result.drafts[0].participants == ("a@b", "c@d")
         assert any("duplicate attendee" in w for w in result.warnings)
+
+    @pytest.mark.parametrize("attendees, organizer, reason", [
+        (["mailto:o@x", SYSTEM], "mailto:o@x", "need at least 2 participants, got 1"),
+        ([SYSTEM, "mailto:o@x", "mailto:o@x"], None, "need at least 2 participants, got 1"),
+        ([SYSTEM], None, "no ORGANIZER and no attendees"),
+        ([SYSTEM, "mailto:a@x"], "mailto:", "participant id must be a non-empty string, got ''"),
+        ([SYSTEM, "mailto:a@x", "mailto:\ud800"], None,
+         "participant id '\\ud800' cannot be encoded as UTF-8"),
+    ], ids=["organizer alone", "one guest twice", "nobody", "empty organizer", "unencodable"])
+    def test_a_roster_new_activity_refuses_is_an_invalid_event(self, attendees, organizer, reason):
+        with pytest.raises(EventInvalid) as e:
+            parse_ics(self._event(attendees, organizer), SYSTEM)
+        assert (e.value.uid, e.value.reason) == ("x@y", reason)
+
+    def test_a_title_new_activity_refuses_is_an_invalid_event(self):
+        text = self._event([SYSTEM, "mailto:a@x"]).replace("UID:", "SUMMARY:\ud800\r\nUID:")
+        with pytest.raises(EventInvalid) as e:
+            parse_ics(text, SYSTEM)
+        assert e.value.reason == "title '\\ud800' cannot be encoded as UTF-8"
 
     @staticmethod
     def _event(attendees: list[str], organizer: str | None = "mailto:o@x") -> str:

@@ -13,19 +13,18 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, WindowInvalid, new_activity
+from syncpoint.activities import ActivityKind, ActivitySpec, TimeWindow, new_activity
 import syncpoint.engine as engine
 import syncpoint.sim as sim
 from syncpoint.errors import SyncError
 from syncpoint.engine import ACK_FIX, Engine, handle, pending, replay, status_view
 from syncpoint.eventlog import read_records
-from syncpoint.geo import FenceInvalid, Geofence, GeoPoint
+from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.notify import GatheringUpdate
 from syncpoint.sim import (
     _ENTRY,
     M_PER_DEG_LAT,
     Scenario,
-    ScenarioInvalid,
     Trace,
     Transcript,
     TranscriptEntry,
@@ -40,6 +39,7 @@ from syncpoint.sim import (
 )
 from syncpoint.presence import Alarm
 from syncpoint.wire import Ack, Err, Fix, Notify, Poll
+from codes import raises_code
 from mutation import draw_mutant
 
 REPO = Path(__file__).parents[1]
@@ -52,11 +52,11 @@ def trace(*waypoints):
 
 class TestTrace:
     def test_needs_a_waypoint(self):
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             Trace(())
 
     def test_times_strictly_increasing(self):
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             trace((0, 0, 0), (0, 0, 1))
 
 
@@ -181,7 +181,7 @@ class TestPollSchedule:
 
 class TestScenarioLoading:
     def test_bad_verb(self):
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             scenario_from_dict(
                 {
                     "seed": 1, "fix_period_s": 30, "horizon": 100,
@@ -192,25 +192,25 @@ class TestScenarioLoading:
             )
 
     def test_missing_field(self):
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             scenario_from_dict({"seed": 1, "horizon": 100})
 
-    @pytest.mark.parametrize("field, error", [
-        ({"radius_m": -5}, FenceInvalid),
-        ({"hysteresis_m": -1}, FenceInvalid),
-        ({"end": 10}, WindowInvalid),
-        ({"kind": "PARADE"}, ScenarioInvalid),
-        ({"radius_m": math.inf}, FenceInvalid),
-        ({"hysteresis_m": math.nan}, FenceInvalid),
-        ({"radius_m": 10**400}, ScenarioInvalid),  # too large for a float
-        ({"lat": -(10**400)}, ScenarioInvalid),
+    @pytest.mark.parametrize("field, code", [
+        ({"radius_m": -5}, "FENCE_INVALID"),
+        ({"hysteresis_m": -1}, "FENCE_INVALID"),
+        ({"end": 10}, "WINDOW_INVALID"),
+        ({"kind": "PARADE"}, "SCENARIO_INVALID"),
+        ({"radius_m": math.inf}, "FENCE_INVALID"),
+        ({"hysteresis_m": math.nan}, "FENCE_INVALID"),
+        ({"radius_m": 10**400}, "SCENARIO_INVALID"),  # too large for a float
+        ({"lat": -(10**400)}, "SCENARIO_INVALID"),
     ])
-    def test_a_bad_activity_field_fails_at_load(self, field, error):
+    def test_a_bad_activity_field_fails_at_load(self, field, code):
         activity = {
             "title": "x", "start": 10, "end": 20, "lat": 1.0, "lon": 1.0,
             "organizer": "a", "participants": ["a", "b"], **field,
         }
-        with pytest.raises(error):
+        with raises_code(code):
             scenario_from_dict(
                 {"seed": 1, "fix_period_s": 60, "horizon": 100, "activities": [activity]}
             )
@@ -223,14 +223,14 @@ class TestScenarioLoading:
     ])
     def test_a_malformed_value_is_scenario_invalid(self, field):
         scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text(encoding="utf-8"))
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             scenario_from_dict({**scenario, **field})
 
     @pytest.mark.parametrize("field", ["seed", "noise_sigma_m", "fix_period_s", "horizon"])
     def test_a_boolean_is_not_a_number(self, field):
         # JSON true loads as bool, which is an int to isinstance.
         scenario = json.loads((SCENARIOS / "s1_meetup.json").read_text(encoding="utf-8"))
-        with pytest.raises(ScenarioInvalid) as e:
+        with raises_code("SCENARIO_INVALID") as e:
             scenario_from_dict({**scenario, field: True})
         assert field in e.value.detail
 
@@ -242,7 +242,7 @@ class TestScenarioLoading:
                 "actors": [{"id": "ghost", "trace": [[0, 1.0, 1.0]], "actions": []}],
             }
         )
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             run_scenario(sc)
 
     def test_action_target_must_exist(self):
@@ -258,7 +258,7 @@ class TestScenarioLoading:
                             "actions": [[0, "ACCEPT", "a99"]]}],
             }
         )
-        with pytest.raises(ScenarioInvalid):
+        with raises_code("SCENARIO_INVALID"):
             run_scenario(sc)
 
     def test_all_shipped_scenarios_load(self):

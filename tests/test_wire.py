@@ -36,7 +36,6 @@ from syncpoint.wire import (
     Fix,
     FrameBuffer,
     Hello,
-    MalformedFrame,
     Notify,
     ParticipantView,
     Poll,
@@ -45,12 +44,12 @@ from syncpoint.wire import (
     Status,
     StatusView,
     TaskDone,
-    UnknownType,
     Welcome,
     decode,
     encode,
 )
 
+from codes import raises_code
 from genmsg import dumps_canonical
 from mutation import draw_mutant
 
@@ -144,9 +143,9 @@ class TestDecode:
         assert decode('{"type":"ARM","activity":"a1"}') == Arm("a1")
 
     def test_unknown_type(self):
-        with pytest.raises(UnknownType):
+        with raises_code("UNKNOWN_TYPE"):
             decode('{"type":"NOPE"}')
-        with pytest.raises(UnknownType):  # invitations travel as NOTIFY/INVITATION
+        with raises_code("UNKNOWN_TYPE"):  # invitations travel as NOTIFY/INVITATION
             decode('{"type":"INVITE","summary":{}}')
 
     def test_field_missing(self):
@@ -155,11 +154,11 @@ class TestDecode:
         assert e.value.name == "activity"
 
     def test_not_json(self):
-        with pytest.raises(MalformedFrame):
+        with raises_code("MALFORMED"):
             decode("not json at all")
 
     def test_not_an_object(self):
-        with pytest.raises(MalformedFrame):
+        with raises_code("MALFORMED"):
             decode("[1,2,3]")
 
     def test_missing_type(self):
@@ -319,7 +318,7 @@ class TestFraming:
         frames = buf.feed(b'{"type":"POLL","cursor":0}\n{"type":"HELLO","participant":"\xff"}\n'
                           b'{"type":"ARM","activity":"a1"}\n')
         assert decode(frames[0]) == Poll(0)
-        with pytest.raises(MalformedFrame):
+        with raises_code("MALFORMED"):
             decode(frames[1])
         assert decode(frames[2]) == Arm("a1")
 
@@ -498,16 +497,16 @@ class TestLineParse:
         assert calls == []
 
     def test_errors_keep_their_text(self):
-        with pytest.raises(MalformedFrame) as e:
+        with raises_code("MALFORMED") as e:
             decode('{"type":"ARM","activity":"a1"} x')
         assert e.value.detail == "not valid JSON: Extra data: line 1 column 32 (char 31)"
-        with pytest.raises(MalformedFrame) as e:
+        with raises_code("MALFORMED") as e:
             decode('\ufeff{"type":"ARM","activity":"a1"}')
         assert e.value.detail == (
             "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
             "line 1 column 1 (char 0)"
         )
-        with pytest.raises(MalformedFrame) as e:
+        with raises_code("MALFORMED") as e:
             decode('{"type":"ARM","activity":"a1"}\u00a0')
         assert e.value.detail == "not valid JSON: Extra data: line 1 column 31 (char 30)"
         assert decode(' {"type":"ARM","activity":"a1"}\t') == Arm("a1")
