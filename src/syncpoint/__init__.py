@@ -12,7 +12,6 @@ from .activities import (
     ActivityKind,
     ActivityPhase,
     InviteAnswer,
-    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,

@@ -12,7 +12,7 @@ from (window, now) — it is never stored.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import Refused
@@ -73,45 +73,6 @@ class TimeWindow:
 
 
 @dataclass(frozen=True, slots=True)
-class ParticipantRecord:
-    id: str
-    status: ParticipantStatus = ParticipantStatus.INVITED
-
-
-@dataclass(frozen=True, slots=True)
-class Activity:
-    """An activity value.
-
-    ``participants`` is the roster as created, each record ``INVITED`` as
-    its ``ACTIVITY_CREATED`` record logs it; the live status is the
-    engine's. Participant lookups go through an id->position index, built
-    once at construction and left out of ``__init__``, equality, hashing,
-    ``repr`` and every encoding.
-    """
-
-    id: str
-    title: str
-    kind: ActivityKind
-    window: TimeWindow
-    fence: Geofence
-    organizer: str
-    participants: tuple[ParticipantRecord, ...]
-    policy: PrivacyPolicy
-    batch_threshold: int
-    calendar_uid: str | None = None
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_positions", {p.id: i for i, p in enumerate(self.participants)}
-        )
-
-    def participant(self, participant_id: str) -> ParticipantRecord | None:
-        i = self._positions.get(participant_id)
-        return None if i is None else self.participants[i]
-
-
-@dataclass(frozen=True, slots=True)
 class ActivitySpec:
     """An activity as its organiser describes it, before the server names it.
 
@@ -129,6 +90,27 @@ class ActivitySpec:
     policy: PrivacyPolicy = PrivacyPolicy.DISCLOSE_IDENTITY
     batch_threshold: int | None = None
     calendar_uid: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class Activity(ActivitySpec):
+    """An activity: the spec it was made of, its batch threshold resolved, and an id.
+
+    ``participants`` is the roster as planned, a tuple of ids; each
+    participant's answer to the invitation is the engine's state. The
+    member set behind ``participant`` is built once at construction and
+    left out of ``__init__``, equality, hashing, ``repr`` and every encoding.
+    """
+
+    id: str = field(kw_only=True)
+    _members: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.participants))
+
+    def participant(self, participant_id: str) -> bool:
+        """Whether ``participant_id`` is on the roster."""
+        return participant_id in self._members
 
 
 def _encodable(text: str) -> bool:
@@ -172,12 +154,12 @@ def check_names(title: str, organizer: str, ids: Iterable[str]) -> None:
 
 
 def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
-    """Validate an activity spec and build the activity.
+    """Validate an activity spec and build the activity: the spec and the id.
 
-    All participants (organizer included) start as Invited. A missing
-    batch threshold defaults to 5 for Gathering activities and 1 for every
-    other kind. The caller names the activity: the server allocates ids
-    from its state, so that logs and transcripts are reproducible.
+    A missing batch threshold defaults to 5 for Gathering activities and 1
+    for every other kind. The caller names the activity: the server
+    allocates ids from its state, so that logs and transcripts are
+    reproducible.
 
     Every string the activity's records and frames carry must be one that
     UTF-8 can encode, so that no record of it fails to reach the log.
@@ -194,18 +176,9 @@ def new_activity(spec: ActivitySpec, activity_id: str) -> Activity:
             "BATCH_THRESHOLD_INVALID",
             f"batch threshold must be an integer >= 1, got {batch_threshold!r}",
         )
-    return Activity(
-        id=activity_id,
-        title=spec.title,
-        kind=spec.kind,
-        window=spec.window,
-        fence=spec.fence,
-        organizer=spec.organizer,
-        participants=tuple(ParticipantRecord(pid) for pid in spec.participants),
-        policy=spec.policy,
-        batch_threshold=batch_threshold,
-        calendar_uid=spec.calendar_uid,
-    )
+    made = {f.name: getattr(spec, f.name) for f in fields(ActivitySpec)}
+    made.update(participants=tuple(spec.participants), batch_threshold=batch_threshold)
+    return Activity(**made, id=activity_id)
 
 
 def respond_invitation(answer: InviteAnswer) -> ParticipantStatus:

@@ -30,6 +30,12 @@ fix; an ``ARMED`` records who armed. Logs written before that format hold
 a fix's ``lat``/``lon`` in place of its ``zone``, and an ``ARMED`` zone
 that nothing reads. Such a ``FIX_ACCEPTED`` decodes to a ``PointFix``,
 which only ``engine.replay`` reads; nothing writes one.
+
+An ``ACTIVITY_CREATED`` writes its roster as a list of ids: each answer to
+the invitation is its own ``INVITE_RESPONDED``. Older logs write each
+roster entry as ``{"id": …, "status": "INVITED"}``. That form is read,
+as its id, and never written; an entry of it with any other status makes
+the line a ``CorruptRecord``.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .activities import (
     Activity,
     ActivityKind,
     InviteAnswer,
-    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
@@ -51,7 +56,8 @@ from .activities import (
 from .errors import SyncError
 from .geo import Geofence, GeoPoint, Zone
 from .schema import (
-    COUNT, FLOAT, INT, STR, TEXT, Inline, ListOf, Nested, Optional, Schema, choice, loads_line,
+    COUNT, FLOAT, INT, STR, TEXT, FieldInvalid, Inline, Kind, ListOf, Nested, Optional, Schema,
+    choice, loads_line,
 )
 from .wire import POINT
 
@@ -158,22 +164,31 @@ class EventRecord:
     event: Event
 
 
+def _roster_id(v, key: str) -> str:
+    """A roster entry of an older log, ``{"id": …, "status": "INVITED"}``, read as its id."""
+    if isinstance(v, dict):
+        status = v["status"]
+        if status != ParticipantStatus.INVITED:
+            raise FieldInvalid(key, f"old-form roster status {status!r} is not 'INVITED'")
+        v = v["id"]
+    return STR.check(v, key)
+
+
 _ACTIVITY = Schema(
     Activity,
-    ("id", STR),
     ("title", TEXT),
-    ("kind", choice(ActivityKind)),
     ("window", Nested(Schema(TimeWindow, ("start", INT), ("end", INT)))),
     ("fence", Nested(Schema(
         Geofence, ("center", Nested(POINT)), ("radius_m", FLOAT), ("hysteresis_m", FLOAT),
     ))),
     ("organizer", STR),
-    ("participants", ListOf(Schema(
-        ParticipantRecord, ("id", STR), ("status", choice(ParticipantStatus)),
-    ))),
+    # A roster entry is an id; the older object form is read, never written.
+    ("participants", ListOf(Kind(STR.encode, _roster_id, valid=STR.valid))),
+    ("kind", choice(ActivityKind)),
     ("policy", choice(PrivacyPolicy)),
     ("batch_threshold", COUNT),
     ("calendar_uid", Optional(STR)),
+    ("id", STR),
 )
 
 _EVENTS = {

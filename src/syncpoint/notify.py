@@ -117,11 +117,7 @@ def on_invite(activity: Activity) -> Fanout:
     invitation = Invitation(
         ActivitySummary(activity.id, activity.title, activity.kind, w.start, w.end)
     )
-    return [
-        (p.id, invitation)
-        for p in activity.participants
-        if p.id != activity.organizer
-    ]
+    return [(who, invitation) for who in activity.participants if who != activity.organizer]
 
 
 def on_arrival(

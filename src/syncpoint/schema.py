@@ -288,9 +288,9 @@ class OneOf(Kind):
 class Schema:
     """One frame, record or nested object: its class, tag and fields.
 
-    ``fields`` are (attribute, kind) pairs in constructor order, one per
-    ``__init__`` field but for trailing ones that have defaults; each
-    attribute is also the JSON key. ``tag`` is the (key, value) pair that
+    ``fields`` are (attribute, kind) pairs in declaration order, one per
+    ``__init__`` field but for trailing ones that have defaults; a
+    keyword-only one is passed by name. Each attribute is also the JSON key. ``tag`` is the (key, value) pair that
     names the variant.
     """
 
@@ -299,6 +299,7 @@ class Schema:
         assert [f.name for f in init[:len(fields)]] == [name for name, _ in fields], (cls, init)
         self.defaults = {f.name: f.default for f in init if f.default is not dataclasses.MISSING}
         assert all(f.name in self.defaults for f in init[len(fields):]), cls
+        self.keyword = {f.name for f in init if f.kw_only}
         self.cls, self.fields, self.tag = cls, fields, tag
 
     def slots(self, value: str) -> list[tuple[str, str, Kind]]:
@@ -351,6 +352,8 @@ class Schema:
                             f"if {key!r} in {obj} else {default})")
             else:
                 args.append(kind.parse(f"{obj}[{key!r}]", key, names))
+            if key in self.keyword:
+                args[-1] = f"{key}={args[-1]}"
         return f"{names.add(self.cls)}({', '.join(args)})"
 
     @cached_property

@@ -376,8 +376,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     member_of: dict[str, list[str]] = {}
     for act in created:
-        for p in act.participants:
-            member_of.setdefault(p.id, []).append(act.id)
+        for who in act.participants:
+            member_of.setdefault(who, []).append(act.id)
     for actor in scenario.actors:
         if actor.id not in member_of:
             raise Refused("SCENARIO_INVALID", f"actor {actor.id!r} appears in no activity")

@@ -52,7 +52,10 @@ def mutate(doc, path, op, value):
     elif op == "extra" and isinstance(child, dict):
         child["extra"] = value
     elif op == "nudge" and type(child) in (int, float):
-        parent[key] = child + value
+        try:
+            parent[key] = child + value
+        except OverflowError:  # an integer too large for a float, nudged by a float
+            parent[key] = value
     elif op == "twice" and isinstance(parent, list):
         parent.insert(key, copy.deepcopy(child))
     else:

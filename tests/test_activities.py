@@ -12,7 +12,6 @@ from syncpoint.activities import (
     ActivityPhase,
     ActivitySpec,
     InviteAnswer,
-    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
@@ -46,8 +45,14 @@ class TestNewActivity:
         act = make()
         assert act.id
         assert phase_at(act, 0) is ActivityPhase.SCHEDULED
-        assert [p.id for p in act.participants] == ["ana", "bruno", "carla"]
-        assert all(p.status is ParticipantStatus.INVITED for p in act.participants)
+        assert act.participants == ("ana", "bruno", "carla")
+        state = ServerState()  # each answer is the engine's, and starts INVITED
+        created, _, _ = create_activity(state, ActivitySpec(
+            title="Fair", window=act.window, fence=FENCE, organizer="ana",
+            participants=act.participants,
+        ), now=0)
+        assert all(pp.status is ParticipantStatus.INVITED
+                   for pp in state.presence[created.id].values())
         assert act.batch_threshold == 1
         assert act.policy is PrivacyPolicy.DISCLOSE_IDENTITY
 
@@ -153,16 +158,16 @@ class TestRespondInvitation:
         assert state.activities[aid] is before
         assert state.presence[aid]["bruno"].status is ParticipantStatus.ACCEPTED
         assert state.presence[aid]["carla"].status is ParticipantStatus.INVITED
-        assert before.participant("bruno").status is ParticipantStatus.INVITED  # as created
+        assert before.participants == ("ana", "bruno", "carla")  # as created
 
     def test_indexed_activity_equals_a_fresh_one(self):
         indexed = make(activity_id="a1")
-        assert indexed.participant("carla") == ParticipantRecord("carla")
-        assert indexed.participant("zoe") is None
+        assert indexed.participant("carla") is True
+        assert indexed.participant("zoe") is False
         fresh = replace(indexed, participants=tuple(indexed.participants))
         assert indexed == fresh and hash(indexed) == hash(fresh)
         assert repr(indexed) == repr(fresh)
-        assert "_positions" not in repr(indexed)
+        assert "_members" not in repr(indexed)
 
     @pytest.mark.parametrize("first", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
     @pytest.mark.parametrize("second", [InviteAnswer.ACCEPT, InviteAnswer.DECLINE])
@@ -241,7 +246,7 @@ def test_new_activity_total_validation(
     assert act.window.start < act.window.end >= 0
     assert act.fence.radius_m > 0
     assert len(act.participants) >= 2
-    seen = [p.id for p in act.participants]
+    seen = list(act.participants)
     assert len(seen) == len(set(seen))
     assert act.organizer in seen
     assert act.batch_threshold >= 1

@@ -324,9 +324,10 @@ class TestTypeConfusedRecords:
 
 
 class TestImpossibleActivity:
-    """A well-formed ``ACTIVITY_CREATED`` that ``create_activity`` could not have
-    made next is a ``CorruptRecord`` too: ``Engine`` and ``serve`` refuse the
-    log, and ``status`` warns and keeps the state before it."""
+    """An ``ACTIVITY_CREATED`` that ``create_activity`` could not have made next
+    is a ``CorruptRecord`` too: ``Engine`` and ``serve`` refuse the log, and
+    ``status`` warns and keeps the state before it. An old-form roster entry
+    logged as anything but invited is refused as its line is decoded."""
 
     CASES = [  # (field of the second activity, value, reason)
         ("id", "a3", "activity id 'a3' is not the next id 'a2'"),
@@ -335,7 +336,8 @@ class TestImpossibleActivity:
         ("participants",
          [{"id": "ana", "status": "INVITED"}, {"id": "bruno", "status": "ACCEPTED"},
           {"id": "carla", "status": "INVITED"}],
-         "activity a2: not what create_activity makes of it"),
+         "bad record payload: invalid field 'participants': "
+         "old-form roster status 'ACCEPTED' is not 'INVITED'"),
     ]
 
     @pytest.mark.parametrize("field, value, reason", CASES)

@@ -21,7 +21,6 @@ from syncpoint.activities import (
     ActivityKind,
     ActivitySpec,
     InviteAnswer,
-    ParticipantRecord,
     ParticipantStatus,
     PrivacyPolicy,
     TimeWindow,
@@ -102,7 +101,7 @@ def fresh(kind=ActivityKind.MEETUP, policy=PrivacyPolicy.DISCLOSE_IDENTITY,
 
 
 def accept_all(state, act, who=None, now=10):
-    for pid in who or [p.id for p in act.participants]:
+    for pid in who or act.participants:
         out = handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), pid, now)[0]
         assert out == [(pid, Ack("RESPOND_INVITE"))], out
 
@@ -407,7 +406,7 @@ class TestHelloStatusPoll:
                 participants=("ana", "bruno", "carla", "dave", "erin")
             )
             accept_all(state, act)
-            everyone = [p.id for p in act.participants]
+            everyone = list(act.participants)
             seen: dict[str, set] = {pid: set() for pid in everyone}
             cursor = {pid: 0 for pid in everyone}
             online = {pid: True for pid in everyone}
@@ -585,23 +584,28 @@ class TestDeterminismAndReplay:
             assert "unknown activity or participant" in e.value.reason, event
             assert e.value.state == replay(records), event
 
-    @pytest.mark.parametrize("edit, reason", [
-        (dict(id="a3"), "activity id 'a3' is not the next id 'a2'"),
-        (dict(id="a1"), "activity id 'a1' is not the next id 'a2'"),
-        (dict(title="\ud800"), "activity a2: title '\\ud800' cannot be encoded as UTF-8"),
-        (dict(participants=(ParticipantRecord("ana"),)),
-         "activity a2: need at least 2 participants, got 1"),
-        (dict(participants=(ParticipantRecord("ana"), ParticipantRecord("ana"))),
-         "activity a2: participant 'ana' listed twice"),
-        (dict(participants=(ParticipantRecord("ana"), ParticipantRecord("\ud800"))),
-         "activity a2: participant id '\\ud800' cannot be encoded as UTF-8"),
-        (dict(organizer="zed"), "activity a2: organizer 'zed' not in participant list"),
-        (dict(participants=(
-            ParticipantRecord("ana"), ParticipantRecord("bruno", ParticipantStatus.ACCEPTED),
-        )), "activity a2: not what create_activity makes of it"),
+    # Each edit is made to the activity in memory, to its encoded line, or to
+    # both ("via"): an old-form roster exists only in a line, and an activity
+    # that differs from what new_activity builds of it only in memory.
+    @pytest.mark.parametrize("edit, reason, via", [
+        (dict(id="a3"), "activity id 'a3' is not the next id 'a2'", "both"),
+        (dict(id="a1"), "activity id 'a1' is not the next id 'a2'", "both"),
+        (dict(title="\ud800"), "activity a2: title '\\ud800' cannot be encoded as UTF-8",
+         "both"),
+        (dict(participants=("ana",)), "activity a2: need at least 2 participants, got 1", "both"),
+        (dict(participants=("ana", "ana")), "activity a2: participant 'ana' listed twice", "both"),
+        (dict(participants=("ana", "\ud800")),
+         "activity a2: participant id '\\ud800' cannot be encoded as UTF-8", "both"),
+        (dict(organizer="zed"), "activity a2: organizer 'zed' not in participant list", "both"),
+        (dict(participants=({"id": "ana", "status": "INVITED"},
+                            {"id": "bruno", "status": "ACCEPTED"})),
+         "bad record payload: invalid field 'participants': "
+         "old-form roster status 'ACCEPTED' is not 'INVITED'", "line"),
+        (dict(batch_threshold=None), "activity a2: not what create_activity makes of it",
+         "memory"),
     ], ids=["id ahead", "id reused", "title", "one participant", "listed twice",
-            "participant id", "organizer", "logged as accepted"])
-    def test_only_an_activity_create_activity_could_make_replays(self, edit, reason):
+            "participant id", "organizer", "logged as accepted", "threshold unresolved"])
+    def test_only_an_activity_create_activity_could_make_replays(self, edit, reason, via):
         records = scripted_run(ServerState())
         second = create_activity(replay(records), ActivitySpec(
             title="Picnic", window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
@@ -609,12 +613,20 @@ class TestDeterminismAndReplay:
         ), now=20)[2][0]
         assert second.event.activity.id == "a2"
         k = second.index
-        spoiled = dataclasses.replace(second.event.activity, **edit)
-        with pytest.raises(CorruptRecord) as e:
-            replay(records + [EventRecord(k, 20, ActivityCreated(spoiled))])
-        assert (e.value.index, e.value.reason) == (k, reason)
-        assert e.value.state == replay(records)
-        assert e.value.state.record_count == k
+        logs = []
+        if via != "line":
+            spoiled = dataclasses.replace(second.event.activity, **edit)
+            logs.append(records + [EventRecord(k, 20, ActivityCreated(spoiled))])
+        if via != "memory":
+            line = json.loads(encode_record(second))
+            line["activity"].update(edit)
+            logs.append(read_records([*map(encode_record, records), json.dumps(line) + "\n"]))
+        for log in logs:
+            with pytest.raises(CorruptRecord) as e:
+                replay(log)
+            assert (e.value.index, e.value.reason) == (k, reason)
+            assert e.value.state == replay(records)
+            assert e.value.state.record_count == k
         assert replay(records + [second]).activities["a2"] == second.event.activity
 
     def test_a_calendar_event_replays_as_one_activity(self):
@@ -665,7 +677,7 @@ def awkward_activity(text: str, calendar_uid) -> Activity:
         window=TimeWindow(0, 2**53),
         fence=Geofence(GeoPoint(AWKWARD_FLOATS[2], AWKWARD_FLOATS[3]), 1e-07, -0.0),
         organizer=text,
-        participants=(ParticipantRecord(text), ParticipantRecord("b", ParticipantStatus.DECLINED)),
+        participants=(text, "b"),
         policy=PrivacyPolicy.ANONYMOUS_COUNT, batch_threshold=3, calendar_uid=calendar_uid,
     )
 
@@ -828,9 +840,9 @@ class TestStatusInThePresence:
         for p in created.participants:
             expected = {InviteAnswer.ACCEPT: ParticipantStatus.ACCEPTED,
                         InviteAnswer.DECLINE: ParticipantStatus.DECLINED,
-                        None: ParticipantStatus.INVITED}[first.get(p.id)]
-            assert state.presence[act.id][p.id].status is expected
-            assert p.status is ParticipantStatus.INVITED  # the record as created
+                        None: ParticipantStatus.INVITED}[first.get(p)]
+            assert state.presence[act.id][p].status is expected
+            assert type(p) is str  # the roster as created: ids, no answers
 
     def test_an_answer_drops_the_accepted_roster(self):
         state, act, _, _ = fresh()

@@ -1,5 +1,5 @@
-"""The event log at rest: its coordinate-free format, the older point-bearing
-format it still reads, cuts at every byte, and commits that fail."""
+"""The event log at rest: its coordinate-free format, its roster of ids, the
+older forms it still reads, cuts at every byte, and commits that fail."""
 
 import asyncio
 import copy
@@ -40,6 +40,9 @@ from test_sim import generated_crowd
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+# The s1 log as the previous format wrote it: each roster entry an object
+# {"id": …, "status": "INVITED"}.
+OLD_ROSTER_LOG = REPO / "data" / "log" / "s1_meetup.roster_objects.jsonl"
 CENTER = GeoPoint(41.5606, -8.3970)
 
 
@@ -177,6 +180,55 @@ class TestCoordinateFreeFormat:
 S2_LOG = run_scenario(load_scenario(SCENARIOS / "s2_gathering.json")).log_lines
 
 
+class TestRosterOfIds:
+    """An ``ACTIVITY_CREATED`` writes its roster as a list of ids. The older
+    object form still loads, to the same state, and is never written."""
+
+    def test_a_roster_is_written_as_ids(self):
+        line = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json")).log_lines[0]
+        assert json.loads(line)["activity"]["participants"] == ["ana", "bruno", "carla"]
+
+    def test_an_old_form_log_replays_to_the_state_of_its_new_form(self):
+        old = OLD_ROSTER_LOG.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert '"status":"INVITED"' in old[0]
+        new = [encode_record(r) for r in read_records(old)]
+        assert new == run_scenario(load_scenario(SCENARIOS / "s1_meetup.json")).log_lines
+        assert new[1:] == old[1:] and '"status"' not in new[0]
+        assert replay(load_log(OLD_ROSTER_LOG)) == replay(read_records(new))
+
+    @pytest.mark.parametrize("entry, detail", [
+        ({"id": "bruno", "status": "ACCEPTED"},
+         "old-form roster status 'ACCEPTED' is not 'INVITED'"),
+        ({"id": "bruno", "status": "DECLINED"},
+         "old-form roster status 'DECLINED' is not 'INVITED'"),
+        ({"id": "bruno", "status": None}, "old-form roster status None is not 'INVITED'"),
+        ({"id": "", "status": "INVITED"}, "must be non-empty"),
+        ({"id": 7, "status": "INVITED"}, "expected a string"),
+        ("", "must be non-empty"),
+        (["bruno"], "expected a string"),
+    ])
+    def test_a_bad_roster_entry_is_corrupt_at_its_index(self, tmp_path, entry, detail):
+        old = OLD_ROSTER_LOG.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(old[0])
+        first["activity"]["participants"][1] = entry
+        log = tmp_path / "events.log"
+        log.write_text(json.dumps(first) + "\n" + "".join(old[1:]), encoding="utf-8")
+        with pytest.raises(CorruptRecord) as e:
+            replay(load_log(log))
+        assert (e.value.index, e.value.reason) == (
+            0, f"bad record payload: invalid field 'participants': {detail}"
+        )
+        assert e.value.state == ServerState()
+
+    def test_an_old_form_entry_without_its_status_or_id_is_corrupt(self):
+        for entry, key in (({"id": "bruno"}, "'status'"), ({"status": "INVITED"}, "'id'")):
+            line = json.loads(S2_LOG[0])
+            line["activity"]["participants"][1] = entry
+            with pytest.raises(CorruptRecord) as e:
+                decode_record(json.dumps(line), 0)
+            assert e.value.reason == f"bad record payload: {key}"
+
+
 def assert_whole(state: ServerState, shown: str) -> None:
     """A replayed state's activities are a1, a2, ... in order, its presence
     map of each lists exactly that activity's roster ids, and
@@ -185,7 +237,7 @@ def assert_whole(state: ServerState, shown: str) -> None:
     assert list(state.activities) == [f"a{k}" for k in range(1, n + 1)], shown
     assert list(state.presence) == list(state.activities), shown
     for aid, act in state.activities.items():
-        assert list(state.presence[aid]) == [p.id for p in act.participants], shown
+        assert list(state.presence[aid]) == list(act.participants), shown
     create_activity(state, ActivitySpec(
         title="Next", window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
         organizer="ana", participants=("ana", "bruno"),
@@ -198,11 +250,17 @@ class TestDecodeRecordFuzz:
     the log, whatever one to three mutations of a line of the s2 log do to it;
     a mutant that replays leaves a whole state (``assert_whole``)."""
 
-    # The s2 log with a second activity, a copy of its first, appended: a
-    # mutant of that last line is named by no later record, so it replays.
+    # The s2 log with two copies of its first activity appended, the second
+    # with its roster in the old object form: a mutant of either is named by
+    # no later record, so it can replay.
     SECOND = json.loads(S2_LOG[0])
     SECOND["activity"]["id"], SECOND["index"] = "a2", len(S2_LOG)
-    TWO = [*S2_LOG, json.dumps(SECOND) + "\n"]
+    THIRD = copy.deepcopy(SECOND)
+    THIRD["activity"]["id"], THIRD["index"] = "a3", len(S2_LOG) + 1
+    THIRD["activity"]["participants"] = [
+        {"id": who, "status": "INVITED"} for who in SECOND["activity"]["participants"]
+    ]
+    THREE = [*S2_LOG, json.dumps(SECOND) + "\n", json.dumps(THIRD) + "\n"]
 
     @staticmethod
     def check(data, lines: list[str], i: int) -> None:
@@ -224,7 +282,7 @@ class TestDecodeRecordFuzz:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_a_mutant_activity_replays_whole_or_not_at_all(self, data):
-        self.check(data, self.TWO, len(S2_LOG))
+        self.check(data, self.THREE, data.draw(st.sampled_from([len(S2_LOG), len(S2_LOG) + 1])))
 
 
 class TestLoadLogFuzz:

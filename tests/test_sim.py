@@ -333,7 +333,7 @@ class TestRunScenario:
             arrived = set(state.arrivals[act.id])
             assert 0 < len(arrived) < len(act.participants), act.id
             assert [(p.id, p.arrived) for p in view.participants] == [
-                (p.id, p.id in arrived) for p in act.participants
+                (who, who in arrived) for who in act.participants
             ]
             assert view.arrivals == len(arrived)
 
@@ -475,10 +475,13 @@ class TestTranscript:
 class TestByteIdentity:
     # SHA-256 of the transcript lines and of the log lines of the crowd below.
     # The transcript's was pinned from the encoder that built it with
-    # ``json.JSONEncoder``; the log's from the coordinate-free log format,
-    # each of whose lines equals the standard library's canonical encoding.
+    # ``json.JSONEncoder``; the log's from the coordinate-free log format with
+    # each roster a list of ids, each of whose lines equals the standard
+    # library's canonical encoding. Only the two ACTIVITY_CREATED lines differ
+    # from the format before it, whose roster entries were
+    # {"id": …, "status": "INVITED"} objects.
     PINNED_TRANSCRIPT = "c6a27d01f6e797eb38e0afa4c8773509d9c142bcccb781ba738b7ac5b3b7ac8d"
-    PINNED_LOG = "3441e67268461d97359327b9f061d5519351f866ae1e4f3968bf407aa2439ec8"
+    PINNED_LOG = "31f4190f648d0af102245ee41471b8fdd1ca25c766dbad002997a61f8af1cf85"
 
     def test_generated_crowd_transcript_and_log(self):
         result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
@@ -574,8 +577,8 @@ def reference_run(scenario: Scenario) -> tuple[Transcript, list]:
     records += made
     member_of: dict[str, list[str]] = {}
     for act in created:
-        for p in act.participants:
-            member_of.setdefault(p.id, []).append(act.id)
+        for who in act.participants:
+            member_of.setdefault(who, []).append(act.id)
     script = sorted(
         ((action.at, actor.id, i, action)
          for actor in scenario.actors for i, action in enumerate(actor.actions)),
