@@ -4,7 +4,9 @@ Every domain error carries a stable ``code`` (SCREAMING_SNAKE) so the server
 can surface it on the wire as an ``Err`` frame without per-exception mapping
 tables. An error is its code: most are raised as ``Refused(code, detail)``.
 A class of its own stays only where ``src/`` catches it by type or it adds
-a field.
+a field. A field refused for its type or range is ``schema.FieldInvalid``,
+named by the field, wherever the check runs: in a decoder or in a value's
+own constructor, such as ``GeoPoint``'s.
 """
 
 from pathlib import Path

@@ -15,21 +15,14 @@ from dataclasses import dataclass
 from enum import Enum
 from math import asin, cos, inf, pi, radians, sin, sqrt
 
-from .errors import Refused, SyncError
+from .errors import Refused
+from .schema import FieldInvalid
 
 EARTH_RADIUS_M = 6_371_000.0
 
 # A fence's defaults, for an activity that does not state its own values.
 DEFAULT_RADIUS_M = 100.0
 DEFAULT_HYSTERESIS_M = 25.0
-
-
-class LatOutOfRange(SyncError):
-    code = "LAT_OUT_OF_RANGE"
-
-
-class LonOutOfRange(SyncError):
-    code = "LON_OUT_OF_RANGE"
 
 
 class Zone(str, Enum):
@@ -39,7 +32,7 @@ class Zone(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
-    """A WGS-ish coordinate pair: lat in [-90, 90], lon in (-180, 180]."""
+    """A WGS-ish coordinate pair: lat in [-90, 90], lon in (-180, 180], else ``FieldInvalid``."""
 
     lat: float
     lon: float
@@ -52,9 +45,9 @@ class GeoPoint:
             object.__setattr__(self, "lat", lat)
             object.__setattr__(self, "lon", lon)
         if not (-90.0 <= lat <= 90.0):
-            raise LatOutOfRange(f"latitude {lat!r} outside [-90, 90]")
+            raise FieldInvalid("lat", f"latitude {lat!r} outside [-90, 90]")
         if not (-180.0 < lon <= 180.0):
-            raise LonOutOfRange(f"longitude {lon!r} outside (-180, 180]")
+            raise FieldInvalid("lon", f"longitude {lon!r} outside (-180, 180]")
 
 
 @dataclass(frozen=True, slots=True)

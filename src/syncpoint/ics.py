@@ -69,8 +69,8 @@ _IGNORED = {
     "DESCRIPTION", "CLASS", "PRIORITY", "URL", "RRULE",
 }
 
-_KINDS = {k.value: k for k in ActivityKind}
-_POLICIES = {p.value: p for p in PrivacyPolicy}
+# Each X- property that names an enum member by its value, and the spec field it sets.
+_LABELS = (("X-SYNC-TYPE", "kind", ActivityKind), ("X-SYNC-PRIVACY", "policy", PrivacyPolicy))
 
 
 def unfold_lines(text: str) -> list[str]:
@@ -243,16 +243,12 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             raise EventInvalid(uid, f"bad X-SYNC-RADIUS: {e.detail}") from None
 
         stated = {}
-        if "X-SYNC-TYPE" in first:
-            label = first["X-SYNC-TYPE"].strip().upper()
-            if label not in _KINDS:
-                raise EventInvalid(uid, f"unknown X-SYNC-TYPE {_cut(label)!r}")
-            stated["kind"] = _KINDS[label]
-        if "X-SYNC-PRIVACY" in first:
-            label = first["X-SYNC-PRIVACY"].strip().upper()
-            if label not in _POLICIES:
-                raise EventInvalid(uid, f"unknown X-SYNC-PRIVACY {_cut(label)!r}")
-            stated["policy"] = _POLICIES[label]
+        for prop, key, enum in _LABELS:
+            if prop in first:
+                label = first[prop].strip().upper()
+                if label not in enum._value2member_map_:
+                    raise EventInvalid(uid, f"unknown {prop} {_cut(label)!r}")
+                stated[key] = enum._value2member_map_[label]
         if "X-SYNC-BATCH" in first:
             batch = _digits(first["X-SYNC-BATCH"].strip())
             if batch is None or batch < 1:

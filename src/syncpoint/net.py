@@ -2,10 +2,12 @@
 
 Each connection must introduce itself with a HELLO frame (trust on first
 assert — there is no authentication layer); after that every decoded client
-message goes through the engine with the wall clock injected. Direct
-responses return on the handling connection; Notify pushes go to every
-live connection registered for the recipient. Participants without a live
-connection simply poll later — the queues keep everything.
+message goes through the engine with the wall clock injected; a later
+HELLO naming someone else gets ALREADY_INTRODUCED. Direct responses and a
+POLL's answer return on the handling connection; Notify pushes go to every
+live connection registered for the recipient, the sender's others too.
+Participants without a live connection simply poll later — the queues
+keep everything.
 
 Each read (``data_received``) is handled as one batch, with one reading
 of the clock. Every frame it completes goes through the engine in order,
@@ -44,7 +46,9 @@ import time
 from .engine import Engine
 from .errors import SyncError
 from .eventlog import LogWriteFailed
-from .wire import CLIENT_MESSAGES, MAX_FRAME_BYTES, Err, FrameBuffer, Hello, decode, encode
+from .wire import (
+    CLIENT_MESSAGES, MAX_FRAME_BYTES, Err, FrameBuffer, Hello, Notify, Poll, decode, encode,
+)
 
 log = logging.getLogger(__name__)
 
@@ -114,12 +118,22 @@ class Connection(asyncio.Protocol):
                     continue
                 participant = self.participant = msg.participant
                 conns.setdefault(participant, []).append(self)
+            elif isinstance(msg, Hello) and msg.participant != participant:
+                err = Err("ALREADY_INTRODUCED", f"this connection speaks for {participant!r}")
+                replies.append(encode(err))
+                continue
             for to, out in engine.handle(msg, participant, now):
                 if to == participant:
-                    replies.append(encode(out))
+                    replies.append(line := encode(out))
+                    # A push reaches the sender's other connections too; a POLL's answer does not.
+                    if out.__class__ is not Notify or msg.__class__ is Poll:
+                        continue
                 elif to in conns:
                     line = encode(out)
-                    for conn in conns[to]:
+                else:
+                    continue
+                for conn in conns.get(to, ()):
+                    if conn is not self:
                         pushes.setdefault(conn, []).append(line)
         tail = self.buf.pending  # a "\r" at its end may begin its line ending
         oversized = oversized or len(tail) - tail.endswith(b"\r") > MAX_FRAME_BYTES

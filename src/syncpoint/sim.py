@@ -12,7 +12,8 @@ fan-out share its frame, whose line head is encoded once per time step.
 
 ``run_scenario`` says what one step of the clock does. Clients are
 deliberately dumb: they report raw positions and the server decides
-everything.
+everything. A sender's fix is its trace's position at the step
+(``interpolate``, a (lat, lon) pair) with seeded GPS jitter (``perturb``).
 
 A scenario file is read through the schema table, as frames and log records
 are (``_SCENARIO`` and the schemas after it); a rule that is not a type is
@@ -78,8 +79,13 @@ class Trace:
             raise Refused("SCENARIO_INVALID", "trace waypoint times must be strictly increasing")
 
 
-def _position(trace: Trace, t: int) -> tuple[float, float]:
-    """``interpolate``'s (lat, lon), as two floats."""
+def interpolate(trace: Trace, t: int) -> tuple[float, float]:
+    """Position (lat, lon) along a trace at time t.
+
+    Clamps to the first/last waypoint outside the trace's span; in between,
+    lat and lon are interpolated linearly and independently (fine at
+    sub-kilometre scenario scales, and it keeps oracles hand-traceable).
+    """
     wps = trace.waypoints
     if t <= wps[0][0]:
         p = wps[0][1]
@@ -94,18 +100,13 @@ def _position(trace: Trace, t: int) -> tuple[float, float]:
     return p0.lat + f * (p1.lat - p0.lat), p0.lon + f * (p1.lon - p0.lon)
 
 
-def interpolate(trace: Trace, t: int) -> GeoPoint:
-    """Position along a trace at time t.
+def perturb(lat: float, lon: float, sigma_m: float, rng: random.Random) -> GeoPoint:
+    """The point (lat, lon) with seeded zero-mean Gaussian GPS jitter of sigma_m meters.
 
-    Clamps to the first/last waypoint outside the trace's span; in between,
-    lat and lon are interpolated linearly and independently (fine at
-    sub-kilometre scenario scales, and it keeps oracles hand-traceable).
+    Independent north and east offsets, converted with 1 deg lat =
+    ``geo.M_PER_DEG_LAT`` m (R * pi / 180, about 111,195 m) and 1 deg lon =
+    that * cos(lat) m, clamped back into valid coordinate ranges.
     """
-    return GeoPoint(*_position(trace, t))
-
-
-def _jitter(lat: float, lon: float, sigma_m: float, rng: random.Random) -> GeoPoint:
-    """``perturb`` of the point (lat, lon)."""
     north = rng.gauss(0.0, sigma_m)
     east = rng.gauss(0.0, sigma_m)
     scale = cos(radians(lat))
@@ -114,16 +115,6 @@ def _jitter(lat: float, lon: float, sigma_m: float, rng: random.Random) -> GeoPo
     lat = min(90.0, max(-90.0, lat))
     lon = min(180.0, max(nextafter(-180.0, 0.0), lon))
     return GeoPoint(lat, lon)
-
-
-def perturb(point: GeoPoint, sigma_m: float, rng: random.Random) -> GeoPoint:
-    """Add seeded zero-mean Gaussian GPS jitter of sigma_m meters.
-
-    Independent north and east offsets, converted with 1 deg lat =
-    ``geo.M_PER_DEG_LAT`` m (R * pi / 180, about 111,195 m) and 1 deg lon =
-    that * cos(lat) m, clamped back into valid coordinate ranges.
-    """
-    return _jitter(point.lat, point.lon, sigma_m, rng)
 
 
 def next_poll_interval(now: int, activity: Activity) -> int:
@@ -428,7 +419,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         still = []
         for sender in armed:
             actor_id, _, aid, presence, trace = sender
-            point = _jitter(*_position(trace, t), sigma, rng)
+            point = perturb(*interpolate(trace, t), sigma, rng)
             outbound, records = handle(state, Fix(aid, point, t), actor_id, t)
             transcript.add(t, outbound)
             all_records.extend(records)

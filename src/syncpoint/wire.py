@@ -27,7 +27,7 @@ from typing import get_args
 
 from .activities import ActivityKind, ActivityPhase, InviteAnswer, ParticipantStatus
 from .errors import Refused
-from .geo import GeoPoint, LatOutOfRange, LonOutOfRange
+from .geo import GeoPoint
 from .notify import (
     ActivitySummary,
     AllArrived,
@@ -45,7 +45,6 @@ from .schema import (
     INT,
     STR,
     TEXT,
-    FieldInvalid,
     FieldMissing,
     Inline,
     ListOf,
@@ -253,10 +252,6 @@ def decode(frame: str | bytes) -> Message:
         return decoder(obj)
     except KeyError as e:
         raise FieldMissing(e.args[0]) from None
-    except LatOutOfRange as e:
-        raise FieldInvalid("lat", e.detail) from None
-    except LonOutOfRange as e:
-        raise FieldInvalid("lon", e.detail) from None
 
 
 # The longest frame a connection reads, its line ending not counted, far

@@ -210,7 +210,7 @@ class TestPhase:
 # satisfy every invariant, rejected ones must raise a named violation.
 ids = st.text(alphabet="abcdefgh", min_size=0, max_size=3)
 NAMED_VIOLATIONS = {
-    "WINDOW_INVALID", "FENCE_INVALID", "LAT_OUT_OF_RANGE", "TOO_FEW_PARTICIPANTS",
+    "WINDOW_INVALID", "FENCE_INVALID", "FIELD_INVALID", "TOO_FEW_PARTICIPANTS",
     "DUPLICATE_PARTICIPANT", "ORGANIZER_NOT_PARTICIPANT", "BATCH_THRESHOLD_INVALID",
 }
 

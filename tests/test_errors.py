@@ -31,8 +31,6 @@ def test_the_error_classes_are_the_ones_caught_by_type_or_with_a_field():
         "FieldMissing": "schema",
         "FieldInvalid": "schema",
         "EventInvalid": "ics",
-        "LatOutOfRange": "geo",
-        "LonOutOfRange": "geo",
     }
 
 

@@ -171,6 +171,15 @@ class TestCoordinateFreeFormat:
                 decode_record(line, 0)
             assert e.value.reason == f"bad record payload: invalid field 'calendar_uid': {want}"
 
+    def test_a_fence_centre_out_of_range_is_corrupt_and_named(self):
+        line = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json")).log_lines[0]
+        line = line.replace('"lat":41.5606', '"lat":91.0', 1)
+        with pytest.raises(CorruptRecord) as e:
+            decode_record(line, 0)
+        assert e.value.reason == (
+            "bad record payload: invalid field 'lat': latitude 91.0 outside [-90, 90]"
+        )
+
     def test_a_point_bearing_fix_line_decodes_to_a_point_fix(self):
         line = ('{"type":"FIX_ACCEPTED","activity":"a1","at":9,"fix_at":9,"index":4,'
                 '"lat":41.5606,"lon":-8.397,"who":"bruno"}\n')

@@ -1,6 +1,7 @@
 """Geometry: haversine distances and hysteresis zone classification."""
 
 import math
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +12,12 @@ from syncpoint.geo import (
     EARTH_RADIUS_M,
     Geofence,
     GeoPoint,
-    LatOutOfRange,
-    LonOutOfRange,
     M_PER_DEG_LAT,
     Zone,
     classify_zone,
     haversine_m,
 )
+from syncpoint.schema import FieldInvalid
 
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-180.0, max_value=180.0, exclude_min=True, allow_nan=False)
@@ -35,21 +35,35 @@ def north_of(center: GeoPoint, meters: float) -> GeoPoint:
     return GeoPoint(center.lat + math.degrees(meters / EARTH_RADIUS_M), center.lon)
 
 
+@contextmanager
+def raises_field(name: str):
+    """Expect ``FieldInvalid`` for the field ``name``."""
+    with pytest.raises(FieldInvalid) as info:
+        yield info
+    assert info.value.name == name
+
+
 class TestGeoPoint:
     def test_ranges_enforced(self):
-        with pytest.raises(LatOutOfRange):
+        with raises_field("lat"):
             GeoPoint(90.1, 0.0)
-        with pytest.raises(LatOutOfRange):
+        with raises_field("lat"):
             GeoPoint(-91.0, 0.0)
-        with pytest.raises(LonOutOfRange):
+        with raises_field("lon"):
             GeoPoint(0.0, -180.0)  # open lower bound
-        with pytest.raises(LonOutOfRange):
+        with raises_field("lon"):
             GeoPoint(0.0, 180.5)
         assert GeoPoint(0.0, 180.0).lon == 180.0
 
     def test_nan_rejected(self):
-        with pytest.raises(LatOutOfRange):
+        with raises_field("lat"):
             GeoPoint(float("nan"), 0.0)
+
+    def test_a_range_failure_is_field_invalid_named_by_its_field(self):
+        with raises_field("lat") as e:
+            GeoPoint(91.0, 0.0)
+        assert e.value.code == "FIELD_INVALID"
+        assert e.value.detail == "invalid field 'lat': latitude 91.0 outside [-90, 90]"
 
 
 class Degrees(float):

@@ -19,7 +19,6 @@ from syncpoint.ics import (
     parse_ics,
     unfold_lines,
 )
-from syncpoint.geo import LatOutOfRange, LonOutOfRange
 
 CORPUS = Path(__file__).parents[1] / "data" / "calendar"
 SYSTEM = "mailto:sync@syncpoint.example"
@@ -67,12 +66,24 @@ class TestParseGeo:
         assert (p.lat, p.lon) == (41.56, -8.397)
 
     def test_lat_out_of_range(self):
-        with pytest.raises(LatOutOfRange):
+        with raises_code("FIELD_INVALID") as e:
             parse_geo("91.0;0.0")
+        assert e.value.name == "lat"
 
     def test_lon_out_of_range(self):
-        with pytest.raises(LonOutOfRange):
+        with raises_code("FIELD_INVALID") as e:
             parse_geo("0.0;181.0")
+        assert e.value.name == "lon"
+
+    def test_an_event_whose_geo_is_out_of_range_is_invalid(self):
+        text = (
+            "BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:x@y\r\n"
+            "DTSTART:100\r\nDTEND:200\r\nGEO:91;0\r\n"
+            f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n"
+        )
+        with pytest.raises(EventInvalid) as e:
+            parse_ics(text, SYSTEM)
+        assert e.value.reason == "bad GEO: invalid field 'lat': latitude 91.0 outside [-90, 90]"
 
     def test_missing_component(self):
         with raises_code("MALFORMED_GEO"):

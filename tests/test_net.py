@@ -10,7 +10,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
+from syncpoint.activities import (
+    ActivityKind, ActivitySpec, InviteAnswer, ParticipantStatus, TimeWindow,
+)
 from syncpoint.engine import Engine, replay
 from syncpoint.eventlog import ArmSet, FixAccepted, load_log
 from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
@@ -374,6 +376,76 @@ def _connect(engine, clock=lambda: 1):
 
 def _replies(transport):
     return [_summary(decode(frame)) for frame in b"".join(transport.written).splitlines()]
+
+
+def _frames(*msgs) -> bytes:
+    return "".join(map(encode, msgs)).encode()
+
+
+def test_a_push_to_the_sender_reaches_its_other_connections_and_a_poll_answer_does_not():
+    async def run():
+        engine = Engine()
+        act = _fair(engine)
+        sync = SyncServer(engine, clock=lambda: 2000)
+        sync.stopped = asyncio.get_running_loop().create_future()
+        conns = []
+        for who in ("bruno", "bruno", "ana"):
+            conn, transport = net.Connection(sync), _Transport()
+            conn.connection_made(transport)
+            conn.data_received(_frames(Hello(who)))
+            conns.append((conn, transport))
+        (first, on_first), (second, on_second), (_, on_ana) = conns
+        first.data_received(_frames(Arm(act.id), Fix(act.id, at_distance(50), 2000)))
+        second.data_received(_frames(Poll(0)))
+        return on_first, on_second, on_ana
+
+    on_first, on_second, on_ana = asyncio.run(run())
+    assert _replies(on_first) == [
+        ("WELCOME",), ("ACK", "ARM"), ("ACK", "FIX"), ("NOTIFY", 2, "SelfArrivalAck"),
+    ]
+    assert _replies(on_second) == [
+        ("WELCOME",), ("NOTIFY", 2, "SelfArrivalAck"),  # the push
+        ("NOTIFY", 1, "Invitation"), ("NOTIFY", 2, "SelfArrivalAck"), ("ACK", "POLL"),
+    ]
+    assert _replies(on_ana) == [("WELCOME",), ("NOTIFY", 1, "ArrivalNotice")]
+
+
+def test_a_second_hello_naming_someone_else_is_refused_and_the_connection_kept():
+    async def run():
+        engine = Engine()
+        act, _ = engine.create_activity(ActivitySpec(
+            title="Fair", kind=ActivityKind.MEETUP,
+            window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+            organizer="ana", participants=("ana", "bo"),
+        ), now=0)
+        conn, transport = _connect(engine)
+        conn.data_received(_frames(
+            Hello("ana"), Hello("bo"), Hello("ana"), RespondInvite(act.id, InviteAnswer.DECLINE),
+        ))
+        return engine.state.presence[act.id], transport
+
+    presence, transport = asyncio.run(run())
+    assert _replies(transport) == [
+        ("WELCOME",), ("ERR", "ALREADY_INTRODUCED"), ("WELCOME",), ("ACK", "RESPOND_INVITE"),
+    ]
+    assert decode(b"".join(transport.written).splitlines()[1]) == Err(
+        "ALREADY_INTRODUCED", "this connection speaks for 'ana'"
+    )
+    assert (presence["ana"].status, presence["bo"].status) == (
+        ParticipantStatus.DECLINED, ParticipantStatus.INVITED,
+    )
+
+
+def test_a_fix_out_of_range_gets_the_err_line_it_always_got():
+    async def run():
+        conn, transport = _connect(Engine())
+        conn.data_received(_frames(Hello("ana")) + b'{"type":"FIX","activity":"a1","at":1,'
+                           b'"lat":91.0,"lon":0.0}\n')
+        return transport
+
+    written = b"".join(asyncio.run(run()).written).splitlines(keepends=True)
+    assert written[1] == (b'{"type":"ERR","code":"FIELD_INVALID",'
+                          b'"detail":"invalid field \'lat\': latitude 91.0 outside [-90, 90]"}\n')
 
 
 def test_an_endless_frame_fed_a_byte_at_a_time_is_refused_in_linear_time():

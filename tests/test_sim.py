@@ -64,17 +64,17 @@ class TestInterpolate:
     tr = trace((0, 0, 0), (100, 0, 2))
 
     def test_linear_midpoint(self):
-        assert interpolate(self.tr, 50) == GeoPoint(0, 1)
+        assert interpolate(self.tr, 50) == (0, 1)
 
     def test_clamps_before_start(self):
-        assert interpolate(self.tr, -5) == GeoPoint(0, 0)
+        assert interpolate(self.tr, -5) == (0, 0)
 
     def test_clamps_after_end(self):
-        assert interpolate(self.tr, 200) == GeoPoint(0, 2)
+        assert interpolate(self.tr, 200) == (0, 2)
 
     def test_multi_segment(self):
         tr = trace((0, 0, 0), (10, 0, 1), (30, 10, 1))
-        assert interpolate(tr, 20) == GeoPoint(5, 1)
+        assert interpolate(tr, 20) == (5, 1)
 
     def test_matches_the_list_formula_on_a_long_trace(self):
         rng = random.Random(17)
@@ -86,13 +86,15 @@ class TestInterpolate:
 
         def reference(t):  # the formula that built a list of times on every call
             if t <= times[0]:
-                return waypoints[0][1]
+                p = waypoints[0][1]
+                return p.lat, p.lon
             if t >= times[-1]:
-                return waypoints[-1][1]
+                p = waypoints[-1][1]
+                return p.lat, p.lon
             i = bisect_right(times, t)
             (t0, p0), (t1, p1) = waypoints[i - 1], waypoints[i]
             f = (t - t0) / (t1 - t0)
-            return GeoPoint(p0.lat + f * (p1.lat - p0.lat), p0.lon + f * (p1.lon - p0.lon))
+            return p0.lat + f * (p1.lat - p0.lat), p0.lon + f * (p1.lon - p0.lon)
 
         tr = Trace(tuple(waypoints))
         for t in range(-10, at + 10):
@@ -102,22 +104,22 @@ class TestInterpolate:
 class TestPerturb:
     def test_zero_sigma_is_identity(self):
         p = GeoPoint(41.5606, -8.397)
-        assert perturb(p, 0.0, random.Random(1)) == p
+        assert perturb(p.lat, p.lon, 0.0, random.Random(1)) == p
 
     def test_same_seed_same_outputs(self):
         p = GeoPoint(41.5606, -8.397)
-        a = [perturb(p, 10.0, random.Random(42)) for _ in range(1)]
-        b = [perturb(p, 10.0, random.Random(42)) for _ in range(1)]
+        a = [perturb(p.lat, p.lon, 10.0, random.Random(42)) for _ in range(1)]
+        b = [perturb(p.lat, p.lon, 10.0, random.Random(42)) for _ in range(1)]
         r1, r2 = random.Random(9), random.Random(9)
-        seq1 = [perturb(p, 10.0, r1) for _ in range(50)]
-        seq2 = [perturb(p, 10.0, r2) for _ in range(50)]
+        seq1 = [perturb(p.lat, p.lon, 10.0, r1) for _ in range(50)]
+        seq2 = [perturb(p.lat, p.lon, 10.0, r2) for _ in range(50)]
         assert a == b and seq1 == seq2
 
     def test_northing_std_matches_sigma(self):
         rng = random.Random(2026)
         p = GeoPoint(10.0, 20.0)
         samples = [
-            (perturb(p, 10.0, rng).lat - p.lat) * M_PER_DEG_LAT for _ in range(10_000)
+            (perturb(p.lat, p.lon, 10.0, rng).lat - p.lat) * M_PER_DEG_LAT for _ in range(10_000)
         ]
         assert statistics.pstdev(samples) == pytest.approx(10.0, abs=0.5)
         assert statistics.mean(samples) == pytest.approx(0.0, abs=0.5)
@@ -128,7 +130,7 @@ class TestPerturb:
         rng = random.Random(5)
         p = GeoPoint(60.0, 0.0)  # cos(60) = 0.5: one lon degree is half-size
         east = [
-            (perturb(p, 10.0, rng).lon - p.lon)
+            (perturb(p.lat, p.lon, 10.0, rng).lon - p.lon)
             * M_PER_DEG_LAT
             * math.cos(math.radians(p.lat))
             for _ in range(5_000)
@@ -139,9 +141,9 @@ class TestPerturb:
     def test_clamped_to_valid_ranges(self):
         rng = random.Random(3)
         for _ in range(200):
-            q = perturb(GeoPoint(89.99999, 179.99999), 50.0, rng)
+            q = perturb(89.99999, 179.99999, 50.0, rng)
             assert -90 <= q.lat <= 90 and -180 < q.lon <= 180
-            q = perturb(GeoPoint(-89.99999, -179.99999), 50.0, rng)
+            q = perturb(-89.99999, -179.99999, 50.0, rng)
             assert -90 <= q.lat <= 90 and -180 < q.lon <= 180
 
 
@@ -204,6 +206,7 @@ class TestScenarioLoading:
         ({"hysteresis_m": math.nan}, "FENCE_INVALID"),
         ({"radius_m": 10**400}, "SCENARIO_INVALID"),  # too large for a float
         ({"lat": -(10**400)}, "SCENARIO_INVALID"),
+        ({"lat": 999.0}, "SCENARIO_INVALID"),
     ])
     def test_a_bad_activity_field_fails_at_load(self, field, code):
         activity = {
@@ -596,7 +599,7 @@ def reference_run(scenario: Scenario) -> tuple[Transcript, list]:
         for actor in sorted(scenario.actors, key=lambda a: a.id):
             for aid in member_of[actor.id]:
                 if state.presence[aid][actor.id].alarm is Alarm.ARMED:
-                    point = perturb(interpolate(actor.trace, t), scenario.noise_sigma_m, rng)
+                    point = perturb(*interpolate(actor.trace, t), scenario.noise_sigma_m, rng)
                     out, new = handle(state, Fix(aid, point, t), actor.id, t)
                     transcript.add(t, out)
                     records += new

@@ -22,7 +22,9 @@ from syncpoint.notify import (
     TaskDoneNotice,
 )
 from syncpoint.errors import SyncError
-from syncpoint.schema import FLOAT, STR, ListOf, Optional, Schema, loads_line
+from syncpoint.schema import (
+    FLOAT, STR, FieldInvalid, FieldMissing, ListOf, Optional, Schema, loads_line,
+)
 from syncpoint.sim import Transcript, load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import (
     MESSAGES,
@@ -31,8 +33,6 @@ from syncpoint.wire import (
     ClientMessage,
     Disarm,
     Err,
-    FieldInvalid,
-    FieldMissing,
     Fix,
     FrameBuffer,
     Hello,
