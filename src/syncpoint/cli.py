@@ -170,33 +170,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coarse-grained location-based synchronisation service",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    log = argparse.ArgumentParser(add_help=False)
+    log.add_argument("--log", required=True, help="event log path")
+    now = argparse.ArgumentParser(add_help=False)
+    now.add_argument("--now", type=int, default=int(time.time()),
+                     help="the current time, in epoch seconds (default: wall clock)")
 
-    p = sub.add_parser("serve", help="run the TCP server")
+    p = sub.add_parser("serve", parents=[log], help="run the TCP server")
     p.add_argument("--listen", type=_parse_listen, default=("127.0.0.1", 7007),
                    help="HOST:PORT to listen on (default 127.0.0.1:7007)")
-    p.add_argument("--log", required=True, help="event log path")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("ingest", help="create activities from an .ics file")
+    p = sub.add_parser("ingest", parents=[log, now], help="create activities from an .ics file")
     p.add_argument("file", help=".ics file to ingest")
     p.add_argument("--system-address", required=True,
                    help="the service's own mailto address")
-    p.add_argument("--log", required=True, help="event log path")
-    p.add_argument("--now", type=int, default=None,
-                   help="creation timestamp (default: wall clock)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("status", help="print one activity's status view")
+    p = sub.add_parser("status", parents=[log, now], help="print one activity's status view")
     p.add_argument("activity_id")
-    p.add_argument("--log", required=True, help="event log path")
-    p.add_argument("--now", type=int, default=None,
-                   help="timestamp for phase rendering (default: wall clock)")
     p.set_defaults(func=cmd_status)
 
-    p = sub.add_parser("replay", help="rebuild state from the log, print status views")
-    p.add_argument("--log", required=True, help="event log path")
-    p.add_argument("--now", type=int, default=None,
-                   help="timestamp for phase rendering (default: wall clock)")
+    p = sub.add_parser("replay", parents=[log, now],
+                       help="rebuild state from the log, print status views")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("simulate", help="run a scenario file")
@@ -212,11 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    now = getattr(args, "now", 0)
-    if now is None:
-        args.now = int(time.time())
-    elif now < 0:  # every record's time is an integer >= 0
-        print(f"--now must be >= 0, got {now}", file=sys.stderr)
+    if getattr(args, "now", 0) < 0:  # every record's time is an integer >= 0
+        print(f"--now must be >= 0, got {args.now}", file=sys.stderr)
         return 2
     if getattr(args, "check", False) and not args.golden:
         print("simulate --check needs a golden transcript path", file=sys.stderr)

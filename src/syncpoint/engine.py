@@ -59,8 +59,6 @@ coordinate. What the log keeps is ``eventlog``'s to say.
 
 from __future__ import annotations
 
-import fcntl
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,6 +247,18 @@ def _admit(state: ServerState, index: int, act: Activity) -> None:
         ))
 
 
+def _once(state: ServerState, index: int, e: ArrivalRecorded | InviteResponded) -> None:
+    """Raise ``CorruptRecord`` at a second arrival, or a second answer, of one participant."""
+    pp = state.presence[e.activity][e.who]
+    try:
+        if type(e) is InviteResponded:
+            _unanswered(pp, e.who)
+        elif pp.alarm is Alarm.ARRIVED:
+            raise CorruptRecord(index, f"activity {e.activity}: {e.who!r} has already arrived")
+    except Refused as no:
+        raise CorruptRecord(index, f"activity {e.activity}: {no.detail}") from None
+
+
 def replay(records) -> ServerState:
     """Rebuild state by folding records through the live transition logic.
 
@@ -261,8 +271,10 @@ def replay(records) -> ServerState:
     ``FixAccepted`` the FIX path records today; ``apply`` never sees one.
 
     Replay stops at the first corrupt record: a bad line, a record that
-    names an unknown activity or participant, or an activity that
-    ``create_activity`` would not make next from its own spec. An activity
+    names an unknown activity or participant, an activity that
+    ``create_activity`` would not make next from its own spec, or a second
+    arrival or a second answer of one participant (``_once``; RESPOND_INVITE
+    refuses a second answer by the same check, ``_unanswered``). An activity
     is a spec, so ``_admit`` hands it to ``_next_activity`` as it is and
     compares the result with it. The ``CorruptRecord`` it raises carries the
     state of the records before it in ``state``.
@@ -281,6 +293,8 @@ def replay(records) -> ServerState:
                 )
             elif type(e) is ActivityCreated:
                 _admit(state, record.index, e.activity)
+            elif type(e) is ArrivalRecorded or type(e) is InviteResponded:
+                _once(state, record.index, e)
             apply(state, record)
     except (KeyError, CorruptRecord) as error:
         if isinstance(error, KeyError):  # ``apply`` moved only the count
@@ -314,6 +328,12 @@ def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresenc
     if pp.status is not _ACCEPTED:
         raise Refused("NOT_ACCEPTED", f"{who!r} has not accepted {act.id}")
     return pp
+
+
+def _unanswered(pp: ParticipantPresence, who: str) -> None:
+    """Refuse a second answer: each participant answers an invitation once."""
+    if pp.status is not ParticipantStatus.INVITED:
+        raise Refused("ALREADY_RESPONDED", f"{who!r} already responded ({pp.status.value})")
 
 
 def pending(state: ServerState, participant: str, cursor: int) -> tuple[list[Notify], int]:
@@ -388,9 +408,7 @@ def _dispatch(
         act = _activity(state, msg.activity)
         if phase_at(act, now) is ActivityPhase.ENDED:
             raise Refused("PHASE_VIOLATION", f"{act.id} has already ended")
-        status = _member(state, act, from_).status
-        if status is not ParticipantStatus.INVITED:  # each participant answers once
-            raise Refused("ALREADY_RESPONDED", f"{from_!r} already responded ({status.value})")
+        _unanswered(_member(state, act, from_), from_)
         record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
         return [(from_, ACK_RESPOND_INVITE)] + pushes, [record]
 
@@ -475,12 +493,11 @@ class Engine:
     the next ``commit`` (or ``close``); reply to no command before the
     commit that follows it.
 
-    A log has one writer. Opening it takes an exclusive ``flock`` first,
-    held until ``close`` (or the process ends), and refuses it with
-    ``LOG_IN_USE`` while another ``Engine`` holds it. The log is then
-    replayed as it is read (``replay(load_log(path))``); a torn final line
-    is cut off and kept in ``torn_tail``, and any other corrupt record
-    raises ``CorruptRecord``.
+    The log is held by its one ``LogWriter``, which takes the log's lock
+    (``LOG_IN_USE`` while another writer has it) until ``close``. The log
+    is then replayed as it is read (``replay(load_log(path))``); a torn
+    final line is cut off through the writer and kept in ``torn_tail``, and
+    any other corrupt record raises ``CorruptRecord``.
     """
 
     def __init__(self, log_path: str | Path | None = None):
@@ -488,21 +505,17 @@ class Engine:
         self._writer: LogWriter | None = None
         self.torn_tail: TornTail | None = None
         if log_path is not None:
-            self._lock = open(log_path, "ab")  # creates a missing log
+            self._writer = writer = LogWriter(log_path)
             try:
-                try:
-                    fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except BlockingIOError:
-                    raise Refused("LOG_IN_USE", f"another writer has {log_path} open") from None
                 try:
                     self.state = replay(load_log(log_path))
                 except TornTail as e:  # appends then start on a fresh line
-                    os.truncate(log_path, e.offset)
+                    writer.cut(e.offset)
                     self.state, self.torn_tail = e.state, e
-                self._writer = LogWriter(log_path, start_index=self.state.record_count)
             except BaseException:
-                self._lock.close()
+                writer.close()  # releases the log
                 raise
+            writer.next_index = self.state.record_count
 
     def _persist(self, records: list[EventRecord]) -> None:
         if self._writer is not None:
@@ -530,7 +543,4 @@ class Engine:
 
     def close(self) -> None:
         if self._writer is not None:
-            try:
-                self._writer.close()
-            finally:
-                self._lock.close()  # releases the log
+            self._writer.close()

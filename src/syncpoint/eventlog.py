@@ -40,6 +40,7 @@ the line a ``CorruptRecord``.
 
 from __future__ import annotations
 
+import fcntl
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +54,7 @@ from .activities import (
     PrivacyPolicy,
     TimeWindow,
 )
-from .errors import SyncError
+from .errors import Refused, SyncError
 from .geo import Geofence, GeoPoint, Zone
 from .schema import (
     COUNT, FLOAT, INT, STR, TEXT, FieldInvalid, Inline, Kind, ListOf, Nested, Optional, Schema,
@@ -289,21 +290,32 @@ def load_log(path: str | Path) -> Iterator[EventRecord]:
 class LogWriter:
     """Appends records to a log file, one canonical line each.
 
-    ``append`` checks the index and buffers the line; ``commit`` writes
-    every buffered line and flushes, so the records of one batch reach the
-    file together. ``close`` commits first.
+    A log has one writer, and this is its one handle on the file, which
+    holds an exclusive ``flock`` until ``close`` (``LOG_IN_USE`` while
+    another writer has it). ``append`` checks the index and buffers the
+    line, ``commit`` writes and flushes the buffered lines together,
+    ``close`` commits first, and ``cut`` drops a torn final line.
 
     The file is unbuffered, so no bytes of a failed commit linger in a
     buffer to reach the file later: the file holds exactly the committed
     records, and the uncommitted ones stay in ``LogWriter`` alone.
     """
 
-    def __init__(self, path: str | Path, start_index: int = 0):
-        self.path = Path(path)
-        self.next_index = start_index
-        self._fh = open(self.path, "ab", buffering=0)
+    def __init__(self, path: str | Path):
+        self.next_index = 0
+        self._fh = open(path, "ab", buffering=0)
+        try:
+            fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self._fh.close()
+            raise Refused("LOG_IN_USE", f"another writer has {path} open") from None
         self._committed = self._fh.seek(0, os.SEEK_END)  # bytes of the committed records
         self._lines: list[str] = []
+
+    def cut(self, offset: int) -> None:
+        """Cut the file back to its first ``offset`` bytes, such as a ``TornTail``'s."""
+        self._fh.truncate(offset)
+        self._committed = offset
 
     def append(self, record: EventRecord) -> None:
         if record.index != self.next_index:

@@ -171,19 +171,15 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
     if not isinstance(text, str):
         raise Refused("NOT_A_CALENDAR", "input is not text")
     lines = unfold_lines(text)
-    stripped = [ln.strip() for ln in lines if ln.strip()]
-    if not any(ln.upper() == "BEGIN:VCALENDAR" for ln in stripped):
+    if not any(ln.strip().upper() == "BEGIN:VCALENDAR" for ln in lines):
         raise Refused("NOT_A_CALENDAR", "no BEGIN:VCALENDAR wrapper")
 
-    system = _strip_mailto(system_address).lower()
     warnings: list[str] = []
-    specs: list[ActivitySpec] = []
-    skipped = 0
-
-    events: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] | None = None
+    # Each VEVENT: the first value of each property but ATTENDEE, and its attendees.
+    events: list[tuple[dict[str, str], list[str]]] = []
+    first: dict[str, str] | None = None  # of the VEVENT the scan is in
     for idx, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         prop = _split_property(line)
         if prop is None:
@@ -193,23 +189,22 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
         if name not in _SUPPORTED and name not in _IGNORED:
             warnings.append(f"line {idx}: ignored unknown property {_cut(name)}")
         if name == "BEGIN" and value.strip().upper() == "VEVENT":
-            current = []
+            first, attendees = {}, []
         elif name == "END" and value.strip().upper() == "VEVENT":
-            if current is not None:
-                events.append(current)
-            current = None
-        elif current is not None:
-            current.append((name, value))
+            if first is not None:
+                events.append((first, attendees))
+            first = None
+        elif first is None:
+            continue
+        elif name == "ATTENDEE":
+            attendees.append(_strip_mailto(value))
+        else:
+            first.setdefault(name, value)
 
-    for props in events:
-        first = {}
-        attendees: list[str] = []
-        for name, value in props:
-            if name == "ATTENDEE":
-                attendees.append(_strip_mailto(value))
-            else:
-                first.setdefault(name, value)
-
+    system = _strip_mailto(system_address).lower()
+    specs: list[ActivitySpec] = []
+    skipped = 0
+    for first, attendees in events:
         if not any(a.lower() == system for a in attendees):
             skipped += 1
             continue

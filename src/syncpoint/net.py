@@ -16,10 +16,13 @@ committed to the log with one write and one flush, and only then does any
 reply or push for them leave. Pushes to other connections are
 written first, then the sender's replies, each connection's share in one
 write and in request order, with an ERR in place of each frame that could
-not be handled. A frame longer than ``MAX_FRAME_BYTES``, whether its
-newline has come or not, is not decoded: the read's frames before it are
-handled and committed, those after it are dropped, and the connection
-gets one FRAME_TOO_LARGE and is closed.
+not be handled. A frame's refusal (undecodable, a server frame, no HELLO
+yet, or a HELLO naming someone else) becomes its ERR in one clause here; a
+command's refusal becomes its ERR in ``engine.handle``. The connection's
+``FrameBuffer`` applies the frame limit. It returns only the frames before
+one longer than ``MAX_FRAME_BYTES``, whose newline need not have come, and
+those are handled and committed; then the connection gets one
+FRAME_TOO_LARGE and is closed.
 
 No read waits for any connection to drain, and each connection's unsent
 bytes stay bounded. A connection's own replies slow it down: while its
@@ -44,7 +47,7 @@ import logging
 import time
 
 from .engine import Engine
-from .errors import SyncError
+from .errors import Refused, SyncError
 from .eventlog import LogWriteFailed
 from .wire import (
     CLIENT_MESSAGES, MAX_FRAME_BYTES, Err, FrameBuffer, Hello, Notify, Poll, decode, encode,
@@ -95,32 +98,24 @@ class Connection(asyncio.Protocol):
         participant, now = self.participant, server.clock()
         replies: list[str] = []  # to this connection, in request order
         pushes: dict[Connection, list[str]] = {}
-        oversized = False
         for frame in self.buf.feed(data):
-            if len(frame) > MAX_FRAME_BYTES:
-                oversized = True
-                break
             if not frame or frame.isspace():
                 continue
             try:
                 msg = decode(frame)
-            except SyncError as e:
+                if not isinstance(msg, CLIENT_MESSAGES):
+                    raise Refused("NOT_A_CLIENT_MESSAGE", "server frames are not accepted")
+                if participant is None:
+                    if not isinstance(msg, Hello):
+                        raise Refused("HELLO_REQUIRED", "introduce yourself first")
+                    participant = self.participant = msg.participant
+                    conns.setdefault(participant, []).append(self)
+                elif isinstance(msg, Hello) and msg.participant != participant:
+                    raise Refused(
+                        "ALREADY_INTRODUCED", f"this connection speaks for {participant!r}"
+                    )
+            except SyncError as e:  # a frame's refusal; a command's is engine.handle's
                 replies.append(encode(Err(e.code, e.detail)))
-                continue
-            if not isinstance(msg, CLIENT_MESSAGES):
-                replies.append(encode(
-                    Err("NOT_A_CLIENT_MESSAGE", "server frames are not accepted")
-                ))
-                continue
-            if participant is None:
-                if not isinstance(msg, Hello):
-                    replies.append(encode(Err("HELLO_REQUIRED", "introduce yourself first")))
-                    continue
-                participant = self.participant = msg.participant
-                conns.setdefault(participant, []).append(self)
-            elif isinstance(msg, Hello) and msg.participant != participant:
-                err = Err("ALREADY_INTRODUCED", f"this connection speaks for {participant!r}")
-                replies.append(encode(err))
                 continue
             for to, out in engine.handle(msg, participant, now):
                 if to == participant:
@@ -135,12 +130,9 @@ class Connection(asyncio.Protocol):
                 for conn in conns.get(to, ()):
                     if conn is not self:
                         pushes.setdefault(conn, []).append(line)
-        tail = self.buf.pending  # a "\r" at its end may begin its line ending
-        oversized = oversized or len(tail) - tail.endswith(b"\r") > MAX_FRAME_BYTES
-        if oversized:
+        if self.buf.oversized:
             replies.append(encode(Err(
-                "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes"
-            )))
+                "FRAME_TOO_LARGE", f"no newline within {MAX_FRAME_BYTES} bytes")))
         try:
             engine.commit()
         except LogWriteFailed as e:
@@ -157,7 +149,7 @@ class Connection(asyncio.Protocol):
                 conn.transport.abort()
         if replies:
             self.write(replies)
-        if oversized:
+        if self.buf.oversized:
             self.transport.close()
 
 

@@ -254,24 +254,28 @@ def decode(frame: str | bytes) -> Message:
         raise FieldMissing(e.args[0]) from None
 
 
-# The longest frame a connection reads, its line ending not counted, far
-# above any client frame. A longer one is refused with FRAME_TOO_LARGE
-# undecoded, whether its newline has come or not.
-MAX_FRAME_BYTES = 64 * 1024
+MAX_FRAME_BYTES = 64 * 1024  # the longest frame read, far above any client frame
 
 
 class FrameBuffer:
     """Reassembles newline-delimited frames from arbitrarily split chunks.
 
     A chunk is scanned once and the tail grows in place, so the cost is
-    linear in the bytes fed, however finely they are split.
+    linear in the bytes fed, however finely they are split. The frame limit
+    is applied here: ``feed`` returns only the frames before the first one
+    longer than ``MAX_FRAME_BYTES``, line ending not counted and newline or
+    not, and sets ``oversized``; every later feed returns nothing.
     """
 
     def __init__(self):
         self._tail = bytearray()
+        self.oversized = False
 
     def feed(self, data: bytes) -> list[bytes]:
         """Absorb a chunk; return every frame it completes, in order, as bytes."""
+        if self.oversized:
+            return []
+        held = len(self._tail) + len(data)
         *lines, rest = data.split(b"\n")
         if lines and self._tail:
             self._tail += lines[0]
@@ -279,9 +283,10 @@ class FrameBuffer:
             self._tail.clear()
         if rest:
             self._tail += rest
-        return [line.rstrip(b"\r") for line in lines]
-
-    @property
-    def pending(self) -> bytearray:
-        """The unterminated tail, held until its newline arrives (read it, do not change it)."""
-        return self._tail
+        frames = [line.rstrip(b"\r") for line in lines]
+        if held > MAX_FRAME_BYTES:  # else no frame of this chunk can be longer
+            over = [i for i, frame in enumerate(frames) if len(frame) > MAX_FRAME_BYTES]
+            if over or len(self._tail) - self._tail.endswith(b"\r") > MAX_FRAME_BYTES:
+                self.oversized = True
+                del frames[(over or [len(frames)])[0]:]
+        return frames

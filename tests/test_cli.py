@@ -260,6 +260,37 @@ class TestIngestStatusReplay:
         assert replay(records) == engine.state
 
 
+class TestRepeatedFacts:
+    """A participant arrives once and answers once: a second arrival, or a
+    second answer, in a log is a ``CorruptRecord`` at its index."""
+
+    @pytest.mark.parametrize("first, repeat, reason", [
+        ("ARRIVAL_RECORDED", {}, "activity a1: 'ana' has already arrived"),
+        ("INVITE_RESPONDED", {"answer": "DECLINE"},
+         "activity a1: 'ana' already responded (ACCEPTED)"),
+    ], ids=["arrival", "answer"])
+    def test_a_repeat_appended_to_the_s1_log_is_refused(self, tmp_path, capsys, first, repeat,
+                                                       reason):
+        lines = run_scenario(load_scenario(SCENARIOS / "s1_meetup.json")).log_lines
+        s1 = replay(read_records(lines))
+        k = len(lines)
+        again = json.loads(next(line for line in lines if f'"type":"{first}"' in line))
+        assert again["who"] == "ana"
+        lines.append(json.dumps({**again, **repeat, "index": k}) + "\n")
+        log = tmp_path / "events.log"
+        log.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptRecord) as e:
+            replay(load_log(log))
+        assert (e.value.index, e.value.reason) == (k, reason) == (39, reason)
+        assert e.value.state == s1
+        with pytest.raises(CorruptRecord):
+            Engine(log_path=log)
+        code, out, err = run(capsys, "status", "a1", "--log", log, "--now", 0)
+        assert code == 0 and "Traceback" not in err
+        assert err.splitlines() == [f"warning: record 39: {reason}; keeping state up to record 39"]
+        assert out == encode(status_view(s1, "a1", 0))
+
+
 class TestTypeConfusedRecords:
     """A record whose field has the wrong type or range is a ``CorruptRecord``
     at its index, as a malformed line is: replay hands back the state before

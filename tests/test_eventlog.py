@@ -25,6 +25,7 @@ from syncpoint.eventlog import (
     EventRecord,
     FixAccepted,
     LogWriteFailed,
+    LogWriter,
     PointFix,
     decode_record,
     encode_record,
@@ -35,6 +36,7 @@ from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
 from syncpoint.net import SyncServer
 from syncpoint.sim import load_scenario, run_scenario, scenario_from_dict
 from syncpoint.wire import Ack, Arm, Fix, Hello, Poll, RespondInvite, Welcome, decode, encode
+from codes import raises_code
 from mutation import draw_byte_mutant, draw_mutant
 from test_sim import generated_crowd
 
@@ -466,6 +468,43 @@ def test_a_cut_at_every_byte_of_the_last_two_records_starts_on_the_prefix(tmp_pa
         assert log.read_bytes() == data[: ends[kept]], cut
 
 
+# --- the writer's one handle -------------------------------------------------------
+
+
+def test_a_second_writer_on_a_held_log_is_refused_and_leaves_it_as_it_was(tmp_path):
+    log = tmp_path / "events.log"
+    first = LogWriter(log)
+    first.append(EventRecord(0, 7, ArmSet("a1", "ana")))
+    first.commit()
+    first.append(EventRecord(1, 8, ArmSet("a1", "bo")))  # buffered, not yet written
+    before = log.read_bytes()
+    with raises_code("LOG_IN_USE", match=f"another writer has {log} open"):
+        LogWriter(log)
+    assert log.read_bytes() == before
+    first.close()
+    second = LogWriter(log)  # closing the first released the log
+    second.close()
+    assert [r.event for r in load_log(log)] == [ArmSet("a1", "ana"), ArmSet("a1", "bo")]
+
+
+def test_cut_drops_a_torn_tail_and_is_the_new_last_commit(tmp_path):
+    log = tmp_path / "events.log"
+    kept = encode_record(EventRecord(0, 7, ArmSet("a1", "ana"))).encode()
+    log.write_bytes(kept + b'{"type":"ARMED"')
+    writer = LogWriter(log)
+    writer.cut(len(kept))
+    writer.next_index = 1
+    assert log.read_bytes() == kept
+    writer._fh = FaultyFile(writer._fh, "ENOSPC on write")
+    writer.append(EventRecord(1, 8, ArmSet("a1", "bo")))
+    with pytest.raises(LogWriteFailed, match=f"cut back to its last commit \\({len(kept)} bytes"):
+        writer.commit()
+    assert log.read_bytes() == kept
+    writer._fh.fault = None
+    writer.close()
+    assert [r.event for r in load_log(log)] == [ArmSet("a1", "ana"), ArmSet("a1", "bo")]
+
+
 # --- failed commits ----------------------------------------------------------------
 
 
@@ -540,8 +579,10 @@ def test_a_commit_that_cannot_cut_the_log_back_still_fails_as_a_commit(tmp_path)
     engine.handle(Arm(act.id), "bruno", 8)
     with pytest.raises(LogWriteFailed, match="cutting the log back .* failed too"):
         engine.commit()
-    faulty.real.close()  # as the exiting process would: no commit, no close
-    engine._lock.close()
+    # As the exiting process would: no commit, no close. Closing the writer's
+    # one handle releases the log, so another writer can open it.
+    faulty.real.close()
+    Engine(log_path=tmp_path / "events.log").close()
 
 
 def test_a_failed_commit_stops_the_server_before_anything_of_that_read_leaves(tmp_path):
@@ -574,8 +615,10 @@ def test_a_failed_commit_stops_the_server_before_anything_of_that_read_leaves(tm
             writer.close()
         server.close()
         await server.wait_closed()
-        faulty.real.close()  # as the exiting process would: no commit, no close
-        engine._lock.close()
+        # As the exiting process would: no commit, no close. Closing the
+        # writer's one handle releases the log, so another writer can open it.
+        faulty.real.close()
+        Engine(log_path=log).close()
         return ana_after, bruno_after
 
     ana_after, bruno_after = asyncio.run(run())

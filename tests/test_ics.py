@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from codes import raises_code
 
-from syncpoint.activities import ActivityKind, PrivacyPolicy
+from syncpoint.activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow
 from syncpoint.errors import SyncError
+from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.ics import (
     EventInvalid,
     _split_property,
@@ -289,6 +290,47 @@ class TestParseIcs:
         )
         result = parse_ics(text, SYSTEM)
         assert result.drafts[0].organizer == "boss@b"
+
+
+# What each corpus file parses to: its specs, skipped count and warnings,
+# or the code and detail it is refused with.
+CORPUS_RESULTS = {
+    "bad_coords.ics": ("EVENT_INVALID", "event 'badgeo-9@example.org': bad GEO: "
+                       "invalid field 'lat': latitude 91.0 outside [-90, 90]"),
+    "epoch_times.ics": ((ActivitySpec(
+        title="Flash mob rehearsal", window=TimeWindow(600, 7200),
+        fence=Geofence(GeoPoint(41.5454, -8.4265), 100.0, 25.0), organizer="hq@example.org",
+        participants=("hq@example.org", "g1@example.org", "g2@example.org"),
+        kind=ActivityKind.GATHERING, policy=PrivacyPolicy.ANONYMOUS_COUNT, batch_threshold=5,
+        calendar_uid="epoch-gathering-3@example.org",
+    ),), 0, ()),
+    "meetup_fair.ics": ((ActivitySpec(
+        title="Meet at the fair after shopping", window=TimeWindow(1786460400, 1786464900),
+        fence=Geofence(GeoPoint(41.5606, -8.397), 100.0, 25.0), organizer="ana@example.org",
+        participants=("ana@example.org", "bruno@example.org", "carla@example.org"),
+        kind=ActivityKind.MEETUP, policy=PrivacyPolicy.DISCLOSE_IDENTITY, batch_threshold=None,
+        calendar_uid="fair-2026-001@example.org",
+    ),), 0, ()),
+    "missing_geo.ics": ("EVENT_INVALID", "event 'nogeo-5@example.org': missing GEO"),
+    "mixed_enrolment.ics": ((ActivitySpec(
+        title="Dinner downtown", window=TimeWindow(1786561200, 1786572000),
+        fence=Geofence(GeoPoint(41.5454, -8.4265), 100.0, 25.0), organizer="dora@example.org",
+        participants=("dora@example.org", "emil@example.org"),
+        kind=ActivityKind.GATHERING, policy=PrivacyPolicy.ANONYMOUS_COUNT, batch_threshold=3,
+        calendar_uid="dinner-77@example.org",
+    ),), 1, ("line 14: ignored unknown property X-CUSTOM-THING",)),
+    "no_wrapper.ics": ("NOT_A_CALENDAR", "no BEGIN:VCALENDAR wrapper"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.ics")))
+def test_each_corpus_file_parses_to_its_pinned_result(name):
+    try:
+        result = parse_ics((CORPUS / name).read_text(encoding="utf-8"), SYSTEM)
+    except SyncError as e:
+        assert (e.code, e.detail) == CORPUS_RESULTS[name]
+    else:
+        assert (result.drafts, result.skipped, result.warnings) == CORPUS_RESULTS[name]
 
 
 @settings(max_examples=300, deadline=None)

@@ -448,6 +448,36 @@ def test_a_fix_out_of_range_gets_the_err_line_it_always_got():
                           b'"detail":"invalid field \'lat\': latitude 91.0 outside [-90, 90]"}\n')
 
 
+def test_each_refused_frame_gets_its_err_line_byte_for_byte():
+    """Every refusal of a frame, before the engine sees it, as it is written."""
+    reads = (
+        b'{"type":"ARM","activity":"a1"}\n' b"not json\n" b'{"type":"NOPE"}\n' b"[1]\n"
+        b'{"type":"WELCOME","server_time":1}\n' b'{"type":"HELLO","participant":"ana"}\n'
+        b'{"type":"HELLO","participant":"bo"}\n' b'{"type":"HELLO"}\n'
+        + b"x" * (MAX_FRAME_BYTES + 1) + b"\n" + encode(Poll(0)).encode()
+    )
+
+    async def run():
+        conn, transport = _connect(Engine(), clock=lambda: 7)
+        conn.data_received(reads)
+        return transport
+
+    transport = asyncio.run(run())
+    assert b"".join(transport.written).decode().splitlines() == [
+        '{"type":"ERR","code":"HELLO_REQUIRED","detail":"introduce yourself first"}',
+        '{"type":"ERR","code":"MALFORMED","detail":'
+        '"not valid JSON: Expecting value: line 1 column 1 (char 0)"}',
+        '{"type":"ERR","code":"UNKNOWN_TYPE","detail":"unknown message type \'NOPE\'"}',
+        '{"type":"ERR","code":"MALFORMED","detail":"frame is not a JSON object"}',
+        '{"type":"ERR","code":"NOT_A_CLIENT_MESSAGE","detail":"server frames are not accepted"}',
+        '{"type":"WELCOME","server_time":7}',
+        '{"type":"ERR","code":"ALREADY_INTRODUCED","detail":"this connection speaks for \'ana\'"}',
+        '{"type":"ERR","code":"FIELD_MISSING","detail":"missing field \'participant\'"}',
+        '{"type":"ERR","code":"FRAME_TOO_LARGE","detail":"no newline within 65536 bytes"}',
+    ]
+    assert transport.closed
+
+
 def test_an_endless_frame_fed_a_byte_at_a_time_is_refused_in_linear_time():
     async def run():
         conn, transport = _connect(Engine())
@@ -563,7 +593,9 @@ class TestFramingFuzz:
 
         whole, split = FrameBuffer(), FrameBuffer()
         assert [f for read in reads for f in split.feed(read)] == whole.feed(stream)
-        assert split.pending == whole.pending
+        # The same limit reached, and the same tail held: a newline completes it alike.
+        assert split.oversized == whole.oversized
+        assert split.feed(b"\n") == whole.feed(b"\n")
 
         replies, closed = _feed(reads)
         big = [i for i, line in enumerate(lines) if len(line) > MAX_FRAME_BYTES]

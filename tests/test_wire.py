@@ -1,5 +1,6 @@
 """Wire codec: canonical frames, round trips, and framing safety."""
 
+import copy
 import json
 import logging
 import random
@@ -27,6 +28,7 @@ from syncpoint.schema import (
 )
 from syncpoint.sim import Transcript, load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import (
+    MAX_FRAME_BYTES,
     MESSAGES,
     Ack,
     Arm,
@@ -289,7 +291,7 @@ class TestFraming:
                 frames.extend(buf.feed(stream[i:j]))
                 i = j
             assert [decode(f) for f in frames] == msgs
-            assert buf.pending == b""
+            assert buf.feed(b"\n") == [b""]  # nothing was held
 
     def test_partial_frame_stays_buffered(self):
         buf = FrameBuffer()
@@ -302,9 +304,9 @@ class TestFraming:
         buf = FrameBuffer()
         chunk = "".join(frames).encode("utf-8") + tail[:7].encode("utf-8")
         assert buf.feed(chunk) == [f.rstrip("\n").encode("utf-8") for f in frames]
-        assert buf.pending == tail[:7].encode("utf-8")
+        assert copy.deepcopy(buf).feed(b"\n") == [tail[:7].encode("utf-8")]  # what is held
         assert buf.feed(tail[7:].encode("utf-8")) == [tail.rstrip("\n").encode("utf-8")]
-        assert buf.pending == b""
+        assert buf.feed(b"\n") == [b""]  # nothing was held
 
     def test_crlf_endings_and_empty_lines(self):
         buf = FrameBuffer()
@@ -321,6 +323,47 @@ class TestFraming:
         with raises_code("MALFORMED"):
             decode(frames[1])
         assert decode(frames[2]) == Arm("a1")
+
+
+class TestFrameLimit:
+    """``FrameBuffer`` applies ``MAX_FRAME_BYTES`` itself."""
+
+    def test_a_frame_of_exactly_the_limit_passes(self):
+        buf = FrameBuffer()
+        frame = b"x" * MAX_FRAME_BYTES
+        assert buf.feed(frame + b"\r\n" + frame + b"\n") == [frame, frame]
+        assert not buf.oversized
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_one_byte_more_returns_the_frames_before_it(self, split):
+        buf = FrameBuffer()
+        stream = b"a\n\nb\r\n" + b"x" * (MAX_FRAME_BYTES + 1) + b"\nc\n"
+        reads = [stream[:5], stream[5:70_000], stream[70_000:]] if split else [stream]
+        assert [f for read in reads for f in buf.feed(read)] == [b"a", b"", b"b"]
+        assert buf.oversized
+
+    def test_a_tail_past_the_limit_is_over_long_without_its_newline(self):
+        buf = FrameBuffer()
+        assert buf.feed(b"a\n" + b"x" * MAX_FRAME_BYTES) == [b"a"]
+        assert not buf.oversized  # the tail may still end here
+        assert buf.feed(b"x") == []
+        assert buf.oversized
+
+    def test_a_final_carriage_return_of_the_tail_is_not_counted(self):
+        buf = FrameBuffer()
+        assert buf.feed(b"x" * MAX_FRAME_BYTES + b"\r") == []
+        assert not buf.oversized  # the "\r" may begin the line ending
+        assert buf.feed(b"\n") == [b"x" * MAX_FRAME_BYTES]
+        assert buf.feed(b"x" * MAX_FRAME_BYTES + b"\rx") == []
+        assert buf.oversized
+
+    def test_nothing_is_returned_once_oversized(self):
+        buf = FrameBuffer()
+        buf.feed(b"x" * (MAX_FRAME_BYTES + 1) + b"\n")
+        assert buf.oversized
+        assert buf.feed(b'{"type":"POLL","cursor":0}\n') == []
+        assert buf.feed(b"\n") == []
+        assert buf.oversized
 
     def test_multibyte_character_split_across_chunks(self):
         frame = encode(Err("X", "café 家 \U0001F600")).encode("utf-8")
