@@ -8,9 +8,9 @@
     syncpoint simulate --check SCENARIO.json GOLDEN.jsonl
 
 Every command opens a log as `replay(load_log(path))`, which stops at the
-first corrupt record (a bad line, a record naming an unknown activity or
-participant, or an activity `create_activity` could not have made next) and
-hands back the state before it. `status` and `replay` keep
+first corrupt record (a bad line, or a record its guard refuses, one the
+live path could not have logged, such as a forged arrival) and hands back
+the state before it. `status` and `replay` keep
 that state with a warning and print status views as canonical wire frames;
 `serve` and `ingest` do so only for a torn final line, which they cut off.
 They write the log, and a log has one writer: while one holds it, another

@@ -8,13 +8,13 @@ field for field. ``handle`` is deterministic in (state, message, sender,
 now) — "now" is always injected, never read from a clock, so a simulator
 can drive virtual time.
 
-Every command check runs once, in ``_dispatch``, before any record exists:
-the participant lookup (``_member``, one ``Activity.participant`` call per
-command), the invitation status (``_accepted``, and RESPOND_INVITE's
-once-only test) and the alarm state (ARM's test, and DISARM's no-op test).
-A refused command raises ``errors.Refused`` with its wire code, which
-``handle`` answers with an ``ERR``. ``apply`` checks only that records come
-in index order and are records; it only assigns.
+Each record has one guard, a branch of ``_guard``: the checks its command
+makes before the record exists, first the participant lookup (``_member``,
+one ``Activity.participant`` call per command). ``_dispatch`` runs it before
+it logs a record and ``replay`` before it folds one. A refusal raises
+``errors.Refused`` with its wire code, which ``handle`` answers with an
+``ERR``; an ``Ignored`` one (a FIX outside the window, a DISARM when not
+armed) gets an ACK and no record. ``apply`` checks only the index order.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``_dispatch``; whether that fix is the arrival is decided by
@@ -180,9 +180,8 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
 
     This is the single mutation path for live handling and replay alike.
     Records are applied exactly in log order (dense indices enforced).
-    Each record has passed its command's checks in ``_dispatch`` before it
-    was logged, so the fold checks nothing else: it only assigns. An unknown
-    id raises ``KeyError`` before any assignment but ``record_count``.
+    Each record has passed its guard (``_guard``) before it gets here, so
+    the fold checks nothing else: it only assigns.
     """
     if record.index != state.record_count:
         raise SyncError(f"record index {record.index} applied out of order "
@@ -193,8 +192,7 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         pp = state.presence[e.activity][e.who]
         pp.zone = e.zone
         pp.last_fix_at = e.fix_at
-        # The arrival itself, when due, is its own record applied next.
-        return []
+        return []  # the arrival, when due, is its own record, applied next
     if isinstance(e, ActivityCreated):
         a = e.activity
         state.activities[a.id] = a
@@ -223,7 +221,6 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
         )
     if isinstance(e, TaskCompleted):
         act = state.activities[e.activity]
-        state.presence[e.activity][e.who]  # KeyError if the doer is no participant
         return _enqueue(state, on_task_done(act, _accepted_ids(state, act), e.who, e.done_at))
     raise TypeError(f"not an event: {e!r}")
 
@@ -234,29 +231,60 @@ def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]
     return record, apply(state, record)
 
 
-def _admit(state: ServerState, index: int, act: Activity) -> None:
-    """Raise ``CorruptRecord`` unless ``act``, as a spec, is what ``create_activity`` makes next."""
-    try:
-        made = _next_activity(state, act)
-    except SyncError as e:
-        raise CorruptRecord(index, f"activity {act.id}: {e.detail}") from None
-    if made != act:
-        raise CorruptRecord(index, (
-            f"activity id {act.id!r} is not the next id {made.id!r}" if made.id != act.id
-            else f"activity {act.id}: not what create_activity makes of it"
-        ))
+class Ignored(Refused):
+    """A guard's refusal that the live path answers with an ACK and no record."""
 
 
-def _once(state: ServerState, index: int, e: ArrivalRecorded | InviteResponded) -> None:
-    """Raise ``CorruptRecord`` at a second arrival, or a second answer, of one participant."""
-    pp = state.presence[e.activity][e.who]
-    try:
-        if type(e) is InviteResponded:
-            _unanswered(pp, e.who)
-        elif pp.alarm is Alarm.ARRIVED:
-            raise CorruptRecord(index, f"activity {e.activity}: {e.who!r} has already arrived")
-    except Refused as no:
-        raise CorruptRecord(index, f"activity {e.activity}: {no.detail}") from None
+def _guard(state: ServerState, at: int, e):
+    """``e`` if the live path could log it at ``at``, else its command's ERR as a
+    ``Refused``, from that command's checks in its order (an arrival's, but for
+    "armed, and Outside before the fix"). Only replay runs the ACTIVITY_CREATED
+    branch: ``create_activity`` makes an activity by the rule it checks."""
+    t = type(e)
+    if t is FixAccepted:  # the commonest record, so tested first
+        _can_fix(state, e.activity, e.who, e.fix_at)
+    elif t is ActivityCreated:
+        act = e.activity
+        try:
+            made = _next_activity(state, act)
+        except SyncError as no:
+            raise CorruptRecord(state.record_count, f"activity {act.id}: {no.detail}") from None
+        if made != act:
+            raise CorruptRecord(state.record_count, (
+                f"activity id {act.id!r} is not the next id {made.id!r}" if made.id != act.id
+                else f"activity {act.id}: not what create_activity makes of it"
+            ))
+    elif t is InviteResponded:
+        act = _activity(state, e.activity)
+        if phase_at(act, at) is ActivityPhase.ENDED:
+            raise Refused("PHASE_VIOLATION", f"{act.id} has already ended")
+        pp = _member(state, act, e.who)
+        if pp.status is not ParticipantStatus.INVITED:  # each participant answers once
+            raise Refused("ALREADY_RESPONDED", f"{e.who!r} already responded ({pp.status.value})")
+    elif t is ArmCleared:
+        if _member(state, _activity(state, e.activity), e.who).alarm is not Alarm.ARMED:
+            raise Ignored("NOT_ARMED", "alarm is not armed")
+    else:  # ARMED, ARRIVAL_RECORDED and TASK_COMPLETED: by a participant who accepted
+        act = _activity(state, e.activity)
+        alarm = _accepted(state, act, e.who).alarm
+        if t is ArmSet and alarm is not Alarm.DISARMED:  # armed, or arrived
+            raise Refused("ALREADY_ARMED", "alarm is already armed or the participant has arrived")
+        if t is ArrivalRecorded and alarm is Alarm.ARRIVED:
+            raise Refused("ALREADY_ARRIVED", f"{e.who!r} has already arrived")
+        if t is TaskCompleted and act.kind is not ActivityKind.TASK:
+            raise Refused("KIND_MISMATCH", f"{act.id} is {act.kind.value}, not TASK")
+    return e
+
+
+def _can_fix(state: ServerState, activity_id: str, who: str, fix_at: int):
+    """The ``FIX_ACCEPTED`` guard, on fields, as the FIX path runs it before the zone is known."""
+    act = _activity(state, activity_id)
+    pp = _accepted(state, act, who)
+    if pp.last_fix_at is not None and fix_at <= pp.last_fix_at:
+        raise Refused("STALE_FIX", f"fix at {fix_at} is not after the last fix at {pp.last_fix_at}")
+    if phase_at(act, fix_at) is not _ACTIVE:
+        raise Ignored("OUTSIDE_WINDOW", f"fix at {fix_at} is outside the window of {act.id}")
+    return act, pp
 
 
 def replay(records) -> ServerState:
@@ -266,40 +294,31 @@ def replay(records) -> ServerState:
     folded as it comes, and none is kept. Its queues hold the frames the
     live fan-outs pushed, one per notification and seq.
 
-    A ``PointFix`` (a fix record of an older log) is classified here, once,
-    against the fence and the participant's zone so far, into the
-    ``FixAccepted`` the FIX path records today; ``apply`` never sees one.
-
-    Replay stops at the first corrupt record: a bad line, a record that
-    names an unknown activity or participant, an activity that
-    ``create_activity`` would not make next from its own spec, or a second
-    arrival or a second answer of one participant (``_once``; RESPOND_INVITE
-    refuses a second answer by the same check, ``_unanswered``). An activity
-    is a spec, so ``_admit`` hands it to ``_next_activity`` as it is and
-    compares the result with it. The ``CorruptRecord`` it raises carries the
-    state of the records before it in ``state``.
+    Each record passes its guard first, so replay stops at a record the live
+    path could not have logged, as at a bad line, with a ``CorruptRecord``
+    that carries the state of the records before it in ``state``. A
+    ``PointFix`` (a fix record of an older log) passes the fix guard and is
+    then classified, once, against the fence and the participant's zone so
+    far, into the ``FixAccepted`` the FIX path records today.
     """
     state = ServerState()
     try:
         for record in records:
             e = record.event
             if type(e) is PointFix:
-                zone = classify_zone(
-                    state.activities[e.activity].fence,
-                    state.presence[e.activity][e.who].zone, e.point,
-                )
+                act, pp = _can_fix(state, e.activity, e.who, e.fix_at)
+                zone = classify_zone(act.fence, pp.zone, e.point)
                 record = EventRecord(
                     record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
                 )
-            elif type(e) is ActivityCreated:
-                _admit(state, record.index, e.activity)
-            elif type(e) is ArrivalRecorded or type(e) is InviteResponded:
-                _once(state, record.index, e)
+            else:
+                _guard(state, record.at, e)
             apply(state, record)
-    except (KeyError, CorruptRecord) as error:
-        if isinstance(error, KeyError):  # ``apply`` moved only the count
-            state.record_count = record.index
-            error = CorruptRecord(record.index, f"unknown activity or participant {error}")
+    except (Refused, CorruptRecord) as error:
+        if isinstance(error, Refused):  # a guard's, raised before ``apply``
+            unknown = error.code in ("UNKNOWN_ACTIVITY", "NOT_A_PARTICIPANT")
+            about = "unknown activity or participant" if unknown else f"activity {e.activity}"
+            error = CorruptRecord(record.index, f"{about}: {error.detail}")
         error.state = state
         raise error from None
     return state
@@ -328,12 +347,6 @@ def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresenc
     if pp.status is not _ACCEPTED:
         raise Refused("NOT_ACCEPTED", f"{who!r} has not accepted {act.id}")
     return pp
-
-
-def _unanswered(pp: ParticipantPresence, who: str) -> None:
-    """Refuse a second answer: each participant answers an invitation once."""
-    if pp.status is not ParticipantStatus.INVITED:
-        raise Refused("ALREADY_RESPONDED", f"{who!r} already responded ({pp.status.value})")
 
 
 def pending(state: ServerState, participant: str, cursor: int) -> tuple[list[Notify], int]:
@@ -384,20 +397,16 @@ def _dispatch(
     state: ServerState, msg: ClientMessage, from_: str, now: int
 ) -> tuple[Outbound, list[EventRecord]]:
     if isinstance(msg, Fix):  # the commonest command, so tested first
-        act = _activity(state, msg.activity)
-        pp = _accepted(state, act, from_)
-        if pp.last_fix_at is not None and msg.at <= pp.last_fix_at:
-            raise Refused(
-                "STALE_FIX", f"fix at {msg.at} is not after the last fix at {pp.last_fix_at}"
-            )
-        if phase_at(act, msg.at) is not _ACTIVE:
-            # Outside the window the fix is ignored: no state, no record.
+        try:
+            act, pp = _can_fix(state, msg.activity, from_, msg.at)
+        except Ignored:  # outside the window the fix is ignored: no state, no record
             return [(from_, ACK_FIX)], []
         alarm, previous_zone = pp.alarm, pp.zone
         zone = classify_zone(act.fence, previous_zone, msg.point)
         fixed, _ = _record(state, now, FixAccepted(act.id, from_, zone, msg.at))
         if not ingest_fix(alarm, previous_zone, zone):
             return [(from_, ACK_FIX)], [fixed]
+        # Accepted (the fix's guard) and armed (ingest_fix): the arrival passes its guard.
         arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
         return [(from_, ACK_FIX)] + pushes, [fixed, arrival]
 
@@ -405,34 +414,25 @@ def _dispatch(
         return [(from_, Welcome(now))], []
 
     if isinstance(msg, RespondInvite):
-        act = _activity(state, msg.activity)
-        if phase_at(act, now) is ActivityPhase.ENDED:
-            raise Refused("PHASE_VIOLATION", f"{act.id} has already ended")
-        _unanswered(_member(state, act, from_), from_)
-        record, pushes = _record(state, now, InviteResponded(act.id, from_, msg.answer))
+        answered = _guard(state, now, InviteResponded(msg.activity, from_, msg.answer))
+        record, pushes = _record(state, now, answered)
         return [(from_, ACK_RESPOND_INVITE)] + pushes, [record]
 
     if isinstance(msg, Arm):
-        act = _activity(state, msg.activity)
-        if _accepted(state, act, from_).alarm is not Alarm.DISARMED:  # armed, or arrived
-            raise Refused("ALREADY_ARMED", "alarm is already armed or the participant has arrived")
-        record, _ = _record(state, now, ArmSet(act.id, from_))
+        record, _ = _record(state, now, _guard(state, now, ArmSet(msg.activity, from_)))
         return [(from_, ACK_ARM)], [record]
 
     if isinstance(msg, Disarm):
-        act = _activity(state, msg.activity)
-        if _member(state, act, from_).alarm is not Alarm.ARMED:
-            # Disarming an alarm that is not armed is a no-op: no record.
+        try:
+            disarmed = _guard(state, now, ArmCleared(msg.activity, from_))
+        except Ignored:  # disarming an alarm that is not armed is a no-op: no record
             return [(from_, ACK_DISARM)], []
-        record, _ = _record(state, now, ArmCleared(act.id, from_))
+        record, _ = _record(state, now, disarmed)
         return [(from_, ACK_DISARM)], [record]
 
     if isinstance(msg, TaskDone):
-        act = _activity(state, msg.activity)
-        _accepted(state, act, from_)
-        if act.kind is not ActivityKind.TASK:
-            raise Refused("KIND_MISMATCH", f"{act.id} is {act.kind.value}, not TASK")
-        record, pushes = _record(state, now, TaskCompleted(act.id, from_, msg.at))
+        done = _guard(state, now, TaskCompleted(msg.activity, from_, msg.at))
+        record, pushes = _record(state, now, done)
         return [(from_, ACK_TASK_DONE)] + pushes, [record]
 
     if isinstance(msg, Poll):

@@ -257,14 +257,20 @@ def decode(frame: str | bytes) -> Message:
 MAX_FRAME_BYTES = 64 * 1024  # the longest frame read, far above any client frame
 
 
+def _length(line: bytes | bytearray) -> int:
+    """A line's length against ``MAX_FRAME_BYTES``: its bytes but one final carriage return."""
+    return len(line) - line.endswith(b"\r")
+
+
 class FrameBuffer:
     """Reassembles newline-delimited frames from arbitrarily split chunks.
 
     A chunk is scanned once and the tail grows in place, so the cost is
     linear in the bytes fed, however finely they are split. The frame limit
-    is applied here: ``feed`` returns only the frames before the first one
-    longer than ``MAX_FRAME_BYTES``, line ending not counted and newline or
-    not, and sets ``oversized``; every later feed returns nothing.
+    is applied here: ``feed`` returns only the frames before the first line
+    longer than ``MAX_FRAME_BYTES``, and sets ``oversized``; every later feed
+    returns nothing. A line's length is its bytes but the newline and one
+    final carriage return (``_length``), whether its newline has come or not.
     """
 
     def __init__(self):
@@ -284,9 +290,9 @@ class FrameBuffer:
         if rest:
             self._tail += rest
         frames = [line.rstrip(b"\r") for line in lines]
-        if held > MAX_FRAME_BYTES:  # else no frame of this chunk can be longer
-            over = [i for i, frame in enumerate(frames) if len(frame) > MAX_FRAME_BYTES]
-            if over or len(self._tail) - self._tail.endswith(b"\r") > MAX_FRAME_BYTES:
+        if held > MAX_FRAME_BYTES:  # else no line of this chunk can be longer
+            over = [i for i, line in enumerate(lines) if _length(line) > MAX_FRAME_BYTES]
+            if over or _length(self._tail) > MAX_FRAME_BYTES:
                 self.oversized = True
                 del frames[(over or [len(frames)])[0]:]
         return frames

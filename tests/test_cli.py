@@ -18,9 +18,10 @@ from syncpoint.activities import ActivityKind, ActivitySpec, ParticipantStatus, 
 from syncpoint.cli import build_parser, main
 from syncpoint.engine import Engine, replay, status_view
 from syncpoint.eventlog import (
-    ArmSet, CorruptRecord, EventRecord, encode_record, load_log, read_records,
+    ArmSet, ArrivalRecorded, CorruptRecord, EventRecord, FixAccepted, TaskCompleted,
+    encode_record, load_log, read_records,
 )
-from syncpoint.geo import Geofence, GeoPoint
+from syncpoint.geo import Geofence, GeoPoint, Zone
 from syncpoint.presence import Alarm
 from syncpoint.sim import load_scenario, run_scenario, transcript_lines
 from syncpoint.wire import encode
@@ -289,6 +290,48 @@ class TestRepeatedFacts:
         assert code == 0 and "Traceback" not in err
         assert err.splitlines() == [f"warning: record 39: {reason}; keeping state up to record 39"]
         assert out == encode(status_view(s1, "a1", 0))
+
+
+class TestForgedRecords:
+    """A record the live path could not have logged, appended to the s2 log,
+    is a ``CorruptRecord`` at its index: replay checks each record as the
+    command that logs it does. In the s2 log ``org-hq`` is invited and never
+    answers, every guest has arrived, and ``g01``'s last fix was at 660."""
+
+    PROBES = {  # the forged events, appended in order; the first is refused with the reason
+        "an invitee who never answered arms and arrives": (
+            [ArmSet("a1", "org-hq"), ArrivalRecorded("a1", "org-hq", 1400)],
+            "activity a1: 'org-hq' has not accepted a1"),
+        "an arrival with no arm and no fix": (
+            [ArrivalRecorded("a1", "org-hq", 1400)],
+            "activity a1: 'org-hq' has not accepted a1"),
+        "a task done on a gathering": (
+            [TaskCompleted("a1", "g01", 1400)], "activity a1: a1 is GATHERING, not TASK"),
+        "a fix that rewinds the last fix time": (
+            [FixAccepted("a1", "g01", Zone.INSIDE, 0)],
+            "activity a1: fix at 0 is not after the last fix at 660"),
+        "an arm after the arrival, then a second arrival": (
+            [ArmSet("a1", "g01"), ArrivalRecorded("a1", "g01", 1400)],
+            "activity a1: alarm is already armed or the participant has arrived"),
+    }
+
+    @pytest.mark.parametrize("forged, reason", PROBES.values(), ids=PROBES)
+    def test_replay_and_status_stop_at_the_first_forged_record(self, tmp_path, capsys, forged,
+                                                              reason):
+        lines = run_scenario(load_scenario(SCENARIOS / "s2_gathering.json")).log_lines
+        s2, k = replay(read_records(lines)), len(lines)
+        log = tmp_path / "events.log"
+        log.write_text("".join(lines) + "".join(
+            encode_record(EventRecord(k + i, 1400, e)) for i, e in enumerate(forged)
+        ), encoding="utf-8")
+        with pytest.raises(CorruptRecord) as e:
+            replay(load_log(log))
+        assert (e.value.index, e.value.reason) == (k, reason)
+        assert e.value.state == s2
+        code, out, err = run(capsys, "status", "a1", "--log", log, "--now", 0)
+        assert code == 0
+        assert err.splitlines() == [f"warning: record {k}: {reason}; keeping state up to record {k}"]
+        assert out == encode(status_view(s2, "a1", 0))
 
 
 class TestTypeConfusedRecords:

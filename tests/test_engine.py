@@ -584,6 +584,61 @@ class TestDeterminismAndReplay:
             assert "unknown activity or participant" in e.value.reason, event
             assert e.value.state == replay(records), event
 
+    # After scripted_run, in a1 (a MEETUP, window 1000-5000): ana has arrived,
+    # bruno accepted and is disarmed with his last fix at 1300, carla declined.
+    GUARDED = {  # name: (record time, event, reason)
+        "answered twice": (1500, InviteResponded("a1", "carla", InviteAnswer.ACCEPT),
+                           "activity a1: 'carla' already responded (DECLINED)"),
+        "answered after the end": (5000, InviteResponded("a1", "carla", InviteAnswer.ACCEPT),
+                                   "activity a1: a1 has already ended"),
+        "answered by a stranger": (
+            1500, InviteResponded("a1", "zed", InviteAnswer.ACCEPT),
+            "unknown activity or participant: 'zed' is not a participant of a1"),
+        "armed unaccepted": (1500, ArmSet("a1", "carla"),
+                             "activity a1: 'carla' has not accepted a1"),
+        "armed twice": (1500, ArmSet("a1", "ana"),
+                        "activity a1: alarm is already armed or the participant has arrived"),
+        "disarmed unarmed": (1500, ArmCleared("a1", "bruno"), "activity a1: alarm is not armed"),
+        "disarmed in no activity": (1500, ArmCleared("a9", "bruno"),
+                                    "unknown activity or participant: no such activity 'a9'"),
+        "fix unaccepted": (1500, FixAccepted("a1", "carla", Zone.INSIDE, 1500),
+                           "activity a1: 'carla' has not accepted a1"),
+        "stale fix": (1500, FixAccepted("a1", "bruno", Zone.INSIDE, 1300),
+                      "activity a1: fix at 1300 is not after the last fix at 1300"),
+        "fix outside the window": (1500, FixAccepted("a1", "bruno", Zone.INSIDE, 5000),
+                                   "activity a1: fix at 5000 is outside the window of a1"),
+        "stale older-form fix": (1500, PointFix("a1", "bruno", CENTER, 999),
+                                 "activity a1: fix at 999 is not after the last fix at 1300"),
+        "arrival unaccepted": (1500, ArrivalRecorded("a1", "carla", 1500),
+                               "activity a1: 'carla' has not accepted a1"),
+        "arrival twice": (1500, ArrivalRecorded("a1", "ana", 1500),
+                          "activity a1: 'ana' has already arrived"),
+        "task unaccepted": (1500, TaskCompleted("a1", "carla", 1500),
+                            "activity a1: 'carla' has not accepted a1"),
+        "task on a meetup": (1500, TaskCompleted("a1", "bruno", 1500),
+                             "activity a1: a1 is MEETUP, not TASK"),
+    }
+
+    @pytest.mark.parametrize("at, event, reason", GUARDED.values(), ids=GUARDED)
+    def test_a_record_its_command_would_refuse_is_corrupt(self, at, event, reason):
+        records = scripted_run(ServerState())
+        k = len(records)
+        with pytest.raises(CorruptRecord) as e:
+            replay(records + [EventRecord(k, at, event)])
+        assert (e.value.index, e.value.reason) == (k, reason)
+        assert e.value.state == replay(records)
+
+    def test_records_at_the_edges_of_their_guards_replay(self):
+        records = scripted_run(ServerState())
+        for at, event in (
+            (1500, ArmSet("a1", "bruno")),
+            (1500, FixAccepted("a1", "bruno", Zone.OUTSIDE, 1301)),
+            (4999, PointFix("a1", "bruno", at_distance(300), 4999)),
+        ):
+            records.append(EventRecord(len(records), at, event))
+        pp = replay(records).presence["a1"]["bruno"]
+        assert (pp.alarm, pp.zone, pp.last_fix_at) == (Alarm.ARMED, Zone.OUTSIDE, 4999)
+
     # Each edit is made to the activity in memory, to its encoded line, or to
     # both ("via"): an old-form roster exists only in a line, and an activity
     # that differs from what new_activity builds of it only in memory.

@@ -28,6 +28,7 @@ def test_the_error_classes_are_the_ones_caught_by_type_or_with_a_field():
         "TornTail": "eventlog",
         "LogWriteFailed": "eventlog",
         "AlreadyIngested": "engine",
+        "Ignored": "engine",
         "FieldMissing": "schema",
         "FieldInvalid": "schema",
         "EventInvalid": "ics",

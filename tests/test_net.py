@@ -548,7 +548,15 @@ STREAM_LINES = [
     encode(Poll(0)).rstrip("\n").encode(), encode(Arm("a1")).rstrip("\n").encode(),
     "{\"type\":\"STATUS\",\"activity\":\"café\"}".encode(), b"not json", b"", b" \t",
     b"x" * MAX_FRAME_BYTES, b"x" * (MAX_FRAME_BYTES + 1), b"y" * (MAX_FRAME_BYTES + 70),
+    # With its drawn ending, each of these ends in "\r\n" or "\r\r\n".
+    encode(Poll(0)).rstrip("\n").encode() + b"\r", b"x" * (MAX_FRAME_BYTES - 1) + b"\r",
+    b"x" * MAX_FRAME_BYTES + b"\r",
 ]
+
+
+def _length(line: bytes) -> int:
+    """A line's length against the frame limit: its bytes but one final "\\r"."""
+    return len(line) - line.endswith(b"\r")
 
 
 def _feed(reads: list[bytes]) -> tuple[list[tuple], bool]:
@@ -598,7 +606,11 @@ class TestFramingFuzz:
         assert split.feed(b"\n") == whole.feed(b"\n")
 
         replies, closed = _feed(reads)
-        big = [i for i, line in enumerate(lines) if len(line) > MAX_FRAME_BYTES]
+        # Each line as read, its newline aside; an unended last line lacks its whole ending.
+        read_lines = [line + ending[:-1] for line, ending in zip(lines, endings)]
+        if lines and not ended:
+            read_lines[-1] = lines[-1]
+        big = [i for i, line in enumerate(read_lines) if _length(line) > MAX_FRAME_BYTES]
         complete = lines[:big[0]] if big else lines if ended else lines[:-1]
         # The WELCOME, one reply per line before the first one over the limit
         # but a blank or unended one, and one FRAME_TOO_LARGE; then the close.
@@ -715,8 +727,12 @@ def test_a_client_that_reads_no_replies_is_paused_not_cut_off(monkeypatch):
         _small_send_buffer(sync, "ana")
         frames = b"".join(encode(Arm(f"x{i}")).encode() for i in range(n))
         sending = asyncio.create_task(ana.send_raw(frames))
-        await asyncio.sleep(0.5)
         (conn,) = sync._conns["ana"]
+        # ana reads nothing until after the check, so the server must pause
+        # reading her; how soon depends on the host, so wait up to 10 s.
+        deadline = time.monotonic() + 10
+        while conn.transport.is_reading() and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
         paused = not conn.transport.is_reading()
         replies = [await ana.recv() for _ in range(n)]
         await sending

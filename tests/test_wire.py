@@ -357,6 +357,18 @@ class TestFrameLimit:
         assert buf.feed(b"x" * MAX_FRAME_BYTES + b"\rx") == []
         assert buf.oversized
 
+    @pytest.mark.parametrize("body, frames", [
+        (b"x" * MAX_FRAME_BYTES, []),
+        (b"x" * (MAX_FRAME_BYTES - 1), [b"x" * (MAX_FRAME_BYTES - 1)]),
+    ], ids=["one over", "at the limit"])
+    def test_a_line_counts_alike_however_the_reads_split_it(self, body, frames):
+        # Only the last of two carriage returns is not counted, newline or not.
+        stream = body + b"\r\r\n"
+        for reads in ([stream], [stream[:-1], stream[-1:]], [stream[:-2], stream[-2:]]):
+            buf = FrameBuffer()
+            assert [f for read in reads for f in buf.feed(read)] == frames, reads
+            assert buf.oversized == (not frames), reads
+
     def test_nothing_is_returned_once_oversized(self):
         buf = FrameBuffer()
         buf.feed(b"x" * (MAX_FRAME_BYTES + 1) + b"\n")
