@@ -2,7 +2,7 @@
 
 Parses the bundled .ics corpus the way the ingestion service does: events
 that invited the service's own address become activity specs; everything
-else is skipped. Each spec then creates an activity, with defaults for
+else is skipped. The specs then create their activities, with defaults for
 what the event leaves unstated, in an in-memory engine, and the status
 views are printed.
 
@@ -24,16 +24,16 @@ if __name__ == "__main__":
         text = (REPO / "data" / "calendar" / name).read_text(encoding="utf-8")
         result = parse_ics(text, SYSTEM)
         print(f"{name}: {len(result.drafts)} enrolled event(s), {result.skipped} skipped")
-        for w in result.warnings:
+        acts, skipped, invitations = engine.create_activities(result.drafts, now=0)
+        for w in (*result.warnings, *skipped):
             print(f"  warning: {w}")
-        for spec in result.drafts:
-            act, invitations = engine.create_activity(spec, now=0)
+        for act in acts:
             print(f"  -> {act.id} {act.kind.value} {act.title!r}")
             print(f"     fence {act.fence.radius_m:.0f} m at "
                   f"({act.fence.center.lat}, {act.fence.center.lon}), "
                   f"policy {act.policy.value}, batch {act.batch_threshold}")
-            print(f"     invitations queued for "
-                  f"{', '.join(to for to, _ in invitations)}")
+            print("     invitations queued for " + ", ".join(
+                to for to, m in invitations if m.notification.summary.activity == act.id))
     print("\nstatus views (as wire frames):")
     for activity_id in engine.state.activities:
         print(" ", encode(status_view(engine.state, activity_id, now=0)).rstrip())

@@ -48,11 +48,11 @@ async def main():
     engine = Engine()
     server = await SyncServer(engine, clock=lambda: CLOCK["t"]).start("127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
-    act, _ = engine.create_activity(ActivitySpec(
+    (act,), _, _ = engine.create_activities([ActivitySpec(
         title="Ride to work", kind=ActivityKind.PICKUP,
         window=TimeWindow(1000, 9000), fence=Geofence(CENTER, 500.0),
         organizer="rider", participants=("rider", "driver"),
-    ), now=0)
+    )], now=0)
     print(f"server on port {port}, activity {act.id}\n")
 
     rider = await Shell("rider ").connect(port)

@@ -20,8 +20,11 @@ one line on stderr; the log then holds exactly the committed records. A
 named file that cannot be read (`UNREADABLE`) or is not UTF-8 (`NOT_UTF8`),
 and any other `OSError`, such as a port in use, exit the same way.
 `simulate --check` exits non-zero on the first diverging transcript line.
-`simulate` prints the warnings of a calendar its scenario names to stderr,
-as `ingest` does.
+`ingest`, and `simulate` of a scenario that names a calendar, make its
+activities in one `engine.create_activities` call: an event whose UID is
+taken is skipped with a warning on stderr, and one that makes no activity
+(`EVENT_INVALID`) makes none of them. A command imports the calendar and
+simulator modules only if it runs them.
 """
 
 from __future__ import annotations
@@ -31,18 +34,9 @@ import logging
 import sys
 import time
 
-from .engine import AlreadyIngested, Engine, replay, status_view
+from .engine import Engine, replay, status_view
 from .errors import SyncError, read_utf8
 from .eventlog import CorruptRecord, load_log
-from .ics import parse_ics
-from .sim import (
-    first_divergence,
-    load_scenario,
-    run_scenario,
-    split_lines,
-    transcript_lines,
-    write_transcript,
-)
 from .wire import encode
 
 
@@ -100,23 +94,19 @@ def cmd_serve(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .ics import parse_ics  # each command imports what only it runs, as serve does
+
     text = read_utf8(args.file)  # before the log is opened, so a bad file leaves it be
     engine = Engine(log_path=args.log)
     _warn_kept_prefix(engine.torn_tail)
     try:
         result = parse_ics(text, args.system_address)
-        for warning in result.warnings:
+        acts, skipped, _ = engine.create_activities(result.drafts, now=args.now)
+        for warning in (*result.warnings, *skipped):
             print(f"warning: {warning}", file=sys.stderr)
-        created = 0
-        for spec in result.drafts:
-            try:
-                act, _ = engine.create_activity(spec, now=args.now)
-            except AlreadyIngested as e:
-                print(f"warning: {e.detail}, skipping", file=sys.stderr)
-                continue
-            created += 1
-            print(f"created {act.id} ({act.kind.value}) from event {spec.calendar_uid}")
-        print(f"ingested {created} activities, skipped {result.skipped} "
+        for act in acts:
+            print(f"created {act.id} ({act.kind.value}) from event {act.calendar_uid}")
+        print(f"ingested {len(acts)} activities, skipped {result.skipped} "
               f"non-enrolled events")
         return 0
     finally:
@@ -138,6 +128,11 @@ def cmd_replay(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import (
+        first_divergence, load_scenario, run_scenario, split_lines, transcript_lines,
+        write_transcript,
+    )
+
     scenario = load_scenario(args.scenario)
     result = run_scenario(scenario)
     for warning in result.warnings:

@@ -15,6 +15,10 @@ it logs a record and ``replay`` before it folds one. A refusal raises
 ``errors.Refused`` with its wire code, which ``handle`` answers with an
 ``ERR``; an ``Ignored`` one (a FIX outside the window, a DISARM when not
 armed) gets an ACK and no record. ``apply`` checks only the index order.
+The time a FIX or TASK_DONE claims may be at most ``MAX_AHEAD_S`` past the
+server's clock, the record's ``at`` (``AHEAD_OF_CLOCK``), so that a claim
+from the future can neither announce an arrival early nor make every
+honest fix after it stale.
 
 The FIX path looks the sender up once and classifies the fix once, in
 ``_dispatch``; whether that fix is the arrival is decided by
@@ -29,12 +33,15 @@ accepted ids a fan-out goes to are read in one pass over it, and cached
 in ``ServerState.accepted`` until an answer drops them; state equality
 ignores that cache.
 
+``create_activities`` makes a batch of activities, all or none, by the
+rule of ``_next_activity``: the next id, and one activity per calendar UID.
+
 Notification queues are part of the state: a queue holds each recipient's
 ``Notify`` frames, and a frame's sequence number is its position, dense
 from 1. A fan-out builds its frames once, in ``_enqueue``: recipients of
 one notification at one seq share one frame, which the codec then encodes
 once. The same frames are the pushes that ``handle`` and
-``create_activity`` return, the slice that ``pending`` returns, and what
+``create_activities`` return, the slice that ``pending`` returns, and what
 replay queues. Polls append no records: the cursor travels with each
 POLL, and the queue is never trimmed.
 
@@ -72,7 +79,7 @@ from .activities import (
     phase_at,
     respond_invitation,
 )
-from .errors import Refused, SyncError
+from .errors import EventInvalid, Refused, SyncError
 from .eventlog import (
     ActivityCreated,
     ArmCleared,
@@ -140,6 +147,9 @@ Outbound = list[tuple[str, ServerMessage]]
 
 # Bound once, for the FIX path: reading a member off its class calls a descriptor.
 _ACCEPTED, _ACTIVE = ParticipantStatus.ACCEPTED, ActivityPhase.ACTIVE
+
+# How far past the server's clock the time a client claims for a fix or a task may be.
+MAX_AHEAD_S = 60
 
 
 def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
@@ -239,14 +249,14 @@ def _guard(state: ServerState, at: int, e):
     """``e`` if the live path could log it at ``at``, else its command's ERR as a
     ``Refused``, from that command's checks in its order (an arrival's, but for
     "armed, and Outside before the fix"). Only replay runs the ACTIVITY_CREATED
-    branch: ``create_activity`` makes an activity by the rule it checks."""
+    branch: ``create_activities`` makes an activity by the rule it checks."""
     t = type(e)
     if t is FixAccepted:  # the commonest record, so tested first
-        _can_fix(state, e.activity, e.who, e.fix_at)
+        _can_fix(state, e.activity, e.who, e.fix_at, at)
     elif t is ActivityCreated:
         act = e.activity
         try:
-            made = _next_activity(state, act)
+            made = _next_activity(act, len(state.activities) + 1, state.calendar_uids)
         except SyncError as no:
             raise CorruptRecord(state.record_count, f"activity {act.id}: {no.detail}") from None
         if made != act:
@@ -271,15 +281,28 @@ def _guard(state: ServerState, at: int, e):
             raise Refused("ALREADY_ARMED", "alarm is already armed or the participant has arrived")
         if t is ArrivalRecorded and alarm is Alarm.ARRIVED:
             raise Refused("ALREADY_ARRIVED", f"{e.who!r} has already arrived")
-        if t is TaskCompleted and act.kind is not ActivityKind.TASK:
-            raise Refused("KIND_MISMATCH", f"{act.id} is {act.kind.value}, not TASK")
+        if t is TaskCompleted:
+            if act.kind is not ActivityKind.TASK:
+                raise Refused("KIND_MISMATCH", f"{act.id} is {act.kind.value}, not TASK")
+            if e.done_at > at + MAX_AHEAD_S:
+                raise _ahead("task done", e.done_at, at)
     return e
 
 
-def _can_fix(state: ServerState, activity_id: str, who: str, fix_at: int):
+def _ahead(what: str, claimed: int, now: int) -> Refused:
+    """The refusal of a time a client claims more than ``MAX_AHEAD_S`` past ``now``.
+    Callers compare inline: on the FIX path a call would cost more than the check."""
+    return Refused("AHEAD_OF_CLOCK", (
+        f"{what} at {claimed} is more than {MAX_AHEAD_S} s ahead of the server's clock {now}"
+    ))
+
+
+def _can_fix(state: ServerState, activity_id: str, who: str, fix_at: int, now: int):
     """The ``FIX_ACCEPTED`` guard, on fields, as the FIX path runs it before the zone is known."""
     act = _activity(state, activity_id)
     pp = _accepted(state, act, who)
+    if fix_at > now + MAX_AHEAD_S:
+        raise _ahead("fix", fix_at, now)
     if pp.last_fix_at is not None and fix_at <= pp.last_fix_at:
         raise Refused("STALE_FIX", f"fix at {fix_at} is not after the last fix at {pp.last_fix_at}")
     if phase_at(act, fix_at) is not _ACTIVE:
@@ -306,7 +329,7 @@ def replay(records) -> ServerState:
         for record in records:
             e = record.event
             if type(e) is PointFix:
-                act, pp = _can_fix(state, e.activity, e.who, e.fix_at)
+                act, pp = _can_fix(state, e.activity, e.who, e.fix_at, record.at)
                 zone = classify_zone(act.fence, pp.zone, e.point)
                 record = EventRecord(
                     record.index, record.at, FixAccepted(e.activity, e.who, zone, e.fix_at)
@@ -398,7 +421,7 @@ def _dispatch(
 ) -> tuple[Outbound, list[EventRecord]]:
     if isinstance(msg, Fix):  # the commonest command, so tested first
         try:
-            act, pp = _can_fix(state, msg.activity, from_, msg.at)
+            act, pp = _can_fix(state, msg.activity, from_, msg.at, now)
         except Ignored:  # outside the window the fix is ignored: no state, no record
             return [(from_, ACK_FIX)], []
         alarm, previous_zone = pp.alarm, pp.zone
@@ -450,33 +473,55 @@ def _dispatch(
     raise TypeError(f"not a client message: {msg!r}")
 
 
-def _next_activity(state: ServerState, spec: ActivitySpec) -> Activity:
-    """The activity ``create_activity`` makes of ``spec`` next; one per calendar event."""
-    if spec.calendar_uid in state.calendar_uids:
+def _next_activity(spec: ActivitySpec, number: int, taken: set[str]) -> Activity:
+    """Activity ``a<number>`` of ``spec``: one per calendar event, so of no UID in ``taken``."""
+    if spec.calendar_uid in taken:
         raise AlreadyIngested(f"event {spec.calendar_uid} already ingested")
-    return new_activity(spec, f"a{len(state.activities) + 1}")
+    return new_activity(spec, f"a{number}")
 
 
 def create_activity(
     state: ServerState, spec: ActivitySpec, now: int
 ) -> tuple[Activity, Outbound, list[EventRecord]]:
-    """Validate, store, and fan out invitations for a new activity.
-
-    Activity ids are allocated deterministically from the state ("a1",
-    "a2", ... in creation order) so logs and transcripts are reproducible.
-    A calendar event makes one activity: a second spec with its UID raises
-    ``AlreadyIngested``.
-    """
-    act = _next_activity(state, spec)
+    """``create_activities`` of one spec, but a calendar UID already taken raises
+    ``AlreadyIngested``."""
+    act = _next_activity(spec, len(state.activities) + 1, state.calendar_uids)
     record, pushes = _record(state, now, ActivityCreated(act))
     return act, pushes, [record]
 
 
-def materialize_draft(state: ServerState, spec: ActivitySpec, now: int):
-    """``create_activity`` under the name the benchmark's tracer looks up; nothing calls it.
+def create_activities(
+    state: ServerState, specs, now: int
+) -> tuple[list[Activity], list[str], Outbound, list[EventRecord]]:
+    """Validate, store, and fan out invitations for new activities, in order: the
+    activities made, the warnings, and the pushes and records of all.
 
-    A function of its own, not an alias, so that wrapping ``create_activity``
-    does not wrap each creation a second time under this name."""
+    Ids are allocated from the state ("a1", "a2", ... in creation order), so
+    logs and transcripts are reproducible. A spec whose calendar UID the state
+    or an earlier spec has taken is skipped, with the warning ``event <uid>
+    already ingested, skipping``. Every spec is checked before any is applied,
+    so a refused one leaves the state as it was and raises: as ``EventInvalid``
+    if it is a calendar event's, as the refusal itself otherwise.
+    """
+    acts, warnings, taken = [], [], set(state.calendar_uids)
+    for spec in specs:
+        uid = spec.calendar_uid
+        try:
+            acts.append(_next_activity(spec, len(state.activities) + len(acts) + 1, taken))
+        except AlreadyIngested as e:
+            warnings.append(f"{e.detail}, skipping")
+            continue
+        except SyncError as e:
+            raise (e if uid is None else EventInvalid(uid, e.detail)) from None
+        if uid is not None:
+            taken.add(uid)
+    made = [_record(state, now, ActivityCreated(act)) for act in acts]
+    return acts, warnings, [push for _, pushes in made for push in pushes], [r for r, _ in made]
+
+
+def materialize_draft(state: ServerState, spec: ActivitySpec, now: int):
+    """``create_activity`` under a name the benchmark's tracer looks up; nothing calls it.
+    Not an alias, so that wrapping ``create_activity`` wraps no creation twice."""
     return create_activity(state, spec, now)
 
 
@@ -486,7 +531,7 @@ def materialize_draft(state: ServerState, spec: ActivitySpec, now: int):
 class Engine:
     """State + optional durable log.
 
-    ``create_activity`` takes a spec from any source: a calendar event, a
+    ``create_activities`` takes specs from any source: a calendar, a
     scenario or a caller. Views read ``state`` through the module functions.
 
     Records are appended to the log as commands run and reach the file at
@@ -536,10 +581,10 @@ class Engine:
         if self._writer is not None:
             self._writer.commit()
 
-    def create_activity(self, spec: ActivitySpec, now: int) -> tuple[Activity, Outbound]:
-        act, outbound, records = create_activity(self.state, spec, now)
+    def create_activities(self, specs, now: int) -> tuple[list[Activity], list[str], Outbound]:
+        acts, warnings, outbound, records = create_activities(self.state, specs, now)
         self._persist(records)
-        return act, outbound
+        return acts, warnings, outbound
 
     def close(self) -> None:
         if self._writer is not None:

@@ -30,6 +30,23 @@ class Refused(SyncError):
         super().__init__(detail)
 
 
+# The most characters of one calendar value that an error or warning repeats.
+ECHO_CHARS = 64
+
+
+def cut(value: str) -> str:
+    """``value`` as a message repeats it, cut to ``ECHO_CHARS`` characters."""
+    return value if len(value) <= ECHO_CHARS else value[:ECHO_CHARS] + "..."
+
+
+class EventInvalid(SyncError):
+    code = "EVENT_INVALID"
+
+    def __init__(self, uid: str, reason: str):
+        super().__init__(f"event {cut(uid)!r}: {reason}")
+        self.uid, self.reason = uid, reason
+
+
 def read_utf8(path: str | Path) -> str:
     """The text of a calendar, scenario or golden file, which must be UTF-8.
 

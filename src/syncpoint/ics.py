@@ -17,7 +17,8 @@ UTC ("...Z") datetimes plus a digits-only epoch-seconds form. Recurrence,
 timezones, and writing calendars are out of scope. Whatever the input, the
 parser raises nothing but a ``SyncError``: ``NOT_A_CALENDAR`` for text that
 is no calendar, and ``EventInvalid`` for an enrolled event with a missing
-or unusable value, a title or roster that ``new_activity`` refuses included.
+or unusable value. Whether an event's title and roster make an activity is
+``new_activity``'s to say, when ``engine.create_activities`` makes it.
 """
 
 from __future__ import annotations
@@ -26,27 +27,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow, check_names
-from .errors import Refused, SyncError
+from .activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow
+from .errors import EventInvalid, Refused, SyncError, cut
 from .geo import Geofence, GeoPoint
-
-
-# The most characters of one calendar value that an error or warning repeats.
-ECHO_CHARS = 64
-
-
-def _cut(value: str) -> str:
-    """``value`` as a message repeats it, cut to ``ECHO_CHARS`` characters."""
-    return value if len(value) <= ECHO_CHARS else value[:ECHO_CHARS] + "..."
-
-
-class EventInvalid(SyncError):
-    code = "EVENT_INVALID"
-
-    def __init__(self, uid: str, reason: str):
-        super().__init__(f"event {_cut(uid)!r}: {reason}")
-        self.uid = uid
-        self.reason = reason
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,11 +80,11 @@ def parse_geo(value: str) -> GeoPoint:
     """Parse a GEO property value: "lat;lon" in decimal degrees."""
     parts = value.split(";")
     if len(parts) != 2:
-        raise Refused("MALFORMED_GEO", f"expected 'lat;lon', got {_cut(value)!r}")
+        raise Refused("MALFORMED_GEO", f"expected 'lat;lon', got {cut(value)!r}")
     try:
         lat, lon = float(parts[0]), float(parts[1])
     except ValueError:
-        raise Refused("MALFORMED_GEO", f"non-numeric coordinate in {_cut(value)!r}") from None
+        raise Refused("MALFORMED_GEO", f"non-numeric coordinate in {cut(value)!r}") from None
     return GeoPoint(lat, lon)
 
 
@@ -150,7 +133,7 @@ def _parse_dt(value: str, uid: str, prop: str) -> int:
         dt = datetime.strptime(v, "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
     except ValueError:
         raise EventInvalid(
-            uid, f"unsupported {prop} form {_cut(value)!r} (UTC '...Z' or epoch seconds)"
+            uid, f"unsupported {prop} form {cut(value)!r} (UTC '...Z' or epoch seconds)"
         ) from None
     return int(dt.timestamp())
 
@@ -161,8 +144,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
     Only VEVENTs listing ``system_address`` among their ATTENDEEs are
     ingested; the rest are counted as skipped. A matching VEVENT missing
     UID, DTSTART, DTEND, or GEO — or carrying an unusable value for a
-    supported property, or a title or roster that ``new_activity`` would
-    refuse (``activities.check_names``) — raises EventInvalid.
+    supported property — raises EventInvalid.
 
     The organizer leads the roster, attendee addresses are participant ids,
     and the UID is the ``calendar_uid``. Only the properties the event
@@ -187,7 +169,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             continue
         name, value = prop
         if name not in _SUPPORTED and name not in _IGNORED:
-            warnings.append(f"line {idx}: ignored unknown property {_cut(name)}")
+            warnings.append(f"line {idx}: ignored unknown property {cut(name)}")
         if name == "BEGIN" and value.strip().upper() == "VEVENT":
             first, attendees = {}, []
         elif name == "END" and value.strip().upper() == "VEVENT":
@@ -242,7 +224,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             if prop in first:
                 label = first[prop].strip().upper()
                 if label not in enum._value2member_map_:
-                    raise EventInvalid(uid, f"unknown {prop} {_cut(label)!r}")
+                    raise EventInvalid(uid, f"unknown {prop} {cut(label)!r}")
                 stated[key] = enum._value2member_map_[label]
         if "X-SYNC-BATCH" in first:
             batch = _digits(first["X-SYNC-BATCH"].strip())
@@ -256,7 +238,7 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             if a.lower() == system:
                 continue
             if a in seen:
-                warnings.append(f"event {_cut(uid)}: duplicate attendee {_cut(a)} ignored")
+                warnings.append(f"event {cut(uid)}: duplicate attendee {cut(a)} ignored")
                 continue
             seen.add(a)
             guest_list.append(a)
@@ -265,11 +247,11 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             organizer = _strip_mailto(first["ORGANIZER"])
         elif guest_list:
             organizer = guest_list[0]
-            warnings.append(f"event {_cut(uid)}: no ORGANIZER, using first attendee")
+            warnings.append(f"event {cut(uid)}: no ORGANIZER, using first attendee")
         else:
             raise EventInvalid(uid, "no ORGANIZER and no attendees")
 
-        spec = ActivitySpec(
+        specs.append(ActivitySpec(
             title=first.get("SUMMARY", "").strip(),
             window=window,
             fence=fence,
@@ -277,11 +259,6 @@ def parse_ics(text: str, system_address: str) -> ParseResult:
             participants=(organizer, *(a for a in guest_list if a != organizer)),
             calendar_uid=uid,
             **stated,
-        )
-        try:
-            check_names(spec.title, spec.organizer, spec.participants)
-        except SyncError as e:
-            raise EventInvalid(uid, e.detail) from None
-        specs.append(spec)
+        ))
 
     return ParseResult(tuple(specs), skipped, tuple(warnings))

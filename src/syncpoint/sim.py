@@ -42,7 +42,7 @@ from .activities import (
     TimeWindow,
     phase_at,
 )
-from .engine import AlreadyIngested, Outbound, ServerState, create_activity, handle
+from .engine import Outbound, ServerState, create_activities, handle
 from .errors import Refused, read_utf8
 from .eventlog import EventRecord, encode_record
 from .geo import M_PER_DEG_LAT, Geofence, GeoPoint
@@ -323,27 +323,13 @@ def load_scenario(path: str | Path) -> Scenario:
 # --- scenario execution -------------------------------------------------------
 
 
-def _create_activities(scenario: Scenario, state: ServerState):
-    """Create all scenario activities at virtual t=0: the activities, pushes, records, warnings."""
-    specs, warnings = scenario.activities, []
-    if scenario.calendar is not None:
-        path = Path(scenario.calendar.ics)
-        if not path.is_absolute() and scenario.base_dir is not None:
-            path = scenario.base_dir / path
-        result = parse_ics(read_utf8(path), scenario.calendar.system_address)
-        specs, warnings = result.drafts + specs, list(result.warnings)
-    made = []  # (activity, pushes, records) of each
-    for spec in specs:
-        try:
-            made.append(create_activity(state, spec, now=0))
-        except AlreadyIngested as e:  # one activity per calendar event
-            warnings.append(f"{e.detail}, skipping")
-    return (
-        [act for act, _, _ in made],
-        [push for _, pushes, _ in made for push in pushes],
-        [record for _, _, records in made for record in records],
-        warnings,
-    )
+def _specs(scenario: Scenario) -> tuple[tuple[ActivitySpec, ...], list[str]]:
+    """The scenario's activity specs, and the warnings of the calendar it names, if any."""
+    if scenario.calendar is None:
+        return scenario.activities, []
+    path = (scenario.base_dir or Path()) / scenario.calendar.ics  # an absolute one stays
+    result = parse_ics(read_utf8(path), scenario.calendar.system_address)
+    return result.drafts, list(result.warnings)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -362,7 +348,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     virtual time. Identical (scenario, seed) runs give identical results.
     """
     state, transcript = ServerState(), Transcript()
-    created, outbound, all_records, warnings = _create_activities(scenario, state)
+    specs, warnings = _specs(scenario)
+    created, skipped, outbound, all_records = create_activities(state, specs, now=0)
     transcript.add(0, outbound)
 
     member_of: dict[str, list[str]] = {}
@@ -433,7 +420,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 break
             t = -(-script[next_action][0] // period) * period  # its step, after t
 
-    return RunResult(transcript, state, all_records, created, warnings)
+    return RunResult(transcript, state, all_records, created, warnings + skipped)
 
 
 # --- transcript files ---------------------------------------------------------

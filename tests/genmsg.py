@@ -51,6 +51,26 @@ def message_fields(msg) -> dict:
     return json.loads(encode(msg))
 
 
+def coordinates(msg) -> tuple[list, list]:
+    """The C10 mediator scan of a frame: its (lat, lon) pairs, and all its floats."""
+    pairs, floats = [], []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if "lat" in node and "lon" in node:
+                pairs.append((node["lat"], node["lon"]))
+            for v in node.values():
+                walk(v)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v)
+        elif isinstance(node, float):
+            floats.append(node)
+
+    walk(message_fields(msg))
+    return pairs, floats
+
+
 def notification_fields(n) -> dict:
     """The canonical JSON object for a notification, as a NOTIFY frame carries it."""
     return message_fields(Notify(1, n))["notification"]

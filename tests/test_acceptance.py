@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from codes import raises_code
-from genmsg import message_fields, random_message
+from genmsg import coordinates, message_fields, random_message
 
 from syncpoint.engine import ServerState, apply, create_activity, handle, replay
 from syncpoint.errors import SyncError
@@ -469,22 +469,7 @@ def test_c10_mediator_no_coordinates_leave_the_server():
             (a.fence.center.lat, a.fence.center.lon) for a in result.activities
         }
         for entry in result.transcript:
-            fields = message_fields(entry.msg)
-            pairs, floats = [], []
-
-            def walk(node):
-                if isinstance(node, dict):
-                    if "lat" in node and "lon" in node:
-                        pairs.append((node["lat"], node["lon"]))
-                    for v in node.values():
-                        walk(v)
-                elif isinstance(node, list):
-                    for v in node:
-                        walk(v)
-                elif isinstance(node, float):
-                    floats.append(node)
-
-            walk(fields)
+            pairs, floats = coordinates(entry.msg)
             assert set(pairs) <= allowed, (path.name, entry)
             # Stronger structural fact of this wire schema: coordinates are
             # the only floats, and none ride on any outbound message.

@@ -115,6 +115,31 @@ class TestIngestStatusReplay:
             ) == (1, "", "error: EVENT_INVALID: event 'e2': need at least 2 participants, got 1\n")
             assert log.read_bytes() == b""
 
+    @pytest.mark.parametrize("events, code, err", [
+        ((("e1", "ATTENDEE:mailto:bo@x\r\n"), ("e2", ""), ("e3", "ATTENDEE:mailto:bo@x\r\n")),
+         1, "error: EVENT_INVALID: event 'e2': need at least 2 participants, got 1\n"),
+        ((("e1", "ATTENDEE:mailto:bo@x\r\n"), ("e1", "ATTENDEE:mailto:bo@x\r\n")),
+         0, "warning: event e1 already ingested, skipping\n"),
+    ], ids=["refused middle event", "one UID twice"])
+    def test_ingest_and_simulate_make_a_calendar_alike(self, tmp_path, capsys, events, code, err):
+        ics, scenario = tmp_path / "cal.ics", tmp_path / "scenario.json"
+        ics.write_text("BEGIN:VCALENDAR\r\n" + "".join(
+            f"BEGIN:VEVENT\r\nUID:{uid}\r\nDTSTART:100\r\nDTEND:200\r\nGEO:1.0;1.0\r\n"
+            f"ORGANIZER:mailto:ana@x\r\nATTENDEE:mailto:ana@x\r\n{guest}"
+            f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\n"
+            for uid, guest in events
+        ) + "END:VCALENDAR\r\n")
+        scenario.write_text(json.dumps({
+            "seed": 1, "fix_period_s": 30, "horizon": 300,
+            "activities": {"ics": "cal.ics", "system_address": SYSTEM},
+        }))
+        log = tmp_path / "events.log"
+        ingested = run(capsys, "ingest", ics, "--system-address", SYSTEM, "--log", log,
+                       "--now", 0)
+        simulated = run(capsys, "simulate", scenario)
+        assert (ingested[0], ingested[2]) == (simulated[0], simulated[2]) == (code, err)
+        assert len(list(load_log(log))) == (code == 0)
+
     def test_status_warns_at_a_calendar_event_logged_twice(self, tmp_path, capsys):
         log = tmp_path / "events.log"
         run(capsys, "ingest", CORPUS / "meetup_fair.ics",
@@ -759,12 +784,13 @@ class TestServe:
     def test_torn_tail_is_cut_and_serve_starts(self, tmp_path):
         log = tmp_path / "events.log"
         engine = Engine(log_path=log)
-        engine.create_activity(ActivitySpec(  # far enough ahead that the server clock allows answers
+        # Far enough ahead that the server clock allows answers.
+        engine.create_activities([ActivitySpec(
             title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(4_000_000_000, 4_000_003_600),
             fence=Geofence(GeoPoint(41.5606, -8.3970), 100.0, 25.0),
             organizer="ana", participants=("ana", "bruno"),
-        ), now=0)
+        )], now=0)
         engine.close()
         text = log.read_text()
         log.write_text(text + '{"type":"ARMED","activity":"a1"')  # torn write
@@ -829,11 +855,11 @@ class TestServe:
     def test_a_session_log_reads_back_checked(self, tmp_path):
         log = tmp_path / "events.log"
         engine = Engine(log_path=log)
-        engine.create_activity(ActivitySpec(  # active from the epoch to far ahead of the clock
+        engine.create_activities([ActivitySpec(  # active from the epoch to far ahead of the clock
             title="Fair", window=TimeWindow(0, 4_000_000_000),
             fence=Geofence(GeoPoint(41.5606, -8.3970)),
             organizer="ana", participants=("ana", "bruno"),
-        ), now=0)
+        )], now=0)
         engine.close()
         replies, code, err = self._session(log, [
             b'{"type":"HELLO","participant":"bruno"}\n',

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from codes import raises_code
+from genmsg import coordinates
 
 import syncpoint.engine
 from syncpoint.activities import (
@@ -28,12 +29,14 @@ from syncpoint.activities import (
 from syncpoint.engine import (
     Engine,
     ServerState,
+    create_activities,
     create_activity,
     handle,
     pending,
     replay,
     status_view,
 )
+from syncpoint.errors import EventInvalid
 from syncpoint.eventlog import (
     ActivityCreated,
     ArmCleared,
@@ -55,7 +58,7 @@ from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zon
 from syncpoint.ics import parse_ics
 from syncpoint.notify import ArrivalNotice, Invitation, SelfArrivalAck, TaskDoneNotice
 from syncpoint.presence import Alarm
-from syncpoint.sim import scenario_from_dict
+from syncpoint.sim import load_scenario, scenario_from_dict
 from syncpoint.wire import (
     Ack,
     Arm,
@@ -137,6 +140,48 @@ class TestCreateActivity:
             organizer="ana", participants=("ana", "bruno"),
         ), now=0)
         assert (act.id, act2.id) == ("a1", "a2")
+
+
+def picnic(uid=None, participants=("ana", "bo")) -> ActivitySpec:
+    return ActivitySpec(
+        title="Picnic", window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0),
+        organizer=participants[0], participants=participants, calendar_uid=uid,
+    )
+
+
+class TestCreateActivities:
+    def test_a_taken_uid_is_skipped_with_one_warning_and_ids_stay_dense(self):
+        state, _, _, log = fresh()  # a1, from no calendar event
+        log += create_activities(state, [picnic("u1")], now=0)[3]
+        acts, warnings, outbound, records = create_activities(
+            state, [picnic("u1"), picnic("u2"), picnic(), picnic("u2", ("ana",)), picnic()], now=3,
+        )  # a taken UID is skipped before its roster is read
+        assert [(a.id, a.calendar_uid) for a in acts] == [
+            ("a3", "u2"), ("a4", None), ("a5", None),
+        ]
+        assert warnings == ["event u1 already ingested, skipping",
+                            "event u2 already ingested, skipping"]
+        assert [(r.index, r.at, r.event.activity) for r in records] == [
+            (2, 3, acts[0]), (3, 3, acts[1]), (4, 3, acts[2]),
+        ]
+        assert [m.notification.summary.activity for _, m in outbound] == ["a3", "a4", "a5"]
+        assert replay(log + records) == state
+
+    @pytest.mark.parametrize("uid", [None, "u-bad"])
+    def test_a_refused_spec_makes_nothing_of_the_batch(self, uid):
+        state, act, _, _ = fresh()
+        handle(state, RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 10)
+        before = copy.deepcopy(state)
+        specs = [picnic("u1"), picnic(uid, participants=("ana",)), picnic("u3")]
+        if uid is None:
+            with raises_code("TOO_FEW_PARTICIPANTS") as e:
+                create_activities(state, specs, now=20)
+        else:
+            with pytest.raises(EventInvalid) as e:
+                create_activities(state, specs, now=20)
+            assert (e.value.uid, e.value.reason) == ("u-bad", "need at least 2 participants, got 1")
+        assert e.value.detail.endswith("need at least 2 participants, got 1")
+        assert state == before  # its record_count, activities and queues among the rest
 
 
 class TestRespondInvite:
@@ -308,6 +353,48 @@ class TestFix:
         outbound, _ = handle(state, Fix(act.id, at_distance(50), 2000), "bruno", 2000)
         assert not any(to == "carla" for to, _ in outbound)
         assert len(state.queues["carla"]) == 1  # just the invitation
+
+
+class TestAheadOfClock:
+    """A client's claimed time may be at most ``MAX_AHEAD_S`` (60 s) past the server's clock."""
+
+    def meetup(self):
+        """``scenarios/s1_meetup.json``'s a1 (window 3000-4800): all accept, ana arms."""
+        scenario = load_scenario(REPO / "scenarios" / "s1_meetup.json")
+        state = ServerState()
+        (act,), _, _, _ = create_activities(state, scenario.activities, now=0)
+        accept_all(state, act)
+        handle(state, Arm(act.id), "ana", 20)
+        return state, act
+
+    def test_a_fix_from_the_future_gets_an_err_and_leaves_no_trace(self):
+        state, act = self.meetup()
+        before = copy.deepcopy(state)
+        outbound, records = handle(state, Fix(act.id, act.fence.center, 3500), "ana", 30)
+        assert (outbound, records) == ([("ana", Err(
+            "AHEAD_OF_CLOCK", "fix at 3500 is more than 60 s ahead of the server's clock 30",
+        ))], [])
+        assert state == before
+        assert coordinates(outbound[0][1]) == ([], [])  # the C10 scan
+        # So the honest fix that follows is not stale: it is the arrival.
+        outbound, records = handle(state, Fix(act.id, act.fence.center, 3100), "ana", 3100)
+        assert outbound[0] == ("ana", Ack("FIX"))
+        assert [type(r.event).__name__ for r in records] == ["FixAccepted", "ArrivalRecorded"]
+
+    def test_a_fix_at_most_a_minute_ahead_is_taken(self):
+        state, act = self.meetup()
+        outbound, records = handle(state, Fix(act.id, at_distance(500), 3060), "ana", 3000)
+        assert outbound == [("ana", Ack("FIX"))] and len(records) == 1
+
+    def test_a_task_done_61_s_ahead_is_refused(self):
+        state, act, _, _ = fresh(kind=ActivityKind.TASK, participants=("dana", "eli"))
+        accept_all(state, act)
+        outbound, records = handle(state, TaskDone(act.id, 2461), "eli", 2400)
+        assert (outbound, records) == ([("eli", Err(
+            "AHEAD_OF_CLOCK", "task done at 2461 is more than 60 s ahead of the server's clock 2400",
+        ))], [])
+        outbound, records = handle(state, TaskDone(act.id, 2460), "eli", 2400)
+        assert outbound[0] == ("eli", Ack("TASK_DONE")) and len(records) == 1
 
 
 class TestTaskDone:
@@ -605,8 +692,14 @@ class TestDeterminismAndReplay:
                            "activity a1: 'carla' has not accepted a1"),
         "stale fix": (1500, FixAccepted("a1", "bruno", Zone.INSIDE, 1300),
                       "activity a1: fix at 1300 is not after the last fix at 1300"),
-        "fix outside the window": (1500, FixAccepted("a1", "bruno", Zone.INSIDE, 5000),
+        "fix outside the window": (5000, FixAccepted("a1", "bruno", Zone.INSIDE, 5000),
                                    "activity a1: fix at 5000 is outside the window of a1"),
+        "fix ahead of the clock": (
+            1500, FixAccepted("a1", "bruno", Zone.INSIDE, 1561),
+            "activity a1: fix at 1561 is more than 60 s ahead of the server's clock 1500"),
+        "older-form fix ahead of the clock": (
+            1500, PointFix("a1", "bruno", CENTER, 1561),
+            "activity a1: fix at 1561 is more than 60 s ahead of the server's clock 1500"),
         "stale older-form fix": (1500, PointFix("a1", "bruno", CENTER, 999),
                                  "activity a1: fix at 999 is not after the last fix at 1300"),
         "arrival unaccepted": (1500, ArrivalRecorded("a1", "carla", 1500),
@@ -633,6 +726,7 @@ class TestDeterminismAndReplay:
         for at, event in (
             (1500, ArmSet("a1", "bruno")),
             (1500, FixAccepted("a1", "bruno", Zone.OUTSIDE, 1301)),
+            (1500, FixAccepted("a1", "bruno", Zone.OUTSIDE, 1560)),
             (4999, PointFix("a1", "bruno", at_distance(300), 4999)),
         ):
             records.append(EventRecord(len(records), at, event))
@@ -917,11 +1011,11 @@ class TestEngineWrapper:
     def test_log_persistence_and_recovery(self, tmp_path):
         log = tmp_path / "events.log"
         eng = Engine(log_path=log)
-        act, _ = eng.create_activity(ActivitySpec(
+        (act,), _, _ = eng.create_activities([ActivitySpec(
             title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
             organizer="ana", participants=("ana", "bruno"),
-        ), now=0)
+        )], now=0)
         eng.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 5)
         eng.handle(Arm(act.id), "bruno", 6)
         eng.handle(Fix(act.id, at_distance(50), 2000), "bruno", 2000)
@@ -1003,11 +1097,11 @@ class TestEngineWrapper:
     def test_records_reach_the_log_at_commit(self, tmp_path):
         log = tmp_path / "events.log"
         eng = Engine(log_path=log)
-        act, _ = eng.create_activity(ActivitySpec(
+        (act,), _, _ = eng.create_activities([ActivitySpec(
             title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
             organizer="ana", participants=("ana", "bruno"),
-        ), now=0)
+        )], now=0)
         eng.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), "bruno", 5)
         eng.handle(Poll(0), "bruno", 6)  # polls append no record
         assert log.read_text() == ""
@@ -1025,11 +1119,11 @@ class TestOneWriter:
 
     def opened(self, log):
         eng = Engine(log_path=log)
-        eng.create_activity(ActivitySpec(
+        eng.create_activities([ActivitySpec(
             title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
             organizer="ana", participants=("ana", "bruno"),
-        ), now=0)
+        )], now=0)
         eng.commit()
         return eng
 

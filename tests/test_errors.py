@@ -24,6 +24,7 @@ def package_errors() -> dict[str, str]:
 def test_the_error_classes_are_the_ones_caught_by_type_or_with_a_field():
     assert package_errors() == {
         "Refused": "errors",
+        "EventInvalid": "errors",
         "CorruptRecord": "eventlog",
         "TornTail": "eventlog",
         "LogWriteFailed": "eventlog",
@@ -31,7 +32,6 @@ def test_the_error_classes_are_the_ones_caught_by_type_or_with_a_field():
         "Ignored": "engine",
         "FieldMissing": "schema",
         "FieldInvalid": "schema",
-        "EventInvalid": "ics",
     }
 
 

@@ -54,11 +54,11 @@ def at_distance(meters: float) -> GeoPoint:
 
 def fair(engine: Engine, window=TimeWindow(1000, 5000)):
     """A meetup of ana (organizer), bruno and carla; ana and bruno accept."""
-    act, _ = engine.create_activity(ActivitySpec(
+    (act,), _, _ = engine.create_activities([ActivitySpec(
         title="Fair", kind=ActivityKind.MEETUP, window=window,
         fence=Geofence(CENTER, 100.0, 25.0), organizer="ana",
         participants=("ana", "bruno", "carla"),
-    ), now=0)
+    )], now=0)
     for who in ("ana", "bruno"):
         engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 5)
     return act

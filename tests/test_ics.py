@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from codes import raises_code
 
 from syncpoint.activities import ActivityKind, ActivitySpec, PrivacyPolicy, TimeWindow
-from syncpoint.errors import SyncError
+from syncpoint.engine import ServerState, create_activities
+from syncpoint.errors import EventInvalid, SyncError
 from syncpoint.geo import Geofence, GeoPoint
 from syncpoint.ics import (
-    EventInvalid,
     _split_property,
     parse_geo,
     parse_ics,
@@ -195,25 +195,6 @@ class TestParseIcs:
         assert result.drafts[0].participants == ("a@b", "c@d")
         assert any("duplicate attendee" in w for w in result.warnings)
 
-    @pytest.mark.parametrize("attendees, organizer, reason", [
-        (["mailto:o@x", SYSTEM], "mailto:o@x", "need at least 2 participants, got 1"),
-        ([SYSTEM, "mailto:o@x", "mailto:o@x"], None, "need at least 2 participants, got 1"),
-        ([SYSTEM], None, "no ORGANIZER and no attendees"),
-        ([SYSTEM, "mailto:a@x"], "mailto:", "participant id must be a non-empty string, got ''"),
-        ([SYSTEM, "mailto:a@x", "mailto:\ud800"], None,
-         "participant id '\\ud800' cannot be encoded as UTF-8"),
-    ], ids=["organizer alone", "one guest twice", "nobody", "empty organizer", "unencodable"])
-    def test_a_roster_new_activity_refuses_is_an_invalid_event(self, attendees, organizer, reason):
-        with pytest.raises(EventInvalid) as e:
-            parse_ics(self._event(attendees, organizer), SYSTEM)
-        assert (e.value.uid, e.value.reason) == ("x@y", reason)
-
-    def test_a_title_new_activity_refuses_is_an_invalid_event(self):
-        text = self._event([SYSTEM, "mailto:a@x"]).replace("UID:", "SUMMARY:\ud800\r\nUID:")
-        with pytest.raises(EventInvalid) as e:
-            parse_ics(text, SYSTEM)
-        assert e.value.reason == "title '\\ud800' cannot be encoded as UTF-8"
-
     @staticmethod
     def _event(attendees: list[str], organizer: str | None = "mailto:o@x") -> str:
         return (
@@ -290,6 +271,42 @@ class TestParseIcs:
         )
         result = parse_ics(text, SYSTEM)
         assert result.drafts[0].organizer == "boss@b"
+
+
+class TestCreateActivities:
+    """A calendar's specs become activities in ``engine.create_activities``, which
+    refuses an event whose title or roster ``new_activity`` refuses."""
+
+    @pytest.mark.parametrize("attendees, organizer, reason", [
+        (["mailto:o@x", SYSTEM], "mailto:o@x", "need at least 2 participants, got 1"),
+        ([SYSTEM, "mailto:o@x", "mailto:o@x"], None, "need at least 2 participants, got 1"),
+        ([SYSTEM], None, "no ORGANIZER and no attendees"),
+        ([SYSTEM, "mailto:a@x"], "mailto:", "participant id must be a non-empty string, got ''"),
+        ([SYSTEM, "mailto:a@x", "mailto:\ud800"], None,
+         "participant id '\\ud800' cannot be encoded as UTF-8"),
+    ], ids=["organizer alone", "one guest twice", "nobody", "empty organizer", "unencodable"])
+    def test_a_roster_new_activity_refuses_is_an_invalid_event(self, attendees, organizer, reason):
+        with pytest.raises(EventInvalid) as e:
+            ingest(TestParseIcs._event(attendees, organizer))
+        assert (e.value.uid, e.value.reason) == ("x@y", reason)
+
+    def test_a_title_new_activity_refuses_is_an_invalid_event(self):
+        text = TestParseIcs._event([SYSTEM, "mailto:a@x"])
+        text = text.replace("UID:", "SUMMARY:\ud800\r\nUID:")
+        with pytest.raises(EventInvalid) as e:
+            ingest(text)
+        assert (e.value.uid, e.value.reason) == (
+            "x@y", "title '\\ud800' cannot be encoded as UTF-8"
+        )
+
+    def test_parse_ics_leaves_the_names_to_new_activity(self):
+        text = TestParseIcs._event(["mailto:o@x", SYSTEM], "mailto:o@x")
+        assert parse_ics(text, SYSTEM).drafts[0].participants == ("o@x",)
+
+
+def ingest(text: str) -> None:
+    """Make the activities of the calendar ``text`` on a fresh server."""
+    create_activities(ServerState(), parse_ics(text, SYSTEM).drafts, now=0)
 
 
 # What each corpus file parses to: its specs, skipped count and warnings,

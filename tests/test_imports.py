@@ -33,3 +33,20 @@ def test_the_package_binds_no_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_a_module_imports_alone_in_a_fresh_interpreter(module):
     fresh(f"import syncpoint.{module}")
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    calendar = Path(syncpoint.__path__[0]).parents[1] / "data" / "calendar" / "meetup_fair.ics"
+    log = tmp_path / "events.log"
+    ingest = ["ingest", str(calendar), "--system-address", "mailto:sync@syncpoint.example",
+              "--log", str(log), "--now", "0"]
+    for argv, loaded in (
+        (ingest, ["syncpoint.ics"]),
+        (["status", "a1", "--log", str(log), "--now", "0"], []),
+        (["replay", "--log", str(log), "--now", "0"], []),
+    ):
+        out = fresh(
+            "import sys; from syncpoint.cli import main; code = main(" + repr(argv) + "); "
+            "print(code, [m for m in ('syncpoint.ics', 'syncpoint.sim') if m in sys.modules])"
+        )
+        assert out.splitlines()[-1] == f"0 {loaded}", out

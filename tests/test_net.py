@@ -62,11 +62,11 @@ async def _run_session():
     server = await server_obj.start("127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
 
-    act, _ = engine.create_activity(ActivitySpec(
+    (act,), _, _ = engine.create_activities([ActivitySpec(
         title="Fair", kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
         organizer="ana", participants=("ana", "bruno"),
-    ), now=0)
+    )], now=0)
 
     ana, bruno = Client(), Client()
     await ana.connect(port)
@@ -167,11 +167,11 @@ async def _start(engine, clock):
 
 def _fair(engine):
     """A meetup of ana (organizer) and bruno, both accepted."""
-    act, _ = engine.create_activity(ActivitySpec(
+    (act,), _, _ = engine.create_activities([ActivitySpec(
         title="Fair", kind=ActivityKind.MEETUP,
         window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
         organizer="ana", participants=("ana", "bruno"),
-    ), now=0)
+    )], now=0)
     for who in ("ana", "bruno"):
         engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
     return act
@@ -413,11 +413,11 @@ def test_a_push_to_the_sender_reaches_its_other_connections_and_a_poll_answer_do
 def test_a_second_hello_naming_someone_else_is_refused_and_the_connection_kept():
     async def run():
         engine = Engine()
-        act, _ = engine.create_activity(ActivitySpec(
+        (act,), _, _ = engine.create_activities([ActivitySpec(
             title="Fair", kind=ActivityKind.MEETUP,
             window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
             organizer="ana", participants=("ana", "bo"),
-        ), now=0)
+        )], now=0)
         conn, transport = _connect(engine)
         conn.data_received(_frames(
             Hello("ana"), Hello("bo"), Hello("ana"), RespondInvite(act.id, InviteAnswer.DECLINE),
@@ -646,11 +646,11 @@ def test_invalid_utf8_frame_gets_an_err_in_its_place():
 
 def _chores(engine):
     """A task of ana (organizer) and carla, both accepted."""
-    act, _ = engine.create_activity(ActivitySpec(
+    (act,), _, _ = engine.create_activities([ActivitySpec(
         title="Chores", kind=ActivityKind.TASK,
         window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
         organizer="ana", participants=("ana", "carla"),
-    ), now=0)
+    )], now=0)
     for who in ("ana", "carla"):
         engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
     return act

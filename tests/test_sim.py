@@ -458,7 +458,9 @@ class TestTranscript:
                 return made
             return call
         monkeypatch.setattr(sim, "handle", spy(sim.handle, lambda a, kw: a[3]))
-        monkeypatch.setattr(sim, "create_activity", spy(sim.create_activity, lambda a, kw: kw["now"]))
+        monkeypatch.setattr(
+            sim, "create_activities", spy(sim.create_activities, lambda a, kw: kw["now"])
+        )
         if source.endswith(".json"):
             scenario = load_scenario(SCENARIOS / source)
         else:
@@ -575,7 +577,7 @@ def reference_run(scenario: Scenario) -> tuple[Transcript, list]:
     and on each one a visit to every (actor, activity) pair to find the armed
     ones, with the point built by ``interpolate`` and then ``perturb``."""
     state, transcript, records = engine.ServerState(), Transcript(), []
-    created, outbound, made, _ = sim._create_activities(scenario, state)
+    created, _, outbound, made = engine.create_activities(state, sim._specs(scenario)[0], 0)
     transcript.add(0, outbound)
     records += made
     member_of: dict[str, list[str]] = {}
