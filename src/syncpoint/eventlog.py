@@ -9,8 +9,7 @@ state before it; a final line without its newline is a ``TornTail``.
 
 ``load_log`` is the one reader of a log file, in one streaming pass: it
 yields each record as its line is decoded, so a caller folds it at once
-and no list of records is held. Each line is parsed by
-``schema.loads_line``, the same one JSON line parse as a wire frame.
+and no list of records is held.
 
 ``LogWriter`` group-commits: appended records are buffered and written
 together, with one write and one flush, at ``commit``. The server commits
@@ -244,7 +243,7 @@ def encode_record(record: EventRecord) -> str:
 def decode_record(line: str | bytes, expected_index: int) -> EventRecord:
     """Decode one log line (text, or bytes in strict UTF-8), enforcing dense indices."""
     try:
-        obj = loads_line(line.decode("utf-8") if isinstance(line, bytes) else line)
+        obj = loads_line(line)
     except ValueError as e:  # UnicodeDecodeError included
         raise CorruptRecord(expected_index, f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):

@@ -17,7 +17,7 @@ through it.
 
 A ``OneOf`` (any frame, any notification) encodes the same object given
 twice in a row once: the shared frame of a fan-out. ``loads_line`` is the
-one JSON parse of a line, for wire frames and log records alike.
+one strict UTF-8 decode and JSON parse of a line, for frames and records.
 """
 
 from __future__ import annotations
@@ -59,14 +59,17 @@ def _float(x: float) -> str:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def loads_line(line: str):
+def loads_line(line: str | bytes):
     """``json.loads(line)``: the value of one line, or the same ``JSONDecodeError``.
 
-    A line that is one JSON value, then JSON whitespace only, is scanned
-    once by the C scanner; any other line, such as one with leading
+    Bytes are decoded as strict UTF-8 first, never guessed as ``json.loads``
+    would. A line that is one JSON value, then JSON whitespace only, is
+    scanned once by the C scanner; any other line, such as one with leading
     whitespace or extra data, goes through ``json.loads`` for its result
     or its error message.
     """
+    if isinstance(line, bytes):
+        line = line.decode("utf-8")
     try:
         value, end = _scan_once(line, 0)
     except (StopIteration, ValueError):

@@ -14,9 +14,7 @@ and their order live; ``syncpoint.schema`` compiles the encoders, the
 decoders and the known-field sets from it.
 
 ``decode`` is the inverse of ``encode`` on valid frames and tolerates
-unknown extra fields (ignored, with one logged warning per frame type). It
-parses a frame with ``schema.loads_line``, the one JSON line parse, which
-the event log uses too.
+unknown extra fields (ignored, with one logged warning per frame type).
 """
 
 from __future__ import annotations
@@ -232,7 +230,7 @@ _WARNED: set[str] = set()  # the frame types whose unknown fields were logged, o
 def decode(frame: str | bytes) -> Message:
     """Decode one frame (trailing newline tolerated); bytes must be UTF-8."""
     try:
-        obj = loads_line(frame.decode("utf-8") if isinstance(frame, bytes) else frame)
+        obj = loads_line(frame)
     except ValueError as e:  # UnicodeDecodeError included
         raise Refused("MALFORMED", f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):

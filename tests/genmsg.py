@@ -3,14 +3,16 @@
 Covers every message variant and every notification kind, independent of
 hypothesis so tens of thousands of cases stay fast. Also the reference
 views the tests read frames through: a frame's canonical JSON object, and
-the canonical JSON dialect applied to an already-ordered object.
+the canonical JSON dialect applied to an already-ordered object; and the
+fence centre the tests share, with the point a given distance north of it.
 """
 
 import json
+import math
 import random
 
 from syncpoint.activities import ActivityKind, ActivityPhase, InviteAnswer, ParticipantStatus
-from syncpoint.geo import GeoPoint
+from syncpoint.geo import EARTH_RADIUS_M, GeoPoint
 from syncpoint.notify import (
     ActivitySummary,
     AllArrived,
@@ -37,6 +39,14 @@ from syncpoint.wire import (
     Welcome,
     encode,
 )
+
+CENTER = GeoPoint(41.5606, -8.3970)
+
+
+def at_distance(meters: float) -> GeoPoint:
+    """The point ``meters`` due north of ``CENTER``."""
+    return GeoPoint(CENTER.lat + math.degrees(meters / EARTH_RADIUS_M), CENTER.lon)
+
 
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 

@@ -88,15 +88,22 @@ class TestIngestStatusReplay:
         assert "ingested 1 activities" in out
         assert len(list(load_log(log))) == 1
 
-    def test_ingest_invalid_event_fails(self, tmp_path, capsys):
-        log = tmp_path / "events.log"
-        code, _, err = run(
-            capsys, "ingest", CORPUS / "missing_geo.ics",
-            "--system-address", SYSTEM, "--log", log, "--now", 0,
-        )
-        assert code == 1
-        assert "EVENT_INVALID" in err
-        assert not log.exists() or log.read_text() == ""
+    @pytest.mark.parametrize("calendar, err", [
+        ((CORPUS / "missing_geo.ics").read_bytes(),
+         "error: EVENT_INVALID: event 'nogeo-5@example.org': missing GEO\n"),
+        ("BEGIN:VCALENDAR\r\nBEGIN:VEVENT\r\nUID:north@x\r\nDTSTART:100\r\nDTEND:200\r\n"
+         "GEO:91;0\r\nORGANIZER:mailto:ana@x\r\nATTENDEE:mailto:bo@x\r\n"
+         f"ATTENDEE:{SYSTEM}\r\nEND:VEVENT\r\nEND:VCALENDAR\r\n".encode(),
+         "error: EVENT_INVALID: event 'north@x': bad GEO: invalid field 'lat': "
+         "latitude 91.0 outside [-90, 90]\n"),
+    ], ids=["missing_geo", "latitude_91"])
+    def test_ingest_invalid_event_fails(self, tmp_path, capsys, calendar, err):
+        ics, log = tmp_path / "calendar.ics", tmp_path / "events.log"
+        ics.write_bytes(calendar)
+        assert run(
+            capsys, "ingest", ics, "--system-address", SYSTEM, "--log", log, "--now", 0,
+        ) == (1, "", err)
+        assert log.read_bytes() == b""
 
     def test_an_event_whose_roster_new_activity_refuses_ingests_nothing(self, tmp_path, capsys):
         # Three enrolled events; the middle one lists only its organizer.
@@ -338,6 +345,9 @@ class TestForgedRecords:
         "an arm after the arrival, then a second arrival": (
             [ArmSet("a1", "g01"), ArrivalRecorded("a1", "g01", 1400)],
             "activity a1: alarm is already armed or the participant has arrived"),
+        "a fix ahead of the server's clock": (
+            [FixAccepted("a1", "g01", Zone.INSIDE, 1461)],
+            "activity a1: fix at 1461 is more than 60 s ahead of the server's clock 1400"),
     }
 
     @pytest.mark.parametrize("forged, reason", PROBES.values(), ids=PROBES)

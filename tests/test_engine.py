@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import json
-import math
 import os
 import random
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from codes import raises_code
-from genmsg import coordinates
+from genmsg import CENTER, at_distance, coordinates
 
 import syncpoint.engine
 from syncpoint.activities import (
@@ -54,7 +53,7 @@ from syncpoint.eventlog import (
     load_log,
     read_records,
 )
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone, classify_zone
+from syncpoint.geo import Geofence, GeoPoint, Zone, classify_zone
 from syncpoint.ics import parse_ics
 from syncpoint.notify import ArrivalNotice, Invitation, SelfArrivalAck, TaskDoneNotice
 from syncpoint.presence import Alarm
@@ -76,11 +75,6 @@ from syncpoint.wire import (
 )
 
 REPO = Path(__file__).parents[1]
-CENTER = GeoPoint(41.5606, -8.3970)
-
-
-def at_distance(meters: float) -> GeoPoint:
-    return GeoPoint(CENTER.lat + math.degrees(meters / EARTH_RADIUS_M), CENTER.lon)
 
 
 def fresh(kind=ActivityKind.MEETUP, policy=PrivacyPolicy.DISCLOSE_IDENTITY,

@@ -5,7 +5,6 @@ import asyncio
 import copy
 import errno
 import json
-import math
 import os
 import resource
 import socket
@@ -32,11 +31,12 @@ from syncpoint.eventlog import (
     load_log,
     read_records,
 )
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
+from syncpoint.geo import Geofence, GeoPoint, Zone
 from syncpoint.net import SyncServer
 from syncpoint.sim import load_scenario, run_scenario, scenario_from_dict
 from syncpoint.wire import Ack, Arm, Fix, Hello, Poll, RespondInvite, Welcome, decode, encode
 from codes import raises_code
+from genmsg import CENTER, at_distance
 from mutation import draw_byte_mutant, draw_mutant
 from test_sim import generated_crowd
 
@@ -45,11 +45,6 @@ SCENARIOS = REPO / "scenarios"
 # The s1 log as the previous format wrote it: each roster entry an object
 # {"id": …, "status": "INVITED"}.
 OLD_ROSTER_LOG = REPO / "data" / "log" / "s1_meetup.roster_objects.jsonl"
-CENTER = GeoPoint(41.5606, -8.3970)
-
-
-def at_distance(meters: float) -> GeoPoint:
-    return GeoPoint(CENTER.lat + math.degrees(meters / EARTH_RADIUS_M), CENTER.lon)
 
 
 def fair(engine: Engine, window=TimeWindow(1000, 5000)):

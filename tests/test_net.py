@@ -2,7 +2,6 @@
 
 import asyncio
 import logging
-import math
 import socket
 import struct
 import time
@@ -10,24 +9,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genmsg import CENTER, at_distance
 from syncpoint.activities import (
     ActivityKind, ActivitySpec, InviteAnswer, ParticipantStatus, TimeWindow,
 )
 from syncpoint.engine import Engine, replay
 from syncpoint.eventlog import ArmSet, FixAccepted, load_log
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
+from syncpoint.geo import Geofence, Zone
 from syncpoint import net
 from syncpoint.net import SyncServer
 from syncpoint.wire import (
     MAX_FRAME_BYTES, Ack, Arm, Err, Fix, FrameBuffer, Hello, Notify, Poll, RespondInvite, TaskDone,
     Welcome, decode, encode,
 )
-
-CENTER = GeoPoint(41.5606, -8.3970)
-
-
-def at_distance(meters: float) -> GeoPoint:
-    return GeoPoint(CENTER.lat + math.degrees(meters / EARTH_RADIUS_M), CENTER.lon)
 
 
 class Client:

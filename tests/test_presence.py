@@ -4,24 +4,19 @@ Each rule is checked where it runs: ARM, DISARM and FIX commands go through
 ``engine.handle``, and arrivals are read from the records it appends.
 """
 
-import math
 import random
 
 from hypothesis import given, strategies as st
 
+from genmsg import CENTER, at_distance
 from syncpoint.activities import ActivityKind, ActivitySpec, InviteAnswer, TimeWindow
 from syncpoint.engine import ServerState, create_activity, handle
 from syncpoint.eventlog import ArmCleared, ArrivalRecorded
-from syncpoint.geo import EARTH_RADIUS_M, Geofence, GeoPoint, Zone
+from syncpoint.geo import Geofence, Zone
 from syncpoint.presence import Alarm
 from syncpoint.wire import Ack, Arm, Disarm, Err, Fix, RespondInvite
 
-CENTER = GeoPoint(41.5606, -8.3970)
 FENCE = Geofence(CENTER, 100.0, 25.0)
-
-
-def at_distance(meters: float) -> GeoPoint:
-    return GeoPoint(CENTER.lat + math.degrees(meters / EARTH_RADIUS_M), CENTER.lon)
 
 
 def server():

@@ -565,3 +565,10 @@ class TestLineParse:
             decode('{"type":"ARM","activity":"a1"}\u00a0')
         assert e.value.detail == "not valid JSON: Extra data: line 1 column 31 (char 30)"
         assert decode(' {"type":"ARM","activity":"a1"}\t') == Arm("a1")
+        # Bytes are read as UTF-8 only; json.loads would take these for UTF-16.
+        with raises_code("MALFORMED") as e:
+            decode('{"type":"ARM","activity":"a1"}'.encode("utf-16"))
+        assert e.value.detail == (
+            "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"
+        )
