@@ -37,13 +37,16 @@ ignores that cache.
 rule of ``_next_activity``: the next id, and one activity per calendar UID.
 
 Notification queues are part of the state: a queue holds each recipient's
-``Notify`` frames, and a frame's sequence number is its position, dense
-from 1. A fan-out builds its frames once, in ``_enqueue``: recipients of
-one notification at one seq share one frame, which the codec then encodes
-once. The same frames are the pushes that ``handle`` and
-``create_activities`` return, the slice that ``pending`` returns, and what
-replay queues. Polls append no records: the cursor travels with each
-POLL, and the queue is never trimmed.
+notifications, and a notification's sequence number is its position,
+dense from 1. A ``Notify`` frame is built only where one leaves the
+server: ``_frames`` builds a fan-out's pushes, one frame per notification
+and seq, shared by the recipients at that seq so that the codec encodes it
+once; and ``pending`` builds the frames of the slice a POLL gets. ``handle``
+builds pushes only for the recipients in ``online`` when it is given (the
+server passes its connected participants), and for every recipient when it
+is not (the simulator, ``create_activities``). Replay builds none. Polls
+append no records: the cursor travels with each POLL, and the queue is
+never trimmed.
 
 Durability is the ``Engine`` wrapper's: it appends each command's records
 to the log, and ``Engine.commit`` writes and flushes all records appended
@@ -66,7 +69,9 @@ coordinate. What the log keeps is ``eventlog``'s to say.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 
 from .activities import (
@@ -96,7 +101,7 @@ from .eventlog import (
     load_log,
 )
 from .geo import Zone, classify_zone
-from .notify import Fanout, on_arrival, on_invite, on_task_done, render_status
+from .notify import Fanout, Notification, on_arrival, on_invite, on_task_done, render_status
 from .presence import Alarm, ingest_fix
 from .wire import (
     Ack, Arm, ClientMessage, Disarm, Err, Fix, Hello, Notify, ParticipantView, Poll,
@@ -135,8 +140,10 @@ class ServerState:
     # Each activity's presences by participant id, in roster order.
     presence: dict[str, dict[str, ParticipantPresence]] = field(default_factory=dict)
     arrivals: dict[str, list[str]] = field(default_factory=dict)  # in arrival order
-    # Entry i of a recipient's queue is the frame with seq i + 1.
-    queues: dict[str, list[Notify]] = field(default_factory=dict)
+    # Entry i of a recipient's queue is the notification with seq i + 1.
+    queues: defaultdict[str, list[Notification]] = field(
+        default_factory=lambda: defaultdict(list)
+    )
     calendar_uids: set[str] = field(default_factory=set)  # of the activities made from events
     record_count: int = 0
     # Each activity's accepted ids in roster order, from its first fan-out to the next answer.
@@ -144,6 +151,8 @@ class ServerState:
 
 
 Outbound = list[tuple[str, ServerMessage]]
+# What a fan-out queued: each notification, its recipients, and the seq it has in each queue.
+Queued = list[tuple[Notification, tuple[str, ...], list[int]]]
 
 # Bound once, for the FIX path: reading a member off its class calls a descriptor.
 _ACCEPTED, _ACTIVE = ParticipantStatus.ACCEPTED, ActivityPhase.ACTIVE
@@ -152,27 +161,36 @@ _ACCEPTED, _ACTIVE = ParticipantStatus.ACCEPTED, ActivityPhase.ACTIVE
 MAX_AHEAD_S = 60
 
 
-def _enqueue(state: ServerState, fanout: Fanout) -> Outbound:
-    """Queue a fan-out's frames and return them as its pushes.
+def _enqueue(state: ServerState, fanout: Fanout) -> Queued:
+    """Append each notification of a fan-out to its recipients' queues.
 
-    A fan-out comes grouped by notification, so recipients of one
-    notification with one seq share one ``Notify`` frame. This is the one
-    place a queued frame is built, and nothing assigns to it afterwards.
+    Builds no frame and no per-recipient pair: the seqs it returns are
+    what ``_frames`` needs to build the pushes, where any leave.
     """
-    queues = state.queues
-    pushes, last, frames = [], None, {}
-    for recipient, n in fanout:
-        queue = queues.get(recipient)
-        if queue is None:
-            queue = queues[recipient] = []
-        if n is not last:
-            last, frames = n, {}
-        seq = len(queue) + 1
-        frame = frames.get(seq)
-        if frame is None:
-            frame = frames[seq] = Notify(seq, n)
-        queue.append(frame)
-        pushes.append((recipient, frame))
+    queues, queued = state.queues, []
+    for n, recipients in fanout:
+        qs = list(map(queues.__getitem__, recipients))
+        for q in qs:
+            q.append(n)
+        queued.append((n, recipients, list(map(len, qs))))
+    return queued
+
+
+def _frames(queued: Queued, online=None) -> Outbound:
+    """The pushes of what was queued, in fan-out order: to every recipient, or
+    only to those in ``online`` if it is given.
+
+    Recipients of one notification at one seq share one ``Notify`` frame.
+    """
+    pushes = []
+    for n, recipients, seqs in queued:
+        frames = {}
+        for to, seq in zip(recipients, seqs):
+            if online is None or to in online:
+                frame = frames.get(seq)
+                if frame is None:
+                    frame = frames[seq] = Notify(seq, n)
+                pushes.append((to, frame))
     return pushes
 
 
@@ -185,8 +203,8 @@ def _accepted_ids(state: ServerState, act: Activity) -> tuple[str, ...]:
     return ids
 
 
-def apply(state: ServerState, record: EventRecord) -> Outbound:
-    """Fold one record into the state; returns the frames it queued, as pushes.
+def apply(state: ServerState, record: EventRecord) -> Queued:
+    """Fold one record into the state; returns what it queued (``_enqueue``).
 
     This is the single mutation path for live handling and replay alike.
     Records are applied exactly in log order (dense indices enforced).
@@ -235,8 +253,8 @@ def apply(state: ServerState, record: EventRecord) -> Outbound:
     raise TypeError(f"not an event: {e!r}")
 
 
-def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Outbound]:
-    """The next record, carrying ``event``, applied to the state; and its pushes."""
+def _record(state: ServerState, now: int, event) -> tuple[EventRecord, Queued]:
+    """The next record, carrying ``event``, applied to the state; and what it queued."""
     record = EventRecord(state.record_count, now, event)
     return record, apply(state, record)
 
@@ -314,8 +332,8 @@ def replay(records) -> ServerState:
     """Rebuild state by folding records through the live transition logic.
 
     ``records`` may be any iterable, such as ``load_log``: each record is
-    folded as it comes, and none is kept. Its queues hold the frames the
-    live fan-outs pushed, one per notification and seq.
+    folded as it comes, and none is kept. Its queues hold the notifications
+    the live fan-outs queued, and no frame is built.
 
     Each record passes its guard first, so replay stops at a record the live
     path could not have logged, as at a bad line, with a ``CorruptRecord``
@@ -373,13 +391,15 @@ def _accepted(state: ServerState, act: Activity, who: str) -> ParticipantPresenc
 
 
 def pending(state: ServerState, participant: str, cursor: int) -> tuple[list[Notify], int]:
-    """The queued frames with sequence > cursor, and the new cursor.
+    """The frames of the queued notifications with sequence > cursor, and the new cursor.
 
-    Pure read: it returns the stored frames and builds none. Re-polling with
-    the same cursor returns the same frames. Sequence numbers are dense from
-    1, so the frames above the cursor are the queue from index ``cursor``.
+    Pure read: it builds the frames of the slice it returns, equal to the
+    ones pushed, and creates no queue. Re-polling with the same cursor
+    returns equal frames. Sequence numbers are dense from 1, so the
+    notifications above the cursor are the queue from index ``cursor``.
     """
-    out = state.queues.get(participant, [])[max(cursor, 0):]
+    start = max(cursor, 0)
+    out = list(map(Notify, count(start + 1), state.queues.get(participant, ())[start:]))
     return out, (out[-1].seq if out else cursor)
 
 
@@ -402,22 +422,24 @@ def status_view(state: ServerState, activity_id: str, now: int) -> StatusView:
 
 
 def handle(
-    state: ServerState, msg: ClientMessage, from_: str, now: int
+    state: ServerState, msg: ClientMessage, from_: str, now: int, online=None
 ) -> tuple[Outbound, list[EventRecord]]:
     """Process one client message.
 
     Returns the outbound (recipient, message) list — Ack/Err and direct
     responses to the sender plus Notify pushes — and the records appended.
+    Pushes go to the recipients in ``online`` if it is given (a container
+    of participant ids), else to every recipient; the queues get them all.
     An errored command appends zero records and mutates nothing.
     """
     try:
-        return _dispatch(state, msg, from_, now)
+        return _dispatch(state, msg, from_, now, online)
     except SyncError as e:
         return [(from_, Err(e.code, e.detail))], []
 
 
 def _dispatch(
-    state: ServerState, msg: ClientMessage, from_: str, now: int
+    state: ServerState, msg: ClientMessage, from_: str, now: int, online
 ) -> tuple[Outbound, list[EventRecord]]:
     if isinstance(msg, Fix):  # the commonest command, so tested first
         try:
@@ -430,16 +452,16 @@ def _dispatch(
         if not ingest_fix(alarm, previous_zone, zone):
             return [(from_, ACK_FIX)], [fixed]
         # Accepted (the fix's guard) and armed (ingest_fix): the arrival passes its guard.
-        arrival, pushes = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
-        return [(from_, ACK_FIX)] + pushes, [fixed, arrival]
+        arrival, queued = _record(state, now, ArrivalRecorded(act.id, from_, msg.at))
+        return [(from_, ACK_FIX)] + _frames(queued, online), [fixed, arrival]
 
     if isinstance(msg, Hello):
         return [(from_, Welcome(now))], []
 
     if isinstance(msg, RespondInvite):
         answered = _guard(state, now, InviteResponded(msg.activity, from_, msg.answer))
-        record, pushes = _record(state, now, answered)
-        return [(from_, ACK_RESPOND_INVITE)] + pushes, [record]
+        record, _ = _record(state, now, answered)  # an answer queues nothing
+        return [(from_, ACK_RESPOND_INVITE)], [record]
 
     if isinstance(msg, Arm):
         record, _ = _record(state, now, _guard(state, now, ArmSet(msg.activity, from_)))
@@ -455,8 +477,8 @@ def _dispatch(
 
     if isinstance(msg, TaskDone):
         done = _guard(state, now, TaskCompleted(msg.activity, from_, msg.at))
-        record, pushes = _record(state, now, done)
-        return [(from_, ACK_TASK_DONE)] + pushes, [record]
+        record, queued = _record(state, now, done)
+        return [(from_, ACK_TASK_DONE)] + _frames(queued, online), [record]
 
     if isinstance(msg, Poll):
         msgs, _ = pending(state, from_, msg.cursor)
@@ -486,8 +508,8 @@ def create_activity(
     """``create_activities`` of one spec, but a calendar UID already taken raises
     ``AlreadyIngested``."""
     act = _next_activity(spec, len(state.activities) + 1, state.calendar_uids)
-    record, pushes = _record(state, now, ActivityCreated(act))
-    return act, pushes, [record]
+    record, queued = _record(state, now, ActivityCreated(act))
+    return act, _frames(queued), [record]
 
 
 def create_activities(
@@ -516,7 +538,7 @@ def create_activities(
         if uid is not None:
             taken.add(uid)
     made = [_record(state, now, ActivityCreated(act)) for act in acts]
-    return acts, warnings, [push for _, pushes in made for push in pushes], [r for r, _ in made]
+    return acts, warnings, [p for _, q in made for p in _frames(q)], [r for r, _ in made]
 
 
 def materialize_draft(state: ServerState, spec: ActivitySpec, now: int):
@@ -567,8 +589,8 @@ class Engine:
             for record in records:
                 self._writer.append(record)
 
-    def handle(self, msg: ClientMessage, from_: str, now: int) -> Outbound:
-        outbound, records = handle(self.state, msg, from_, now)
+    def handle(self, msg: ClientMessage, from_: str, now: int, online=None) -> Outbound:
+        outbound, records = handle(self.state, msg, from_, now, online)
         self._persist(records)
         return outbound
 

@@ -6,8 +6,9 @@ message goes through the engine with the wall clock injected; a later
 HELLO naming someone else gets ALREADY_INTRODUCED. Direct responses and a
 POLL's answer return on the handling connection; Notify pushes go to every
 live connection registered for the recipient, the sender's others too.
-Participants without a live connection simply poll later — the queues
-keep everything.
+The engine builds a push frame only for a connected recipient (the server
+passes it the participants it has connections for). Participants without
+a live connection simply poll later — the queues keep everything.
 
 Each read (``data_received``) is handled as one batch, with one reading
 of the clock. Every frame it completes goes through the engine in order,
@@ -117,17 +118,14 @@ class Connection(asyncio.Protocol):
             except SyncError as e:  # a frame's refusal; a command's is engine.handle's
                 replies.append(encode(Err(e.code, e.detail)))
                 continue
-            for to, out in engine.handle(msg, participant, now):
+            for to, out in engine.handle(msg, participant, now, conns):
+                line = encode(out)
                 if to == participant:
-                    replies.append(line := encode(out))
+                    replies.append(line)
                     # A push reaches the sender's other connections too; a POLL's answer does not.
                     if out.__class__ is not Notify or msg.__class__ is Poll:
                         continue
-                elif to in conns:
-                    line = encode(out)
-                else:
-                    continue
-                for conn in conns.get(to, ()):
+                for conn in conns[to]:
                     if conn is not self:
                         pushes.setdefault(conn, []).append(line)
         if self.buf.oversized:

@@ -1,16 +1,18 @@
 """Notification fanout: who hears what, when, and with which identity.
 
-Pure functions from (activity, event) to a list of (recipient, notification)
-pairs. The privacy policy is applied here and only here: under the
-anonymous-count policy no outbound notification carries any participant
-identifier, and no notification of any kind ever carries coordinates — the
-server relays arrival facts, not locations. A member's STATUS answer goes
+Pure functions from (activity, event) to a list of (notification,
+recipients) pairs: each notification once, with the tuple of the ids it
+goes to, so no per-recipient pair is built. The privacy policy is applied
+here and only here: under the anonymous-count policy no outbound
+notification carries any participant identifier, and no notification of
+any kind ever carries coordinates — the server relays arrival facts, not
+locations. A member's STATUS answer goes
 through the same policy (``render_status``).
 
 Who has accepted is the engine's state, so the fan-outs take the accepted
-ids, in the activity's participant-list order. Recipient order is
-deterministic: the arriver's own ack first, then the remaining recipients
-in that order.
+ids, in the activity's participant-list order; an update or an all-arrived
+notice goes to that cached tuple itself. Recipient order is deterministic:
+the arriver's own ack first, then the remaining recipients in that order.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ Notification = (
     | TaskDoneNotice
 )
 
-Fanout = list[tuple[str, Notification]]
+Fanout = list[tuple[Notification, tuple[str, ...]]]
 
 
 def render_identity(policy: PrivacyPolicy, who: str) -> str | None:
@@ -117,7 +119,7 @@ def on_invite(activity: Activity) -> Fanout:
     invitation = Invitation(
         ActivitySummary(activity.id, activity.title, activity.kind, w.start, w.end)
     )
-    return [(who, invitation) for who in activity.participants if who != activity.organizer]
+    return [(invitation, tuple(filter(activity.organizer.__ne__, activity.participants)))]
 
 
 def on_arrival(
@@ -133,19 +135,17 @@ def on_arrival(
     Whenever the total equals the accepted-participant count, everyone also
     hears that the group is complete.
     """
-    out: Fanout = [(arriver, SelfArrivalAck(activity.id, at))]
+    out: Fanout = [(SelfArrivalAck(activity.id, at), (arriver,))]
     if activity.kind is ActivityKind.GATHERING:
         if arrivals_total % activity.batch_threshold == 0:
-            update = GatheringUpdate(activity.id, arrivals_total)
-            out += [(pid, update) for pid in accepted]
+            out.append((GatheringUpdate(activity.id, arrivals_total), accepted))
     else:
         notice = ArrivalNotice(
             activity.id, at, render_identity(activity.policy, arriver)
         )
-        out += [(pid, notice) for pid in accepted if pid != arriver]
+        out.append((notice, tuple(filter(arriver.__ne__, accepted))))
     if arrivals_total == len(accepted):
-        done = AllArrived(activity.id, at)
-        out += [(pid, done) for pid in accepted]
+        out.append((AllArrived(activity.id, at), accepted))
     return out
 
 
@@ -160,4 +160,4 @@ def on_task_done(
     notice = TaskDoneNotice(
         activity.id, at, render_identity(activity.policy, doer)
     )
-    return [(pid, notice) for pid in accepted if pid != doer]
+    return [(notice, tuple(filter(doer.__ne__, accepted)))]

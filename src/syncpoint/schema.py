@@ -253,8 +253,9 @@ class OneOf(Kind):
     record, its event, a transcript entry): a frozen ``__init__`` sets each
     field through ``object.__setattr__``, at two to three times the cost.
     ``Notify`` is shared but not frozen, as a crossing fix builds one per seq
-    of its fan-out: only ``engine._enqueue`` builds a queued frame, and
-    nothing assigns to it after that, so the text kept for it stays its text.
+    of its fan-out: only ``engine._frames`` and ``engine.pending`` build one,
+    and nothing assigns to it after that, so the text kept for it stays its
+    text.
     """
 
     def __init__(self, *schemas: Schema):

@@ -143,8 +143,7 @@ def test_c02_status_answers_obey_anonymity():
             for pid in members:
                 assert (f'"{pid}"' in body) == (pid == asker), (pid, body)
             assert [p.id for p in view.participants] == [asker]
-            queue = state.queues.get(asker if asker in guests else guests[0], ())
-            notes = [frame.notification for frame in queue]
+            notes = state.queues.get(asker if asker in guests else guests[0], ())
             heard = {0} | {n.count for n in notes if type(n).__name__ == "GatheringUpdate"}
             if any(type(n).__name__ == "AllArrived" for n in notes):
                 heard.add(len(state.arrivals["a1"]))

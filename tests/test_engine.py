@@ -113,7 +113,9 @@ class TestCreateActivity:
             for _, m in outbound
         )
         assert [m.seq for _, m in outbound] == [1, 1]
-        assert state.queues["bruno"] == [outbound[0][1]]  # a queue holds the pushed frames
+        # A queue holds the pushed notifications; a poll gets frames equal to the pushed ones.
+        assert state.queues["bruno"] == [outbound[0][1].notification]
+        assert pending(state, "bruno", 0) == ([outbound[0][1]], 1)
         assert len(records) == 1 and isinstance(records[0].event, ActivityCreated)
 
     def test_invalid_spec_is_atomic(self):

@@ -13,6 +13,7 @@ from genmsg import CENTER, at_distance
 from syncpoint.activities import (
     ActivityKind, ActivitySpec, InviteAnswer, ParticipantStatus, TimeWindow,
 )
+import syncpoint.engine as engine_module
 from syncpoint.engine import Engine, replay
 from syncpoint.eventlog import ArmSet, FixAccepted, load_log
 from syncpoint.geo import Geofence, Zone
@@ -402,6 +403,73 @@ def test_a_push_to_the_sender_reaches_its_other_connections_and_a_poll_answer_do
         ("NOTIFY", 1, "Invitation"), ("NOTIFY", 2, "SelfArrivalAck"), ("ACK", "POLL"),
     ]
     assert _replies(on_ana) == [("WELCOME",), ("NOTIFY", 1, "ArrivalNotice")]
+
+
+def test_a_push_to_someone_else_reaches_each_of_their_connections():
+    async def run():
+        engine = Engine()
+        act = _fair(engine)
+        sync = SyncServer(engine, clock=lambda: 2000)
+        sync.stopped = asyncio.get_running_loop().create_future()
+        transports = []
+        for who in ("ana", "ana", "bruno"):
+            conn, transport = net.Connection(sync), _Transport()
+            conn.connection_made(transport)
+            conn.data_received(_frames(Hello(who)))
+            transports.append((conn, transport))
+        crosser, _ = transports[2]
+        crosser.data_received(_frames(Arm(act.id), Fix(act.id, at_distance(50), 2000)))
+        return [t for _, t in transports]
+
+    on_first, on_second, on_bruno = asyncio.run(run())
+    assert _replies(on_bruno) == [
+        ("WELCOME",), ("ACK", "ARM"), ("ACK", "FIX"), ("NOTIFY", 2, "SelfArrivalAck"),
+    ]
+    for on_ana in (on_first, on_second):
+        assert _replies(on_ana) == [("WELCOME",), ("NOTIFY", 1, "ArrivalNotice")]
+    assert on_first.written[1:] == on_second.written[1:]
+
+
+def test_a_crossing_builds_frames_only_for_the_connected(monkeypatch):
+    """In a 32-person meetup with one other participant connected, a crossing
+    builds the self-ack and that participant's notice, not one frame per
+    recipient; the notice is the line a frame per recipient encoded to."""
+    roster = tuple(f"p{i:02d}" for i in range(32))
+    built = []
+    monkeypatch.setattr(engine_module, "Notify", lambda *a: built.append(a) or Notify(*a))
+
+    async def run():
+        engine = Engine()
+        # Earlier invitations give every queue its own depth: p01 has 31, p31 has 1.
+        *_, act = engine.create_activities([ActivitySpec(
+            title="Big fair", kind=ActivityKind.MEETUP,
+            window=TimeWindow(1000, 5000), fence=Geofence(CENTER, 100.0, 25.0),
+            organizer="p00", participants=roster[:k],
+        ) for k in (*range(32, 1, -1), 32)], now=0)[0]
+        for who in roster:
+            engine.handle(RespondInvite(act.id, InviteAnswer.ACCEPT), who, 10)
+        sync = SyncServer(engine, clock=lambda: 2000)
+        sync.stopped = asyncio.get_running_loop().create_future()
+        transports = []
+        for who in ("p05", "p07"):
+            conn, transport = net.Connection(sync), _Transport()
+            conn.connection_made(transport)
+            conn.data_received(_frames(Hello(who), Arm(act.id)))
+            transports.append((conn, transport))
+        (crosser, on_crosser), (_, on_other) = transports
+        built.clear()
+        crosser.data_received(_frames(Fix(act.id, at_distance(50), 2000)))
+        return on_crosser, on_other, engine
+
+    on_crosser, on_other, engine = asyncio.run(run())
+    assert [seq for seq, _ in built] == [29, 27]  # the self-ack and the one notice
+    assert _replies(on_crosser)[-2:] == [("ACK", "FIX"), ("NOTIFY", 29, "SelfArrivalAck")]
+    assert on_other.written[-1] == (
+        b'{"type":"NOTIFY","notification":{"kind":"ARRIVAL_NOTICE","activity":"a32",'
+        b'"at":2000,"identity":"p05"},"seq":27}\n'
+    )
+    # Everyone else's queue has the notice all the same.
+    assert all(engine.state.queues[who][-1] == built[1][1] for who in roster if who != "p05")
 
 
 def test_a_second_hello_naming_someone_else_is_refused_and_the_connection_kept():

@@ -29,6 +29,11 @@ from syncpoint.notify import (
 FENCE = Geofence(GeoPoint(41.5606, -8.3970), 100.0)
 
 
+def pairs(fanout):
+    """A fan-out flattened to (recipient, notification) pairs, in delivery order."""
+    return [(who, n) for n, recipients in fanout for who in recipients]
+
+
 def make(kind=ActivityKind.MEETUP, participants=("ana", "bruno", "carla"),
          organizer="ana", policy=PrivacyPolicy.DISCLOSE_IDENTITY, batch=None):
     return new_activity(ActivitySpec(
@@ -45,17 +50,17 @@ def make(kind=ActivityKind.MEETUP, participants=("ana", "bruno", "carla"),
 
 class TestOnInvite:
     def test_organizer_excluded(self):
-        fanout = on_invite(make())
+        fanout = pairs(on_invite(make()))
         assert [r for r, _ in fanout] == ["bruno", "carla"]
         assert all(isinstance(n, Invitation) for _, n in fanout)
 
     def test_two_party_activity(self):
-        fanout = on_invite(make(participants=("ana", "bruno")))
+        fanout = pairs(on_invite(make(participants=("ana", "bruno"))))
         assert [r for r, _ in fanout] == ["bruno"]
 
     def test_summary_contents(self):
         act = make()
-        (_, inv), *_ = on_invite(act)
+        (_, inv), *_ = pairs(on_invite(act))
         s = inv.summary
         assert s.activity == act.id
         assert (s.title, s.kind, s.start, s.end) == ("Fair", ActivityKind.MEETUP, 1000, 5000)
@@ -72,7 +77,7 @@ class TestRenderIdentity:
 class TestOnArrival:
     def test_meetup_first_arrival(self):
         act = make()
-        fanout = on_arrival(act, ("ana", "bruno", "carla"), "bruno", 1, at=2000)
+        fanout = pairs(on_arrival(act, ("ana", "bruno", "carla"), "bruno", 1, at=2000))
         assert fanout[0] == ("bruno", SelfArrivalAck(act.id, 2000))
         notices = [(r, n) for r, n in fanout[1:]]
         assert notices == [
@@ -82,7 +87,7 @@ class TestOnArrival:
 
     def test_anonymous_policy_strips_identity(self):
         act = make(policy=PrivacyPolicy.ANONYMOUS_COUNT, participants=("ana", "bruno", "carla"))
-        fanout = on_arrival(act, ("ana", "bruno"), "bruno", 1, at=2000)
+        fanout = pairs(on_arrival(act, ("ana", "bruno"), "bruno", 1, at=2000))
         notice = dict(fanout)["ana"]
         assert notice.identity is None
 
@@ -91,9 +96,9 @@ class TestOnArrival:
                    participants=tuple(f"g{i:02d}" for i in range(1, 13)) + ("hq",),
                    organizer="hq")
         accepted = tuple(f"g{i:02d}" for i in range(1, 13))
-        fourth = on_arrival(act, accepted, "g04", 4, at=900)
+        fourth = pairs(on_arrival(act, accepted, "g04", 4, at=900))
         assert fourth == [("g04", SelfArrivalAck(act.id, 900))]
-        fifth = on_arrival(act, accepted, "g05", 5, at=960)
+        fifth = pairs(on_arrival(act, accepted, "g05", 5, at=960))
         assert fifth[0] == ("g05", SelfArrivalAck(act.id, 960))
         updates = fifth[1:]
         assert [r for r, _ in updates] == [f"g{i:02d}" for i in range(1, 13)]
@@ -101,12 +106,12 @@ class TestOnArrival:
 
     def test_gathering_never_sends_arrival_notices(self):
         act = make(kind=ActivityKind.GATHERING)
-        fanout = on_arrival(act, ("ana", "bruno", "carla"), "ana", 1, at=2000)
+        fanout = pairs(on_arrival(act, ("ana", "bruno", "carla"), "ana", 1, at=2000))
         assert not any(isinstance(n, ArrivalNotice) for _, n in fanout)
 
     def test_all_arrived_on_last(self):
         act = make(participants=("ana", "bruno"))
-        second = on_arrival(act, ("ana", "bruno"), "ana", 2, at=2500)
+        second = pairs(on_arrival(act, ("ana", "bruno"), "ana", 2, at=2500))
         assert second == [
             ("ana", SelfArrivalAck(act.id, 2500)),
             ("bruno", ArrivalNotice(act.id, 2500, "ana")),
@@ -114,10 +119,17 @@ class TestOnArrival:
             ("bruno", AllArrived(act.id, 2500)),
         ]
 
+    def test_updates_and_all_arrived_go_to_the_accepted_tuple_itself(self):
+        act = make(kind=ActivityKind.GATHERING, batch=1)
+        accepted = ("ana", "bruno", "carla")
+        fanout = on_arrival(act, accepted, "ana", 3, at=2000)
+        assert [type(n) for n, _ in fanout] == [SelfArrivalAck, GatheringUpdate, AllArrived]
+        assert all(recipients is accepted for _, recipients in fanout[1:])
+
     def test_non_responders_excluded_from_all_arrived(self):
         # carla never answered: two accepted arrivals complete the group.
         act = make()
-        second = on_arrival(act, ("ana", "bruno"), "ana", 2, at=2500)
+        second = pairs(on_arrival(act, ("ana", "bruno"), "ana", 2, at=2500))
         assert ("ana", AllArrived(act.id, 2500)) in second
         assert not any(r == "carla" for r, _ in second)
 
@@ -126,7 +138,7 @@ class TestOnArrival:
         guests = tuple(f"g{i:02d}" for i in range(1, 45))
         act = make(kind=ActivityKind.GATHERING, participants=guests + ("hq",),
                    organizer="hq", batch=batch)
-        fanout = on_arrival(act, guests, "g01", total, at=100 + total)
+        fanout = pairs(on_arrival(act, guests, "g01", total, at=100 + total))
         has_update = any(isinstance(n, GatheringUpdate) for _, n in fanout)
         assert has_update == (total % batch == 0)
 
@@ -134,13 +146,13 @@ class TestOnArrival:
 class TestOnTaskDone:
     def test_task_done_to_other_parent(self):
         act = make(kind=ActivityKind.TASK, participants=("p1", "p2"), organizer="p1")
-        fanout = on_task_done(act, ("p1", "p2"), "p1", at=2400)
+        fanout = pairs(on_task_done(act, ("p1", "p2"), "p1", at=2400))
         assert fanout == [("p2", TaskDoneNotice(act.id, 2400, "p1"))]
 
     def test_anonymous_task_done(self):
         act = make(kind=ActivityKind.TASK, participants=("p1", "p2"),
                    organizer="p1", policy=PrivacyPolicy.ANONYMOUS_COUNT)
-        fanout = on_task_done(act, ("p1", "p2"), "p1", at=2400)
+        fanout = pairs(on_task_done(act, ("p1", "p2"), "p1", at=2400))
         assert fanout[0][1].identity is None
 
 
@@ -156,9 +168,9 @@ class TestInvariants:
         policy = PrivacyPolicy.ANONYMOUS_COUNT if anon else PrivacyPolicy.DISCLOSE_IDENTITY
         act = make(participants=tuple(participants), organizer=participants[0], policy=policy)
         arriver = participants[total % len(participants)]
-        fanout = on_arrival(
+        fanout = pairs(on_arrival(
             act, tuple(participants), arriver, min(total, len(participants)), at=2000
-        )
+        ))
         for recipient, n in fanout:
             payload = notification_fields(n)
             flat = json.dumps(payload)
@@ -171,10 +183,10 @@ class TestInvariants:
     def test_anonymous_serialization_carries_no_ids(self, participants):
         act = make(participants=tuple(participants), organizer=participants[0],
                    policy=PrivacyPolicy.ANONYMOUS_COUNT)
-        fanout = on_arrival(
+        fanout = pairs(on_arrival(
             act, tuple(participants), participants[-1], len(participants), at=2000
-        )
-        fanout += on_invite(act)
+        ))
+        fanout += pairs(on_invite(act))
         for _, n in fanout:
             body = dumps_canonical(notification_fields(n))
             for pid in participants:

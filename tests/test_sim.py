@@ -38,7 +38,7 @@ from syncpoint.sim import (
     write_transcript,
 )
 from syncpoint.presence import Alarm
-from syncpoint.wire import Ack, Err, Fix, Notify, Poll
+from syncpoint.wire import Ack, Err, Fix, Notify, Poll, encode
 from codes import raises_code
 from mutation import draw_mutant
 
@@ -324,11 +324,16 @@ class TestRunScenario:
             result = run_scenario(load_scenario(path))
             assert replay(read_records(result.log_lines)) == result.state, path.name
 
-    def test_the_benchmark_crowd_log_reads_back_checked(self):
+    def test_the_benchmark_crowd_log_reads_back_checked(self, monkeypatch):
         result = run_scenario(scenario_from_dict(benchmark_crowd(1000, 150)))
         records = list(read_records(result.log_lines))
         assert records == result.records
+        # Replay queues 213,398 notifications and builds no ``Notify`` frame.
+        built = []
+        monkeypatch.setattr(engine, "Notify", lambda *args: built.append(args) or Notify(*args))
         state = replay(records)
+        monkeypatch.undo()
+        assert built == [] and sum(map(len, state.queues.values())) == 213_398
         assert state == result.state
         # A STATUS reads each participant's alarm; it agrees with the arrivals.
         for act in state.activities.values():
@@ -498,34 +503,27 @@ class TestByteIdentity:
                 digest.update(line.encode("utf-8"))
             assert digest.hexdigest() == pinned
         # Sequence numbers are dense from 1 in every queue, live and replayed:
-        # each queued frame's seq is its position, and a poll from cursor 0
-        # returns the whole queue.
+        # a queued notification's seq is its position, and a poll from cursor 0
+        # returns a frame for each notification of the queue.
         for state in (result.state, replay(result.records)):
             for recipient, queue in state.queues.items():
-                assert [m.seq for m in queue] == list(range(1, len(queue) + 1)), recipient
-                assert pending(state, recipient, 0) == (queue, len(queue)), recipient
+                frames, cursor = pending(state, recipient, 0)
+                assert [m.seq for m in frames] == list(range(1, len(queue) + 1)), recipient
+                assert [m.notification for m in frames] == queue, recipient
+                assert cursor == len(queue), recipient
 
 
 class TestSharedFrames:
-    def test_a_fanout_builds_one_frame_per_notification_and_seq(self, monkeypatch):
-        fanouts = []
-        record = engine._record
-
-        def spy(state, now, event):
-            made = record(state, now, event)
-            fanouts.append(made[1])
-            return made
-        monkeypatch.setattr(engine, "_record", spy)
+    def test_a_fanout_builds_one_frame_per_notification_and_seq(self):
         result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
-        monkeypatch.undo()
-        shared = 0
-        for pushes in fanouts:
-            frames = {id(frame) for _, frame in pushes}
-            assert len(frames) <= len({(m.notification, m.seq) for _, m in pushes}), pushes
-            shared += len(pushes) - len(frames)
-        assert shared > 1000  # the crowd's pushes do share frames
         pushed = [e.msg for e in result.transcript if isinstance(e.msg, Notify)]
-        assert len(pushed) == sum(map(len, fanouts))
+        # A fan-out builds each notification once, so the pushes of one
+        # (notification, seq) are those of one fan-out: they share one frame.
+        frames: dict[tuple[int, int], set[int]] = {}
+        for m in pushed:
+            frames.setdefault((id(m.notification), m.seq), set()).add(id(m))
+        assert all(len(ids) == 1 for ids in frames.values())
+        assert len(pushed) - len(frames) > 1000  # the crowd's pushes do share frames
         digest = hashlib.sha256("".join(transcript_lines(result.transcript)).encode("utf-8"))
         assert digest.hexdigest() == TestByteIdentity.PINNED_TRANSCRIPT
 
@@ -540,7 +538,12 @@ class TestRestartQueues:
         assert sum(map(len, pushed.values())) > 1000
 
         replayed = replay(read_records(result.log_lines))
-        assert replayed.queues == pushed  # each recipient's frames, in push order
+        # Each recipient's notifications, in push order; a push's seq is its position.
+        assert replayed.queues == {
+            who: [m.notification for m in frames] for who, frames in pushed.items()
+        }
+        for who, frames in pushed.items():
+            assert [m.seq for m in frames] == list(range(1, len(frames) + 1)), who
 
         log = tmp_path / "events.log"
         log.write_text("".join(result.log_lines), encoding="utf-8")
@@ -552,7 +555,10 @@ class TestRestartQueues:
             assert pending(restarted.state, who, 0) == (frames, len(frames)), who
             assert pending(result.state, who, 0) == (frames, len(frames)), who
 
-    def test_a_catch_up_poll_hands_out_the_pushed_frames_and_builds_none(self, monkeypatch):
+    def test_replay_builds_no_frame_and_a_poll_gets_the_pushed_ones(self, monkeypatch):
+        # Replay queues notifications and builds no ``Notify``. A POLL then
+        # builds the frames of its slice, equal to the pushed ones and
+        # encoding to the same bytes.
         result = run_scenario(scenario_from_dict(generated_crowd(2024, 60, 20)))
         pushed: dict[str, list[Notify]] = {}
         for e in result.transcript:
@@ -560,16 +566,20 @@ class TestRestartQueues:
                 pushed.setdefault(e.to, []).append(e.msg)
         built = []
         monkeypatch.setattr(engine, "Notify", lambda *args: built.append(args) or Notify(*args))
+        state = replay(read_records(result.log_lines))
+        assert built == [] and state == result.state
         polls = 0
         for who, frames in pushed.items():
             for cursor in range(len(frames) + 1):
-                outbound, records = handle(result.state, Poll(cursor), who, 0)
+                outbound, records = handle(state, Poll(cursor), who, 0)
                 assert records == [] and outbound[-1] == (who, Ack("POLL"))
                 got = [m for _, m in outbound[:-1]]
-                assert len(got) == len(frames) - cursor, (who, cursor)
-                assert all(m is f for m, f in zip(got, frames[cursor:])), (who, cursor)
+                assert got == frames[cursor:], (who, cursor)
+                assert list(map(encode, got)) == list(map(encode, frames[cursor:])), (who, cursor)
                 polls += 1
-        assert polls > 1000 and built == []
+        assert polls > 1000 and len(built) == sum(
+            len(frames) * (len(frames) + 1) // 2 for frames in pushed.values()
+        )
 
 
 def reference_run(scenario: Scenario) -> tuple[Transcript, list]:

@@ -95,8 +95,8 @@ def test_values_built_used_once_and_dropped_are_not_frozen(cls):
 def test_notify_frames_are_slotted_and_not_frozen():
     """A crossing fix builds one ``Notify`` per seq of its fan-out, and a
     frozen ``__init__`` costs over twice as much. Its text, which the codec
-    keeps by identity, stays right because ``engine._enqueue`` is the one
-    place a queued frame is built and nothing assigns to one afterwards."""
+    keeps by identity, stays right because only ``engine._frames`` and
+    ``engine.pending`` build one and nothing assigns to one afterwards."""
     _assign_first_field(Notify)
     assert Notify.__hash__ is None
 
